@@ -56,11 +56,6 @@ struct AttemptQueue : std::priority_queue<PendingAttempt, std::vector<PendingAtt
   const std::vector<PendingAttempt>& raw() const { return c; }
 };
 
-struct MetricIds {
-  int attempts = 0, failures = 0, cold = 0, retries = 0;
-  int queue_waiting = 0, revenue = 0, fees = 0;
-};
-
 Usd SpanRate(const SandboxSpan& span, const FleetSimConfig& cfg) {
   return cfg.hardware_per_vcpu_second * span.vcpus +
          cfg.hardware_per_gb_second * MbToGb(span.mem_mb);
@@ -155,9 +150,6 @@ std::vector<std::string> FleetSimConfig::Validate() const {
         "admission control needs max_sandboxes_per_function > 0: with an "
         "unbounded sandbox pool there is no capacity limit to queue against");
   }
-  if (metrics != nullptr && metrics_interval <= 0) {
-    errors.push_back("metrics_interval must be > 0 when a metrics registry is attached");
-  }
   return errors;
 }
 
@@ -191,13 +183,10 @@ struct FleetEngine::Impl {
 
   // --- Observability and integrity hooks (no-ops when null) ---
   TraceSink* sink = nullptr;
-  MetricsRegistry* metrics = nullptr;
   TimeSeries* ts = nullptr;
   EngineProfiler* prof = nullptr;
   Auditor* auditor = nullptr;
   NetworkModel* net = nullptr;
-  MetricIds mid;
-  MicroSecs next_sample = 0;
   int64_t waiting_now = 0;  // Attempts currently parked in admission queues.
 
   MicroSecs now = 0;  // Arrival time of the last processed attempt.
@@ -214,7 +203,6 @@ struct FleetEngine::Impl {
         breaker_on(config.retry.breaker_threshold > 0),
         cap(config.max_sandboxes_per_function),
         sink(config.trace_sink),
-        metrics(config.metrics),
         ts(config.timeseries),
         prof(config.profiler),
         auditor(config.auditor),
@@ -222,40 +210,12 @@ struct FleetEngine::Impl {
     if (prof != nullptr) {
       prof->RegisterEventType(0, "attempt");
     }
-    if (metrics != nullptr) {
-      using K = MetricsRegistry::Kind;
-      mid.attempts = metrics->Define(K::kGauge, "fleet.attempts_total");
-      mid.failures = metrics->Define(K::kGauge, "fleet.failed_attempts_total");
-      mid.cold = metrics->Define(K::kGauge, "fleet.cold_starts_total");
-      mid.retries = metrics->Define(K::kGauge, "fleet.retries_total");
-      mid.queue_waiting = metrics->Define(K::kGauge, "fleet.queue_waiting");
-      mid.revenue = metrics->Define(K::kGauge, "fleet.revenue_usd");
-      mid.fees = metrics->Define(K::kGauge, "fleet.fee_revenue_usd");
-    }
   }
 
   CircuitBreaker& BreakerFor(int64_t fid) {
     return breakers
         .try_emplace(fid, config.retry.breaker_threshold, config.retry.breaker_cooldown)
         .first->second;
-  }
-
-  // Rows snapshot the running totals on every cadence boundary up to `t`.
-  void SampleMetricsUntil(MicroSecs t) {
-    if (metrics == nullptr) {
-      return;
-    }
-    while (t >= next_sample) {
-      metrics->Set(mid.attempts, static_cast<double>(result.attempts));
-      metrics->Set(mid.failures, static_cast<double>(result.failed_attempts));
-      metrics->Set(mid.cold, static_cast<double>(result.cold_starts));
-      metrics->Set(mid.retries, static_cast<double>(result.retries));
-      metrics->Set(mid.queue_waiting, static_cast<double>(waiting_now));
-      metrics->Set(mid.revenue, result.revenue);
-      metrics->Set(mid.fees, result.fee_revenue);
-      metrics->Sample(next_sample);
-      next_sample += config.metrics_interval;
-    }
   }
 
   // One metered hop of an attempt's payload: fold into the result, the
@@ -469,7 +429,6 @@ struct FleetEngine::Impl {
       ts->RecordArrivalQueued(at.arrival, waiting_now);
     }
     const RequestRecord& r = (*trace)[at.trace_idx];
-    SampleMetricsUntil(at.arrival);
 
     // Client circuit breaker: fast-fail without reaching the platform. Only
     // fresh dispatches are gated; an attempt already parked in an admission
@@ -831,7 +790,6 @@ struct FleetEngine::Impl {
     ar.Field("now", now);
     ar.Field("next_seq", next_seq);
     ar.Field("waiting_now", waiting_now);
-    ar.Field("next_sample", next_sample);
     ar.Field("attempts_processed", attempts_processed);
     int next_host = host_faults.next_host();
     ar.Field("next_host", next_host);
@@ -1053,9 +1011,6 @@ void FleetEngine::Start(const std::vector<RequestRecord>& trace,
     im.pending.push({trace[i].arrival, static_cast<int64_t>(i), i, 1});
   }
   im.next_seq = static_cast<int64_t>(trace.size());
-  if (im.metrics != nullptr && !trace.empty()) {
-    im.next_sample = trace.front().arrival;
-  }
 }
 
 void FleetEngine::Resume(const std::vector<RequestRecord>& trace,
@@ -1152,9 +1107,6 @@ FleetResult FleetEngine::Finish() {
       sp.ref = static_cast<int64_t>(i);
       im.sink->Record(sp);
     }
-  }
-  if (im.metrics != nullptr) {
-    im.SampleMetricsUntil(im.next_sample);  // Final row with the closing totals.
   }
   if (im.prof != nullptr) {
     im.prof->AddRngDraws(im.fault_rng.draw_count());

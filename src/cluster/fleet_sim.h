@@ -26,7 +26,6 @@
 #include "src/integrity/integrity.h"
 #include "src/net/model.h"
 #include "src/obs/engine_profiler.h"
-#include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
 #include "src/platform/faults.h"
@@ -83,10 +82,6 @@ struct FleetSimConfig {
   // kTrackGroupFleetSandbox (tid = span index); every attempt's terminal
   // span carries its invoice share, so span USD sums reproduce `revenue`.
   TraceSink* trace_sink = nullptr;
-  MetricsRegistry* metrics = nullptr;
-  // Metrics sampling cadence over trace time (used only when `metrics` is
-  // attached).
-  MicroSecs metrics_interval = kMicrosPerSec;
   // Sim-time windowed telemetry (same null-sink contract). Billed-USD
   // recording is co-located with terminal-span pricing, so the series'
   // per-window sums reconcile bitwise against span totals

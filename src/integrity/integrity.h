@@ -1,7 +1,7 @@
 // Runtime invariant auditor.
 //
-// The auditor is a null-sink hook (same pattern as TraceSink /
-// MetricsRegistry in src/obs): simulator configs carry an `Auditor*` that
+// The auditor is a null-sink hook (same pattern as TraceSink / TimeSeries
+// in src/obs): simulator configs carry an `Auditor*` that
 // defaults to nullptr, and a detached run performs exactly one pointer test
 // per potential check — no RNG draws, no allocation — so results stay
 // bit-identical to pre-auditor goldens.

@@ -92,23 +92,6 @@ std::string ChromeTraceJson(const std::vector<Span>& spans) {
   return w.str();
 }
 
-std::string MetricsJsonl(const MetricsRegistry& registry) {
-  std::string out;
-  const std::vector<std::string>& columns = registry.columns();
-  for (const MetricsRegistry::Row& row : registry.rows()) {
-    JsonWriter w;
-    w.BeginObject();
-    w.KV("time_us", row.time);
-    for (size_t i = 0; i < columns.size(); ++i) {
-      w.KV(columns[i], row.values[i]);
-    }
-    w.EndObject();
-    out += w.str();
-    out.push_back('\n');
-  }
-  return out;
-}
-
 std::string TimeSeriesJsonl(const TimeSeries& series) {
   std::string out;
   const MicroSecs width = series.window();

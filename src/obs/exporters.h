@@ -1,7 +1,7 @@
 // Exporters: Chrome trace-event JSON (loads in Perfetto / chrome://tracing)
-// and JSONL metrics. Both are byte-deterministic functions of their inputs —
-// no wall-clock timestamps, no pointer values, shortest-round-trip doubles —
-// so the same seeded run always produces the same artifact bytes.
+// and the JSONL time series. Both are byte-deterministic functions of their
+// inputs — no wall-clock timestamps, no pointer values, shortest-round-trip
+// doubles — so the same seeded run always produces the same artifact bytes.
 
 #ifndef FAASCOST_OBS_EXPORTERS_H_
 #define FAASCOST_OBS_EXPORTERS_H_
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
 
@@ -20,10 +19,6 @@ namespace faascost {
 // Events are stably sorted by (group, track, start, longer-first) so `ts` is
 // monotone within every track and enclosing spans precede their children.
 std::string ChromeTraceJson(const std::vector<Span>& spans);
-
-// Renders the registry's sampled rows as JSONL: one JSON object per sample
-// with "time_us" plus every column in definition order.
-std::string MetricsJsonl(const MetricsRegistry& registry);
 
 // Renders the tumbling-window time series as JSONL: one JSON object per
 // window in index order, with rates, latency quantiles (p50/p95/p99 ms),

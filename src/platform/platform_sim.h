@@ -29,7 +29,6 @@
 #include "src/common/units.h"
 #include "src/integrity/integrity.h"
 #include "src/obs/engine_profiler.h"
-#include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
 #include "src/platform/autoscaler.h"
@@ -96,13 +95,11 @@ struct PlatformSimConfig {
   // when a drain actually starts, so it never perturbs default runs.
   MicroSecs drain_deadline = 0;
   // Observability hooks (non-owning; the caller keeps them alive through
-  // Run). Both default to null, where instrumentation reduces to a pointer
+  // Run). Each defaults to null, where instrumentation reduces to a pointer
   // test per event, draws no randomness, and leaves results bit-identical
   // to an unhooked run. Spans land on kTrackGroupClient (per request) and
-  // kTrackGroupSandbox (per sandbox); metrics sample on the autoscaler's
-  // sample_interval cadence.
+  // kTrackGroupSandbox (per sandbox).
   TraceSink* trace = nullptr;
-  MetricsRegistry* metrics = nullptr;
   // Sim-time windowed telemetry (same null-sink contract). PlatformSim
   // prices spans post-run (core/observe.h TagPlatformSpanBilling), so billed
   // USD enters the series via IngestBilledSpans, not inline.

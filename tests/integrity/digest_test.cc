@@ -153,8 +153,8 @@ TEST(EngineDigest, GoldenPlatform) {
 }
 
 TEST(EngineDigest, GoldenFleet) {
-  EXPECT_EQ(FleetEndDigest(7), 0x87b4167b2b67c01cULL);
-  EXPECT_EQ(FleetEndDigest(8), 0xfc2ce4fbd2d622b6ULL);
+  EXPECT_EQ(FleetEndDigest(7), 0x69cdad77a8b4360dULL);
+  EXPECT_EQ(FleetEndDigest(8), 0xaa78c0aa699e8f85ULL);
 }
 
 }  // namespace

@@ -10,8 +10,9 @@
 #include "src/billing/catalog.h"
 #include "src/cluster/fleet_sim.h"
 #include "src/core/observe.h"
-#include "src/obs/metrics.h"
+#include "src/obs/engine_profiler.h"
 #include "src/obs/span.h"
+#include "src/obs/timeseries.h"
 #include "src/platform/platform_sim.h"
 #include "src/platform/presets.h"
 #include "src/platform/workload.h"
@@ -63,14 +64,17 @@ TEST(PlatformProvenance, AttachedSinksDoNotPerturbResults) {
 
   PlatformSimConfig traced_cfg = FaultyAws();
   SpanCollector spans;
-  MetricsRegistry metrics;
+  TimeSeries series(10 * kMicrosPerSec);
+  EngineProfiler prof;
   traced_cfg.trace = &spans;
-  traced_cfg.metrics = &metrics;
+  traced_cfg.timeseries = &series;
+  traced_cfg.profiler = &prof;
   const PlatformSimResult traced = RunPlatform(traced_cfg);
 
   ExpectSameResults(plain, traced);
   EXPECT_FALSE(spans.spans().empty());
-  EXPECT_FALSE(metrics.rows().empty());
+  EXPECT_GT(series.window_count(), 0u);
+  EXPECT_GT(prof.events_total(), 0);
 }
 
 TEST(PlatformProvenance, EveryAttemptHasExactlyOneTerminalSpan) {
@@ -133,9 +137,7 @@ TEST(FleetProvenance, TerminalSpanUsdSumsToRevenue) {
   const FleetResult plain = SimulateFleet(trace, billing, cfg);
 
   SpanCollector spans;
-  MetricsRegistry metrics;
   cfg.trace_sink = &spans;
-  cfg.metrics = &metrics;
   const FleetResult traced = SimulateFleet(trace, billing, cfg);
 
   // Sinks leave the simulation bit-identical.
@@ -157,7 +159,6 @@ TEST(FleetProvenance, TerminalSpanUsdSumsToRevenue) {
   }
   EXPECT_EQ(terminal, traced.attempts);
   EXPECT_DOUBLE_EQ(span_sum, traced.revenue);
-  EXPECT_FALSE(metrics.rows().empty());
 }
 
 TEST(HostProvenance, SpansMatchDetectedGaps) {

@@ -163,27 +163,37 @@ rm -rf "$net_tmp"
 echo "same-seed network runs byte-identical; decomposition closes; detours seen."
 
 echo
-echo "== Observe smoke: artifact validity and determinism =="
+echo "== Platform monitor smoke: span trace + co-tenant host, determinism =="
+# Two seeds, each run twice: the span trace (platform requests and sandboxes
+# plus the co-tenant sched.tenants tracks) and both JSONL exports must be
+# byte-identical across repeats, and trace.json must parse.
 obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT
-"$repo/build/tools/faascost" observe --out "$obs_tmp/a" --seed 42 > /dev/null
-"$repo/build/tools/faascost" observe --out "$obs_tmp/b" --seed 42 > /dev/null
-python3 -m json.tool "$obs_tmp/a/trace.json" > /dev/null
-cmp "$obs_tmp/a/trace.json" "$obs_tmp/b/trace.json"
-cmp "$obs_tmp/a/metrics.jsonl" "$obs_tmp/b/metrics.jsonl"
+for seed in 1 42; do
+  for run in a b; do
+    "$repo/build/tools/faascost" monitor --sim platform --cotenants 2 \
+      --out "$obs_tmp/pmon_$run$seed" --rps 5 --seconds 60 --seed "$seed" > /dev/null
+  done
+  for f in trace.json timeseries.jsonl alerts.jsonl; do
+    cmp "$obs_tmp/pmon_a$seed/$f" "$obs_tmp/pmon_b$seed/$f"
+  done
+  python3 -m json.tool "$obs_tmp/pmon_a$seed/trace.json" > /dev/null
+done
 echo "trace.json parses; repeated runs are byte-identical."
 
 echo
-echo "== Monitor smoke: windowed telemetry determinism + schema sanity =="
-# Two seeds, each run twice: the JSONL exports must be byte-identical across
-# repeats (profile.json is wall-clock-bearing and exempt — parse-checked only).
+echo "== Fleet monitor smoke: windowed telemetry determinism + schema sanity =="
+# Two seeds, each run twice: the span trace and JSONL exports must be
+# byte-identical across repeats (profile.json is wall-clock-bearing and
+# exempt — parse-checked only).
 for seed in 7 11; do
   "$repo/build/tools/faascost" monitor --out "$obs_tmp/mon_a$seed" \
     --seed "$seed" --requests 6000 --seconds 1200 > /dev/null
   "$repo/build/tools/faascost" monitor --out "$obs_tmp/mon_b$seed" \
     --seed "$seed" --requests 6000 --seconds 1200 > /dev/null
-  cmp "$obs_tmp/mon_a$seed/timeseries.jsonl" "$obs_tmp/mon_b$seed/timeseries.jsonl"
-  cmp "$obs_tmp/mon_a$seed/alerts.jsonl" "$obs_tmp/mon_b$seed/alerts.jsonl"
+  for f in trace.json timeseries.jsonl alerts.jsonl; do
+    cmp "$obs_tmp/mon_a$seed/$f" "$obs_tmp/mon_b$seed/$f"
+  done
 done
 python3 - "$obs_tmp/mon_a7/timeseries.jsonl" <<'PYEOF'
 import json, sys

@@ -15,8 +15,6 @@
 //                      [--zones N] [--zone-outage-mtbf-s N] [--graceful F]
 //                      [--breaker-threshold N] [--retries N] [--requests N]
 //                      [--functions N] [--seed S]
-//   faascost observe   --out DIR [--platform P] [--rps N] [--seconds N]
-//                      [--rate R] [--retries N] [--cotenants N] [--seed S]
 //   faascost monitor   --out DIR [--sim fleet|platform] [--window SECONDS]
 //                      [--slo MS --slo-target F] [--fast-windows N]
 //                      [--slow-windows N] [--fast-burn X] [--slow-burn X]
@@ -24,7 +22,7 @@
 //                      (fleet: [--requests N] [--functions N] [--seconds N]
 //                       [--hosts N] [--mtbf-s N] [--mttr-s N] [--graceful F]
 //                       [--retries N]; platform: [--rps N] [--seconds N]
-//                       [--rate R] [--retries N])
+//                       [--rate R] [--retries N] [--cotenants N])
 //   faascost workflows --archetype chain|fanout|mapreduce [--hops N]
 //                      [--workflows N] [--wps R] [--rate R] [--retries N]
 //                      [--timeout-ms N] [--deadline-ms N] [--no-propagate]
@@ -41,7 +39,9 @@
 //   faascost platforms
 //
 // `failures`, `chaos`, `workflows`, `network` and `audit` accept --json for
-// machine-readable output.
+// machine-readable output. Counts (--requests, --functions) must be >= 1
+// and whole-second spans (--seconds, --window) at most a century; a value
+// out of range is a usage error naming the flag.
 //
 // Exit status (src/cli/exit_codes.h, documented in README): 0 on success,
 // 1 on usage errors, 2 when an integrity invariant or a bit-for-bit USD
@@ -76,7 +76,6 @@
 #include "src/net/model.h"
 #include "src/obs/engine_profiler.h"
 #include "src/obs/exporters.h"
-#include "src/obs/metrics.h"
 #include "src/obs/slo.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
@@ -189,6 +188,162 @@ std::optional<Platform> ParsePlatform(const std::string& name) {
   return it->second;
 }
 
+// --- Flag readers shared by the subcommands. Each prints a
+// `<cmd>: --<flag> ...` usage error and returns nullopt on a bad value. ---
+
+// Prints each config error as `<cmd>: <error>`; true when there are none.
+bool ConfigOk(const char* cmd, const std::vector<std::string>& errors) {
+  for (const std::string& err : errors) {
+    std::fprintf(stderr, "%s: %s\n", cmd, err.c_str());
+  }
+  return errors.empty();
+}
+
+// --platform, default aws.
+std::optional<Platform> ReadPlatform(const Flags& flags, const char* cmd) {
+  const std::string name = flags.Get("platform").value_or("aws");
+  const auto platform = ParsePlatform(name);
+  if (!platform.has_value()) {
+    std::fprintf(stderr, "%s: unknown platform '%s'\n", cmd, name.c_str());
+  }
+  return platform;
+}
+
+// A count flag (--requests, --functions): at least 1.
+std::optional<int64_t> ReadCount(const Flags& flags, const char* cmd, const char* key,
+                                 int64_t fallback) {
+  const int64_t n = flags.GetInt(key, fallback);
+  if (n < 1) {
+    std::fprintf(stderr, "%s: --%s must be >= 1, got %lld\n", cmd, key,
+                 static_cast<long long>(n));
+    return std::nullopt;
+  }
+  return n;
+}
+
+// Longest whole-second flag value: a century of sim time. Its microsecond
+// form, and sums of a few such spans, stay far inside int64.
+constexpr int64_t kMaxFlagSeconds = 100LL * 365 * 86'400;
+
+// A whole-second flag (--seconds, --window, --checkpoint-*) in
+// [min_s, kMaxFlagSeconds], returned in microseconds.
+std::optional<MicroSecs> ReadSeconds(const Flags& flags, const char* cmd, const char* key,
+                                     int64_t fallback, int64_t min_s = 1) {
+  const int64_t s = flags.GetInt(key, fallback);
+  if (s < min_s || s > kMaxFlagSeconds) {
+    std::fprintf(stderr, "%s: --%s must be in [%lld, %lld] seconds, got %lld\n", cmd, key,
+                 static_cast<long long>(min_s), static_cast<long long>(kMaxFlagSeconds),
+                 static_cast<long long>(s));
+    return std::nullopt;
+  }
+  return s * kMicrosPerSec;
+}
+
+// The synthetic trace behind chaos, network, monitor --sim fleet and audit
+// --sim fleet: --requests over --functions spread across --seconds.
+std::optional<TraceGenConfig> ReadTraceFlags(const Flags& flags, const char* cmd) {
+  const auto requests = ReadCount(flags, cmd, "requests", 20'000);
+  const auto functions = ReadCount(flags, cmd, "functions", 200);
+  const auto window = ReadSeconds(flags, cmd, "seconds", 3'600);
+  if (!requests.has_value() || !functions.has_value() || !window.has_value()) {
+    return std::nullopt;
+  }
+  TraceGenConfig cfg;
+  cfg.num_requests = *requests;
+  cfg.num_functions = *functions;
+  cfg.window = *window;
+  return cfg;
+}
+
+// The host-fault block of chaos, monitor --sim fleet and audit --sim fleet:
+// client retries plus seeded host failures. FleetSimConfig::Validate checks
+// the ranges once the caller has added its own fields.
+FleetSimConfig ReadHostFaultFlags(const Flags& flags, uint64_t seed) {
+  FleetSimConfig cfg;
+  cfg.fault_seed = seed;
+  cfg.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
+  cfg.host_faults.hosts = static_cast<int>(flags.GetInt("hosts", 16));
+  cfg.host_faults.mtbf_seconds = flags.GetDouble("mtbf-s", 3'600.0);
+  cfg.host_faults.mttr_seconds = flags.GetDouble("mttr-s", 120.0);
+  cfg.host_faults.graceful_fraction = flags.GetDouble("graceful", 0.3);
+  return cfg;
+}
+
+// Platform-sim preset for the subset of platforms that have one.
+std::optional<PlatformSimConfig> SimPreset(Platform platform, const char* cmd) {
+  switch (platform) {
+    case Platform::kAwsLambda:
+      return AwsLambdaPlatform(1.0, 1769.0);
+    case Platform::kGcpCloudRunFunctions:
+      return GcpPlatform(1.0, 1024.0);
+    case Platform::kAzureConsumption:
+      return AzurePlatform();
+    case Platform::kCloudflareWorkers:
+      return CloudflarePlatform();
+    case Platform::kIbmCodeEngine:
+      return IbmPlatform(1.0, 2048.0);
+    default:
+      std::fprintf(stderr,
+                   "%s: --platform has no platform-sim preset "
+                   "(use aws, gcp, azure, ibm or cloudflare)\n",
+                   cmd);
+      return std::nullopt;
+  }
+}
+
+// Per-command defaults of the platform scenario flags.
+struct PlatformFlagDefaults {
+  double rate = 0.0;
+  double rps = 0.0;
+  int64_t seconds = 0;
+};
+
+// The steady-stream platform-sim run behind failures, monitor --sim
+// platform and audit --sim platform: the --platform preset with crash
+// probability --rate (init failures at rate/4), --retries attempts, and
+// --rps uniform arrivals over --seconds.
+struct PlatformScenario {
+  Platform platform = Platform::kAwsLambda;
+  PlatformSimConfig config;
+  double rps = 0.0;
+  MicroSecs duration = 0;
+};
+
+std::optional<PlatformScenario> ReadPlatformScenario(const Flags& flags, const char* cmd,
+                                                     const PlatformFlagDefaults& defaults) {
+  const auto platform = ReadPlatform(flags, cmd);
+  if (!platform.has_value()) {
+    return std::nullopt;
+  }
+  auto preset = SimPreset(*platform, cmd);
+  if (!preset.has_value()) {
+    return std::nullopt;
+  }
+  PlatformScenario sc{*platform, std::move(*preset)};
+  const double rate = flags.GetDouble("rate", defaults.rate);
+  if (!(rate >= 0.0 && rate <= 1.0)) {
+    std::fprintf(stderr, "%s: --rate must be in [0, 1]\n", cmd);
+    return std::nullopt;
+  }
+  sc.config.faults.crash_prob = rate;
+  sc.config.faults.init_failure_prob = rate / 4.0;
+  sc.config.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
+  if (!ConfigOk(cmd, sc.config.Validate())) {
+    return std::nullopt;
+  }
+  sc.rps = flags.GetDouble("rps", defaults.rps);
+  if (!(sc.rps > 0.0)) {
+    std::fprintf(stderr, "%s: --rps must be > 0\n", cmd);
+    return std::nullopt;
+  }
+  const auto duration = ReadSeconds(flags, cmd, "seconds", defaults.seconds);
+  if (!duration.has_value()) {
+    return std::nullopt;
+  }
+  sc.duration = *duration;
+  return sc;
+}
+
 int CmdPlatforms() {
   TextTable t({"Short name", "Platform", "Billable time", "Fee"});
   const std::pair<const char*, Platform> rows[] = {
@@ -265,9 +420,14 @@ int CmdCost(const Flags& flags) {
     std::printf("Read %zu records (%zu skipped) from %s\n", trace.size(), skipped,
                 path->c_str());
   } else {
+    const auto requests = ReadCount(flags, "cost", "requests", 200'000);
+    const auto functions = ReadCount(flags, "cost", "functions", 1'000);
+    if (!requests.has_value() || !functions.has_value()) {
+      return 1;
+    }
     TraceGenConfig cfg;
-    cfg.num_requests = flags.GetInt("requests", 200'000);
-    cfg.num_functions = flags.GetInt("functions", 1'000);
+    cfg.num_requests = *requests;
+    cfg.num_functions = *functions;
     std::printf("Generating %lld synthetic requests...\n",
                 static_cast<long long>(cfg.num_requests));
     trace = TraceGenerator(cfg, static_cast<uint64_t>(flags.GetInt("seed", 1))).Generate();
@@ -346,9 +506,14 @@ int CmdGenerate(const Flags& flags) {
     std::fprintf(stderr, "generate: --out is required\n");
     return 1;
   }
+  const auto requests = ReadCount(flags, "generate", "requests", 100'000);
+  const auto functions = ReadCount(flags, "generate", "functions", 1'000);
+  if (!requests.has_value() || !functions.has_value()) {
+    return 1;
+  }
   TraceGenConfig cfg;
-  cfg.num_requests = flags.GetInt("requests", 100'000);
-  cfg.num_functions = flags.GetInt("functions", 1'000);
+  cfg.num_requests = *requests;
+  cfg.num_functions = *functions;
   TraceGenerator gen(cfg, static_cast<uint64_t>(flags.GetInt("seed", 1)));
   const auto trace = gen.Generate();
   const size_t written = WriteTraceCsvFile(*out, trace);
@@ -360,76 +525,30 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
-// Platform-sim preset for the subset of platforms that have one; reports a
-// usage error under `cmd` otherwise.
-std::optional<PlatformSimConfig> SimPreset(Platform platform,
-                                           const std::string& platform_name,
-                                           const char* cmd) {
-  switch (platform) {
-    case Platform::kAwsLambda:
-      return AwsLambdaPlatform(1.0, 1769.0);
-    case Platform::kGcpCloudRunFunctions:
-      return GcpPlatform(1.0, 1024.0);
-    case Platform::kAzureConsumption:
-      return AzurePlatform();
-    case Platform::kCloudflareWorkers:
-      return CloudflarePlatform();
-    case Platform::kIbmCodeEngine:
-      return IbmPlatform(1.0, 2048.0);
-    default:
-      std::fprintf(stderr,
-                   "%s: no platform-sim preset for '%s' "
-                   "(use aws, gcp, azure, ibm or cloudflare)\n",
-                   cmd, platform_name.c_str());
-      return std::nullopt;
-  }
-}
-
 // Cost-of-failure exploration on a simulated platform: run a steady request
 // stream with fault injection and client retries, then report the outcome
 // taxonomy and what the failures were billed.
 int CmdFailures(const Flags& flags) {
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "failures: unknown platform '%s'\n", platform_name.c_str());
+  auto sc =
+      ReadPlatformScenario(flags, "failures", {.rate = 0.05, .rps = 5.0, .seconds = 120});
+  if (!sc.has_value()) {
     return 1;
   }
-  const auto preset = SimPreset(*platform, platform_name, "failures");
-  if (!preset.has_value()) {
+  const double timeout_ms = flags.GetDouble("timeout-ms", 0.0);
+  if (!(timeout_ms >= 0.0)) {
+    std::fprintf(stderr, "failures: --timeout-ms must be >= 0 (0 disables)\n");
     return 1;
   }
-  PlatformSimConfig sim_config = *preset;
-
-  const double rate = flags.GetDouble("rate", 0.05);
-  if (rate < 0.0 || rate > 1.0) {
-    std::fprintf(stderr, "failures: --rate must be in [0, 1]\n");
-    return 1;
-  }
-  sim_config.faults.crash_prob = rate;
-  sim_config.faults.init_failure_prob = rate / 4.0;
-  sim_config.faults.max_exec_duration =
-      MillisToMicros(flags.GetDouble("timeout-ms", 0.0));
-  sim_config.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
-
-  // Surface config errors (bad --retries / --timeout-ms) as CLI messages
-  // instead of letting the PlatformSim constructor throw.
-  const std::vector<std::string> errors = sim_config.Validate();
-  if (!errors.empty()) {
-    for (const std::string& err : errors) {
-      std::fprintf(stderr, "failures: %s\n", err.c_str());
-    }
-    return 1;
-  }
-
-  const double rps = flags.GetDouble("rps", 5.0);
-  const MicroSecs seconds = flags.GetInt("seconds", 120);
+  PlatformSimConfig& sim_config = sc->config;
+  sim_config.faults.max_exec_duration = MillisToMicros(timeout_ms);
+  const double rps = sc->rps;
+  const int64_t seconds = sc->duration / kMicrosPerSec;
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   PlatformSim sim(sim_config, seed);
   const PlatformSimResult res =
-      sim.Run(UniformArrivals(rps, seconds * kMicrosPerSec), PyAesWorkload());
+      sim.Run(UniformArrivals(rps, sc->duration), PyAesWorkload());
 
-  const BillingModel billing = MakeBillingModel(*platform);
+  const BillingModel billing = MakeBillingModel(sc->platform);
   Usd total = 0.0;
   Usd failed_cost = 0.0;
   for (const auto& att : res.attempts) {
@@ -498,39 +617,23 @@ int CmdFailures(const Flags& flags) {
 // fault injection, and report what the failures cost in availability, tail
 // latency and dollars per successful request.
 int CmdChaos(const Flags& flags) {
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "chaos: unknown platform '%s'\n", platform_name.c_str());
+  const auto platform = ReadPlatform(flags, "chaos");
+  const auto trace_cfg = ReadTraceFlags(flags, "chaos");
+  if (!platform.has_value() || !trace_cfg.has_value()) {
     return 1;
   }
-
-  TraceGenConfig tcfg;
-  tcfg.num_requests = flags.GetInt("requests", 20'000);
-  tcfg.num_functions = flags.GetInt("functions", 200);
-  tcfg.window = flags.GetInt("seconds", 3'600) * kMicrosPerSec;
+  const TraceGenConfig& tcfg = *trace_cfg;
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
-  FleetSimConfig chaos;
-  chaos.fault_seed = seed;
-  chaos.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
+  FleetSimConfig chaos = ReadHostFaultFlags(flags, seed);
   chaos.retry.breaker_threshold =
       static_cast<int>(flags.GetInt("breaker-threshold", 0));
-  chaos.host_faults.hosts = static_cast<int>(flags.GetInt("hosts", 16));
-  chaos.host_faults.mtbf_seconds = flags.GetDouble("mtbf-s", 3'600.0);
-  chaos.host_faults.mttr_seconds = flags.GetDouble("mttr-s", 120.0);
   chaos.host_faults.zones = static_cast<int>(flags.GetInt("zones", 1));
   chaos.host_faults.zone_outage_mtbf_seconds =
       flags.GetDouble("zone-outage-mtbf-s", 0.0);
-  chaos.host_faults.graceful_fraction = flags.GetDouble("graceful", 0.3);
-
   // Surface config errors (bad --mtbf-s / --graceful / ...) as CLI messages
   // instead of letting SimulateFleet throw.
-  const std::vector<std::string> errors = chaos.Validate();
-  if (!errors.empty()) {
-    for (const std::string& err : errors) {
-      std::fprintf(stderr, "chaos: %s\n", err.c_str());
-    }
+  if (!ConfigOk("chaos", chaos.Validate())) {
     return 1;
   }
 
@@ -637,188 +740,15 @@ int CmdChaos(const Flags& flags) {
   return 0;
 }
 
-// Instrumented platform-sim run with machine-readable artifacts: writes
-// <out>/trace.json (Chrome trace-event JSON; load in Perfetto or
-// chrome://tracing) and <out>/metrics.jsonl (one sampled row per line), and
-// prints an ASCII cost-provenance summary. Deterministic: the same flags
-// always produce the same artifact bytes.
-int CmdObserve(const Flags& flags) {
-  const auto out = flags.Get("out");
-  if (!out.has_value()) {
-    std::fprintf(stderr, "observe: --out DIR is required\n");
-    return 1;
-  }
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "observe: unknown platform '%s'\n", platform_name.c_str());
-    return 1;
-  }
-  const auto preset = SimPreset(*platform, platform_name, "observe");
-  if (!preset.has_value()) {
-    return 1;
-  }
-  PlatformSimConfig sim_config = *preset;
-
-  const double rate = flags.GetDouble("rate", 0.02);
-  if (rate < 0.0 || rate > 1.0) {
-    std::fprintf(stderr, "observe: --rate must be in [0, 1]\n");
-    return 1;
-  }
-  sim_config.faults.crash_prob = rate;
-  sim_config.faults.init_failure_prob = rate / 4.0;
-  sim_config.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
-  const std::vector<std::string> errors = sim_config.Validate();
-  if (!errors.empty()) {
-    for (const std::string& err : errors) {
-      std::fprintf(stderr, "observe: %s\n", err.c_str());
-    }
-    return 1;
-  }
-
-  const double rps = flags.GetDouble("rps", 5.0);
-  if (rps <= 0.0) {
-    std::fprintf(stderr, "observe: --rps must be > 0\n");
-    return 1;
-  }
-  const MicroSecs seconds = flags.GetInt("seconds", 60);
-  if (seconds <= 0) {
-    std::fprintf(stderr, "observe: --seconds must be > 0\n");
-    return 1;
-  }
-  const int cotenants_flag = static_cast<int>(flags.GetInt("cotenants", 0));
-  if (cotenants_flag < 0) {
-    std::fprintf(stderr, "observe: --cotenants must be >= 0\n");
-    return 1;
-  }
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-
-  SpanCollector collector;
-  MetricsRegistry metrics;
-  sim_config.trace = &collector;
-  sim_config.metrics = &metrics;
-  PlatformSim sim(sim_config, seed);
-  const PlatformSimResult res =
-      sim.Run(UniformArrivals(rps, seconds * kMicrosPerSec), PyAesWorkload());
-
-  // Optional OS-scheduling layer: co-tenants contending on a shared host for
-  // the same window, emitting throttle/preempt spans onto sched.tenants
-  // tracks in the same trace.
-  const int cotenants = cotenants_flag;
-  if (cotenants > 0) {
-    HostSimConfig host;
-    host.duration = seconds * kMicrosPerSec;
-    host.trace = &collector;
-    std::vector<TenantSpec> tenants(static_cast<size_t>(cotenants));
-    for (size_t i = 0; i < tenants.size(); ++i) {
-      tenants[i].quota_fraction = 0.5;
-      tenants[i].demand_fraction = i == 0 ? 1.0 : 0.7;
-    }
-    SimulateHost(host, tenants, seed);
-  }
-
-  // Attach billing provenance to the platform spans, then export.
-  const BillingModel billing = MakeBillingModel(*platform);
-  const ProvenanceTotals totals =
-      TagPlatformSpanBilling(collector.mutable_spans(), res, sim_config, billing);
-
-  std::error_code ec;
-  std::filesystem::create_directories(*out, ec);
-  if (ec) {
-    std::fprintf(stderr, "observe: cannot create %s: %s\n", out->c_str(),
-                 ec.message().c_str());
-    return 1;
-  }
-  const std::string trace_path = *out + "/trace.json";
-  const std::string metrics_path = *out + "/metrics.jsonl";
-  if (!WriteTextFile(trace_path, ChromeTraceJson(collector.spans())) ||
-      !WriteTextFile(metrics_path, MetricsJsonl(metrics))) {
-    std::fprintf(stderr, "observe: cannot write artifacts under %s\n", out->c_str());
-    return 1;
-  }
-
-  // ASCII summary: where the run's time and dollars went, by span kind.
-  std::printf("%s: %.1f rps for %llds, crash %.1f%%, %d attempts max, seed %llu\n",
-              billing.platform.c_str(), rps, static_cast<long long>(seconds),
-              rate * 100.0, sim_config.retry.max_attempts,
-              static_cast<unsigned long long>(seed));
-  std::printf("Requests: %zu (%lld ok), attempts: %zu, cold starts: %d\n",
-              res.requests.size(), static_cast<long long>(res.successes),
-              res.attempts.size(), res.cold_starts);
-  std::printf("Billed: $%.9g total, $%.9g on failed attempts, across %lld tagged spans\n",
-              totals.billed_usd, totals.failed_usd,
-              static_cast<long long>(totals.tagged_spans));
-
-  constexpr SpanKind kKinds[] = {
-      SpanKind::kQueueWait, SpanKind::kInit,    SpanKind::kServingOverhead,
-      SpanKind::kExec,      SpanKind::kBackoff, SpanKind::kDrain,
-      SpanKind::kSandboxLife, SpanKind::kThrottle, SpanKind::kPreempt};
-  struct KindAgg {
-    int64_t count = 0;
-    MicroSecs total = 0;
-    Usd usd = 0.0;
-  };
-  KindAgg agg[sizeof(kKinds) / sizeof(kKinds[0])];
-  for (const Span& sp : collector.spans()) {
-    KindAgg& a = agg[static_cast<size_t>(sp.kind)];
-    ++a.count;
-    a.total += sp.duration;
-    a.usd += sp.billed_usd;
-  }
-  TextTable table({"span kind", "spans", "total ms", "billed $"});
-  for (const SpanKind kind : kKinds) {
-    const KindAgg& a = agg[static_cast<size_t>(kind)];
-    if (a.count == 0) {
-      continue;
-    }
-    table.AddRow({SpanKindName(kind), FormatDouble(static_cast<double>(a.count), 0),
-                  FormatDouble(MicrosToMillis(a.total), 1),
-                  std::abs(a.usd) > 0.0 ? FormatSci(a.usd, 3) : std::string("-")});
-  }
-  std::printf("%s", table.Render().c_str());
-
-  // Warm pool and queue depth over time, from the sampled metrics.
-  const auto column = [&](const char* name) {
-    const auto& cols = metrics.columns();
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (cols[i] == name) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  };
-  const int warm_col = column("platform.warm_pool");
-  const int queue_col = column("platform.queue_depth");
-  if (!metrics.rows().empty() && warm_col >= 0 && queue_col >= 0) {
-    AsciiChart chart(72, 12);
-    chart.SetTitle("warm pool (w) and queue depth (q) over time");
-    chart.SetXLabel("sim time (s)");
-    chart.SetYLabel("sandboxes / requests");
-    ChartSeries warm{"warm pool", 'w', {}};
-    ChartSeries queue{"queue depth", 'q', {}};
-    for (const MetricsRegistry::Row& row : metrics.rows()) {
-      const double t = static_cast<double>(row.time) / static_cast<double>(kMicrosPerSec);
-      warm.points.push_back({t, row.values[static_cast<size_t>(warm_col)]});
-      queue.points.push_back({t, row.values[static_cast<size_t>(queue_col)]});
-    }
-    chart.AddSeries(std::move(warm));
-    chart.AddSeries(std::move(queue));
-    std::printf("%s", chart.Render().c_str());
-  }
-
-  std::printf("Wrote %s (%zu spans) and %s (%zu samples)\n", trace_path.c_str(),
-              collector.spans().size(), metrics_path.c_str(), metrics.rows().size());
-  return 0;
-}
-
 // Windowed sim-time telemetry over a monitored run: tumbling-window
-// time-series JSONL, SLO burn-rate alerts, and (optionally) an engine
-// flight-recorder profile, plus an ASCII dashboard. timeseries.jsonl and
-// alerts.jsonl are byte-deterministic for a given flag set; profile.json
-// contains host wall-clock phase timings and is intentionally not (CI
-// byte-compares must exclude it). The billed-USD column is reconciled
-// bit-for-bit against the run's terminal-span totals before anything is
-// written; a mismatch is an integrity failure (exit 2).
+// time-series JSONL, SLO burn-rate alerts, the run's spans as Chrome
+// trace-event JSON (trace.json; load in Perfetto or chrome://tracing), and
+// (optionally) an engine flight-recorder profile, plus an ASCII dashboard.
+// trace.json, timeseries.jsonl and alerts.jsonl are byte-deterministic for a
+// given flag set; profile.json contains host wall-clock phase timings and is
+// intentionally not (CI byte-compares must exclude it). The billed-USD
+// column is reconciled bit-for-bit against the run's terminal-span totals
+// before anything is written; a mismatch is an integrity failure (exit 2).
 int CmdMonitor(const Flags& flags) {
   const auto out = flags.Get("out");
   if (!out.has_value()) {
@@ -831,15 +761,9 @@ int CmdMonitor(const Flags& flags) {
                  sim_name.c_str());
     return 1;
   }
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "monitor: unknown platform '%s'\n", platform_name.c_str());
-    return 1;
-  }
-  const int64_t window_s = flags.GetInt("window", 60);
-  if (window_s <= 0) {
-    std::fprintf(stderr, "monitor: --window must be > 0 seconds\n");
+  const auto platform = ReadPlatform(flags, "monitor");
+  const auto window = ReadSeconds(flags, "monitor", "window", 60);
+  if (!platform.has_value() || !window.has_value()) {
     return 1;
   }
   const double slo_ms = flags.GetDouble("slo", 1'000.0);
@@ -853,56 +777,47 @@ int CmdMonitor(const Flags& flags) {
   slo.slow_windows = static_cast<int>(flags.GetInt("slow-windows", 12));
   slo.fast_burn = flags.GetDouble("fast-burn", 14.4);
   slo.slow_burn = flags.GetDouble("slow-burn", 6.0);
-  const std::vector<std::string> slo_errors = slo.Validate();
-  if (!slo_errors.empty()) {
-    for (const std::string& err : slo_errors) {
-      std::fprintf(stderr, "monitor: %s\n", err.c_str());
-    }
+  if (!ConfigOk("monitor", slo.Validate())) {
     return 1;
   }
   const bool profile = flags.GetBool("profile-engine");
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  const int64_t window_s = *window / kMicrosPerSec;
 
-  TimeSeries series(window_s * kMicrosPerSec);
+  TimeSeries series(*window);
   slo.objective_id = series.AddLatencyObjective(MillisToMicros(slo_ms));
   EngineProfiler profiler;
   SpanCollector collector;
   const BillingModel billing = MakeBillingModel(*platform);
 
   std::string scenario;
+  // Platform runs only: the sampled warm pool, and the --cotenants host run
+  // that follows the reconciliation gate into the same span sink.
+  std::vector<TimelineSample> timeline;
+  HostSimConfig host;
+  std::vector<TenantSpec> cotenants;
   if (sim_name == "fleet") {
     // Fleet chaos scenario (the `faascost chaos` shape): host fault domains,
     // client retries, admission defaults — the run where windowed telemetry
     // has something to show.
-    TraceGenConfig tcfg;
-    tcfg.num_requests = flags.GetInt("requests", 20'000);
-    tcfg.num_functions = flags.GetInt("functions", 200);
-    tcfg.window = flags.GetInt("seconds", 3'600) * kMicrosPerSec;
-
-    FleetSimConfig cfg;
-    cfg.fault_seed = seed;
-    cfg.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
-    cfg.host_faults.hosts = static_cast<int>(flags.GetInt("hosts", 16));
-    cfg.host_faults.mtbf_seconds = flags.GetDouble("mtbf-s", 3'600.0);
-    cfg.host_faults.mttr_seconds = flags.GetDouble("mttr-s", 120.0);
-    cfg.host_faults.graceful_fraction = flags.GetDouble("graceful", 0.3);
+    const auto tcfg = ReadTraceFlags(flags, "monitor");
+    if (!tcfg.has_value()) {
+      return 1;
+    }
+    FleetSimConfig cfg = ReadHostFaultFlags(flags, seed);
     cfg.trace_sink = &collector;
     cfg.timeseries = &series;
     if (profile) {
       cfg.profiler = &profiler;
     }
-    const std::vector<std::string> errors = cfg.Validate();
-    if (!errors.empty()) {
-      for (const std::string& err : errors) {
-        std::fprintf(stderr, "monitor: %s\n", err.c_str());
-      }
+    if (!ConfigOk("monitor", cfg.Validate())) {
       return 1;
     }
 
     if (profile) {
       profiler.BeginPhase("generate_trace");
     }
-    const std::vector<RequestRecord> trace = TraceGenerator(tcfg, seed).Generate();
+    const std::vector<RequestRecord> trace = TraceGenerator(*tcfg, seed).Generate();
     if (profile) {
       profiler.EndPhase();
       profiler.BeginPhase("simulate");
@@ -911,48 +826,31 @@ int CmdMonitor(const Flags& flags) {
     if (profile) {
       profiler.EndPhase();
     }
-    scenario = "fleet chaos: " + std::to_string(tcfg.num_requests) + " requests / " +
-               std::to_string(tcfg.num_functions) + " functions, " +
+    scenario = "fleet chaos: " + std::to_string(tcfg->num_requests) + " requests / " +
+               std::to_string(tcfg->num_functions) + " functions, " +
                std::to_string(cfg.host_faults.hosts) + " hosts, " +
                std::to_string(res.host_fault_sandbox_kills) + " sandbox kills";
   } else {
-    const auto preset = SimPreset(*platform, platform_name, "monitor");
-    if (!preset.has_value()) {
+    auto sc =
+        ReadPlatformScenario(flags, "monitor", {.rate = 0.02, .rps = 20.0, .seconds = 600});
+    if (!sc.has_value()) {
       return 1;
     }
-    PlatformSimConfig cfg = *preset;
-    const double rate = flags.GetDouble("rate", 0.02);
-    if (rate < 0.0 || rate > 1.0) {
-      std::fprintf(stderr, "monitor: --rate must be in [0, 1]\n");
+    const int n_cotenants = static_cast<int>(flags.GetInt("cotenants", 0));
+    if (n_cotenants < 0) {
+      std::fprintf(stderr, "monitor: --cotenants must be >= 0\n");
       return 1;
     }
-    cfg.faults.crash_prob = rate;
-    cfg.faults.init_failure_prob = rate / 4.0;
-    cfg.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
+    PlatformSimConfig& cfg = sc->config;
     cfg.trace = &collector;
     cfg.timeseries = &series;
     if (profile) {
       cfg.profiler = &profiler;
-    }
-    const std::vector<std::string> errors = cfg.Validate();
-    if (!errors.empty()) {
-      for (const std::string& err : errors) {
-        std::fprintf(stderr, "monitor: %s\n", err.c_str());
-      }
-      return 1;
-    }
-    const double rps = flags.GetDouble("rps", 20.0);
-    const MicroSecs seconds = flags.GetInt("seconds", 600);
-    if (rps <= 0.0 || seconds <= 0) {
-      std::fprintf(stderr, "monitor: --rps and --seconds must be > 0\n");
-      return 1;
-    }
-    if (profile) {
       profiler.BeginPhase("simulate");
     }
     PlatformSim sim(cfg, seed);
     const PlatformSimResult res =
-        sim.Run(UniformArrivals(rps, seconds * kMicrosPerSec), PyAesWorkload());
+        sim.Run(UniformArrivals(sc->rps, sc->duration), PyAesWorkload());
     if (profile) {
       profiler.EndPhase();
       profiler.BeginPhase("price_spans");
@@ -968,6 +866,17 @@ int CmdMonitor(const Flags& flags) {
     scenario = "platform: " + std::to_string(res.requests.size()) + " requests, " +
                std::to_string(res.attempts.size()) + " attempts, " +
                std::to_string(res.cold_starts) + " cold starts";
+    timeline = res.timeline;
+    // OS-scheduling layer: co-tenants contending on one shared host for the
+    // same span of sim time, as throttle/preempt spans on sched.tenants
+    // tracks.
+    host.duration = sc->duration;
+    host.trace = &collector;
+    cotenants.resize(static_cast<size_t>(n_cotenants));
+    for (size_t i = 0; i < cotenants.size(); ++i) {
+      cotenants[i].quota_fraction = 0.5;
+      cotenants[i].demand_fraction = i == 0 ? 1.0 : 0.7;
+    }
   }
 
   // The acceptance gate: per-window billed USD must reproduce the span
@@ -982,6 +891,9 @@ int CmdMonitor(const Flags& flags) {
                  rec.timeseries_total, rec.span_total);
     return cli::kIntegrityViolation;
   }
+  if (!cotenants.empty()) {
+    SimulateHost(host, cotenants, seed);
+  }
 
   const std::vector<SloAlert> alerts = EvaluateSlo(series, slo);
 
@@ -994,8 +906,10 @@ int CmdMonitor(const Flags& flags) {
   }
   const std::string series_path = *out + "/timeseries.jsonl";
   const std::string alerts_path = *out + "/alerts.jsonl";
+  const std::string trace_path = *out + "/trace.json";
   if (!WriteTextFile(series_path, TimeSeriesJsonl(series)) ||
-      !WriteTextFile(alerts_path, SloAlertsJsonl(alerts))) {
+      !WriteTextFile(alerts_path, SloAlertsJsonl(alerts)) ||
+      !WriteTextFile(trace_path, ChromeTraceJson(collector.spans()))) {
     std::fprintf(stderr, "monitor: cannot write artifacts under %s\n", out->c_str());
     return 1;
   }
@@ -1034,6 +948,53 @@ int CmdMonitor(const Flags& flags) {
   }
   totals.AddRow({"reconciliation", "bitwise ok"});
   std::printf("%s", totals.Render().c_str());
+
+  // Where the run's time and dollars went, by span kind.
+  constexpr size_t kKindSlots = static_cast<size_t>(SpanKind::kTransfer) + 1;
+  struct KindAgg {
+    int64_t count = 0;
+    MicroSecs total = 0;
+    Usd usd = 0.0;
+  };
+  KindAgg agg[kKindSlots];
+  for (const Span& sp : collector.spans()) {
+    KindAgg& a = agg[static_cast<size_t>(sp.kind)];
+    ++a.count;
+    a.total += sp.duration;
+    a.usd += sp.billed_usd;
+  }
+  TextTable kinds({"span kind", "spans", "total ms", "billed $"});
+  for (size_t k = 0; k < kKindSlots; ++k) {
+    const KindAgg& a = agg[k];
+    if (a.count == 0) {
+      continue;
+    }
+    kinds.AddRow({SpanKindName(static_cast<SpanKind>(k)),
+                  FormatDouble(static_cast<double>(a.count), 0),
+                  FormatDouble(MicrosToMillis(a.total), 1),
+                  std::abs(a.usd) > 0.0 ? FormatSci(a.usd, 3) : std::string("-")});
+  }
+  std::printf("%s", kinds.Render().c_str());
+
+  if (!timeline.empty()) {
+    AsciiChart chart(72, 12);
+    chart.SetTitle("warm pool (w) and queue depth (q) over time");
+    chart.SetXLabel("sim time (s)");
+    chart.SetYLabel("sandboxes / requests");
+    ChartSeries warm{"warm pool", 'w', {}};
+    ChartSeries queue{"queue depth", 'q', {}};
+    for (const TimelineSample& sample : timeline) {
+      warm.points.push_back(
+          {MicrosToSecs(sample.time), static_cast<double>(sample.ready_instances)});
+    }
+    for (size_t i = 0; i < series.window_count(); ++i) {
+      const double t = static_cast<double>((static_cast<int64_t>(i) + 1) * window_s);
+      queue.points.push_back({t, static_cast<double>(series.window_at(i).queue_depth_max)});
+    }
+    chart.AddSeries(std::move(warm));
+    chart.AddSeries(std::move(queue));
+    std::printf("%s", chart.Render().c_str());
+  }
 
   if (series.window_count() > 1) {
     AsciiChart chart(72, 12);
@@ -1082,8 +1043,9 @@ int CmdMonitor(const Flags& flags) {
                 static_cast<long long>(profiler.queue_depth_peak()),
                 static_cast<unsigned long long>(profiler.rng_draws()));
   }
-  std::printf("Wrote %s (%zu windows) and %s (%zu alerts)%s\n", series_path.c_str(),
-              series.window_count(), alerts_path.c_str(), alerts.size(),
+  std::printf("Wrote %s (%zu windows), %s (%zu alerts) and %s (%zu spans)%s\n",
+              series_path.c_str(), series.window_count(), alerts_path.c_str(),
+              alerts.size(), trace_path.c_str(), collector.spans().size(),
               profile ? " and profile.json" : "");
   return 0;
 }
@@ -1111,23 +1073,27 @@ struct CheckpointPlan {
 std::optional<CheckpointPlan> ParseCheckpointPlan(const Flags& flags, bool* bad) {
   *bad = false;
   const auto path = flags.Get("checkpoint");
-  const int64_t at_s = flags.GetInt("checkpoint-at", 0);
-  const int64_t every_s = flags.GetInt("checkpoint-every", 0);
+  const auto at = ReadSeconds(flags, "audit", "checkpoint-at", 0, /*min_s=*/0);
+  const auto every = ReadSeconds(flags, "audit", "checkpoint-every", 0, /*min_s=*/0);
+  if (!at.has_value() || !every.has_value()) {
+    *bad = true;
+    return std::nullopt;
+  }
   if (!path.has_value()) {
-    if (at_s > 0 || every_s > 0) {
+    if (*at > 0 || *every > 0) {
       std::fprintf(stderr, "audit: --checkpoint-at/--checkpoint-every need --checkpoint\n");
       *bad = true;
     }
     return std::nullopt;
   }
-  if ((at_s > 0) == (every_s > 0)) {
+  if ((*at > 0) == (*every > 0)) {
     std::fprintf(stderr,
                  "audit: --checkpoint needs exactly one of --checkpoint-at N or "
                  "--checkpoint-every N (seconds)\n");
     *bad = true;
     return std::nullopt;
   }
-  return CheckpointPlan{*path, at_s * kMicrosPerSec, every_s * kMicrosPerSec};
+  return CheckpointPlan{*path, *at, *every};
 }
 
 // Verifies a loaded checkpoint belongs to this scenario before any state is
@@ -1224,42 +1190,15 @@ void PrintAuditSummary(bool json, const std::string& sim, const std::string& pla
 }
 
 int AuditPlatformSim(const Flags& flags, AuditLevel level) {
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "audit: unknown platform '%s'\n", platform_name.c_str());
+  auto sc = ReadPlatformScenario(flags, "audit", {.rate = 0.05, .rps = 5.0, .seconds = 120});
+  if (!sc.has_value()) {
     return 1;
   }
-  const auto preset = SimPreset(*platform, platform_name, "audit");
-  if (!preset.has_value()) {
-    return 1;
-  }
-  PlatformSimConfig sim_config = *preset;
-  const double rate = flags.GetDouble("rate", 0.05);
-  if (rate < 0.0 || rate > 1.0) {
-    std::fprintf(stderr, "audit: --rate must be in [0, 1]\n");
-    return 1;
-  }
-  sim_config.faults.crash_prob = rate;
-  sim_config.faults.init_failure_prob = rate / 4.0;
-  sim_config.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
-  const std::vector<std::string> errors = sim_config.Validate();
-  if (!errors.empty()) {
-    for (const std::string& err : errors) {
-      std::fprintf(stderr, "audit: %s\n", err.c_str());
-    }
-    return 1;
-  }
+  PlatformSimConfig& sim_config = sc->config;
 
   bool bad_plan = false;
   const auto plan = ParseCheckpointPlan(flags, &bad_plan);
   if (bad_plan) {
-    return 1;
-  }
-  const double rps = flags.GetDouble("rps", 5.0);
-  const MicroSecs seconds = flags.GetInt("seconds", 120);
-  if (rps <= 0.0 || seconds <= 0) {
-    std::fprintf(stderr, "audit: --rps and --seconds must be positive\n");
     return 1;
   }
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
@@ -1289,14 +1228,14 @@ int AuditPlatformSim(const Flags& flags, AuditLevel level) {
                             DigestHex(cp.header.state_digest));
     }
   } else {
-    engine.Start(UniformArrivals(rps, seconds * kMicrosPerSec), PyAesWorkload());
+    engine.Start(UniformArrivals(sc->rps, sc->duration), PyAesWorkload());
   }
 
   const uint64_t digest = RunAudited(engine, plan, "platform", seed, 0);
   const MicroSecs end_time = engine.now();
   const PlatformSimResult res = engine.Finish();
 
-  const BillingModel billing = MakeBillingModel(*platform);
+  const BillingModel billing = MakeBillingModel(sc->platform);
   Usd total = 0.0;
   for (const auto& att : res.attempts) {
     total += ComputeInvoice(billing,
@@ -1318,37 +1257,16 @@ int AuditPlatformSim(const Flags& flags, AuditLevel level) {
 }
 
 int AuditFleetSim(const Flags& flags, AuditLevel level) {
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "audit: unknown platform '%s'\n", platform_name.c_str());
-    return 1;
-  }
-
-  TraceGenConfig tcfg;
-  tcfg.num_requests = flags.GetInt("requests", 20'000);
-  tcfg.num_functions = flags.GetInt("functions", 200);
-  tcfg.window = flags.GetInt("seconds", 3'600) * kMicrosPerSec;
-  if (tcfg.num_requests <= 0 || tcfg.num_functions <= 0 || tcfg.window <= 0) {
-    std::fprintf(stderr,
-                 "audit: --requests, --functions and --seconds must be positive\n");
+  const auto platform = ReadPlatform(flags, "audit");
+  const auto tcfg = ReadTraceFlags(flags, "audit");
+  if (!platform.has_value() || !tcfg.has_value()) {
     return 1;
   }
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
-  FleetSimConfig fcfg;
-  fcfg.fault_seed = seed;
-  fcfg.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
+  FleetSimConfig fcfg = ReadHostFaultFlags(flags, seed);
   fcfg.retry.breaker_threshold = static_cast<int>(flags.GetInt("breaker-threshold", 0));
-  fcfg.host_faults.hosts = static_cast<int>(flags.GetInt("hosts", 16));
-  fcfg.host_faults.mtbf_seconds = flags.GetDouble("mtbf-s", 3'600.0);
-  fcfg.host_faults.mttr_seconds = flags.GetDouble("mttr-s", 120.0);
-  fcfg.host_faults.graceful_fraction = flags.GetDouble("graceful", 0.3);
-  const std::vector<std::string> errors = fcfg.Validate();
-  if (!errors.empty()) {
-    for (const std::string& err : errors) {
-      std::fprintf(stderr, "audit: %s\n", err.c_str());
-    }
+  if (!ConfigOk("audit", fcfg.Validate())) {
     return 1;
   }
 
@@ -1370,7 +1288,7 @@ int AuditFleetSim(const Flags& flags, AuditLevel level) {
 
   // The fleet checkpoint does not embed the request trace; it is regenerated
   // from the same flags and guarded by input_digest.
-  const std::vector<RequestRecord> trace = TraceGenerator(tcfg, seed).Generate();
+  const std::vector<RequestRecord> trace = TraceGenerator(*tcfg, seed).Generate();
   const BillingModel billing = MakeBillingModel(*platform);
   const uint64_t input_digest = FleetEngine::DigestTrace(trace);
 
@@ -1407,10 +1325,8 @@ int AuditFleetSim(const Flags& flags, AuditLevel level) {
 // policies (retries, deadline budgets, hedging, async redrives + DLQ, quorum
 // joins), optionally with a zonal outage mid-run.
 int CmdWorkflows(const Flags& flags) {
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
+  const auto platform = ReadPlatform(flags, "workflows");
   if (!platform.has_value()) {
-    std::fprintf(stderr, "workflows: unknown platform '%s'\n", platform_name.c_str());
     return 1;
   }
 
@@ -1478,11 +1394,7 @@ int CmdWorkflows(const Flags& flags) {
     cfg.auditor = &auditor;
   }
 
-  const std::vector<std::string> errors = cfg.Validate();
-  if (!errors.empty()) {
-    for (const std::string& err : errors) {
-      std::fprintf(stderr, "workflows: %s\n", err.c_str());
-    }
+  if (!ConfigOk("workflows", cfg.Validate())) {
     return 1;
   }
 
@@ -1599,17 +1511,13 @@ int CmdWorkflows(const Flags& flags) {
 // reproduce the span folds bit-for-bit, else the tool exits with the same
 // code as a tripped invariant (cli::kIntegrityViolation).
 int CmdNetwork(const Flags& flags) {
-  const std::string platform_name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "network: unknown platform '%s'\n", platform_name.c_str());
+  const auto platform = ReadPlatform(flags, "network");
+  const auto trace_cfg = ReadTraceFlags(flags, "network");
+  const auto window = ReadSeconds(flags, "network", "window", 5);
+  if (!platform.has_value() || !trace_cfg.has_value() || !window.has_value()) {
     return cli::kUsage;
   }
-
-  TraceGenConfig tcfg;
-  tcfg.num_requests = flags.GetInt("requests", 20'000);
-  tcfg.num_functions = flags.GetInt("functions", 200);
-  tcfg.window = flags.GetInt("seconds", 3'600) * kMicrosPerSec;
+  TraceGenConfig tcfg = *trace_cfg;
   // Trace records carry explicit payload hints; the model's own payload
   // distribution stays disabled so sizes are pinned by the trace.
   tcfg.payload_request_mean_kb = flags.GetDouble("req-kb", 16.0);
@@ -1634,28 +1542,20 @@ int CmdNetwork(const Flags& flags) {
     outage.duration = SecsToMicros(flags.GetDouble("outage-seconds", 30.0));
     ncfg.outages.push_back(outage);
   }
-  const std::vector<std::string> net_errors = ncfg.Validate();
-  if (!net_errors.empty()) {
-    for (const std::string& err : net_errors) {
-      std::fprintf(stderr, "network: %s\n", err.c_str());
-    }
+  if (!ConfigOk("network", ncfg.Validate())) {
     return cli::kUsage;
   }
 
   FleetSimConfig fcfg;
   fcfg.fault_seed = seed;
   fcfg.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
-  const std::vector<std::string> fleet_errors = fcfg.Validate();
-  if (!fleet_errors.empty()) {
-    for (const std::string& err : fleet_errors) {
-      std::fprintf(stderr, "network: %s\n", err.c_str());
-    }
+  if (!ConfigOk("network", fcfg.Validate())) {
     return cli::kUsage;
   }
 
   NetworkModel net(ncfg, MakeNetworkPricing(*platform), seed);
   SpanCollector sink;
-  TimeSeries series(flags.GetInt("window", 5) * kMicrosPerSec);
+  TimeSeries series(*window);
   fcfg.network = &net;
   fcfg.trace_sink = &sink;
   fcfg.timeseries = &series;
@@ -1819,11 +1719,10 @@ int Usage() {
                "  generate --out f.csv [--requests N]  write a synthetic trace\n"
                "  failures --platform P --rate R       cost of failures and retries\n"
                "  chaos --platform P --mtbf-s N        cost of fleet host failures\n"
-               "  observe --out DIR [--platform P]     trace one run (trace.json +\n"
-               "                                       metrics.jsonl + summary)\n"
                "  monitor --out DIR [--sim fleet|platform]  windowed telemetry\n"
                "        [--window S --slo MS --slo-target F --profile-engine]\n"
-               "                                       (timeseries.jsonl + alerts.jsonl)\n"
+               "        [--cotenants N]                (timeseries.jsonl + alerts.jsonl\n"
+               "                                       + trace.json)\n"
                "  workflows --archetype A --hops N     cost of workflow DAGs under\n"
                "        [--rate R --retries N --deadline-ms N --hedge-ms N\n"
                "         --async --quorum K --audit-level L]  resilience policies\n"
@@ -1857,9 +1756,6 @@ int Dispatch(const std::string& cmd, const Flags& flags) {
   }
   if (cmd == "chaos") {
     return CmdChaos(flags);
-  }
-  if (cmd == "observe") {
-    return CmdObserve(flags);
   }
   if (cmd == "monitor") {
     return CmdMonitor(flags);

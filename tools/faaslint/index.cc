@@ -48,7 +48,7 @@ const std::set<std::string, std::less<>> kUnorderedContainers = {
 // artifact bytes".
 bool IsContractType(std::string_view type) {
   return type.find("Sink") != std::string_view::npos || type == "Auditor" ||
-         type == "NetworkModel" || type == "MetricsRegistry" || type == "TimeSeries";
+         type == "NetworkModel" || type == "TimeSeries";
 }
 
 bool IsStreamConstantName(std::string_view name) {

@@ -16,7 +16,7 @@
 //       Second-level derivations (splitting an already-derived seed by an
 //       index) pass a non-literal expression and are exempt by construction.
 //   R8  null-sink contract: dereferencing a pointer declared with a contract
-//       type (*Sink*, Auditor, NetworkModel, MetricsRegistry, TimeSeries)
+//       type (*Sink*, Auditor, NetworkModel, TimeSeries)
 //       must be preceded, within the same function, by a null guard on that
 //       name (`x != nullptr`, `if (x)`, `!x`, `x && ...`, `x ? ...`) or an
 //       address-of assignment (`x = &y`). "Preceded" approximates

@@ -1,7 +1,6 @@
 #include "src/cluster/fleet_sim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -18,18 +17,24 @@ namespace faascost {
 namespace {
 
 // A function's live sandbox (single-concurrency: busy until available_at).
+// Pools hold live sandboxes only, in creation order: a crashed or host-killed
+// sandbox leaves at once, an idle one when first seen past keep-alive.
 struct LiveSandbox {
   MicroSecs available_at = 0;
   size_t span_index = 0;
-  bool dead = false;  // Destroyed by a crash or host loss; no reuse, no KA linger.
-  int host = -1;      // Fault domain (only set when host faults are enabled).
+  int host = -1;  // Fault domain (only set when host faults are enabled).
 };
 
-// One dispatch (initial or retry) waiting to be processed. Ordering by
-// (arrival, seq) with seq = trace index for initial attempts reproduces the
-// fault-free per-record iteration order exactly. An attempt parked in an
-// admission queue keeps its `ticket` as the re-queue seq so queue order stays
-// FIFO across wake-ups.
+// "No warm sandbox" pool slot.
+constexpr size_t kNone = std::numeric_limits<size_t>::max();
+
+// One dispatch (initial or retry) waiting to be processed, in (arrival, seq)
+// order. Initial attempts stream from the arrival-sorted trace with seq =
+// trace index, which reproduces the fault-free per-record iteration order
+// exactly; retries and parked attempts take seqs from `next_seq`, which
+// starts at the trace size, so the trace cursor wins every arrival tie. An
+// attempt parked in an admission queue keeps its `ticket` as the re-queue
+// seq so queue order stays FIFO across wake-ups.
 struct PendingAttempt {
   MicroSecs arrival = 0;
   int64_t seq = 0;
@@ -47,14 +52,32 @@ struct PendingAttempt {
   }
 };
 
-// priority_queue with the protected underlying container exposed: checkpoints
-// serialize the heap array verbatim, so a restored queue pops in exactly the
-// original order, tie-breaking included.
+// priority_queue with the protected underlying container exposed, so
+// checkpoints can write it in canonical ascending (arrival, seq) order — a
+// layout-independent form that is itself a valid heap when read back.
 struct AttemptQueue : std::priority_queue<PendingAttempt, std::vector<PendingAttempt>,
                                           std::greater<PendingAttempt>> {
   std::vector<PendingAttempt>& raw() { return c; }
   const std::vector<PendingAttempt>& raw() const { return c; }
 };
+
+// The trace is outside input and the engine's cursor depends on arrival
+// order, so both are validated on Start and Resume rather than trusted.
+void RequireValidTrace(const std::vector<RequestRecord>& trace) {
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (trace[i].exec_duration < 0) {
+      throw std::invalid_argument("FleetEngine: record " + std::to_string(i) +
+                                  " has negative exec_duration " +
+                                  std::to_string(trace[i].exec_duration) + "us");
+    }
+    if (i > 0 && trace[i].arrival < trace[i - 1].arrival) {
+      throw std::invalid_argument(
+          "FleetEngine: trace must be sorted by arrival; record " + std::to_string(i) +
+          " arrives at " + std::to_string(trace[i].arrival) + "us, before record " +
+          std::to_string(i - 1) + " at " + std::to_string(trace[i - 1].arrival) + "us");
+    }
+  }
+}
 
 Usd SpanRate(const SandboxSpan& span, const FleetSimConfig& cfg) {
   return cfg.hardware_per_vcpu_second * span.vcpus +
@@ -173,9 +196,12 @@ struct FleetEngine::Impl {
   bool breaker_on = false;
   int cap = 0;
 
+  // Initial attempts not yet processed are trace[next_arrival..]; the heap
+  // holds only retries and attempts parked in admission queues.
+  size_t next_arrival = 0;
   AttemptQueue pending;
   int64_t next_seq = 0;
-  // Per-function sandbox pools, fed in global (arrival, seq) order.
+  // Per-function live sandbox pools, fed in global (arrival, seq) order.
   std::unordered_map<int64_t, std::vector<LiveSandbox>> pools;
   // Per-function admission queue occupancy and client circuit breakers.
   std::unordered_map<int64_t, int> queue_waiting;
@@ -216,6 +242,99 @@ struct FleetEngine::Impl {
     return breakers
         .try_emplace(fid, config.retry.breaker_threshold, config.retry.breaker_cooldown)
         .first->second;
+  }
+
+  // --- Attempt order: the trace cursor merged with the heap ---
+
+  size_t unstreamed() const {
+    return trace == nullptr ? 0 : trace->size() - next_arrival;
+  }
+  bool has_next() const { return unstreamed() > 0 || !pending.empty(); }
+  // True when the next attempt in (arrival, seq) order is the cursor's: its
+  // seq (a trace index) is below every queued seq, so it wins arrival ties.
+  bool cursor_first() const {
+    return unstreamed() > 0 &&
+           (pending.empty() || (*trace)[next_arrival].arrival <= pending.top().arrival);
+  }
+  MicroSecs next_time() const {
+    return cursor_first() ? (*trace)[next_arrival].arrival : pending.top().arrival;
+  }
+  PendingAttempt PopNext() {
+    if (cursor_first()) {
+      const size_t i = next_arrival++;
+      return {(*trace)[i].arrival, static_cast<int64_t>(i), i, 1};
+    }
+    PendingAttempt at = pending.top();
+    pending.pop();
+    return at;
+  }
+
+  // --- Live sandbox pools, settled when touched ---
+  //
+  // Each host's failure schedule is a pure function of (config, seed), so
+  // settling an idle sandbox only when it is next touched gives exactly what
+  // an eager sweep of every sandbox on every arrival would.
+
+  // Closes `sb` if its host failed while it sat idle in (available_at, upto]:
+  // a drain of an idle sandbox retires it at once, so it ends at the failure.
+  bool DiedIdle(const LiveSandbox& sb, MicroSecs upto) {
+    if (!hosts_on || sb.host < 0) {
+      return false;
+    }
+    const auto ev = host_faults.FirstFailureIn(sb.host, sb.available_at, upto);
+    if (!ev.has_value()) {
+      return false;
+    }
+    SandboxSpan& span = result.spans[sb.span_index];
+    span.idle += ev->time - sb.available_at;
+    span.destroyed_at = ev->time;
+    ++result.host_fault_sandbox_kills;
+    return true;
+  }
+
+  // Closes a sandbox whose keep-alive window has run out (or will, at
+  // Finish): it lingers the full window unless its host dies first.
+  void Retire(const LiveSandbox& sb) {
+    if (DiedIdle(sb, sb.available_at + config.keepalive)) {
+      return;
+    }
+    SandboxSpan& span = result.spans[sb.span_index];
+    span.idle += config.keepalive;
+    span.destroyed_at = sb.available_at + config.keepalive;
+  }
+
+  // Slot of the idle sandbox freed last (earliest slot on ties), or kNone.
+  static size_t LatestIdle(const std::vector<LiveSandbox>& pool, MicroSecs t) {
+    size_t best = kNone;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (pool[i].available_at <= t &&
+          (best == kNone || pool[i].available_at > pool[best].available_at)) {
+        best = i;
+      }
+    }
+    return best;
+  }
+
+  // Settles `pool` at `t` and returns the slot of the warm sandbox to reuse,
+  // or kNone for a cold start. Sandboxes idle past keep-alive retire first;
+  // then only the reuse candidate is checked for host death, a dead one
+  // closing at its failure time before the next candidate is tried.
+  size_t PickWarm(std::vector<LiveSandbox>& pool, MicroSecs t) {
+    size_t kept = 0;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      if (pool[i].available_at <= t && t - pool[i].available_at > config.keepalive) {
+        Retire(pool[i]);
+      } else {
+        pool[kept++] = pool[i];
+      }
+    }
+    pool.resize(kept);
+    size_t warm = LatestIdle(pool, t);
+    while (warm != kNone && DiedIdle(pool[warm], t)) {
+      pool.erase(pool.begin() + static_cast<ptrdiff_t>(warm));
+      warm = LatestIdle(pool, t);
+    }
+    return warm;
   }
 
   // One metered hop of an attempt's payload: fold into the result, the
@@ -329,21 +448,22 @@ struct FleetEngine::Impl {
     }
     auditor->NoteScan();
     // Request conservation: every request is resolved (success or exhausted)
-    // or has exactly one live attempt chain in the pending queue.
+    // or has exactly one live attempt chain, unstreamed or in the heap.
+    const size_t open = unstreamed() + pending.size();
     auditor->CheckLazy(
-        static_cast<int64_t>(pending.size()) ==
+        static_cast<int64_t>(open) ==
             result.requests - result.successes - result.retries_exhausted,
         "fleet.request_conservation", now, config.fault_seed,
         [] { return "pending"; },
         [&] {
-          return "pending=" + std::to_string(pending.size()) + " requests=" +
+          return "pending=" + std::to_string(open) + " requests=" +
                  std::to_string(result.requests) + " successes=" +
                  std::to_string(result.successes) + " exhausted=" +
                  std::to_string(result.retries_exhausted);
         });
     // Admission-queue accounting: the global waiting counter, the sum of
-    // per-function occupancies, and the queued flags in the pending heap all
-    // agree.
+    // per-function occupancies, and the queued flags in the heap (parked
+    // attempts only ever live there) all agree.
     int64_t per_fn = 0;
     for (const auto& [fid, n] : queue_waiting) {
       auditor->CheckLazy(n >= 0, "fleet.queue_occupancy_nonnegative", now,
@@ -410,8 +530,7 @@ struct FleetEngine::Impl {
   }
 
   void StepOne() {
-    PendingAttempt at = pending.top();
-    pending.pop();
+    PendingAttempt at = PopNext();
     if (auditor != nullptr && auditor->basic()) {
       auditor->CheckLazy(at.arrival >= now, "fleet.monotone_event_time", now,
                          config.fault_seed, [] { return "pending queue"; },
@@ -423,6 +542,7 @@ struct FleetEngine::Impl {
     now = at.arrival;
     ++attempts_processed;
     if (prof != nullptr) {
+      // Depth counts attempts held in the heap, not the unstreamed trace.
       prof->CountEvent(0, at.arrival, pending.size());
     }
     if (ts != nullptr) {
@@ -443,39 +563,16 @@ struct FleetEngine::Impl {
     }
 
     auto& pool = pools[r.function_id];
-    // Sweep idle sandboxes for host deaths, then reuse the most recently
-    // freed idle unexpired survivor.
-    LiveSandbox* reuse = nullptr;
-    for (auto& sb : pool) {
-      if (sb.dead || sb.available_at > at.arrival) {
-        continue;
-      }
-      if (hosts_on && sb.host >= 0) {
-        const MicroSecs idle_upto =
-            std::min(at.arrival, sb.available_at + config.keepalive);
-        if (auto ev = host_faults.FirstFailureIn(sb.host, sb.available_at, idle_upto)) {
-          // Died while idle: a drain of an idle sandbox retires it at once.
-          SandboxSpan& span = result.spans[sb.span_index];
-          span.idle += ev->time - sb.available_at;
-          span.destroyed_at = ev->time;
-          sb.dead = true;
-          ++result.host_fault_sandbox_kills;
-          continue;
-        }
-      }
-      if (at.arrival - sb.available_at <= config.keepalive &&
-          (reuse == nullptr || sb.available_at > reuse->available_at)) {
-        reuse = &sb;
-      }
-    }
+    // Reuse the most recently freed idle sandbox whose host survived.
+    const size_t warm = PickWarm(pool, at.arrival);
 
     // Per-function sandbox cap: no warm sandbox and no room to scale out
     // means queueing (admission control), shedding, or plain rejection.
-    if (reuse == nullptr && cap > 0) {
+    if (warm == kNone && cap > 0) {
       int busy = 0;
       MicroSecs next_free = std::numeric_limits<MicroSecs>::max();
       for (const auto& sb : pool) {
-        if (!sb.dead && sb.available_at > at.arrival) {
+        if (sb.available_at > at.arrival) {
           ++busy;
           next_free = std::min(next_free, sb.available_at);
         }
@@ -581,11 +678,12 @@ struct FleetEngine::Impl {
       effective = config.max_exec_duration;
     }
 
-    const bool cold = (reuse == nullptr);
+    const bool cold = (warm == kNone);
+    const size_t used_span = cold ? result.spans.size() : pool[warm].span_index;
     const MicroSecs init = cold ? config.init_duration : 0;
     int host = -1;
     if (hosts_on) {
-      host = cold ? host_faults.PickHost(at.arrival) : reuse->host;
+      host = cold ? host_faults.PickHost(at.arrival) : pool[warm].host;
     }
     const MicroSecs body_start = at.arrival + init;
     MicroSecs end = body_start + effective;
@@ -617,15 +715,16 @@ struct FleetEngine::Impl {
     }
 
     if (!cold) {
-      SandboxSpan& span = result.spans[reuse->span_index];
-      span.idle += at.arrival - reuse->available_at;
+      LiveSandbox& sb = pool[warm];
+      SandboxSpan& span = result.spans[used_span];
+      span.idle += at.arrival - sb.available_at;
       span.busy += effective;
       ++span.requests;
-      reuse->available_at = end;
+      sb.available_at = end;
       if (oc == Outcome::kCrash || host_kills_sandbox) {
-        // Process death or host loss: no KA linger.
-        reuse->dead = true;
+        // Process death or host loss: no KA linger, out of the pool.
         span.destroyed_at = end;
+        pool.erase(pool.begin() + static_cast<ptrdiff_t>(warm));
       }
     } else {
       SandboxSpan span;
@@ -636,16 +735,12 @@ struct FleetEngine::Impl {
       span.busy = init_billed + effective;
       span.requests = 1;
       span.host = host;
-      LiveSandbox sb;
-      sb.available_at = end;
-      sb.span_index = result.spans.size();
-      sb.host = host;
       if (oc == Outcome::kCrash || oc == Outcome::kInitFailure || host_kills_sandbox) {
-        sb.dead = true;
-        span.destroyed_at = end;
+        span.destroyed_at = end;  // Never joins the pool.
+      } else {
+        pool.push_back({end, used_span, host});
       }
       result.spans.push_back(span);
-      pool.push_back(sb);
       ++result.cold_starts;
     }
 
@@ -686,7 +781,6 @@ struct FleetEngine::Impl {
     }
 
     if (sink != nullptr) {
-      const size_t used_span = cold ? result.spans.size() - 1 : reuse->span_index;
       if (cold && init_billed > 0) {
         Span in;
         in.kind = SpanKind::kInit;
@@ -784,10 +878,16 @@ struct FleetEngine::Impl {
 
   // The complete mutable state, walked once for save, load, and digest (see
   // src/integrity/archive.h). The trace and billing model are inputs, not
-  // state; maps are archived in sorted-key order so the walk is canonical.
+  // state; maps are archived in sorted-key order and the heap in ascending
+  // (arrival, seq) order, so the walk is canonical.
   template <typename Ar>
   void Archive(Ar& ar) {
     ar.Field("now", now);
+    uint64_t cursor = next_arrival;
+    ar.Field("next_arrival", cursor);
+    if constexpr (Ar::kLoading) {
+      next_arrival = static_cast<size_t>(cursor);
+    }
     ar.Field("next_seq", next_seq);
     ar.Field("waiting_now", waiting_now);
     ar.Field("attempts_processed", attempts_processed);
@@ -799,13 +899,20 @@ struct FleetEngine::Impl {
     ArchiveRng(ar, "fault_rng", fault_rng);
 
     {
-      std::vector<PendingAttempt>& heap = pending.raw();
-      const size_t n = ar.BeginArray("pending", heap.size());
+      const auto ascending = [](const PendingAttempt& a, const PendingAttempt& b) {
+        return b > a;
+      };
+      std::vector<PendingAttempt> sorted;
+      if constexpr (!Ar::kLoading) {
+        sorted = pending.raw();
+        std::sort(sorted.begin(), sorted.end(), ascending);
+      }
+      const size_t n = ar.BeginArray("pending", sorted.size());
       if constexpr (Ar::kLoading) {
-        heap.resize(n);
+        sorted.resize(n);
       }
       for (size_t i = 0; i < n; ++i) {
-        PendingAttempt& at = heap[i];
+        PendingAttempt& at = sorted[i];
         ar.BeginElem();
         ar.Field("t", at.arrival);
         ar.Field("seq", at.seq);
@@ -821,12 +928,23 @@ struct FleetEngine::Impl {
         ar.EndElem();
       }
       ar.EndArray();
+      if constexpr (Ar::kLoading) {
+        // An ascending array is already a valid heap; sorting also restores
+        // one from a file whose entries were reordered.
+        std::sort(sorted.begin(), sorted.end(), ascending);
+        pending.raw() = std::move(sorted);
+      }
     }
 
     {
+      // Live pools only: an emptied pool is indistinguishable from none.
       std::vector<std::pair<int64_t, std::vector<LiveSandbox>>> sorted;
       if constexpr (!Ar::kLoading) {
-        sorted.assign(pools.begin(), pools.end());
+        for (const auto& [fid, pool] : pools) {
+          if (!pool.empty()) {
+            sorted.emplace_back(fid, pool);
+          }
+        }
         std::sort(sorted.begin(), sorted.end(),
                   [](const auto& a, const auto& b) { return a.first < b.first; });
       }
@@ -851,7 +969,6 @@ struct FleetEngine::Impl {
           if constexpr (Ar::kLoading) {
             sb.span_index = static_cast<size_t>(span_index);
           }
-          ar.Field("dead", sb.dead);
           ar.Field("host", sb.host);
           ar.EndElem();
         }
@@ -1001,15 +1118,12 @@ void FleetEngine::Start(const std::vector<RequestRecord>& trace,
   if (im.started) {
     throw std::logic_error("FleetEngine::Start called twice");
   }
+  RequireValidTrace(trace);
   im.started = true;
   im.trace = &trace;
   im.billing = billing;
   im.result.requests = static_cast<int64_t>(trace.size());
   im.result.e2e_latency.assign(trace.size(), 0);
-  for (size_t i = 0; i < trace.size(); ++i) {
-    assert(trace[i].exec_duration >= 0);
-    im.pending.push({trace[i].arrival, static_cast<int64_t>(i), i, 1});
-  }
   im.next_seq = static_cast<int64_t>(trace.size());
 }
 
@@ -1019,28 +1133,34 @@ void FleetEngine::Resume(const std::vector<RequestRecord>& trace,
   if (im.started) {
     throw std::logic_error("FleetEngine::Resume on a started engine");
   }
+  RequireValidTrace(trace);
   im.started = true;
   im.trace = &trace;
   im.billing = billing;
   Loader ar(&state);
   im.Archive(ar);
+  if (im.next_arrival > trace.size()) {
+    throw CheckpointError("fleet checkpoint cursor " + std::to_string(im.next_arrival) +
+                          " is past the end of a " + std::to_string(trace.size()) +
+                          "-record trace");
+  }
 }
 
 void FleetEngine::AdvanceUntil(MicroSecs t) {
   Impl& im = *impl_;
-  while (!im.pending.empty() && im.pending.top().arrival <= t) {
+  while (im.has_next() && im.next_time() <= t) {
     im.StepOne();
   }
 }
 
 void FleetEngine::RunToEnd() {
   Impl& im = *impl_;
-  while (!im.pending.empty()) {
+  while (im.has_next()) {
     im.StepOne();
   }
 }
 
-bool FleetEngine::done() const { return impl_->pending.empty(); }
+bool FleetEngine::done() const { return !impl_->has_next(); }
 
 MicroSecs FleetEngine::now() const { return impl_->now; }
 
@@ -1053,9 +1173,9 @@ FleetResult FleetEngine::Finish() {
   FleetResult& result = im.result;
   const FleetSimConfig& config = im.config;
 
-  // Close every surviving sandbox: it lingers one keep-alive window past its
-  // last use (crashed sandboxes were destroyed on the spot), unless its host
-  // dies mid-linger first.
+  // Close every sandbox still in a pool: it lingers one keep-alive window
+  // past its last use, unless its host dies mid-linger first (crashed and
+  // host-killed sandboxes left their pools on the spot).
   // Iterate pools in sorted key order: the hash-map order must never be
   // observable, and this loop touches spans that feed serialized artifacts.
   std::vector<int64_t> pool_fids;
@@ -1065,22 +1185,8 @@ FleetResult FleetEngine::Finish() {
   }
   std::sort(pool_fids.begin(), pool_fids.end());
   for (const int64_t fid : pool_fids) {
-    for (const auto& sb : im.pools[fid]) {
-      if (sb.dead) {
-        continue;
-      }
-      SandboxSpan& span = result.spans[sb.span_index];
-      if (im.hosts_on && sb.host >= 0) {
-        if (auto ev = im.host_faults.FirstFailureIn(
-                sb.host, sb.available_at, sb.available_at + config.keepalive)) {
-          span.idle += ev->time - sb.available_at;
-          span.destroyed_at = ev->time;
-          ++result.host_fault_sandbox_kills;
-          continue;
-        }
-      }
-      span.idle += config.keepalive;
-      span.destroyed_at = sb.available_at + config.keepalive;
+    for (const LiveSandbox& sb : im.pools[fid]) {
+      im.Retire(sb);
     }
   }
   // A commutative sum today, but iterate deterministically anyway so a

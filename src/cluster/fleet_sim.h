@@ -87,8 +87,10 @@ struct FleetSimConfig {
   // per-window sums reconcile bitwise against span totals
   // (ReconcileBilledUsd in src/obs/timeseries.h).
   TimeSeries* timeseries = nullptr;
-  // Engine flight recorder: per-attempt event counts, pending-queue depth
-  // samples, and fault-RNG draw totals (src/obs/engine_profiler.h).
+  // Engine flight recorder: per-attempt event counts, queue depth samples
+  // (retries and parked admission-queue attempts; initial attempts stream
+  // from the trace and are never queued), and fault-RNG draw totals
+  // (src/obs/engine_profiler.h).
   EngineProfiler* profiler = nullptr;
   // Runtime invariant auditor (non-owning; null = detached, zero overhead
   // beyond one pointer test per attempt). See src/integrity/integrity.h.
@@ -173,11 +175,12 @@ struct FleetResult {
 };
 
 // Simulates sandbox lifecycles for the whole trace (requests must be sorted
-// by arrival; they are grouped per function internally), bills every attempt
-// under `billing` (including failed ones, per its failure rules), and packs
-// the sandbox spans onto servers to find the fleet's peak size. With fault
-// injection enabled, crashed attempts destroy their sandbox and client
-// retries re-enter the arrival stream after backoff.
+// by arrival, else std::invalid_argument; they are grouped per function
+// internally), bills every attempt under `billing` (including failed ones,
+// per its failure rules), and packs the sandbox spans onto servers to find
+// the fleet's peak size. With fault injection enabled, crashed attempts
+// destroy their sandbox and client retries re-enter the arrival stream after
+// backoff.
 FleetResult SimulateFleet(const std::vector<RequestRecord>& trace,
                           const BillingModel& billing, const FleetSimConfig& config);
 
@@ -202,10 +205,14 @@ class FleetEngine {
   FleetEngine(FleetEngine&&) noexcept;
   FleetEngine& operator=(FleetEngine&&) noexcept;
 
-  // Seeds the attempt queue from the trace. Call exactly one of Start/Resume.
+  // Validates the trace (std::invalid_argument unless sorted by arrival with
+  // non-negative exec durations) and points the arrival cursor at its first
+  // record; initial attempts stream from it, so memory stays O(live state).
+  // Call exactly one of Start/Resume.
   void Start(const std::vector<RequestRecord>& trace, const BillingModel& billing);
   // Restores mutable state from a checkpoint's "state" blob; the caller must
   // pass the same trace and billing model the checkpoint was taken under.
+  // A blob with a missing or wrong-typed field throws CheckpointError.
   void Resume(const std::vector<RequestRecord>& trace, const BillingModel& billing,
               const JsonValue& state);
 

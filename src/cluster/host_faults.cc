@@ -129,13 +129,18 @@ std::optional<HostFailureEvent> HostFaultModel::FirstFailureIn(int host, MicroSe
   if (it != own.end() && it->time <= upto) {
     best = *it;
   }
+  // Outages accumulate over the run: binary-search the first one after
+  // `after`, then walk forward to the first in this host's zone.
   const int zone = host % config_.zones;
-  for (const ZoneOutage& outage : zone_outages_) {
-    if (outage.time > upto || (best.has_value() && outage.time >= best->time)) {
+  for (auto outage = std::upper_bound(
+           zone_outages_.begin(), zone_outages_.end(), after,
+           [](MicroSecs t, const ZoneOutage& o) { return t < o.time; });
+       outage != zone_outages_.end(); ++outage) {
+    if (outage->time > upto || (best.has_value() && outage->time >= best->time)) {
       break;  // Sorted by time; nothing earlier can follow.
     }
-    if (outage.time > after && outage.zone == zone) {
-      best = HostFailureEvent{outage.time, /*graceful=*/false};
+    if (outage->zone == zone) {
+      best = HostFailureEvent{outage->time, /*graceful=*/false};
       break;
     }
   }

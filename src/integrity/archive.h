@@ -22,21 +22,28 @@
 //     round trip through the text checkpoint is exact. The digest mixes the
 //     same bits.
 //   - Loader looks fields up by key (not position), so field reordering in
-//     the walker does not invalidate old checkpoints — only renames and
-//     removals do, and those bump the checkpoint version.
+//     the walker does not invalidate old checkpoints — only renames, removals
+//     and additions do, and those bump the checkpoint version.
+//   - Every Loader failure (missing key, wrong-typed value, out-of-range
+//     integer) throws CheckpointError: a bad state blob is a malformed
+//     artifact, reported like any other bad checkpoint.
 
 #ifndef FAASCOST_INTEGRITY_ARCHIVE_H_
 #define FAASCOST_INTEGRITY_ARCHIVE_H_
 
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/json_reader.h"
 #include "src/common/json_writer.h"
 #include "src/common/rng.h"
+#include "src/integrity/checkpoint.h"
 #include "src/integrity/digest.h"
 
 namespace faascost {
@@ -94,27 +101,50 @@ class Loader {
 
   explicit Loader(const JsonValue* root) { stack_.push_back({root, 0}); }
 
-  void Field(std::string_view key, uint64_t& v) { v = Cur().At(key).GetUint64(); }
-  void Field(std::string_view key, int64_t& v) { v = Cur().At(key).GetInt64(); }
-  void Field(std::string_view key, int& v) {
-    v = static_cast<int>(Cur().At(key).GetInt64());
+  void Field(std::string_view key, uint64_t& v) {
+    v = Read(key, [](const JsonValue& j) { return j.GetUint64(); });
   }
-  void Field(std::string_view key, bool& v) { v = Cur().At(key).GetBool(); }
+  void Field(std::string_view key, int64_t& v) {
+    v = Read(key, [](const JsonValue& j) { return j.GetInt64(); });
+  }
+  void Field(std::string_view key, int& v) {
+    v = Read(key, [](const JsonValue& j) {
+      const int64_t x = j.GetInt64();
+      if (x < std::numeric_limits<int>::min() || x > std::numeric_limits<int>::max()) {
+        throw std::runtime_error(std::to_string(x) + " is out of int range");
+      }
+      return static_cast<int>(x);
+    });
+  }
+  void Field(std::string_view key, bool& v) {
+    v = Read(key, [](const JsonValue& j) { return j.GetBool(); });
+  }
   void Field(std::string_view key, double& v) {
-    v = std::bit_cast<double>(Cur().At(key).GetUint64());
+    v = std::bit_cast<double>(Read(key, [](const JsonValue& j) { return j.GetUint64(); }));
   }
   void Field(std::string_view key, std::string& v) {
-    v = Cur().At(key).GetString();
+    v = Read(key, [](const JsonValue& j) { return j.GetString(); });
   }
 
-  void Begin(std::string_view key) { stack_.push_back({&Cur().At(key), 0}); }
+  void Begin(std::string_view key) {
+    const JsonValue* obj = Read(key, [](const JsonValue& j) {
+      (void)j.GetObject();
+      return &j;
+    });
+    stack_.push_back({obj, 0});
+  }
   void End() { stack_.pop_back(); }
 
   size_t BeginArray(std::string_view key, size_t /*n*/) {
-    const JsonValue* arr = &Cur().At(key);
+    const JsonValue* arr = Read(key, [](const JsonValue& j) {
+      (void)j.GetArray();
+      return &j;
+    });
     stack_.push_back({arr, 0});
     return arr->GetArray().size();
   }
+  // A non-object element has no keys, so its first Field reports the
+  // missing key.
   void BeginElem() {
     Frame& f = stack_.back();
     stack_.push_back({&f.node->GetArray().at(f.index), 0});
@@ -126,12 +156,14 @@ class Loader {
   void EndArray() { stack_.pop_back(); }
 
   void I64Vec(std::string_view key, std::vector<int64_t>& v) {
-    const auto& items = Cur().At(key).GetArray();
-    v.clear();
-    v.reserve(items.size());
-    for (const JsonValue& item : items) {
-      v.push_back(item.GetInt64());
-    }
+    v = Read(key, [](const JsonValue& j) {
+      std::vector<int64_t> out;
+      out.reserve(j.GetArray().size());
+      for (const JsonValue& item : j.GetArray()) {
+        out.push_back(item.GetInt64());
+      }
+      return out;
+    });
   }
 
  private:
@@ -142,6 +174,22 @@ class Loader {
 
   const JsonValue& Cur() const { return *stack_.back().node; }
 
+  // Looks `key` up in the current object and converts it with `get`. A
+  // missing key or a wrong-typed value is a malformed artifact, so every
+  // failure surfaces as CheckpointError, never as a bare runtime_error.
+  template <typename Get>
+  std::invoke_result_t<Get&, const JsonValue&> Read(std::string_view key, Get get) const {
+    const JsonValue* node = Cur().Find(key);
+    if (node == nullptr) {
+      throw CheckpointError("checkpoint state: missing key '" + std::string(key) + "'");
+    }
+    try {
+      return get(*node);
+    } catch (const std::runtime_error& e) {
+      throw CheckpointError("checkpoint state: key '" + std::string(key) + "': " +
+                            e.what());
+    }
+  }
   std::vector<Frame> stack_;
 };
 

@@ -5,7 +5,7 @@
 //
 //   {
 //     "magic": "faascost-checkpoint",
-//     "version": 1,
+//     "version": 2,
 //     "sim": "platform" | "fleet",
 //     "seed": <u64>,
 //     "config_hash": <u64>,     // digest of the full sim config
@@ -36,7 +36,10 @@
 namespace faascost {
 
 inline constexpr std::string_view kCheckpointMagic = "faascost-checkpoint";
-inline constexpr int64_t kCheckpointVersion = 1;
+// Version 2: the fleet state gained its trace cursor (`next_arrival`), writes
+// pending attempts in ascending (arrival, seq) order, and keeps live
+// sandboxes only (no `dead` flag). Older files are rejected, not migrated.
+inline constexpr int64_t kCheckpointVersion = 2;
 
 class CheckpointError : public std::runtime_error {
  public:

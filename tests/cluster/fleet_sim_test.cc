@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "src/billing/catalog.h"
+#include "src/obs/engine_profiler.h"
 #include "src/trace/generator.h"
 
 namespace faascost {
@@ -51,6 +55,18 @@ TEST(FleetSim, WarmReuseWithinKeepAlive) {
   EXPECT_EQ(r.cold_starts, 1);
   EXPECT_EQ(r.sandboxes, 1);
   EXPECT_EQ(r.spans[0].requests, 2);
+}
+
+// Sandboxes freed at the same instant: reuse takes the one created first
+// (the earliest pool slot).
+TEST(FleetSim, ReuseTieGoesToTheEarliestCreatedSandbox) {
+  const auto billing = MakeBillingModel(Platform::kAwsLambda);
+  const FleetResult r = SimulateFleet({Req(1, 0), Req(1, 0), Req(1, 0), Req(1, 10 * kSec)},
+                                      billing, QuickConfig());
+  ASSERT_EQ(r.spans.size(), 3u);
+  EXPECT_EQ(r.spans[0].requests, 2);
+  EXPECT_EQ(r.spans[1].requests, 1);
+  EXPECT_EQ(r.spans[2].requests, 1);
 }
 
 TEST(FleetSim, ColdAfterKeepAliveExpiry) {
@@ -149,6 +165,62 @@ TEST(FleetSim, LongerKeepAliveFewerColdStartsMoreIdle) {
   const FleetResult r_long = SimulateFleet(trace, billing, long_ka);
   EXPECT_GT(r_short.cold_starts, r_long.cold_starts);
   EXPECT_LT(r_short.idle_seconds, r_long.idle_seconds);
+}
+
+// Initial attempts stream from a cursor over the trace, so an out-of-order
+// record is an input error, never something to reorder silently; so is a
+// negative duration.
+TEST(FleetEngineInput, StartRejectsUnsortedTrace) {
+  const auto billing = MakeBillingModel(Platform::kAwsLambda);
+  const std::vector<RequestRecord> unsorted = {Req(1, 0), Req(2, 5 * kSec),
+                                               Req(1, 2 * kSec)};
+  FleetEngine engine(QuickConfig());
+  EXPECT_THROW(engine.Start(unsorted, billing), std::invalid_argument);
+  EXPECT_THROW(SimulateFleet(unsorted, billing, QuickConfig()), std::invalid_argument);
+  std::vector<RequestRecord> negative = {Req(1, 0), Req(1, kSec)};
+  negative[1].exec_duration = -1;
+  EXPECT_THROW(SimulateFleet(negative, billing, QuickConfig()), std::invalid_argument);
+  // Equal arrivals are sorted.
+  const std::vector<RequestRecord> ties = {Req(1, 0), Req(2, 0), Req(1, 0)};
+  EXPECT_EQ(SimulateFleet(ties, billing, QuickConfig()).successes, 3);
+}
+
+// The engine's queue holds only retries and attempts parked in admission
+// queues, never the trace itself: memory follows live state, not trace
+// length.
+TEST(FleetEngineMemory, QueueHoldsOnlyRetriesAndParkedAttempts) {
+  TraceGenConfig gen_cfg;
+  gen_cfg.num_requests = 20'000;
+  gen_cfg.num_functions = 100;
+  gen_cfg.window = 3'600 * kSec;
+  gen_cfg.exec_mean_ms = 500.0;
+  const auto trace = TraceGenerator(gen_cfg, 3).Generate();
+  const auto billing = MakeBillingModel(Platform::kAwsLambda);
+
+  EngineProfiler clean_prof(/*queue_sample_every=*/1);
+  FleetSimConfig clean = QuickConfig();
+  clean.profiler = &clean_prof;
+  const FleetResult r = SimulateFleet(trace, billing, clean);
+  EXPECT_EQ(clean_prof.events_total(), r.attempts);
+  EXPECT_EQ(clean_prof.queue_depth_peak(), 0);
+
+  EngineProfiler chaos_prof(/*queue_sample_every=*/1);
+  FleetSimConfig chaos = QuickConfig();
+  chaos.profiler = &chaos_prof;
+  chaos.failure_rate = 0.1;
+  chaos.retry.max_attempts = 3;
+  chaos.host_faults.hosts = 8;
+  chaos.host_faults.mtbf_seconds = 300.0;
+  chaos.host_faults.mttr_seconds = 30.0;
+  chaos.max_sandboxes_per_function = 2;
+  chaos.admission.enabled = true;
+  chaos.admission.queue_depth = 4;
+  chaos.admission.queue_timeout = 1 * kSec;
+  const FleetResult c = SimulateFleet(trace, billing, chaos);
+  EXPECT_GT(c.retries, 0);
+  EXPECT_GT(c.queued_attempts, 0);
+  EXPECT_GT(chaos_prof.queue_depth_peak(), 0);
+  EXPECT_LE(chaos_prof.queue_depth_peak(), c.retries + c.queued_attempts);
 }
 
 TEST(BucketEconomics, BucketsPartitionFunctionsAndOrderColdStarts) {

@@ -8,10 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "src/billing/catalog.h"
 #include "src/cluster/fleet_sim.h"
+#include "src/common/rng.h"
+#include "src/common/stream_registry.h"
 #include "src/trace/generator.h"
 
 namespace faascost {
@@ -234,6 +239,112 @@ TEST(HostFaultSchedule, ZoneOutagesHitEveryHostInTheZoneAtOnce) {
     EXPECT_FALSE(model.FirstFailureIn(z, 0, ev->time - 1).has_value()) << "zone " << z;
   }
   EXPECT_GT(zones_hit, 0);
+}
+
+// The failure schedule regenerated independently from the documented
+// streams — own crashes on kHostStreamBase + host (exponential gaps, the
+// clock paused for MTTR after each), zone outages on kHostFaultStream — and
+// answered by a brute-force scan: the earliest own crash or outage of the
+// host's zone in (after, upto], an own crash winning a tie.
+class ReferenceSchedule {
+ public:
+  ReferenceSchedule(const HostFaultModelConfig& cfg, uint64_t seed, MicroSecs horizon)
+      : cfg_(cfg) {
+    const MicroSecs mttr = static_cast<MicroSecs>(cfg.mttr_seconds * kSec);
+    for (int h = 0; h < cfg.hosts; ++h) {
+      Rng rng(DeriveSeed(seed, kHostStreamBase + static_cast<uint64_t>(h)));
+      std::vector<HostFailureEvent>& own = own_.emplace_back();
+      for (MicroSecs until = 0; cfg.mtbf_seconds > 0.0 && until <= horizon;) {
+        HostFailureEvent ev;
+        ev.time = until + std::max<MicroSecs>(
+                              1, static_cast<MicroSecs>(rng.Exponential(
+                                     1.0 / (cfg.mtbf_seconds * kSec))));
+        ev.graceful = cfg.graceful_fraction > 0.0 && rng.Bernoulli(cfg.graceful_fraction);
+        own.push_back(ev);
+        until = ev.time + mttr;
+      }
+    }
+    Rng zone_rng(DeriveSeed(seed, kHostFaultStream));
+    for (MicroSecs t = 0; t <= horizon;) {
+      t += std::max<MicroSecs>(1, static_cast<MicroSecs>(zone_rng.Exponential(
+                                      1.0 / (cfg.zone_outage_mtbf_seconds * kSec))));
+      outages_.emplace_back(t, static_cast<int>(zone_rng.UniformInt(0, cfg.zones - 1)));
+    }
+  }
+
+  std::optional<HostFailureEvent> FirstFailureIn(int host, MicroSecs after,
+                                                 MicroSecs upto) const {
+    std::optional<HostFailureEvent> best;
+    for (const HostFailureEvent& ev : own_[static_cast<size_t>(host)]) {
+      if (ev.time > after && ev.time <= upto && (!best || ev.time < best->time)) {
+        best = ev;
+      }
+    }
+    for (const auto& [time, zone] : outages_) {
+      if (zone == host % cfg_.zones && time > after && time <= upto &&
+          (!best || time < best->time)) {
+        best = HostFailureEvent{time, /*graceful=*/false};
+      }
+    }
+    return best;
+  }
+
+ private:
+  HostFaultModelConfig cfg_;
+  std::vector<std::vector<HostFailureEvent>> own_;
+  std::vector<std::pair<MicroSecs, int>> outages_;
+};
+
+// Random hosts and windows in random order (late queries extend the
+// schedule first, early ones then search deep into it), every other window
+// opening exactly at the previous answer, on a mixed schedule and on an
+// outages-only one.
+TEST(HostFaultSchedule, FirstFailureInMatchesBruteForceOverRandomWindows) {
+  HostFaultModelConfig mixed;
+  mixed.hosts = 6;
+  mixed.zones = 3;
+  mixed.mtbf_seconds = 900.0;
+  mixed.mttr_seconds = 60.0;
+  mixed.zone_outage_mtbf_seconds = 120.0;  // ~180 outages over the horizon.
+  mixed.graceful_fraction = 0.4;
+  HostFaultModelConfig outages_only = mixed;
+  outages_only.mtbf_seconds = 0.0;
+  const MicroSecs horizon = 6 * 3'600 * kSec;
+  const MicroSecs lengths[] = {0, kSec, 60 * kSec, 600 * kSec, 3'600 * kSec};
+  for (const HostFaultModelConfig& cfg : {mixed, outages_only}) {
+    for (const uint64_t seed : {3ULL, 4ULL}) {
+      const ReferenceSchedule ref(cfg, seed, 2 * horizon);
+      HostFaultModel model(cfg, seed);
+      Rng pick(seed);
+      int graceful_hits = 0;
+      int abrupt_hits = 0;
+      MicroSecs last_hit = -1;
+      for (int i = 0; i < 4'000; ++i) {
+        const int host = static_cast<int>(pick.UniformInt(0, cfg.hosts - 1));
+        MicroSecs after = pick.UniformInt(0, horizon);
+        if (i % 2 == 1 && last_hit >= 0) {
+          after = last_hit;
+        }
+        const MicroSecs upto =
+            after + pick.UniformInt(-kSec, lengths[pick.UniformInt(0, 4)]);
+        const auto got = model.FirstFailureIn(host, after, upto);
+        const auto want = ref.FirstFailureIn(host, after, upto);
+        ASSERT_EQ(got.has_value(), want.has_value())
+            << "mtbf " << cfg.mtbf_seconds << " seed " << seed << " host " << host
+            << " (" << after << ", " << upto << "]";
+        if (got.has_value()) {
+          EXPECT_EQ(got->time, want->time) << "seed " << seed << " query " << i;
+          EXPECT_EQ(got->graceful, want->graceful) << "seed " << seed << " query " << i;
+          ++(got->graceful ? graceful_hits : abrupt_hits);
+          last_hit = got->time;
+        }
+      }
+      EXPECT_GT(abrupt_hits, 100) << "mtbf " << cfg.mtbf_seconds << " seed " << seed;
+      if (cfg.mtbf_seconds > 0.0) {
+        EXPECT_GT(graceful_hits, 10) << "seed " << seed;  // Own crashes answer too.
+      }
+    }
+  }
 }
 
 // --- Fleet integration: zero-chaos bit-identical goldens ---

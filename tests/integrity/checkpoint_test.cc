@@ -3,12 +3,13 @@
 // engine + resume-to-end` produce the same canonical state digest, bit for
 // bit, on both the platform and the fleet simulator under chaos. Plus the
 // checkpoint file format itself: header round-trip, atomic write, and
-// fail-closed loading of malformed or mismatched files.
+// fail-closed loading of malformed or mismatched files and state blobs.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/billing/catalog.h"
@@ -260,6 +261,77 @@ TEST(CheckpointFile, TamperedStateFailsDigestValidation) {
   restored.LoadState(cp.state());
   EXPECT_NE(restored.Digest(), cp.header.state_digest);
   std::remove(path.c_str());
+}
+
+// --- Malformed state blobs ---
+
+// `state` rebuilt with top-level `key` dropped, or its value replaced when
+// `value` is given: still valid JSON, no longer a valid engine state.
+JsonValue EditKey(const JsonValue& state, const std::string& key,
+                  const JsonValue* value = nullptr) {
+  std::vector<std::pair<std::string, JsonValue>> members;
+  bool found = false;
+  for (const auto& [k, v] : state.GetObject()) {
+    if (k != key) {
+      members.emplace_back(k, v);
+      continue;
+    }
+    found = true;
+    if (value != nullptr) {
+      members.emplace_back(k, *value);
+    }
+  }
+  EXPECT_TRUE(found) << "state has no key '" << key << "'";
+  return JsonValue::MakeObject(std::move(members));
+}
+
+// A scalar, an object and an array key per engine, each dropped and each
+// given a value of the wrong type: every restore must throw CheckpointError
+// (the CLI's exit 3), never a bare runtime_error.
+TEST(CheckpointState, PlatformMissingOrWrongTypedKeyThrowsCheckpointError) {
+  PlatformEngine engine(ChaosPlatformConfig(), 3);
+  engine.Start(PlatformArrivals(), PyAesWorkload());
+  engine.AdvanceUntil(5 * kSec);
+  const JsonValue state = ParseJson(SavePlatformState(engine));
+  const JsonValue wrong = JsonValue::MakeString("not a number");
+  for (const std::string key : {"now", "counters", "events"}) {
+    PlatformEngine missing(ChaosPlatformConfig(), 3);
+    EXPECT_THROW(missing.LoadState(EditKey(state, key)), CheckpointError) << key;
+    PlatformEngine mistyped(ChaosPlatformConfig(), 3);
+    EXPECT_THROW(mistyped.LoadState(EditKey(state, key, &wrong)), CheckpointError) << key;
+  }
+}
+
+// A state blob from before the trace cursor existed lacks `next_arrival`:
+// the missing-key path, not a silent restart from record 0.
+TEST(CheckpointState, FleetMissingOrWrongTypedKeyThrowsCheckpointError) {
+  const FleetSimConfig cfg = ChaosFleetConfig(7);
+  const std::vector<RequestRecord> trace = FleetTrace(7);
+  const BillingModel billing = MakeBillingModel(Platform::kAwsLambda);
+  FleetEngine engine(cfg);
+  engine.Start(trace, billing);
+  engine.AdvanceUntil(200 * kSec);
+  const JsonValue state = ParseJson(SaveFleetState(engine));
+  const JsonValue wrong = JsonValue::MakeString("not a number");
+  for (const std::string key : {"now", "next_arrival", "counters", "pools"}) {
+    FleetEngine missing(cfg);
+    EXPECT_THROW(missing.Resume(trace, billing, EditKey(state, key)), CheckpointError)
+        << key;
+    FleetEngine mistyped(cfg);
+    EXPECT_THROW(mistyped.Resume(trace, billing, EditKey(state, key, &wrong)),
+                 CheckpointError)
+        << key;
+  }
+  // An int field past int range is wrong-typed too, not silently truncated.
+  const JsonValue huge = JsonValue::MakeInt(1ULL << 40, /*negative=*/false);
+  FleetEngine truncated(cfg);
+  EXPECT_THROW(truncated.Resume(trace, billing, EditKey(state, "next_host", &huge)),
+               CheckpointError);
+  // A cursor past the end of the trace cannot be resumed from.
+  const JsonValue past_end = JsonValue::MakeInt(trace.size() + 1, /*negative=*/false);
+  FleetEngine overrun(cfg);
+  EXPECT_THROW(overrun.Resume(trace, billing, EditKey(state, "next_arrival", &past_end)),
+               CheckpointError);
 }
 
 }  // namespace

@@ -261,6 +261,39 @@ if [ "$audit_rc" -ne 3 ]; then
 fi
 echo "malformed checkpoint rejected with exit 3."
 
+# So must a checkpoint with a valid header whose state blob lost a key: one
+# tampered state per sim, rejected by the state loader itself (the stderr
+# check rules out an earlier header or config mismatch).
+for sim in platform fleet; do
+  if [ "$sim" = platform ]; then
+    flags=(--sim platform --audit-level full --seconds 20 --seed 1)
+    at=7
+  else
+    flags=(--sim fleet --audit-level full --requests 3000 --functions 50
+      --seconds 300 --seed 1)
+    at=60
+  fi
+  "$repo/build/tools/faascost" audit "${flags[@]}" \
+    --checkpoint "$obs_tmp/tamper_cp.json" --checkpoint-at "$at" > /dev/null
+  python3 - "$obs_tmp/tamper_cp.json" <<'PYEOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+del doc["state"]["now"]
+json.dump(doc, open(sys.argv[1], "w"))
+PYEOF
+  set +e
+  "$repo/build/tools/faascost" audit "${flags[@]}" \
+    --resume "$obs_tmp/tamper_cp.json" > /dev/null 2> "$obs_tmp/tamper_err.txt"
+  audit_rc=$?
+  set -e
+  if [ "$audit_rc" -ne 3 ] || ! grep -q "missing key 'now'" "$obs_tmp/tamper_err.txt"; then
+    echo "audit --sim $sim: expected exit 3 naming the missing state key, got" \
+      "$audit_rc: $(cat "$obs_tmp/tamper_err.txt")" >&2
+    exit 1
+  fi
+done
+echo "tampered checkpoint state rejected with exit 3 on both sims."
+
 echo
 echo "== Micro-bench: BENCH_micro.json + instrumented-overhead budget (<10%) =="
 if [ -f "$repo/BENCH_micro.json" ]; then

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace faascost {
 
@@ -89,7 +88,7 @@ void JsonWriter::Value(uint64_t v) {
 
 void JsonWriter::Value(double v) {
   BeforeValue();
-  out_.append(FormatDouble(v));
+  AppendDouble(&out_, v);
 }
 
 void JsonWriter::Null() {
@@ -99,7 +98,14 @@ void JsonWriter::Null() {
 
 void JsonWriter::AppendEscaped(std::string* out, std::string_view v) {
   out->push_back('"');
-  for (const char c : v) {
+  size_t plain = 0;  // Start of the run not yet copied.
+  for (size_t i = 0; i < v.size(); ++i) {
+    const auto c = static_cast<unsigned char>(v[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out->append(v.data() + plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"':
         out->append("\\\"");
@@ -116,26 +122,31 @@ void JsonWriter::AppendEscaped(std::string* out, std::string_view v) {
       case '\t':
         out->append("\\t");
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out->append(code, sizeof(code));
+      }
     }
   }
+  out->append(v.data() + plain, v.size() - plain);
   out->push_back('"');
 }
 
 std::string JsonWriter::FormatDouble(double v) {
+  std::string out;
+  AppendDouble(&out, v);
+  return out;
+}
+
+void JsonWriter::AppendDouble(std::string* out, double v) {
   if (!std::isfinite(v)) {
-    return "null";
+    out->append("null");
+    return;
   }
   char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
+  out->append(buf, res.ptr);
 }
 
 }  // namespace faascost

@@ -50,11 +50,14 @@ class JsonWriter {
   bool balanced() const { return stack_.empty(); }
 
   // Appends the escaped form of `v` (quotes included) to `out`; exposed so
-  // callers building JSON by hand can share the escaping rules.
+  // callers building JSON by hand can share the escaping rules. Runs that
+  // need no escaping are copied in bulk.
   static void AppendEscaped(std::string* out, std::string_view v);
 
   // Shortest round-trip decimal form of `v`; "null" for non-finite values.
+  // AppendDouble writes the same bytes to the end of `out`.
   static std::string FormatDouble(double v);
+  static void AppendDouble(std::string* out, double v);
 
  private:
   enum class Scope : uint8_t { kObject, kArray };

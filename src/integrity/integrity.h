@@ -77,14 +77,13 @@ class Auditor {
   }
 
   // Records one invariant evaluation; throws IntegrityViolation when !ok.
-  void Check(bool ok, std::string_view invariant, MicroSecs sim_time,
-             uint64_t seed, std::string_view entity, std::string_view detail);
-
-  // Hot-path variant: `detail` and `entity` are nullary callables invoked
-  // only on failure, so a passing check costs one branch and a counter
-  // increment — no string formatting or allocation. In-run checks that
-  // execute per event or per scanned entity must use this form to stay
-  // inside the <10% audited-run overhead budget (see tools/ci.sh).
+  // The only check form, used by in-run and end-of-run audits alike.
+  // `entity` and `detail` are nullary callables returning something
+  // convertible to std::string_view, invoked only on failure: a passing
+  // check costs one branch and a counter increment, with no string
+  // formatting or allocation. That keeps per-event checks inside the <10%
+  // audited-run overhead budget (see tools/ci.sh) and lets end-of-run audits
+  // walk every attempt, request and sandbox at the cost of the comparisons.
   template <typename EntityFn, typename DetailFn>
   void CheckLazy(bool ok, std::string_view invariant, MicroSecs sim_time,
                  uint64_t seed, EntityFn&& entity, DetailFn&& detail) {
@@ -94,16 +93,16 @@ class Auditor {
     }
   }
 
-  [[noreturn]] void Fail(std::string_view invariant, MicroSecs sim_time,
-                         uint64_t seed, std::string_view entity,
-                         std::string_view detail);
-
   // Observability for tests and the CLI summary line.
   int64_t checks_run() const { return checks_run_; }
   int64_t scans_run() const { return scans_run_; }
   void NoteScan() { ++scans_run_; }
 
  private:
+  [[noreturn]] static void Fail(std::string_view invariant, MicroSecs sim_time,
+                                uint64_t seed, std::string_view entity,
+                                std::string_view detail);
+
   AuditLevel level_;
   int64_t scan_cadence_;
   int64_t checks_run_ = 0;

@@ -1,10 +1,11 @@
 #include "src/obs/exporters.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstring>
-#include <set>
 #include <stdexcept>
-#include <utility>
+#include <string_view>
 
 #include "src/common/fileio.h"
 #include "src/common/json_writer.h"
@@ -13,9 +14,20 @@ namespace faascost {
 
 namespace {
 
-// Sort order guaranteeing monotone ts per (pid, tid) track and parents before
-// equal-start children. stable_sort keeps emission order for exact ties.
-bool SpanBefore(const Span& a, const Span& b) {
+// Sort key of one span: export order is (group, track, start, longer
+// first), which keeps ts monotone per (pid, tid) track and puts enclosing
+// spans before equal-start children. Sorting these keys stably keeps exact
+// ties in emission order, the order `index` records, so the spans are
+// ordered without being copied.
+struct SpanKey {
+  int64_t track;
+  MicroSecs start;
+  MicroSecs duration;
+  size_t index;
+  int group;
+};
+
+bool KeyBefore(const SpanKey& a, const SpanKey& b) {
   if (a.group != b.group) {
     return a.group < b.group;
   }
@@ -28,68 +40,146 @@ bool SpanBefore(const Span& a, const Span& b) {
   return a.duration > b.duration;
 }
 
+void AppendInt(std::string* out, int64_t v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+// Capacity bound for the output document. An "X" event takes at most 328
+// bytes plus its escaped status (six bytes per character at worst): 142
+// bytes of keys and punctuation, kind and group names of at most 20 quoted
+// bytes, four int64 and four int32 values, and one double of at most 24
+// characters. An "M" event takes at most 88. Reserved pages that are never
+// written are never touched, so the slack costs no memory.
+constexpr size_t kDocumentBytes = 64;
+constexpr size_t kMetadataBytes = 96;
+constexpr size_t kEventBytes = 384;
+
+// The part of an "X" event fixed by its group and kind, from the opening
+// brace up to the tid value.
+std::string EventHead(int group, SpanKind kind) {
+  std::string head = R"({"ph":"X","name":)";
+  JsonWriter::AppendEscaped(&head, SpanKindName(kind));
+  head += R"(,"cat":)";
+  JsonWriter::AppendEscaped(&head, TrackGroupName(group));
+  head += R"(,"pid":)";
+  head += std::to_string(group);
+  head += R"(,"tid":)";
+  return head;
+}
+
+// Slots in the per-group table of event heads, indexed by SpanKind value;
+// a kind outside the table has its head built per event.
+constexpr size_t kHeadSlots = 16;
+
+// "good_within_<ms>ms" for a latency objective. Whole milliseconds print as
+// integers (the 1,000 ms default is "good_within_1000ms"); fractions print
+// shortest round trip, so distinct objectives never share a column name.
+std::string ObjectiveColumn(MicroSecs objective) {
+  const std::string ms = objective % kMicrosPerMilli == 0
+                             ? std::to_string(objective / kMicrosPerMilli)
+                             : JsonWriter::FormatDouble(MicrosToMillis(objective));
+  return "good_within_" + ms + "ms";
+}
+
 }  // namespace
 
 std::string ChromeTraceJson(const std::vector<Span>& spans) {
-  std::vector<Span> sorted = spans;
-  std::stable_sort(sorted.begin(), sorted.end(), SpanBefore);
-
-  std::set<int> groups;
-  for (const Span& s : sorted) {
-    groups.insert(s.group);
+  std::vector<SpanKey> keys;
+  keys.reserve(spans.size());
+  size_t capacity = kDocumentBytes;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const Span& s = spans[i];
+    keys.push_back({s.track, s.start, s.duration, i, s.group});
+    capacity += kEventBytes + (s.status != nullptr ? 6 * std::strlen(s.status) : 0);
+  }
+  std::stable_sort(keys.begin(), keys.end(), KeyBefore);
+  // Sorted keys visit the track groups in ascending order.
+  std::vector<int> groups;
+  for (const SpanKey& key : keys) {
+    if (groups.empty() || groups.back() != key.group) {
+      groups.push_back(key.group);
+    }
   }
 
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("displayTimeUnit");
-  w.Value("ms");
-  w.Key("traceEvents");
-  w.BeginArray();
+  std::string out;
+  out.reserve(capacity + kMetadataBytes * groups.size());
+  out.append(R"({"displayTimeUnit":"ms","traceEvents":[)");
   for (const int group : groups) {
-    w.BeginObject();
-    w.KV("ph", "M");
-    w.KV("pid", static_cast<int64_t>(group));
-    w.KV("name", "process_name");
-    w.Key("args");
-    w.BeginObject();
-    w.KV("name", TrackGroupName(group));
-    w.EndObject();
-    w.EndObject();
+    out.append(R"({"ph":"M","pid":)");
+    AppendInt(&out, group);
+    out.append(R"(,"name":"process_name","args":{"name":)");
+    JsonWriter::AppendEscaped(&out, TrackGroupName(group));
+    out.append("}},");
   }
-  for (const Span& s : sorted) {
-    w.BeginObject();
-    w.KV("ph", "X");
-    w.KV("name", SpanKindName(s.kind));
-    w.KV("cat", TrackGroupName(s.group));
-    w.KV("pid", static_cast<int64_t>(s.group));
-    w.KV("tid", s.track);
-    w.KV("ts", s.start);
-    w.KV("dur", s.duration);
-    w.Key("args");
-    w.BeginObject();
+  // Keys arrive group by group, so the table of heads by kind is refilled
+  // once per group.
+  std::vector<std::string> heads(kHeadSlots);
+  int heads_group = groups.empty() ? 0 : groups.front();
+  for (const SpanKey& key : keys) {
+    const Span& s = spans[key.index];
+    if (s.group != heads_group) {
+      for (std::string& head : heads) {
+        head.clear();
+      }
+      heads_group = s.group;
+    }
+    const auto slot = static_cast<size_t>(s.kind);
+    if (slot < heads.size()) {
+      if (heads[slot].empty()) {
+        heads[slot] = EventHead(s.group, s.kind);
+      }
+      out.append(heads[slot]);
+    } else {
+      out.append(EventHead(s.group, s.kind));
+    }
+    AppendInt(&out, s.track);
+    out.append(R"(,"ts":)");
+    AppendInt(&out, s.start);
+    out.append(R"(,"dur":)");
+    AppendInt(&out, s.duration);
+    out.append(R"(,"args":{)");
+    // Each arg after the first is preceded by a comma.
+    const size_t args_at = out.size();
+    const auto arg = [&](std::string_view quoted_key) {
+      if (out.size() != args_at) {
+        out.push_back(',');
+      }
+      out.append(quoted_key);
+      out.push_back(':');
+    };
     if (s.req_idx >= 0) {
-      w.KV("req", static_cast<int64_t>(s.req_idx));
-      w.KV("attempt", static_cast<int64_t>(s.attempt));
+      arg(R"("req")");
+      AppendInt(&out, s.req_idx);
+      arg(R"("attempt")");
+      AppendInt(&out, s.attempt);
     }
     if (s.sandbox_id >= 0) {
-      w.KV("sandbox", static_cast<int64_t>(s.sandbox_id));
+      arg(R"("sandbox")");
+      AppendInt(&out, s.sandbox_id);
     }
     if (s.status != nullptr && s.status[0] != '\0') {
-      w.KV("status", s.status);
+      arg(R"("status")");
+      JsonWriter::AppendEscaped(&out, s.status);
     }
     if (s.cold) {
-      w.KV("cold", true);
+      arg(R"("cold")");
+      out.append("true");
     }
     if (s.terminal) {
-      w.KV("billed_us", s.billed_micros);
-      w.KV("billed_usd", s.billed_usd);
+      arg(R"("billed_us")");
+      AppendInt(&out, s.billed_micros);
+      arg(R"("billed_usd")");
+      JsonWriter::AppendDouble(&out, s.billed_usd);
     }
-    w.EndObject();
-    w.EndObject();
+    out.append("}},");
   }
-  w.EndArray();
-  w.EndObject();
-  return w.str();
+  // Every event ended with a comma; the last one closes the array instead.
+  if (out.back() == ',') {
+    out.pop_back();
+  }
+  out.append("]}");
+  return out;
 }
 
 std::string TimeSeriesJsonl(const TimeSeries& series) {
@@ -129,8 +219,7 @@ std::string TimeSeriesJsonl(const TimeSeries& series) {
     w.KV("avg_concurrency",
          static_cast<double>(win.busy_micros) / static_cast<double>(width));
     for (size_t obj = 0; obj < series.objective_count(); ++obj) {
-      w.KV("good_within_" + std::to_string(series.objective_at(obj) / 1'000) + "ms",
-           win.good[obj]);
+      w.KV(ObjectiveColumn(series.objective_at(obj)), win.good[obj]);
     }
     w.EndObject();
     out += w.str();

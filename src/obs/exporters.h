@@ -18,13 +18,16 @@ namespace faascost {
 // complete event per span plus "M" metadata naming each track group).
 // Events are stably sorted by (group, track, start, longer-first) so `ts` is
 // monotone within every track and enclosing spans precede their children.
+// The spans are not copied: a compact key per span is sorted and each event
+// is written once into one pre-reserved string.
 std::string ChromeTraceJson(const std::vector<Span>& spans);
 
 // Renders the tumbling-window time series as JSONL: one JSON object per
 // window in index order, with rates, latency quantiles (p50/p95/p99 ms),
 // billed USD (shortest-round-trip double, so the bytes re-parse to the
 // bit-exact per-window sum), waste USD by category, queue depth, and average
-// live concurrency. Byte-deterministic for a deterministic run.
+// live concurrency, and one good_within_<ms>ms count per latency objective.
+// Byte-deterministic for a deterministic run.
 std::string TimeSeriesJsonl(const TimeSeries& series);
 
 // Writes `content` to `path`, truncating. Returns false on I/O failure.

@@ -1637,6 +1637,8 @@ void PlatformEngine::Start(const std::vector<MicroSecs>& arrivals,
   im.result.requests.resize(arrivals.size());
   im.result.attempts.reserve(arrivals.size());
   im.next_attempt_no.assign(arrivals.size(), 1);
+  // Every arrival plus the first sample and scaler events: one allocation.
+  im.queue.raw().reserve(arrivals.size() + 2);
   for (size_t i = 0; i < arrivals.size(); ++i) {
     assert(i == 0 || arrivals[i] >= arrivals[i - 1]);
     im.queue.push({arrivals[i], EventType::kArrival, -1, 0, static_cast<int>(i)});

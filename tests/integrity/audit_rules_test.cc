@@ -41,14 +41,23 @@ PlatformSimResult RunPlatform() {
   return sim.Run(UniformArrivals(20.0, 30 * kSec), PyAesWorkload());
 }
 
-// Expects `audit` to throw IntegrityViolation for exactly `invariant`.
+// Expects `audit` to throw IntegrityViolation for exactly `invariant`. A
+// non-empty `entity` must match the violation's entity exactly, and a
+// non-empty `detail` must appear in its detail text.
 template <typename Fn>
-void ExpectViolation(const std::string& invariant, Fn&& audit) {
+void ExpectViolation(const std::string& invariant, Fn&& audit,
+                     const std::string& entity = "", const std::string& detail = "") {
   try {
     audit();
     FAIL() << "expected IntegrityViolation " << invariant << ", none thrown";
   } catch (const IntegrityViolation& e) {
     EXPECT_EQ(e.invariant(), invariant) << e.what();
+    if (!entity.empty()) {
+      EXPECT_EQ(e.entity(), entity) << e.what();
+    }
+    if (!detail.empty()) {
+      EXPECT_NE(e.detail().find(detail), std::string::npos) << e.what();
+    }
   }
 }
 
@@ -56,7 +65,8 @@ TEST(PlatformAuditRules, CleanRunPasses) {
   const PlatformSimResult res = RunPlatform();
   Auditor auditor(AuditLevel::kFull);
   AuditPlatformRun(res, ChaosPlatformConfig(), kSeed, auditor);
-  EXPECT_GT(auditor.checks_run(), 0);
+  // Pinned: a dropped or duplicated end-of-run check moves the count.
+  EXPECT_EQ(auditor.checks_run(), 1942);
 }
 
 TEST(PlatformAuditRules, CleanRunReconcilesUsd) {
@@ -69,6 +79,7 @@ TEST(PlatformAuditRules, CleanRunReconcilesUsd) {
   }
   Auditor auditor(AuditLevel::kFull);
   AuditPlatformRun(res, cfg, kSeed, auditor, &billing, total);
+  EXPECT_EQ(auditor.checks_run(), 1943);
 }
 
 TEST(PlatformAuditRules, FailureTaxonomyFires) {
@@ -91,12 +102,13 @@ TEST(PlatformAuditRules, AttemptConservationFires) {
 
 TEST(PlatformAuditRules, RequestConservationFires) {
   PlatformSimResult res = RunPlatform();
-  ASSERT_FALSE(res.requests.empty());
-  res.requests[0].e2e_latency += 1;
+  ASSERT_GE(res.requests.size(), 3u);
+  res.requests[2].e2e_latency += 1;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("platform.request_conservation", [&] {
-    AuditPlatformRun(res, ChaosPlatformConfig(), kSeed, auditor);
-  });
+  ExpectViolation(
+      "platform.request_conservation",
+      [&] { AuditPlatformRun(res, ChaosPlatformConfig(), kSeed, auditor); },
+      "request 2", " e2e=" + std::to_string(res.requests[2].e2e_latency));
 
   PlatformSimResult res2 = RunPlatform();
   res2.successes -= 1;
@@ -111,9 +123,10 @@ TEST(PlatformAuditRules, SandboxTimeAccountingFires) {
   ASSERT_FALSE(res.sandboxes.empty());
   res.sandboxes[0].idle_time = -1;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("platform.sandbox_time_accounting", [&] {
-    AuditPlatformRun(res, ChaosPlatformConfig(), kSeed, auditor);
-  });
+  ExpectViolation(
+      "platform.sandbox_time_accounting",
+      [&] { AuditPlatformRun(res, ChaosPlatformConfig(), kSeed, auditor); },
+      "sandbox " + std::to_string(res.sandboxes[0].sandbox_id), " idle=-1");
 }
 
 TEST(PlatformAuditRules, BilledTimeConservationFires) {
@@ -133,9 +146,11 @@ TEST(PlatformAuditRules, MonotoneTimelineFires) {
   ASSERT_GE(res.timeline.size(), 2u);
   res.timeline[1].time = res.timeline[0].time;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("platform.monotone_timeline", [&] {
-    AuditPlatformRun(res, ChaosPlatformConfig(), kSeed, auditor);
-  });
+  ExpectViolation(
+      "platform.monotone_timeline",
+      [&] { AuditPlatformRun(res, ChaosPlatformConfig(), kSeed, auditor); }, "sample 1",
+      std::to_string(res.timeline[0].time) + " after " +
+          std::to_string(res.timeline[0].time));
 }
 
 TEST(PlatformAuditRules, UsdReconciliationFires) {
@@ -178,7 +193,7 @@ TEST(FleetAuditRules, CleanRunPasses) {
   const FleetResult res = RunFleet();
   Auditor auditor(AuditLevel::kFull);
   AuditFleetRun(res, ChaosFleetConfig(), auditor);
-  EXPECT_GT(auditor.checks_run(), 0);
+  EXPECT_EQ(auditor.checks_run(), 477);
 }
 
 TEST(FleetAuditRules, FailureTaxonomyFires) {
@@ -217,11 +232,13 @@ TEST(FleetAuditRules, CapacityAccountingFires) {
 
 TEST(FleetAuditRules, SpanTimeAccountingFires) {
   FleetResult res = RunFleet();
-  ASSERT_FALSE(res.spans.empty());
-  res.spans[0].idle += 1;
+  ASSERT_GE(res.spans.size(), 2u);
+  res.spans[1].idle += 1;
   Auditor auditor(AuditLevel::kFull);
-  ExpectViolation("fleet.span_time_accounting",
-                  [&] { AuditFleetRun(res, ChaosFleetConfig(), auditor); });
+  ExpectViolation(
+      "fleet.span_time_accounting",
+      [&] { AuditFleetRun(res, ChaosFleetConfig(), auditor); }, "span 1",
+      "busy+idle=" + std::to_string(res.spans[1].busy + res.spans[1].idle) + " ");
 }
 
 TEST(FleetAuditRules, UsdReconciliationFires) {

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
 #include "src/billing/catalog.h"
 #include "src/billing/model.h"
+#include "src/common/json_reader.h"
+#include "src/common/json_writer.h"
 #include "src/common/units.h"
 #include "src/integrity/audit_rules.h"
 #include "src/integrity/integrity.h"
@@ -47,13 +50,22 @@ WorkflowSimResult RunChaos(uint64_t seed = kSeed) {
   return SimulateWorkflows(ChaosConfig(), MakeBillingModel(Platform::kAwsLambda), seed);
 }
 
+// A non-empty `entity` must match the violation's entity exactly, and a
+// non-empty `detail` must appear in its detail text.
 template <typename Fn>
-void ExpectViolation(const std::string& invariant, Fn&& audit) {
+void ExpectViolation(const std::string& invariant, Fn&& audit,
+                     const std::string& entity = "", const std::string& detail = "") {
   try {
     audit();
     FAIL() << "expected IntegrityViolation " << invariant << ", none thrown";
   } catch (const IntegrityViolation& e) {
     EXPECT_EQ(e.invariant(), invariant) << e.what();
+    if (!entity.empty()) {
+      EXPECT_EQ(e.entity(), entity) << e.what();
+    }
+    if (!detail.empty()) {
+      EXPECT_NE(e.detail().find(detail), std::string::npos) << e.what();
+    }
   }
 }
 
@@ -61,6 +73,14 @@ void Audit(const WorkflowSimResult& res, uint64_t seed = kSeed) {
   Auditor auditor(AuditLevel::kFull);
   AuditWorkflowRun(res, ChaosConfig(), seed, auditor,
                    MakeBillingModel(Platform::kAwsLambda));
+}
+
+TEST(WorkflowAudit, CleanRunCheckCountPinned) {
+  Auditor auditor(AuditLevel::kFull);
+  AuditWorkflowRun(RunChaos(), ChaosConfig(), kSeed, auditor,
+                   MakeBillingModel(Platform::kAwsLambda));
+  // Pinned: a dropped or duplicated end-of-run check moves the count.
+  EXPECT_EQ(auditor.checks_run(), 1292);
 }
 
 // The acceptance sweep: the full-level workflow audit passes on ≥20 chaos
@@ -88,6 +108,50 @@ TEST(WorkflowAudit, InflatedAttemptUsdFiresReconciliation) {
     }
   }
   ExpectViolation("workflow.usd_reconciliation", [&] { Audit(res); });
+}
+
+// USD details print shortest round-trip doubles: a 1e-8 discrepancy on a
+// micro-dollar attempt shows as two different numbers, and each parses back
+// to the exact double the audit compared.
+TEST(WorkflowAudit, UsdDetailRoundTripsExactly) {
+  const WorkflowSimConfig cfg = ChaosConfig();
+  WorkflowSimResult res = RunChaos();
+  size_t k = res.attempts.size();
+  for (size_t i = 0; i < res.attempts.size(); ++i) {
+    if (res.attempts[i].platform_dispatched) {
+      k = i;
+      break;
+    }
+  }
+  ASSERT_LT(k, res.attempts.size());
+  HopAttempt& att = res.attempts[k];
+  const HopSpec& spec =
+      cfg.dags[static_cast<size_t>(att.dag)].hops[static_cast<size_t>(att.hop)];
+  const Usd want = ComputeInvoice(MakeBillingModel(Platform::kAwsLambda),
+                                  BillableRecord(att.attempt, spec.vcpus, spec.mem_mb))
+                       .total;
+  att.usd += 1e-8;
+  try {
+    Audit(res);
+    FAIL() << "expected workflow.usd_reconciliation, none thrown";
+  } catch (const IntegrityViolation& e) {
+    EXPECT_EQ(e.invariant(), "workflow.usd_reconciliation") << e.what();
+    EXPECT_EQ(e.entity(), "attempt " + std::to_string(k)) << e.what();
+    const std::string& detail = e.detail();
+    const size_t got_at = detail.find("got=");
+    const size_t want_at = detail.find(" want=");
+    ASSERT_EQ(got_at, 0u) << detail;
+    ASSERT_NE(want_at, std::string::npos) << detail;
+    const std::string got_text = detail.substr(4, want_at - 4);
+    const std::string want_text = detail.substr(want_at + 6);
+    EXPECT_NE(got_text, want_text) << detail;
+    EXPECT_EQ(std::bit_cast<uint64_t>(ParseJson(got_text).GetDouble()),
+              std::bit_cast<uint64_t>(att.usd))
+        << detail;
+    EXPECT_EQ(std::bit_cast<uint64_t>(ParseJson(want_text).GetDouble()),
+              std::bit_cast<uint64_t>(want))
+        << detail;
+  }
 }
 
 TEST(WorkflowAudit, BilledCircuitOpenFiresNeverBilled) {
@@ -126,9 +190,10 @@ TEST(WorkflowAudit, DroppedCounterFiresAttemptConservation) {
 
 TEST(WorkflowAudit, InflatedWorkflowRowFiresUsdConservation) {
   WorkflowSimResult res = RunChaos();
-  ASSERT_FALSE(res.workflows.empty());
-  res.workflows[0].usd += 0.01;
-  ExpectViolation("workflow.usd_conservation", [&] { Audit(res); });
+  ASSERT_GE(res.workflows.size(), 2u);
+  res.workflows[1].usd += 0.01;
+  ExpectViolation("workflow.usd_conservation", [&] { Audit(res); }, "wf 1",
+                  "got=" + JsonWriter::FormatDouble(res.workflows[1].usd) + " ");
 }
 
 TEST(WorkflowAudit, MiscountedSuccessesFiresOutcomePartition) {
@@ -139,16 +204,19 @@ TEST(WorkflowAudit, MiscountedSuccessesFiresOutcomePartition) {
 
 TEST(WorkflowAudit, BackwardsAttemptTimeFiresMonotoneCheck) {
   WorkflowSimResult res = RunChaos();
-  bool corrupted = false;
-  for (HopAttempt& att : res.attempts) {
+  size_t corrupted = res.attempts.size();
+  for (size_t i = 0; i < res.attempts.size(); ++i) {
+    HopAttempt& att = res.attempts[i];
     if (att.platform_dispatched && att.attempt.dispatched > 0) {
       att.attempt.end = att.attempt.dispatched - 1;
-      corrupted = true;
+      corrupted = i;
       break;
     }
   }
-  ASSERT_TRUE(corrupted);
-  ExpectViolation("workflow.monotone_attempt_time", [&] { Audit(res); });
+  ASSERT_LT(corrupted, res.attempts.size());
+  ExpectViolation("workflow.monotone_attempt_time", [&] { Audit(res); },
+                  "attempt " + std::to_string(corrupted),
+                  " end=" + std::to_string(res.attempts[corrupted].attempt.end));
 }
 
 TEST(WorkflowAudit, InflatedRunTotalFiresUsdConservation) {

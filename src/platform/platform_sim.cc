@@ -58,6 +58,9 @@ struct SandboxState {
   MicroSecs ready_at = 0;
   MicroSecs drain_started = 0;  // Meaningful only while draining.
   std::vector<InFlightReq> inflight;
+  // Entries of `inflight` in their CPU phase. Derived: kept by the inflight
+  // helpers, rebuilt on load, never archived.
+  int cpu_phase = 0;
   std::vector<int> pending_local;  // Attempts waiting for this sandbox's init.
   MicroSecs last_advance = 0;
   double rate = 0.0;  // Cached per-request CPU rate.
@@ -258,6 +261,11 @@ struct PlatformEngine::Impl {
 
   EventQueue queue;
   std::vector<SandboxState> sandboxes;
+  // Ids of the non-dead sandboxes, ascending. Derived like cpu_phase.
+  // Event handlers walk this, never `sandboxes`. The order matters: random
+  // routing draws once per eligible sandbox in walk order, and least-loaded
+  // ties go to the lowest id.
+  std::vector<int> live;
   std::deque<int> global_queue;  // Attempts waiting for capacity (multi model).
   std::vector<int> next_attempt_no;
   std::vector<uint8_t> attempt_open;     // Server side not yet concluded.
@@ -339,10 +347,13 @@ struct PlatformEngine::Impl {
     trace->Record(sp);
   }
 
-  // Closes out a sandbox: emits its drain and lifetime spans, then marks it
-  // dead. Every death site funnels through here.
+  // Closes out a sandbox: marks it dead, drops it from `live`, and emits its
+  // drain and lifetime spans. Every death site funnels through here.
   void RetireSandbox(SandboxState& s) {
     s.dead = true;
+    const auto it = std::lower_bound(live.begin(), live.end(), s.id);
+    assert(it != live.end() && *it == s.id);
+    live.erase(it);
     if (trace == nullptr) {
       return;
     }
@@ -367,6 +378,7 @@ struct PlatformEngine::Impl {
     trace->Record(sp);
   }
 
+  // Recount of `cpu_phase`, for rebuilding and auditing it.
   static int CpuPhaseCount(const SandboxState& s) {
     int k = 0;
     for (const auto& r : s.inflight) {
@@ -377,8 +389,30 @@ struct PlatformEngine::Impl {
     return k;
   }
 
+  // Every edit of a sandbox's `inflight` goes through these, which keep
+  // `cpu_phase` in step.
+  static void AddInflight(SandboxState& s, const InFlightReq& r) {
+    s.inflight.push_back(r);
+    s.cpu_phase += r.in_cpu_phase ? 1 : 0;
+  }
+
+  static void RemoveInflight(SandboxState& s, size_t pos) {
+    s.cpu_phase -= s.inflight[pos].in_cpu_phase ? 1 : 0;
+    s.inflight.erase(s.inflight.begin() + static_cast<std::ptrdiff_t>(pos));
+  }
+
+  static void ClearInflight(SandboxState& s) {
+    s.inflight.clear();
+    s.cpu_phase = 0;
+  }
+
+  static void EnterCpuPhase(SandboxState& s, InFlightReq& r) {
+    r.in_cpu_phase = true;
+    ++s.cpu_phase;
+  }
+
   double ComputeRate(const SandboxState& s) const {
-    const int k = CpuPhaseCount(s);
+    const int k = s.cpu_phase;
     if (k == 0) {
       return 0.0;
     }
@@ -391,12 +425,14 @@ struct PlatformEngine::Impl {
     return rate;
   }
 
+  // Brings a live sandbox's clock, busy/idle time and CPU progress up to
+  // `now`. A dead sandbox keeps its clock at its retirement time.
   void Advance(SandboxState& s) {
     const MicroSecs dt = now - s.last_advance;
-    if (dt <= 0) {
+    if (dt <= 0 || s.dead) {
       return;
     }
-    if (!s.initializing && !s.dead) {
+    if (!s.initializing) {
       if (s.inflight.empty()) {
         s.idle_time += dt;
       } else {
@@ -441,23 +477,16 @@ struct PlatformEngine::Impl {
 
   int ReadyCount() const {
     int n = 0;
-    for (const auto& s : sandboxes) {
-      if (!s.dead && !s.initializing && !s.draining) {
+    for (const int id : live) {
+      const SandboxState& s = sandboxes[static_cast<size_t>(id)];
+      if (!s.initializing && !s.draining) {
         ++n;
       }
     }
     return n;
   }
 
-  int AliveCount() const {
-    int n = 0;
-    for (const auto& s : sandboxes) {
-      if (!s.dead) {
-        ++n;
-      }
-    }
-    return n;
-  }
+  int AliveCount() const { return static_cast<int>(live.size()); }
 
   SandboxState& CreateSandbox() {
     SandboxState s;
@@ -475,6 +504,7 @@ struct PlatformEngine::Impl {
           static_cast<MicroSecs>(static_cast<double>(config.init_mean) * (1.0 + jitter)));
     }
     s.ready_at = now + init;
+    live.push_back(s.id);  // Ids only grow, so `live` stays ascending.
     sandboxes.push_back(std::move(s));
     SandboxState& ref = sandboxes.back();
     queue.push({ref.ready_at, EventType::kInitDone, ref.id, ref.gen});
@@ -522,7 +552,7 @@ struct PlatformEngine::Impl {
       r.will_crash = true;
       r.remaining_cpu = std::max(1.0, r.remaining_cpu * faults.SampleCrashPoint());
     }
-    s.inflight.push_back(r);
+    AddInflight(s, r);
     ++s.served;
     s.ka_deadline = -1;
     if (config.faults.max_exec_duration > 0) {
@@ -624,7 +654,7 @@ struct PlatformEngine::Impl {
   // still waiting.
   void CompleteAttempt(SandboxState& s, size_t pos) {
     const InFlightReq req = s.inflight[pos];
-    s.inflight.erase(s.inflight.begin() + static_cast<int>(pos));
+    RemoveInflight(s, pos);
     AttemptOutcome& att = result.attempts[static_cast<size_t>(req.attempt_idx)];
     att.outcome = Outcome::kOk;
     att.end = now;
@@ -667,8 +697,9 @@ struct PlatformEngine::Impl {
     while (!global_queue.empty()) {
       SandboxState* best = nullptr;
       int eligible = 0;
-      for (auto& s : sandboxes) {
-        if (s.dead || s.initializing || s.draining) {
+      for (const int id : live) {
+        SandboxState& s = sandboxes[static_cast<size_t>(id)];
+        if (s.initializing || s.draining) {
           continue;
         }
         if (static_cast<int>(s.inflight.size()) >= config.concurrency_limit) {
@@ -723,8 +754,9 @@ struct PlatformEngine::Impl {
     }
     while (!global_queue.empty()) {
       SandboxState* best = nullptr;
-      for (auto& s : sandboxes) {
-        if (s.dead || s.draining || s.initializing || !s.inflight.empty()) {
+      for (const int id : live) {
+        SandboxState& s = sandboxes[static_cast<size_t>(id)];
+        if (s.draining || s.initializing || !s.inflight.empty()) {
           continue;
         }
         if (s.ka_deadline >= 0 && s.ka_deadline <= now) {
@@ -781,8 +813,9 @@ struct PlatformEngine::Impl {
     if (!multi) {
       // Reuse the most recently used warm idle sandbox, else cold start.
       SandboxState* best = nullptr;
-      for (auto& s : sandboxes) {
-        if (s.dead || s.draining || s.initializing || !s.inflight.empty()) {
+      for (const int id : live) {
+        SandboxState& s = sandboxes[static_cast<size_t>(id)];
+        if (s.draining || s.initializing || !s.inflight.empty()) {
           continue;
         }
         if (s.ka_deadline >= 0 && s.ka_deadline <= now) {
@@ -828,10 +861,8 @@ struct PlatformEngine::Impl {
     // instance cap with no spare concurrency anywhere and nothing warming up.
     if (config.faults.reject_on_overload && AliveCount() >= config.max_instances) {
       bool spare = false;
-      for (const auto& s : sandboxes) {
-        if (s.dead) {
-          continue;
-        }
+      for (const int id : live) {
+        const SandboxState& s = sandboxes[static_cast<size_t>(id)];
         if (s.initializing || static_cast<int>(s.inflight.size()) < config.concurrency_limit) {
           spare = true;
           break;
@@ -935,7 +966,21 @@ struct PlatformEngine::Impl {
     // Capacity accounting: every sandbox is in exactly one of
     // dead / initializing / draining / busy / idle.
     int64_t dead = 0, initializing = 0, draining = 0, busy = 0, idle = 0;
+    // The derived indexes: `live` lists exactly the non-dead ids, ascending,
+    // and each cpu_phase matches a recount.
+    size_t live_pos = 0;
+    bool live_matches = true;
     for (const auto& s : sandboxes) {
+      if (!s.dead) {
+        live_matches = live_matches && live_pos < live.size() && live[live_pos] == s.id;
+        ++live_pos;
+      }
+      auditor->CheckLazy(s.cpu_phase == CpuPhaseCount(s), "platform.cpu_phase_count", now,
+                         seed, [&] { return "sandbox " + std::to_string(s.id); },
+                         [&] {
+                           return "cached=" + std::to_string(s.cpu_phase) +
+                                  " recount=" + std::to_string(CpuPhaseCount(s));
+                         });
       if (s.dead) {
         ++dead;
       } else if (s.initializing) {
@@ -976,6 +1021,24 @@ struct PlatformEngine::Impl {
                  std::to_string(dead + initializing + draining + busy + idle) +
                  " of " + std::to_string(sandboxes.size());
         });
+    auditor->CheckLazy(live_matches && live_pos == live.size(), "platform.live_sandboxes",
+                       now, seed, [] { return "fleet"; },
+                       [&] {
+                         return std::to_string(live.size()) + " listed live, " +
+                                std::to_string(live_pos) + " not dead";
+                       });
+  }
+
+  // Rebuilds the derived indexes (`live`, each cpu_phase) from the sandbox
+  // table after a load.
+  void RebuildDerived() {
+    live.clear();
+    for (auto& s : sandboxes) {
+      s.cpu_phase = CpuPhaseCount(s);
+      if (!s.dead) {
+        live.push_back(s.id);
+      }
+    }
   }
 
   void StepOne() {
@@ -1083,7 +1146,7 @@ struct PlatformEngine::Impl {
         // Fixed-phase transitions first, then completions.
         for (auto& r : s.inflight) {
           if (!r.in_cpu_phase && r.fixed_end <= now) {
-            r.in_cpu_phase = true;
+            EnterCpuPhase(s, r);
           }
         }
         bool crashed = false;
@@ -1091,7 +1154,7 @@ struct PlatformEngine::Impl {
           if (s.inflight[i].in_cpu_phase && s.inflight[i].remaining_cpu <= 0.5) {
             if (s.inflight[i].will_crash) {
               const int attempt_idx = s.inflight[i].attempt_idx;
-              s.inflight.erase(s.inflight.begin() + static_cast<int>(i));
+              RemoveInflight(s, i);
               AttemptOutcome& att = result.attempts[static_cast<size_t>(attempt_idx)];
               att.exec_duration = now - att.start_exec;
               FailAttempt(attempt_idx, Outcome::kCrash);
@@ -1109,7 +1172,7 @@ struct PlatformEngine::Impl {
             att.exec_duration = now - att.start_exec;
             FailAttempt(r.attempt_idx, Outcome::kCrash);
           }
-          s.inflight.clear();
+          ClearInflight(s);
           RetireSandbox(s);
           if (multi && !global_queue.empty() && AliveCount() == 0) {
             CreateSandbox();
@@ -1150,7 +1213,7 @@ struct PlatformEngine::Impl {
           break;
         }
         Advance(s);
-        s.inflight.erase(s.inflight.begin() + static_cast<int>(pos));
+        RemoveInflight(s, pos);
         att.exec_duration = now - att.start_exec;  // Billed through the timeout.
         FailAttempt(attempt_idx, Outcome::kTimeout);
         s.rate = ComputeRate(s);
@@ -1236,7 +1299,7 @@ struct PlatformEngine::Impl {
           ++result.drain_killed_attempts;
           FailAttempt(r.attempt_idx, Outcome::kCrash);
         }
-        s.inflight.clear();
+        ClearInflight(s);
         RetireSandbox(s);
         if (multi && !global_queue.empty() && AliveCount() == 0) {
           CreateSandbox();
@@ -1265,13 +1328,16 @@ struct PlatformEngine::Impl {
           }
           last_scale_action = now;
         } else if (desired < ready && global_queue.empty() && cooled_down) {
-          // Scale down surplus idle instances.
+          // Scale down surplus idle instances. Retiring edits `live`, so
+          // this pass walks a copy of it.
           int to_remove = ready - desired;
-          for (auto& s : sandboxes) {
+          const std::vector<int> walk = live;
+          for (const int id : walk) {
             if (to_remove <= 0) {
               break;
             }
-            if (!s.dead && !s.initializing && !s.draining && s.inflight.empty()) {
+            SandboxState& s = sandboxes[static_cast<size_t>(id)];
+            if (!s.initializing && !s.draining && s.inflight.empty()) {
               Advance(s);
               RetireSandbox(s);
               --to_remove;
@@ -1280,11 +1346,12 @@ struct PlatformEngine::Impl {
           if (config.scaledown_drains_busy) {
             // Graceful degradation: surplus busy instances stop taking new
             // work and get drain_deadline to finish what they hold.
-            for (auto& s : sandboxes) {
+            for (const int id : live) {
               if (to_remove <= 0) {
                 break;
               }
-              if (!s.dead && !s.initializing && !s.draining && !s.inflight.empty()) {
+              SandboxState& s = sandboxes[static_cast<size_t>(id)];
+              if (!s.initializing && !s.draining && !s.inflight.empty()) {
                 Advance(s);
                 s.draining = true;
                 s.drain_started = now;
@@ -1306,10 +1373,8 @@ struct PlatformEngine::Impl {
         sample.time = now;
         double util_sum = 0.0;
         int ready = 0;
-        for (auto& s : sandboxes) {
-          if (s.dead) {
-            continue;
-          }
+        for (const int id : live) {
+          SandboxState& s = sandboxes[static_cast<size_t>(id)];
           ++sample.instances;
           if (!s.initializing) {
             ++ready;
@@ -1680,16 +1745,18 @@ PlatformSimResult PlatformEngine::Finish() {
   im.finished = true;
   PlatformSimResult& result = im.result;
   // Finalize accounting; surviving sandboxes are closed at the last event.
+  // A dead sandbox's clock stopped at its retirement (Advance skips it), so
+  // last_advance is when each sandbox was destroyed.
   for (auto& s : im.sandboxes) {
-    im.Advance(s);
     if (!s.dead) {
+      im.Advance(s);
       im.RetireSandbox(s);  // Emits the lifetime span for survivors.
     }
     SandboxAccounting acc;
     acc.sandbox_id = s.id;
     acc.created_at = s.created_at;
-    acc.destroyed_at = im.now;
-    acc.init_time = std::min(s.ready_at, im.now) - s.created_at;
+    acc.destroyed_at = s.last_advance;
+    acc.init_time = std::min(s.ready_at, s.last_advance) - s.created_at;
     acc.busy_time = s.busy_time;
     acc.idle_time = s.idle_time;
     result.total_instance_seconds += MicrosToSecs(acc.destroyed_at - acc.created_at);
@@ -1730,6 +1797,7 @@ void PlatformEngine::LoadState(const JsonValue& state) {
   im.started = true;
   Loader ar(&state);
   im.Archive(ar);
+  im.RebuildDerived();
 }
 
 uint64_t PlatformEngine::Digest() {

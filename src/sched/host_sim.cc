@@ -56,6 +56,7 @@ HostSimResult SimulateHost(const HostSimConfig& config,
   int64_t busy_core_ticks = 0;
   std::vector<size_t> runnable;
   runnable.reserve(n);
+  std::vector<bool> ran(n);  // Reset every tick; allocated once.
 
   Auditor* const auditor = config.auditor;
   for (MicroSecs now = 0; now < config.duration; now += config.tick) {
@@ -127,7 +128,7 @@ HostSimResult SimulateHost(const HostSimConfig& config,
                          });
     }
 
-    std::vector<bool> ran(n, false);
+    std::fill(ran.begin(), ran.end(), false);
     for (size_t k = 0; k < running; ++k) {
       const size_t i = runnable[k];
       ran[i] = true;

@@ -931,7 +931,7 @@ class Engine {
     // In-flight attempts in the zone crash at the outage boundary, billed to
     // the crash point.
     const int64_t n = static_cast<int64_t>(res_.attempts.size());
-    for (int64_t i = 0; i < n; ++i) {
+    for (int64_t i = FirstOpenRow(); i < n; ++i) {
       AttemptExtra& ex = extras_[static_cast<size_t>(i)];
       if (ex.closed || ex.zone != zone) {
         continue;
@@ -955,14 +955,52 @@ class Engine {
     }
   }
 
+  // Low-water mark of open rows: every row below it is closed. Advanced
+  // lazily, so each row is stepped over once per run.
+  int64_t FirstOpenRow() {
+    const int64_t n = static_cast<int64_t>(extras_.size());
+    while (first_open_ < n && extras_[static_cast<size_t>(first_open_)].closed) {
+      ++first_open_;
+    }
+    return first_open_;
+  }
+
+  // Next event in (time, seq) order: the arrival cursor or the heap top.
+  // Arrival `wf` carries seq outages + wf, the seq it had when every
+  // arrival was pushed at start, so the merge pops in the same order.
+  Event PopNext() {
+    if (next_wf_ < cfg_.workflows) {
+      const MicroSecs t = static_cast<MicroSecs>(std::llround(
+          static_cast<double>(next_wf_) * static_cast<double>(kMicrosPerSec) / cfg_.wps));
+      const Event arrival{t,
+                          static_cast<int64_t>(cfg_.outages.size()) + next_wf_,
+                          EvKind::kArrival,
+                          next_wf_,
+                          -1,
+                          -1,
+                          kFlavorClient};
+      if (events_.empty() || EventAfter()(events_.top(), arrival)) {
+        ++next_wf_;
+        return arrival;
+      }
+    }
+    const Event ev = events_.top();
+    events_.pop();
+    return ev;
+  }
+
   const WorkflowSimConfig& cfg_;
   const BillingModel& billing_;
   uint64_t seed_;
 
+  // Holds every scheduled event but the arrivals, which stream from the
+  // next_wf_ cursor.
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
+  int64_t next_wf_ = 0;
   int64_t next_seq_ = 0;
   MicroSecs now_ = 0;
   int64_t events_processed_ = 0;
+  int64_t first_open_ = 0;
 
   std::vector<std::vector<FunctionState>> functions_;  // [dag][hop].
   std::vector<WfState> wfs_;
@@ -986,16 +1024,12 @@ WorkflowSimResult Engine::Run() {
     Schedule({cfg_.outages[i].start, 0, EvKind::kOutageStart, -1, -1,
               static_cast<int64_t>(i), kFlavorClient});
   }
-  for (int64_t i = 0; i < cfg_.workflows; ++i) {
-    const MicroSecs t = static_cast<MicroSecs>(
-        std::llround(static_cast<double>(i) * static_cast<double>(kMicrosPerSec) / cfg_.wps));
-    Schedule({t, 0, EvKind::kArrival, i, -1, -1, kFlavorClient});
-  }
+  // Seqs outages .. outages + workflows - 1 belong to the streamed arrivals.
+  next_seq_ += cfg_.workflows;
 
   Auditor* aud = cfg_.auditor;
-  while (!events_.empty()) {
-    const Event ev = events_.top();
-    events_.pop();
+  while (next_wf_ < cfg_.workflows || !events_.empty()) {
+    const Event ev = PopNext();
     if (aud != nullptr && aud->basic()) {
       aud->CheckLazy(
           ev.time >= now_, "workflow.monotone_event_time", ev.time, seed_,
@@ -1006,7 +1040,8 @@ WorkflowSimResult Engine::Run() {
     ++events_processed_;
     if (aud != nullptr && aud->ScanDue(events_processed_)) {
       aud->NoteScan();
-      for (size_t i = 0; i < extras_.size(); ++i) {
+      // Rows below the low-water mark are closed and pass trivially.
+      for (size_t i = static_cast<size_t>(FirstOpenRow()); i < extras_.size(); ++i) {
         const HopAttempt& row = res_.attempts[i];
         aud->CheckLazy(
             extras_[i].closed || row.attempt.end >= now_, "workflow.open_attempt_in_past",
@@ -1097,7 +1132,7 @@ WorkflowSimResult Engine::Run() {
       res_.counters.breaker_trips += fs.breaker.trips();
     }
   }
-  return res_;
+  return std::move(res_);
 }
 
 }  // namespace

@@ -12,11 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cstdio>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/billing/catalog.h"
@@ -25,6 +21,7 @@
 #include "src/common/json_writer.h"
 #include "src/integrity/digest.h"
 #include "src/trace/generator.h"
+#include "tests/golden_table.h"
 
 namespace faascost {
 namespace {
@@ -96,16 +93,11 @@ std::vector<RequestRecord> ShapeTrace(uint64_t seed) {
   return TraceGenerator(cfg, seed).Generate();
 }
 
-std::string Hex(uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string Bits(double v) { return Hex(std::bit_cast<uint64_t>(v)); }
+using golden::Bits;
+using golden::Hex;
 
 // Every FleetResult field, as (name, rendered value) in declaration order.
-std::vector<std::pair<std::string, std::string>> Render(const FleetResult& r) {
+golden::Fields Render(const FleetResult& r) {
   StateDigest e2e;
   for (const MicroSecs x : r.e2e_latency) {
     e2e.MixI64(x);
@@ -287,50 +279,15 @@ const Golden kGoldens[] = {
 };
 // clang-format on
 
-std::string Pasteable(Shape shape, uint64_t seed, const FleetResult& r) {
-  std::ostringstream out;
-  out << "    {Shape::" << ShapeName(shape) << ", " << seed << ",\n     \"";
-  int col = 0;
-  for (const auto& [name, value] : Render(r)) {
-    if (col == 3) {
-      out << "\"\n     \"";
-      col = 0;
-    }
-    out << name << "=" << value << " ";
-    ++col;
-  }
-  out << "\"},\n";
-  return out.str();
-}
-
 void ExpectGolden(Shape shape, uint64_t seed, const FleetResult& r, const char* how) {
-  const Golden* golden = nullptr;
+  const char* want = nullptr;
   for (const Golden& g : kGoldens) {
     if (g.shape == shape && g.seed == seed) {
-      golden = &g;
+      want = g.fields;
     }
   }
-  ASSERT_NE(golden, nullptr) << ShapeName(shape) << " seed " << seed
-                             << " has no golden; actual:\n"
-                             << Pasteable(shape, seed, r);
-  std::istringstream in(golden->fields);
-  std::vector<std::pair<std::string, std::string>> want;
-  for (std::string pair; in >> pair;) {
-    const size_t eq = pair.find('=');
-    want.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
-  }
-  const auto got = Render(r);
-  ASSERT_EQ(got.size(), want.size()) << "golden field list is stale";
-  bool all_equal = true;
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].first, want[i].first);
-    EXPECT_EQ(got[i].second, want[i].second)
-        << ShapeName(shape) << " seed " << seed << " (" << how << "): " << got[i].first;
-    all_equal = all_equal && got[i].second == want[i].second;
-  }
-  if (!all_equal) {
-    ADD_FAILURE() << "actual:\n" << Pasteable(shape, seed, r);
-  }
+  golden::ExpectFields("Shape::" + std::string(ShapeName(shape)) + ", " + std::to_string(seed),
+                       want, Render(r), how);
 }
 
 constexpr Shape kShapes[] = {Shape::kHostChaos, Shape::kZoneOutages,

@@ -232,6 +232,20 @@ for seed in 1 2 3; do
   digest_of "$obs_tmp/p_resumed.json" > "$obs_tmp/p_b"
   cmp "$obs_tmp/p_a" "$obs_tmp/p_b"
 
+  # The multi-concurrency engine: the last checkpoint holds dead sandboxes
+  # and resumes through the queue pull, random routing and scale-down, with
+  # an in-run scan (live-sandbox list, CPU-phase counts) every 64 events.
+  gcp=(--sim platform --platform gcp --audit-level full --scan-cadence 64
+    --seconds 20 --seed "$seed")
+  "$repo/build/tools/faascost" audit "${gcp[@]}" --json > "$obs_tmp/g_straight.json"
+  "$repo/build/tools/faascost" audit "${gcp[@]}" \
+    --checkpoint "$obs_tmp/g_cp.json" --checkpoint-every 7 --json > /dev/null
+  "$repo/build/tools/faascost" audit "${gcp[@]}" \
+    --resume "$obs_tmp/g_cp.json" --json > "$obs_tmp/g_resumed.json"
+  digest_of "$obs_tmp/g_straight.json" > "$obs_tmp/g_a"
+  digest_of "$obs_tmp/g_resumed.json" > "$obs_tmp/g_b"
+  cmp "$obs_tmp/g_a" "$obs_tmp/g_b"
+
   "$repo/build/tools/faascost" audit --sim fleet --audit-level full \
     --requests 3000 --functions 50 --seconds 300 --seed "$seed" --json \
     > "$obs_tmp/f_straight.json"
@@ -245,7 +259,7 @@ for seed in 1 2 3; do
   digest_of "$obs_tmp/f_resumed.json" > "$obs_tmp/f_b"
   cmp "$obs_tmp/f_a" "$obs_tmp/f_b"
 done
-echo "platform and fleet digests identical across seeds 1-3."
+echo "platform (aws, gcp) and fleet digests identical across seeds 1-3."
 
 # A malformed checkpoint must be the dedicated artifact-error exit (3), not a
 # crash or a silent fresh run.

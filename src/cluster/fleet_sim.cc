@@ -213,6 +213,7 @@ struct FleetEngine::Impl {
   EngineProfiler* prof = nullptr;
   Auditor* auditor = nullptr;
   NetworkModel* net = nullptr;
+  NetworkTotals net_totals;  // Copied into the result's network fields at Finish.
   int64_t waiting_now = 0;  // Attempts currently parked in admission queues.
 
   MicroSecs now = 0;  // Arrival time of the last processed attempt.
@@ -335,34 +336,6 @@ struct FleetEngine::Impl {
       warm = LatestIdle(pool, t);
     }
     return warm;
-  }
-
-  // One metered hop of an attempt's payload: fold into the result, the
-  // series, and the sink — same marginal value, same end timestamp, same
-  // order on every side, so ReconcileTransferUsd compares bitwise.
-  void MeterCharge(const TransferCharge& c, MicroSecs start,
-                   const PendingAttempt& at, int64_t fid) {
-    ++result.net_transfers;
-    result.net_bytes += c.bytes;
-    result.network_transfer_usd += c.usd;
-    const MicroSecs end = start + c.time;
-    if (ts != nullptr) {
-      ts->RecordTransfer(end, c.bytes, c.usd);
-    }
-    if (sink != nullptr) {
-      Span sp;
-      sp.kind = SpanKind::kTransfer;
-      sp.group = kTrackGroupFleetFunction;
-      sp.track = fid;
-      sp.start = start;
-      sp.duration = c.time;
-      sp.req_idx = static_cast<int32_t>(at.trace_idx);
-      sp.attempt = at.attempt;
-      sp.ref = c.bytes;
-      sp.status = c.rerouted ? "rerouted" : "";
-      sp.billed_usd = c.usd;
-      sink->Record(sp);
-    }
   }
 
   // The client's terminal resolution of a request, success or surrender.
@@ -821,34 +794,18 @@ struct FleetEngine::Impl {
     // end, never the sandbox occupancy (see FleetSimConfig::network).
     MicroSecs client_end = end;
     if (net != nullptr) {
-      const int zone = net->ZoneOf(hosts_on && host >= 0 ? host : r.function_id);
-      const AttemptPayload pl =
-          net->PayloadFor(r.function_id, at.trace_idx, at.attempt - 1, r.req_bytes,
-                          r.resp_bytes, oc == Outcome::kOk);
-      TransferCharge in;
-      if (pl.request_bytes > 0) {
-        in = net->Transfer(NetworkModel::kInternet, zone, pl.request_bytes, at.arrival);
-        MeterCharge(in, at.arrival, at, r.function_id);
-      }
-      TransferCharge back;
-      if (pl.response_bytes > 0) {
-        back = net->Transfer(zone, NetworkModel::kInternet, pl.response_bytes, end);
-        MeterCharge(back, end, at, r.function_id);
-      }
-      result.network_ops_usd += net->MeterRequestOps();
-      client_end = end + in.time + back.time;
-      const Usd detour = in.detour_usd + back.detour_usd;
-      result.network_detour_usd += detour;
-      if (ts != nullptr) {
-        // Disjoint waste attribution, first match wins: a failed attempt's
-        // whole transfer spend is waste; a successful one only wastes the
-        // outage-detour surcharge.
-        if (oc != Outcome::kOk) {
-          ts->RecordWaste(client_end, WasteKind::kFailedEgress, in.usd + back.usd);
-        } else if (detour > 0.0) {
-          ts->RecordWaste(client_end, WasteKind::kCrossZoneDetour, detour);
-        }
-      }
+      RoundTrip trip;
+      trip.zone = net->ZoneOf(hosts_on && host >= 0 ? host : r.function_id);
+      trip.ok = oc == Outcome::kOk;
+      trip.payload = net->PayloadFor(r.function_id, at.trace_idx, at.attempt - 1,
+                                     r.req_bytes, r.resp_bytes, trip.ok);
+      trip.sent = at.arrival;
+      trip.returned = end;
+      trip.label.group = kTrackGroupFleetFunction;
+      trip.label.track = r.function_id;
+      trip.label.req_idx = static_cast<int32_t>(at.trace_idx);
+      trip.label.attempt = at.attempt;
+      client_end = end + MeterRoundTrip(*net, trip, &net_totals, sink, ts);
     }
 
     if (oc == Outcome::kOk) {
@@ -1220,6 +1177,11 @@ FleetResult FleetEngine::Finish() {
   }
 
   if (im.net != nullptr) {
+    result.net_transfers = im.net_totals.transfers;
+    result.net_bytes = im.net_totals.bytes;
+    result.network_transfer_usd = im.net_totals.transfer_usd;
+    result.network_ops_usd = im.net_totals.ops_usd;
+    result.network_detour_usd = im.net_totals.detour_usd;
     result.network_bill = im.net->bill();
   }
   result.sandboxes = static_cast<int64_t>(result.spans.size());

@@ -7,55 +7,6 @@
 
 namespace faascost {
 
-Histogram::Histogram(double lo, double hi, size_t bins) : lo_(lo) {
-  // Explicit checks: histogram bounds come from experiment configs and CLI
-  // flags, so they must hold in release (NDEBUG) builds as well. The negated
-  // comparison also rejects NaN bounds.
-  if (!(hi > lo)) {
-    throw std::invalid_argument("Histogram: hi (" + std::to_string(hi) +
-                                ") must be > lo (" + std::to_string(lo) + ")");
-  }
-  if (bins == 0) {
-    throw std::invalid_argument("Histogram: bins must be > 0");
-  }
-  width_ = (hi - lo) / static_cast<double>(bins);
-  counts_.assign(bins, 0);
-}
-
-void Histogram::Add(double value) {
-  // NaN compares false against every threshold below, so it would survive
-  // the clamp and hit the size_t cast, which is UB for NaN. Count and drop.
-  if (std::isnan(value)) {
-    ++nan_count_;
-    return;
-  }
-  // Clamp in the double domain: casting +inf (or anything past the size_t
-  // range) is just as undefined as casting NaN.
-  double idx = (value - lo_) / width_;
-  if (idx < 0.0) {
-    idx = 0.0;
-  }
-  if (idx >= static_cast<double>(counts_.size())) {
-    idx = static_cast<double>(counts_.size() - 1);
-  }
-  ++counts_[static_cast<size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(size_t bin) const { return lo_ + width_ * static_cast<double>(bin); }
-
-double Histogram::bin_hi(size_t bin) const { return bin_lo(bin) + width_; }
-
-double Histogram::ModeMidpoint() const {
-  size_t best = 0;
-  for (size_t i = 1; i < counts_.size(); ++i) {
-    if (counts_[i] > counts_[best]) {
-      best = i;
-    }
-  }
-  return bin_lo(best) + width_ / 2.0;
-}
-
 EmpiricalCdf::EmpiricalCdf(std::vector<double> samples) : sorted_(std::move(samples)) {
   std::sort(sorted_.begin(), sorted_.end());
 }

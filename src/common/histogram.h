@@ -1,42 +1,13 @@
-// Histograms and empirical CDFs for the analysis benches.
+// Empirical CDFs for the analysis benches.
 
 #ifndef FAASCOST_COMMON_HISTOGRAM_H_
 #define FAASCOST_COMMON_HISTOGRAM_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace faascost {
-
-// Fixed-width-bin histogram over [lo, hi); values outside are clamped into the
-// first/last bin. NaN values are dropped (tracked by nan_count()) rather than
-// binned — casting NaN to an index is undefined behaviour.
-class Histogram {
- public:
-  // Throws std::invalid_argument unless hi > lo and bins > 0 (checked in
-  // release builds too: bounds come from experiment configs).
-  Histogram(double lo, double hi, size_t bins);
-
-  void Add(double value);
-
-  size_t bin_count() const { return counts_.size(); }
-  int64_t count(size_t bin) const { return counts_[bin]; }
-  int64_t total() const { return total_; }
-  int64_t nan_count() const { return nan_count_; }
-  double bin_lo(size_t bin) const;
-  double bin_hi(size_t bin) const;
-  // Midpoint of the bin with the highest count (ties -> lowest bin).
-  double ModeMidpoint() const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-  int64_t nan_count_ = 0;
-};
 
 // Empirical CDF built from a sample; supports evaluation and inverse.
 class EmpiricalCdf {

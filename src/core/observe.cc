@@ -34,71 +34,42 @@ ProvenanceTotals TagPlatformSpanBilling(std::vector<Span>* spans,
 
 namespace {
 
-// One metered hop: fold into totals and emit the span + series entries.
-void EmitTransfer(const TransferCharge& c, MicroSecs start, const AttemptOutcome& att,
-                  NetworkTotals* totals, std::vector<Span>* spans, TimeSeries* series) {
-  ++totals->transfers;
-  totals->bytes += c.bytes;
-  totals->transfer_usd += c.usd;
-  const MicroSecs end = start + c.time;
-  if (series != nullptr) {
-    series->RecordTransfer(end, c.bytes, c.usd);
-  }
-  if (spans != nullptr) {
-    Span sp;
-    sp.kind = SpanKind::kTransfer;
-    sp.group = kTrackGroupClient;
-    sp.track = att.req_idx;
-    sp.start = start;
-    sp.duration = c.time;
-    sp.req_idx = att.req_idx;
-    sp.attempt = att.attempt;
-    sp.ref = c.bytes;
-    sp.status = c.rerouted ? "rerouted" : "";
-    sp.billed_usd = c.usd;
-    spans->push_back(sp);
-  }
-}
+// Appends to a caller-owned span vector.
+struct AppendSink final : TraceSink {
+  explicit AppendSink(std::vector<Span>* spans) : out(spans) {}
+  void Record(const Span& span) override { out->push_back(span); }
+  std::vector<Span>* out;
+};
 
 }  // namespace
 
 NetworkTotals MeterPlatformNetwork(NetworkModel& net, PlatformSimResult* result,
                                    std::vector<Span>* spans, TimeSeries* series) {
   NetworkTotals totals;
+  AppendSink append(spans);
+  TraceSink* sink = spans != nullptr ? &append : nullptr;
   for (const AttemptOutcome& att : result->attempts) {
     if (att.sandbox_id < 0) {
       continue;  // Never reached a sandbox: no bytes moved.
     }
-    const int zone = net.ZoneOf(att.sandbox_id);
-    const bool ok = att.outcome == Outcome::kOk;
-    const AttemptPayload pl = net.PayloadFor(/*function_id=*/0, att.req_idx,
-                                             att.attempt - 1, /*request_hint=*/0,
-                                             /*response_hint=*/0, ok);
-    TransferCharge in;
-    if (pl.request_bytes > 0) {
-      in = net.Transfer(NetworkModel::kInternet, zone, pl.request_bytes, att.dispatched);
-      EmitTransfer(in, att.dispatched, att, &totals, spans, series);
-    }
-    TransferCharge back;
-    if (pl.response_bytes > 0) {
-      back = net.Transfer(zone, NetworkModel::kInternet, pl.response_bytes, att.end);
-      EmitTransfer(back, att.end, att, &totals, spans, series);
-    }
-    totals.ops_usd += net.MeterRequestOps();
-    const MicroSecs client_end = att.end + in.time + back.time;
-    const Usd detour = in.detour_usd + back.detour_usd;
-    totals.detour_usd += detour;
-    if (series != nullptr) {
-      if (!ok) {
-        series->RecordWaste(client_end, WasteKind::kFailedEgress, in.usd + back.usd);
-      } else if (detour > 0.0) {
-        series->RecordWaste(client_end, WasteKind::kCrossZoneDetour, detour);
-      }
-    }
+    RoundTrip trip;
+    trip.zone = net.ZoneOf(att.sandbox_id);
+    trip.ok = att.outcome == Outcome::kOk;
+    trip.payload = net.PayloadFor(/*function_id=*/0, att.req_idx, att.attempt - 1,
+                                  /*request_hint=*/0, /*response_hint=*/0, trip.ok);
+    trip.sent = att.dispatched;
+    trip.returned = att.end;
+    trip.label.group = kTrackGroupClient;
+    trip.label.track = att.req_idx;
+    trip.label.req_idx = att.req_idx;
+    trip.label.attempt = att.attempt;
+    const MicroSecs delay = MeterRoundTrip(net, trip, &totals, sink, series);
     if (att.req_idx >= 0 && att.req_idx < static_cast<int>(result->requests.size())) {
       RequestOutcome& req = result->requests[static_cast<size_t>(att.req_idx)];
       if (att.attempt == req.attempts) {
-        req.e2e_latency += in.time + back.time;
+        // The client sees the response that much later.
+        req.completion += delay;
+        req.e2e_latency += delay;
       }
     }
   }

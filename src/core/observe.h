@@ -35,30 +35,14 @@ ProvenanceTotals TagPlatformSpanBilling(std::vector<Span>* spans,
                                         const PlatformSimConfig& config,
                                         const BillingModel& billing);
 
-struct NetworkTotals {
-  int64_t transfers = 0;
-  int64_t bytes = 0;
-  Usd transfer_usd = 0.0;  // Emission-order fold of the marginal charges.
-  Usd ops_usd = 0.0;       // Storage class-A/class-B operation fees.
-  Usd detour_usd = 0.0;    // Outage-reroute surcharge subset of transfer_usd.
-};
-
-// Routes every executed attempt's client ingress and response egress through
-// `net`, in attempt-emission order — the same reason TagPlatformSpanBilling
-// lives here: PlatformSim does not link billing, and the network model
-// bundles a price sheet. The engine is untouched, so digests, checkpoints,
-// and pre-network goldens stay valid; the network rides on top.
-//
-// Per executed attempt (one that reached a sandbox; shed, rejected, and
-// breaker-dropped attempts move nothing): the request payload travels
-// internet -> ZoneOf(sandbox) at dispatch time, the response (or the error
-// body on failure) travels back at the attempt's end, and the per-request
-// storage-op bundle is metered. Each transfer appends a kTransfer span to
-// `spans` and a RecordTransfer into `series` (either may be null), with
-// waste attribution: a failed attempt's transfer USD -> kFailedEgress, a
-// successful attempt's reroute surcharge -> kCrossZoneDetour. The terminal
-// attempt's transfer time extends its request's e2e_latency in `result` —
-// the client path, never sandbox occupancy.
+// Meters every executed attempt's round trip through `net` (MeterRoundTrip,
+// src/net/model.h) in attempt-emission order, after the run: PlatformSim does
+// not link the network model's price sheet, and its digests and checkpoints
+// stay untouched. Attempts that never reached a sandbox (shed, rejected,
+// breaker-dropped) move nothing; the others run in ZoneOf(sandbox). Spans go
+// to `spans` and telemetry to `series` (either may be null). The terminal
+// attempt's transfer time moves its request's completion and e2e_latency,
+// so a metered result still passes AuditPlatformRun.
 NetworkTotals MeterPlatformNetwork(NetworkModel& net, PlatformSimResult* result,
                                    std::vector<Span>* spans, TimeSeries* series);
 

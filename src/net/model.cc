@@ -247,4 +247,59 @@ Usd NetworkModel::MeterOps(int64_t class_a, int64_t class_b) {
   return meter_.AddOps(class_a, class_b);
 }
 
+namespace {
+
+// One metered transfer: fold into the totals, then the series and the sink,
+// with the same value and end time on every side.
+void RecordCharge(const TransferCharge& c, MicroSecs start, const Span& label,
+                  NetworkTotals* totals, TraceSink* sink, TimeSeries* series) {
+  ++totals->transfers;
+  totals->bytes += c.bytes;
+  totals->transfer_usd += c.usd;
+  if (series != nullptr) {
+    series->RecordTransfer(start + c.time, c.bytes, c.usd);
+  }
+  if (sink != nullptr) {
+    Span sp = label;
+    sp.kind = SpanKind::kTransfer;
+    sp.start = start;
+    sp.duration = c.time;
+    sp.ref = c.bytes;
+    sp.status = c.rerouted ? "rerouted" : "";
+    sp.billed_usd = c.usd;
+    sink->Record(sp);
+  }
+}
+
+}  // namespace
+
+MicroSecs MeterRoundTrip(NetworkModel& net, const RoundTrip& trip, NetworkTotals* totals,
+                         TraceSink* sink, TimeSeries* series) {
+  TransferCharge in;
+  if (trip.payload.request_bytes > 0) {
+    in = net.Transfer(NetworkModel::kInternet, trip.zone, trip.payload.request_bytes,
+                      trip.sent);
+    RecordCharge(in, trip.sent, trip.label, totals, sink, series);
+  }
+  TransferCharge back;
+  if (trip.payload.response_bytes > 0) {
+    back = net.Transfer(trip.zone, NetworkModel::kInternet, trip.payload.response_bytes,
+                        trip.returned);
+    RecordCharge(back, trip.returned, trip.label, totals, sink, series);
+  }
+  totals->ops_usd += net.MeterRequestOps();
+  const MicroSecs delay = in.time + back.time;
+  const Usd detour = in.detour_usd + back.detour_usd;
+  totals->detour_usd += detour;
+  if (series != nullptr) {
+    // Disjoint waste attribution, first match wins.
+    if (!trip.ok) {
+      series->RecordWaste(trip.returned + delay, WasteKind::kFailedEgress, in.usd + back.usd);
+    } else if (detour > 0.0) {
+      series->RecordWaste(trip.returned + delay, WasteKind::kCrossZoneDetour, detour);
+    }
+  }
+  return delay;
+}
+
 }  // namespace faascost

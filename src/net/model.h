@@ -43,6 +43,8 @@
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/net/topology.h"
+#include "src/obs/span.h"
+#include "src/obs/timeseries.h"
 
 namespace faascost {
 
@@ -159,6 +161,40 @@ class NetworkModel {
   // routing results, safe to fill from const time queries.
   mutable std::map<std::pair<int64_t, std::pair<int, int>>, PathInfo> routes_;
 };
+
+// Running totals of metered traffic, folded in metering order — the order
+// the kTransfer spans and RecordTransfer calls see, so per-window
+// reconciliation (ReconcileTransferUsd) is bitwise.
+struct NetworkTotals {
+  int64_t transfers = 0;
+  int64_t bytes = 0;
+  Usd transfer_usd = 0.0;  // Emission-order fold of the marginal charges.
+  Usd ops_usd = 0.0;       // Storage class-A/class-B operation fees.
+  Usd detour_usd = 0.0;    // Outage-reroute surcharge subset of transfer_usd.
+};
+
+// One executed attempt's trip over the network edge.
+struct RoundTrip {
+  int zone = 0;  // Zone of the sandbox that ran the attempt.
+  AttemptPayload payload;
+  MicroSecs sent = 0;      // The request leaves the client: dispatch.
+  MicroSecs returned = 0;  // The response leaves the sandbox: the attempt's end.
+  bool ok = true;          // A failed attempt's transfer spend is waste.
+  // Attribution of both kTransfer spans: group, track, req_idx and attempt.
+  Span label;
+};
+
+// Meters one executed attempt's round trip through `net`: the request
+// payload internet -> zone at `sent`, the response (or error body) back at
+// `returned`, then the per-request storage-op bundle. A zero-byte direction
+// moves nothing. Each transfer folds into `totals` and, when attached, ends
+// in a kTransfer span in `sink` and a RecordTransfer in `series`. The series
+// also takes the waste at the client's end: a failed attempt's whole
+// transfer spend (kFailedEgress), a successful one's reroute surcharge
+// (kCrossZoneDetour). Returns both transfer times: the delay the trip adds
+// to the client path, never to sandbox occupancy.
+MicroSecs MeterRoundTrip(NetworkModel& net, const RoundTrip& trip, NetworkTotals* totals,
+                         TraceSink* sink, TimeSeries* series);
 
 }  // namespace faascost
 

@@ -175,50 +175,6 @@ double StreamingHistogram::Quantile(double q) const {
   return max_;
 }
 
-void StreamingHistogram::MergeFrom(const StreamingHistogram& other) {
-  if (other.count_ == 0) {
-    rejected_ += other.rejected_;
-    return;
-  }
-  if (buckets_.empty() && other.buckets_.empty() &&
-      raw_.size() + other.raw_.size() <= static_cast<size_t>(kInlineSamples)) {
-    raw_.insert(raw_.end(), other.raw_.begin(), other.raw_.end());
-  } else {
-    SpillRaw();
-    for (const double v : other.raw_) {
-      BumpBucket(BucketIndex(static_cast<int64_t>(v)), 1);
-    }
-    if (buckets_.empty()) {
-      base_ = other.base_;
-      buckets_ = other.buckets_;
-    } else if (!other.buckets_.empty()) {
-      // Re-anchor to cover both occupied ranges, then add at the offset.
-      if (other.base_ < base_) {
-        buckets_.insert(buckets_.begin(), static_cast<size_t>(base_ - other.base_), 0);
-        base_ = other.base_;
-      }
-      const size_t need =
-          static_cast<size_t>(other.base_ - base_) + other.buckets_.size();
-      if (need > buckets_.size()) {
-        buckets_.resize(need, 0);
-      }
-      for (size_t i = 0; i < other.buckets_.size(); ++i) {
-        buckets_[static_cast<size_t>(other.base_ - base_) + i] += other.buckets_[i];
-      }
-    }
-  }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  rejected_ += other.rejected_;
-  sum_ += other.sum_;
-}
-
 // --- WindowStats / TimeSeries ---
 
 double WindowStats::WasteTotal() const {

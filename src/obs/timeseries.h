@@ -104,8 +104,6 @@ class StreamingHistogram {
   // q is clamped into [0, 1].
   double Quantile(double q) const;
 
-  void MergeFrom(const StreamingHistogram& other);
-
  private:
   static int BucketIndex(int64_t v);
   static int64_t BucketLow(int index);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <deque>
+#include <iterator>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -27,6 +28,13 @@ enum class EventType {
   kClientTimeout,  // req_idx = attempt index (client abandons the attempt).
   kQueueTimeout,   // req_idx = attempt index (admission queue wait expired).
   kDrainDeadline,  // sandbox_id = draining sandbox whose budget is up.
+};
+
+// Profiler names, in EventType declaration order.
+constexpr const char* kEventTypeNames[] = {
+    "arrival",       "init_done",     "sandbox_next",  "ka_expire",
+    "scaler_eval",   "sample",        "retry_arrival", "exec_timeout",
+    "client_timeout", "queue_timeout", "drain_deadline",
 };
 
 struct Event {
@@ -117,6 +125,29 @@ void ArchiveScaler(Ar& ar, std::string_view key, WindowedAutoscaler& scaler) {
   }
 }
 
+// An enum as its integer value.
+template <typename Ar, typename Enum>
+void ArchiveEnum(Ar& ar, std::string_view key, Enum& e) {
+  int v = static_cast<int>(e);
+  ar.Field(key, v);
+  if constexpr (Ar::kLoading) {
+    e = static_cast<Enum>(v);
+  }
+}
+
+// An integer container (ids, counters or flags) as one int64 array.
+template <typename Ar, typename Ints>
+void ArchiveInts(Ar& ar, std::string_view key, Ints& ints) {
+  std::vector<int64_t> values(ints.begin(), ints.end());
+  ar.I64Vec(key, values);
+  if constexpr (Ar::kLoading) {
+    ints.clear();
+    for (const int64_t v : values) {
+      ints.push_back(static_cast<typename Ints::value_type>(v));
+    }
+  }
+}
+
 template <typename Ar>
 void ArchiveKeepAlive(Ar& ar, std::string_view key, KeepAlivePolicy& policy) {
   std::vector<int64_t> st;
@@ -172,6 +203,17 @@ uint64_t HashPlatformConfig(const PlatformSimConfig& c, uint64_t seed) {
   d.MixI64(c.drain_deadline);
   d.MixStr(c.keepalive != nullptr ? c.keepalive->name() : "");
   return d.value();
+}
+
+void ThrowIfInvalid(const PlatformSimConfig& config) {
+  const std::vector<std::string> errors = config.Validate();
+  if (!errors.empty()) {
+    std::string msg = "invalid PlatformSimConfig";
+    for (const auto& e : errors) {
+      msg += "; " + e;
+    }
+    throw std::invalid_argument(msg);
+  }
 }
 
 AutoscalerConfig MakeScalerConfig(const PlatformSimConfig& config) {
@@ -233,14 +275,7 @@ std::vector<std::string> PlatformSimConfig::Validate() const {
 
 PlatformSim::PlatformSim(PlatformSimConfig config, uint64_t seed)
     : config_(std::move(config)), seed_(seed) {
-  const std::vector<std::string> errors = config_.Validate();
-  if (!errors.empty()) {
-    std::string msg = "invalid PlatformSimConfig";
-    for (const auto& e : errors) {
-      msg += "; " + e;
-    }
-    throw std::invalid_argument(msg);
-  }
+  ThrowIfInvalid(config_);
 }
 
 struct PlatformEngine::Impl {
@@ -300,24 +335,8 @@ struct PlatformEngine::Impl {
         ts(config.timeseries),
         prof(config.profiler),
         auditor(config.auditor) {
-    if (prof != nullptr) {
-      // Keep in EventType declaration order.
-      prof->RegisterEventType(static_cast<int>(EventType::kArrival), "arrival");
-      prof->RegisterEventType(static_cast<int>(EventType::kInitDone), "init_done");
-      prof->RegisterEventType(static_cast<int>(EventType::kSandboxNext), "sandbox_next");
-      prof->RegisterEventType(static_cast<int>(EventType::kKaExpire), "ka_expire");
-      prof->RegisterEventType(static_cast<int>(EventType::kScalerEval), "scaler_eval");
-      prof->RegisterEventType(static_cast<int>(EventType::kSample), "sample");
-      prof->RegisterEventType(static_cast<int>(EventType::kRetryArrival),
-                              "retry_arrival");
-      prof->RegisterEventType(static_cast<int>(EventType::kExecTimeout),
-                              "exec_timeout");
-      prof->RegisterEventType(static_cast<int>(EventType::kClientTimeout),
-                              "client_timeout");
-      prof->RegisterEventType(static_cast<int>(EventType::kQueueTimeout),
-                              "queue_timeout");
-      prof->RegisterEventType(static_cast<int>(EventType::kDrainDeadline),
-                              "drain_deadline");
+    for (size_t i = 0; prof != nullptr && i < std::size(kEventTypeNames); ++i) {
+      prof->RegisterEventType(static_cast<int>(i), kEventTypeNames[i]);
     }
   }
 
@@ -347,6 +366,25 @@ struct PlatformEngine::Impl {
     trace->Record(sp);
   }
 
+  // One span on the sandbox's track, from `start` to now. Only init spans
+  // are cold.
+  void EmitSandboxSpan(SpanKind kind, const SandboxState& s, MicroSecs start,
+                       const char* status) {
+    if (trace == nullptr) {
+      return;
+    }
+    Span sp;
+    sp.kind = kind;
+    sp.group = kTrackGroupSandbox;
+    sp.track = s.id;
+    sp.start = start;
+    sp.duration = now - start;
+    sp.sandbox_id = s.id;
+    sp.status = status;
+    sp.cold = kind == SpanKind::kInit;
+    trace->Record(sp);
+  }
+
   // Closes out a sandbox: marks it dead, drops it from `live`, and emits its
   // drain and lifetime spans. Every death site funnels through here.
   void RetireSandbox(SandboxState& s) {
@@ -354,28 +392,11 @@ struct PlatformEngine::Impl {
     const auto it = std::lower_bound(live.begin(), live.end(), s.id);
     assert(it != live.end() && *it == s.id);
     live.erase(it);
-    if (trace == nullptr) {
-      return;
-    }
     if (s.draining) {
-      Span d;
-      d.kind = SpanKind::kDrain;
-      d.group = kTrackGroupSandbox;
-      d.track = s.id;
-      d.start = s.drain_started;
-      d.duration = now - s.drain_started;
-      d.sandbox_id = s.id;
-      trace->Record(d);
+      EmitSandboxSpan(SpanKind::kDrain, s, s.drain_started, "");
     }
-    Span sp;
-    sp.kind = SpanKind::kSandboxLife;
-    sp.group = kTrackGroupSandbox;
-    sp.track = s.id;
-    sp.start = s.created_at;
-    sp.duration = now - s.created_at;
-    sp.sandbox_id = s.id;
-    sp.status = s.init_failed ? OutcomeName(Outcome::kInitFailure) : "";
-    trace->Record(sp);
+    EmitSandboxSpan(SpanKind::kSandboxLife, s, s.created_at,
+                    s.init_failed ? OutcomeName(Outcome::kInitFailure) : "");
   }
 
   // Recount of `cpu_phase`, for rebuilding and auditing it.
@@ -476,14 +497,10 @@ struct PlatformEngine::Impl {
   }
 
   int ReadyCount() const {
-    int n = 0;
-    for (const int id : live) {
+    return static_cast<int>(std::count_if(live.begin(), live.end(), [&](int id) {
       const SandboxState& s = sandboxes[static_cast<size_t>(id)];
-      if (!s.initializing && !s.draining) {
-        ++n;
-      }
-    }
-    return n;
+      return !s.initializing && !s.draining;
+    }));
   }
 
   int AliveCount() const { return static_cast<int>(live.size()); }
@@ -621,61 +638,45 @@ struct PlatformEngine::Impl {
     ++terminal;
   }
 
-  // Server-side failure of an attempt (caller has already detached it from
-  // any sandbox and set exec_duration for started attempts).
-  void FailAttempt(int attempt_idx, Outcome oc) {
+  // Concludes an attempt server-side at `now`: a completion, a failure, or a
+  // client-timeout withdrawal. The caller has already taken it out of its
+  // sandbox or queue. A started attempt is billed up to now. Then, unless
+  // the client gave up on it, a success is delivered and a failure goes to
+  // ResolveClient.
+  void Conclude(int attempt_idx, Outcome oc) {
     AttemptOutcome& att = result.attempts[static_cast<size_t>(attempt_idx)];
+    const bool started = attempt_started[static_cast<size_t>(attempt_idx)] != 0;
     att.outcome = oc;
     att.end = now;
+    if (started) {
+      att.exec_duration = now - att.start_exec;
+    }
     attempt_open[static_cast<size_t>(attempt_idx)] = 0;
     --open_attempts;
-    CountFailure(oc);
-    if (trace != nullptr) {
-      // Started attempts get an exec span; never-admitted ones a terminal
-      // wait span from dispatch to the rejection/withdrawal.
-      if (attempt_started[static_cast<size_t>(attempt_idx)]) {
-        EmitClientSpan(SpanKind::kExec, att.start_exec, now - att.start_exec,
-                       attempt_idx, OutcomeName(oc), /*term=*/true);
-      } else {
-        EmitClientSpan(SpanKind::kQueueWait, att.dispatched, now - att.dispatched,
-                       attempt_idx, OutcomeName(oc), /*term=*/true);
-      }
+    if (oc == Outcome::kOk) {
+      last_completion = std::max(last_completion, now);
+    } else {
+      CountFailure(oc);
     }
-    if (ts != nullptr && attempt_started[static_cast<size_t>(attempt_idx)] &&
-        now > att.start_exec) {
-      ts->RecordExecution(att.start_exec, now);
-    }
-    if (!att.client_abandoned) {
-      ResolveClient(attempt_idx, oc);
-    }
-  }
-
-  // Completes one attempt successfully; delivery only if the client is
-  // still waiting.
-  void CompleteAttempt(SandboxState& s, size_t pos) {
-    const InFlightReq req = s.inflight[pos];
-    RemoveInflight(s, pos);
-    AttemptOutcome& att = result.attempts[static_cast<size_t>(req.attempt_idx)];
-    att.outcome = Outcome::kOk;
-    att.end = now;
-    att.exec_duration = now - att.start_exec;
-    attempt_open[static_cast<size_t>(req.attempt_idx)] = 0;
-    --open_attempts;
-    last_completion = std::max(last_completion, now);
-    if (trace != nullptr) {
-      EmitClientSpan(SpanKind::kExec, att.start_exec, now - att.start_exec,
-                     req.attempt_idx, OutcomeName(Outcome::kOk), /*term=*/true);
-    }
-    if (ts != nullptr && now > att.start_exec) {
+    // Started attempts get an exec span; never-admitted ones a terminal wait
+    // span from dispatch to the rejection/withdrawal.
+    const MicroSecs from = started ? att.start_exec : att.dispatched;
+    EmitClientSpan(started ? SpanKind::kExec : SpanKind::kQueueWait, from, now - from,
+                   attempt_idx, OutcomeName(oc), /*term=*/true);
+    if (ts != nullptr && started && now > att.start_exec) {
       ts->RecordExecution(att.start_exec, now);
     }
     if (att.client_abandoned) {
-      return;  // The response has no one left to deliver to.
+      return;  // No one is left to deliver to.
+    }
+    if (oc != Outcome::kOk) {
+      ResolveClient(attempt_idx, oc);
+      return;
     }
     if (breaker.enabled()) {
       breaker.RecordSuccess();
     }
-    RequestOutcome& out = result.requests[static_cast<size_t>(req.req_idx)];
+    RequestOutcome& out = result.requests[static_cast<size_t>(att.req_idx)];
     out.outcome = Outcome::kOk;
     out.completion = now;
     out.reported_duration = now - out.start_exec;
@@ -690,6 +691,57 @@ struct PlatformEngine::Impl {
     s.ka_deadline = now + config.keepalive->SampleDuration(rng, ReadyCount());
     ++s.gen;
     queue.push({s.ka_deadline, EventType::kKaExpire, s.id, s.gen});
+  }
+
+  // Runs after every change to a sandbox's in-flight set: recomputes its CPU
+  // rate and schedules its next transition. Emptied, it retires if draining
+  // (the drain is complete) or else enters keep-alive, and a
+  // multi-concurrency ingress pulls queued work onto the freed capacity.
+  void Settle(SandboxState& s) {
+    s.rate = ComputeRate(s);
+    if (!s.inflight.empty()) {
+      // Bumps the generation, which also invalidates the pending KA-expiry
+      // event of a sandbox that was idle.
+      ScheduleNext(s);
+      return;
+    }
+    if (s.draining) {
+      RetireSandbox(s);
+    } else {
+      EnterIdle(s);
+    }
+    if (multi) {
+      PullGlobalQueue();
+    }
+  }
+
+  // Starts an attempt on a ready sandbox now.
+  void Admit(SandboxState& s, int attempt_idx, bool cold) {
+    Advance(s);
+    StartAttempt(s, attempt_idx, cold);
+    Settle(s);
+  }
+
+  // A multi-concurrency pool left empty with work queued starts one
+  // instance at once: scale from zero, or the platform replacing its last
+  // dead instance. Further scale-out is metric-driven and therefore lags
+  // demand (paper §3.1).
+  void ReplaceIfEmpty() {
+    if (multi && !global_queue.empty() && AliveCount() == 0) {
+      CreateSandbox();
+    }
+  }
+
+  // A sandbox dies with work in it (a crash that takes the process down, or
+  // a spent drain budget): every in-flight attempt fails as a crash, billed
+  // up to now, and the next arrival pays a cold start.
+  void KillSandbox(SandboxState& s) {
+    for (const auto& r : s.inflight) {
+      Conclude(r.attempt_idx, Outcome::kCrash);
+    }
+    ClearInflight(s);
+    RetireSandbox(s);
+    ReplaceIfEmpty();
   }
 
   // Pulls queued attempts onto available capacity (multi-concurrency model).
@@ -718,71 +770,89 @@ struct PlatformEngine::Impl {
       if (best == nullptr) {
         return;
       }
-      Advance(*best);
       const int attempt_idx = global_queue.front();
       global_queue.pop_front();
-      const bool cold = best->served == 0;
-      StartAttempt(*best, attempt_idx, cold);
-      best->rate = ComputeRate(*best);
-      ScheduleNext(*best);
+      Admit(*best, attempt_idx, /*cold=*/best->served == 0);
     }
   }
 
-  // Sheds one attempt to make room in a full admission queue; returns false
-  // when the incoming attempt itself was the victim (reject-newest).
-  bool ShedFor(int attempt_idx) {
-    ++result.shed_attempts;
-    if (config.admission.shed == ShedPolicy::kRejectNewest) {
-      FailAttempt(attempt_idx, Outcome::kRejected);
+  // Parks an attempt in the ingress queue. With admission control the queue
+  // is bounded: past queue_depth the shed policy fails the newcomer
+  // (reject-newest) or the head, which has waited longest and is the most
+  // likely to time out anyway (reject-oldest); waits are clocked against
+  // queue_timeout. Returns false when the newcomer was shed.
+  bool Enqueue(int attempt_idx) {
+    if (config.admission.enabled) {
+      if (static_cast<int>(global_queue.size()) >= config.admission.queue_depth) {
+        ++result.shed_attempts;
+        if (config.admission.shed == ShedPolicy::kRejectNewest) {
+          Conclude(attempt_idx, Outcome::kRejected);
+          return false;
+        }
+        const int victim = global_queue.front();
+        global_queue.pop_front();
+        Conclude(victim, Outcome::kRejected);
+      }
+      if (config.admission.queue_timeout > 0) {
+        queue.push({now + config.admission.queue_timeout, EventType::kQueueTimeout, -1, 0,
+                    attempt_idx});
+      }
+    }
+    global_queue.push_back(attempt_idx);
+    return true;
+  }
+
+  // The single-concurrency placement, of a new attempt or (`queued`) of the
+  // admission queue's head: reuse the idle sandbox readied last, else cold
+  // start. At max_instances a cold start is gated: with the admission queue
+  // on, a new attempt joins the queue and the head keeps waiting; with
+  // reject_on_overload instead, the attempt fails with a 429. Returns false
+  // when the head has to keep waiting.
+  bool PlaceSingle(int attempt_idx, bool queued) {
+    SandboxState* warm = nullptr;
+    for (const int id : live) {
+      SandboxState& s = sandboxes[static_cast<size_t>(id)];
+      if (s.draining || s.initializing || !s.inflight.empty()) {
+        continue;
+      }
+      if (s.ka_deadline >= 0 && s.ka_deadline <= now) {
+        continue;  // Expiry event still queued but the window has passed.
+      }
+      if (warm == nullptr || s.ready_at > warm->ready_at) {
+        warm = &s;
+      }
+    }
+    if (warm != nullptr) {
+      Admit(*warm, attempt_idx, /*cold=*/false);
+      return true;
+    }
+    const bool saturated = AliveCount() >= config.max_instances;
+    if (saturated && config.admission.enabled) {
+      if (!queued) {
+        Enqueue(attempt_idx);
+      }
       return false;
     }
-    // Reject-oldest: the head of the queue has waited longest and is the
-    // most likely to time out anyway; fail it to admit the newcomer.
-    const int victim = global_queue.front();
-    global_queue.pop_front();
-    FailAttempt(victim, Outcome::kRejected);
+    if (saturated && config.faults.reject_on_overload) {
+      Conclude(attempt_idx, Outcome::kRejected);
+      return true;
+    }
+    SandboxState& fresh = CreateSandbox();
+    fresh.pending_local.push_back(attempt_idx);
+    result.attempts[static_cast<size_t>(attempt_idx)].sandbox_id = fresh.id;
     return true;
   }
 
   // Single-concurrency admission pump: when capacity frees up (a sandbox
-  // goes idle or dies), admit waiting attempts — warm reuse first, then
-  // cold starts while under the instance cap. No-op unless the bounded
-  // admission queue is enabled, so default runs never touch it.
+  // goes idle or dies), places waiting attempts in FIFO order. The head
+  // leaves the queue once placed. No-op unless the bounded admission queue
+  // is enabled, so default runs never touch it.
   void PumpAdmission() {
     if (!config.admission.enabled || multi) {
       return;
     }
-    while (!global_queue.empty()) {
-      SandboxState* best = nullptr;
-      for (const int id : live) {
-        SandboxState& s = sandboxes[static_cast<size_t>(id)];
-        if (s.draining || s.initializing || !s.inflight.empty()) {
-          continue;
-        }
-        if (s.ka_deadline >= 0 && s.ka_deadline <= now) {
-          continue;
-        }
-        if (best == nullptr || s.ready_at > best->ready_at) {
-          best = &s;
-        }
-      }
-      const int attempt_idx = global_queue.front();
-      if (best != nullptr) {
-        global_queue.pop_front();
-        Advance(*best);
-        StartAttempt(*best, attempt_idx, /*cold=*/false);
-        best->rate = ComputeRate(*best);
-        ScheduleNext(*best);
-        continue;
-      }
-      if (AliveCount() < config.max_instances) {
-        global_queue.pop_front();
-        SandboxState& fresh = CreateSandbox();
-        fresh.pending_local.push_back(attempt_idx);
-        result.attempts[static_cast<size_t>(attempt_idx)].sandbox_id = fresh.id;
-        continue;
-      }
-      return;  // Still saturated; the queue keeps waiting.
+    while (!global_queue.empty() && PlaceSingle(global_queue.front(), /*queued=*/true)) {
+      global_queue.pop_front();
     }
   }
 
@@ -790,12 +860,8 @@ struct PlatformEngine::Impl {
   // global queue, or immediate rejection.
   void Dispatch(int req_idx) {
     const int attempt_no = next_attempt_no[static_cast<size_t>(req_idx)]++;
-    AttemptOutcome att;
-    att.req_idx = req_idx;
-    att.attempt = attempt_no;
-    att.dispatched = now;
     const int attempt_idx = static_cast<int>(result.attempts.size());
-    result.attempts.push_back(att);
+    result.attempts.push_back({.req_idx = req_idx, .attempt = attempt_no, .dispatched = now});
     attempt_open.push_back(1);
     attempt_started.push_back(0);
     ++open_attempts;
@@ -803,7 +869,7 @@ struct PlatformEngine::Impl {
     if (breaker.enabled() && !breaker.AllowDispatch(now)) {
       // Fast-fail at the client: the attempt never reaches the platform and
       // is never billed (and never starts a client-timeout clock).
-      FailAttempt(attempt_idx, Outcome::kCircuitOpen);
+      Conclude(attempt_idx, Outcome::kCircuitOpen);
       return;
     }
     if (config.retry.attempt_timeout > 0) {
@@ -811,50 +877,7 @@ struct PlatformEngine::Impl {
           {now + config.retry.attempt_timeout, EventType::kClientTimeout, -1, 0, attempt_idx});
     }
     if (!multi) {
-      // Reuse the most recently used warm idle sandbox, else cold start.
-      SandboxState* best = nullptr;
-      for (const int id : live) {
-        SandboxState& s = sandboxes[static_cast<size_t>(id)];
-        if (s.draining || s.initializing || !s.inflight.empty()) {
-          continue;
-        }
-        if (s.ka_deadline >= 0 && s.ka_deadline <= now) {
-          continue;  // Expiry event still queued but the window has passed.
-        }
-        if (best == nullptr || s.ready_at > best->ready_at) {
-          best = &s;
-        }
-      }
-      if (best != nullptr) {
-        Advance(*best);
-        StartAttempt(*best, attempt_idx, /*cold=*/false);
-        best->rate = ComputeRate(*best);
-        // ScheduleNext bumps the generation, which also invalidates the
-        // pending KA-expiry event of the previously idle sandbox.
-        ScheduleNext(*best);
-        return;
-      }
-      if (config.admission.enabled && AliveCount() >= config.max_instances) {
-        // Saturated: wait in the bounded admission queue instead of either
-        // rejecting outright or scaling past the cap.
-        if (static_cast<int>(global_queue.size()) >= config.admission.queue_depth &&
-            !ShedFor(attempt_idx)) {
-          return;  // The newcomer was the shed victim.
-        }
-        global_queue.push_back(attempt_idx);
-        if (config.admission.queue_timeout > 0) {
-          queue.push({now + config.admission.queue_timeout, EventType::kQueueTimeout, -1,
-                      0, attempt_idx});
-        }
-        return;
-      }
-      if (config.faults.reject_on_overload && AliveCount() >= config.max_instances) {
-        FailAttempt(attempt_idx, Outcome::kRejected);
-        return;
-      }
-      SandboxState& fresh = CreateSandbox();
-      fresh.pending_local.push_back(attempt_idx);
-      result.attempts[static_cast<size_t>(attempt_idx)].sandbox_id = fresh.id;
+      PlaceSingle(attempt_idx, /*queued=*/false);
       return;
     }
     // Multi-concurrency: 429 when the deployment is saturated — at the
@@ -869,30 +892,16 @@ struct PlatformEngine::Impl {
         }
       }
       if (!spare) {
-        FailAttempt(attempt_idx, Outcome::kRejected);
+        Conclude(attempt_idx, Outcome::kRejected);
         return;
       }
     }
-    // Queue at the ingress and let the pull logic place it. With admission
-    // control the ingress queue is bounded: past the depth the shed policy
-    // picks a victim, and waits are clocked against queue_timeout.
-    if (config.admission.enabled) {
-      if (static_cast<int>(global_queue.size()) >= config.admission.queue_depth &&
-          !ShedFor(attempt_idx)) {
-        return;
-      }
-      if (config.admission.queue_timeout > 0) {
-        queue.push({now + config.admission.queue_timeout, EventType::kQueueTimeout, -1, 0,
-                    attempt_idx});
-      }
+    // Queue at the ingress and let the pull logic place it.
+    if (!Enqueue(attempt_idx)) {
+      return;
     }
-    global_queue.push_back(attempt_idx);
     PullGlobalQueue();
-    if (!global_queue.empty() && AliveCount() == 0) {
-      // Scale from zero: start one instance immediately; any further
-      // scale-out is metric-driven and therefore lags demand (paper §3.1).
-      CreateSandbox();
-    }
+    ReplaceIfEmpty();
   }
 
   // O(state) invariant scan (AuditLevel::kFull, cadence-gated). Walks every
@@ -1079,19 +1088,8 @@ struct PlatformEngine::Impl {
           break;
         }
         Advance(s);
-        if (trace != nullptr) {
-          Span sp;
-          sp.kind = SpanKind::kInit;
-          sp.group = kTrackGroupSandbox;
-          sp.track = s.id;
-          sp.start = s.created_at;
-          sp.duration = now - s.created_at;
-          sp.sandbox_id = s.id;
-          sp.cold = true;
-          sp.status = s.init_failed ? OutcomeName(Outcome::kInitFailure)
-                                    : OutcomeName(Outcome::kOk);
-          trace->Record(sp);
-        }
+        EmitSandboxSpan(SpanKind::kInit, s, s.created_at,
+                        OutcomeName(s.init_failed ? Outcome::kInitFailure : Outcome::kOk));
         if (s.init_failed) {
           // The sandbox never becomes ready; its waiting attempts fail after
           // the (wasted, possibly billed) initialization time.
@@ -1104,37 +1102,29 @@ struct PlatformEngine::Impl {
             AttemptOutcome& att = result.attempts[static_cast<size_t>(attempt_idx)];
             att.cold_start = true;
             att.init_duration = init;
-            FailAttempt(attempt_idx, Outcome::kInitFailure);
+            Conclude(attempt_idx, Outcome::kInitFailure);
           }
           s.pending_local.clear();
-          if (multi && !global_queue.empty() && AliveCount() == 0) {
-            CreateSandbox();  // The platform provisions a replacement.
-          }
+          ReplaceIfEmpty();
           break;
         }
         s.initializing = false;
-        if (!s.pending_local.empty()) {
-          for (int attempt_idx : s.pending_local) {
-            if (!attempt_open[static_cast<size_t>(attempt_idx)]) {
-              continue;  // Withdrawn by a client timeout.
-            }
-            StartAttempt(s, attempt_idx, /*cold=*/true);
-          }
-          s.pending_local.clear();
-          if (!s.inflight.empty()) {
-            s.rate = ComputeRate(s);
-            ScheduleNext(s);
-          } else {
-            EnterIdle(s);  // Every waiting client gave up during init.
-          }
-        } else if (multi) {
+        if (multi) {
+          // Only single-concurrency attempts wait on a sandbox's init.
           PullGlobalQueue();
           if (s.inflight.empty()) {
             EnterIdle(s);
           }
-        } else if (s.inflight.empty()) {
-          EnterIdle(s);
+          break;
         }
+        for (int attempt_idx : s.pending_local) {
+          if (!attempt_open[static_cast<size_t>(attempt_idx)]) {
+            continue;  // Withdrawn by a client timeout.
+          }
+          StartAttempt(s, attempt_idx, /*cold=*/true);
+        }
+        s.pending_local.clear();
+        Settle(s);  // Idle at once if every waiting client gave up.
         break;
       }
       case EventType::kSandboxNext: {
@@ -1151,47 +1141,21 @@ struct PlatformEngine::Impl {
         }
         bool crashed = false;
         for (size_t i = s.inflight.size(); i-- > 0;) {
-          if (s.inflight[i].in_cpu_phase && s.inflight[i].remaining_cpu <= 0.5) {
-            if (s.inflight[i].will_crash) {
-              const int attempt_idx = s.inflight[i].attempt_idx;
-              RemoveInflight(s, i);
-              AttemptOutcome& att = result.attempts[static_cast<size_t>(attempt_idx)];
-              att.exec_duration = now - att.start_exec;
-              FailAttempt(attempt_idx, Outcome::kCrash);
-              crashed = true;
-            } else {
-              CompleteAttempt(s, i);
-            }
+          const InFlightReq& r = s.inflight[i];
+          if (!r.in_cpu_phase || r.remaining_cpu > 0.5) {
+            continue;
           }
+          const int attempt_idx = r.attempt_idx;
+          const bool crash = r.will_crash;
+          RemoveInflight(s, i);
+          Conclude(attempt_idx, crash ? Outcome::kCrash : Outcome::kOk);
+          crashed = crashed || crash;
         }
         if (crashed && config.faults.crash_kills_sandbox) {
-          // Process death: co-resident in-flight requests die with it, and
-          // the next arrival pays a cold start.
-          for (const auto& r : s.inflight) {
-            AttemptOutcome& att = result.attempts[static_cast<size_t>(r.attempt_idx)];
-            att.exec_duration = now - att.start_exec;
-            FailAttempt(r.attempt_idx, Outcome::kCrash);
-          }
-          ClearInflight(s);
-          RetireSandbox(s);
-          if (multi && !global_queue.empty() && AliveCount() == 0) {
-            CreateSandbox();
-          }
+          KillSandbox(s);  // Process death: co-resident requests die with it.
           break;
         }
-        s.rate = ComputeRate(s);
-        if (s.inflight.empty()) {
-          if (s.draining) {
-            RetireSandbox(s);  // Drain complete: the instance retires cleanly.
-          } else {
-            EnterIdle(s);
-          }
-          if (multi) {
-            PullGlobalQueue();
-          }
-        } else {
-          ScheduleNext(s);
-        }
+        Settle(s);
         break;
       }
       case EventType::kExecTimeout: {
@@ -1200,8 +1164,8 @@ struct PlatformEngine::Impl {
             !attempt_started[static_cast<size_t>(attempt_idx)]) {
           break;  // Already concluded (finished, crashed, or sandbox died).
         }
-        AttemptOutcome& att = result.attempts[static_cast<size_t>(attempt_idx)];
-        SandboxState& s = sandboxes[static_cast<size_t>(att.sandbox_id)];
+        const int sandbox_id = result.attempts[static_cast<size_t>(attempt_idx)].sandbox_id;
+        SandboxState& s = sandboxes[static_cast<size_t>(sandbox_id)];
         size_t pos = s.inflight.size();
         for (size_t i = 0; i < s.inflight.size(); ++i) {
           if (s.inflight[i].attempt_idx == attempt_idx) {
@@ -1214,34 +1178,21 @@ struct PlatformEngine::Impl {
         }
         Advance(s);
         RemoveInflight(s, pos);
-        att.exec_duration = now - att.start_exec;  // Billed through the timeout.
-        FailAttempt(attempt_idx, Outcome::kTimeout);
-        s.rate = ComputeRate(s);
-        if (s.inflight.empty()) {
-          if (s.draining) {
-            RetireSandbox(s);
-          } else {
-            EnterIdle(s);
-          }
-          if (multi) {
-            PullGlobalQueue();
-          }
-        } else {
-          ScheduleNext(s);
-        }
+        Conclude(attempt_idx, Outcome::kTimeout);  // Billed through the timeout.
+        Settle(s);
         break;
       }
       case EventType::kClientTimeout: {
         const int attempt_idx = ev.req_idx;
-        if (!attempt_open[static_cast<size_t>(attempt_idx)]) {
-          break;  // The attempt concluded before the client gave up.
-        }
         AttemptOutcome& att = result.attempts[static_cast<size_t>(attempt_idx)];
-        if (att.client_abandoned) {
-          break;
+        if (!attempt_open[static_cast<size_t>(attempt_idx)] || att.client_abandoned) {
+          break;  // Concluded before the client gave up, or already abandoned.
         }
-        att.client_abandoned = true;
-        if (!attempt_started[static_cast<size_t>(attempt_idx)]) {
+        if (attempt_started[static_cast<size_t>(attempt_idx)]) {
+          // The attempt keeps running (and billing) server-side; the client
+          // moves on.
+          ResolveClient(attempt_idx, Outcome::kTimeout);
+        } else {
           // Never admitted: withdraw from whichever queue it waits in.
           if (att.sandbox_id >= 0) {
             auto& pending = sandboxes[static_cast<size_t>(att.sandbox_id)].pending_local;
@@ -1252,19 +1203,9 @@ struct PlatformEngine::Impl {
                 std::remove(global_queue.begin(), global_queue.end(), attempt_idx),
                 global_queue.end());
           }
-          att.outcome = Outcome::kTimeout;
-          att.end = now;
-          attempt_open[static_cast<size_t>(attempt_idx)] = 0;
-          --open_attempts;
-          CountFailure(Outcome::kTimeout);
-          if (trace != nullptr) {
-            EmitClientSpan(SpanKind::kQueueWait, att.dispatched, now - att.dispatched,
-                           attempt_idx, OutcomeName(Outcome::kTimeout), /*term=*/true);
-          }
+          Conclude(attempt_idx, Outcome::kTimeout);
         }
-        // Started attempts keep running (and billing) server-side; the
-        // client moves on either way.
-        ResolveClient(attempt_idx, Outcome::kTimeout);
+        att.client_abandoned = true;
         break;
       }
       case EventType::kQueueTimeout: {
@@ -1282,7 +1223,7 @@ struct PlatformEngine::Impl {
         }
         global_queue.erase(it);
         ++result.queue_timeout_attempts;
-        FailAttempt(attempt_idx, Outcome::kTimeout);
+        Conclude(attempt_idx, Outcome::kTimeout);
         break;
       }
       case EventType::kDrainDeadline: {
@@ -1293,17 +1234,8 @@ struct PlatformEngine::Impl {
         Advance(s);
         // The drain budget is spent: whatever is still running dies with
         // the instance (the cost of degrading gracefully but not infinitely).
-        for (const auto& r : s.inflight) {
-          AttemptOutcome& att = result.attempts[static_cast<size_t>(r.attempt_idx)];
-          att.exec_duration = now - att.start_exec;
-          ++result.drain_killed_attempts;
-          FailAttempt(r.attempt_idx, Outcome::kCrash);
-        }
-        ClearInflight(s);
-        RetireSandbox(s);
-        if (multi && !global_queue.empty() && AliveCount() == 0) {
-          CreateSandbox();
-        }
+        result.drain_killed_attempts += static_cast<int64_t>(s.inflight.size());
+        KillSandbox(s);
         break;
       }
       case EventType::kKaExpire: {
@@ -1473,11 +1405,7 @@ struct PlatformEngine::Impl {
         ar.BeginElem();
         Event& e = events[i];
         ar.Field("t", e.time);
-        int type = static_cast<int>(e.type);
-        ar.Field("k", type);
-        if constexpr (Ar::kLoading) {
-          e.type = static_cast<EventType>(type);
-        }
+        ArchiveEnum(ar, "k", e.type);
         ar.Field("sb", e.sandbox_id);
         ar.Field("g", e.gen);
         ar.Field("r", e.req_idx);
@@ -1486,46 +1414,10 @@ struct PlatformEngine::Impl {
       ar.EndArray();
     }
 
-    {
-      std::vector<int64_t> gq(global_queue.begin(), global_queue.end());
-      ar.I64Vec("global_queue", gq);
-      if constexpr (Ar::kLoading) {
-        global_queue.clear();
-        for (const int64_t v : gq) {
-          global_queue.push_back(static_cast<int>(v));
-        }
-      }
-    }
-    {
-      std::vector<int64_t> nums(next_attempt_no.begin(), next_attempt_no.end());
-      ar.I64Vec("next_attempt_no", nums);
-      if constexpr (Ar::kLoading) {
-        next_attempt_no.clear();
-        for (const int64_t v : nums) {
-          next_attempt_no.push_back(static_cast<int>(v));
-        }
-      }
-    }
-    {
-      std::vector<int64_t> flags(attempt_open.begin(), attempt_open.end());
-      ar.I64Vec("attempt_open", flags);
-      if constexpr (Ar::kLoading) {
-        attempt_open.clear();
-        for (const int64_t v : flags) {
-          attempt_open.push_back(static_cast<uint8_t>(v));
-        }
-      }
-    }
-    {
-      std::vector<int64_t> flags(attempt_started.begin(), attempt_started.end());
-      ar.I64Vec("attempt_started", flags);
-      if constexpr (Ar::kLoading) {
-        attempt_started.clear();
-        for (const int64_t v : flags) {
-          attempt_started.push_back(static_cast<uint8_t>(v));
-        }
-      }
-    }
+    ArchiveInts(ar, "global_queue", global_queue);
+    ArchiveInts(ar, "next_attempt_no", next_attempt_no);
+    ArchiveInts(ar, "attempt_open", attempt_open);
+    ArchiveInts(ar, "attempt_started", attempt_started);
 
     {
       const size_t n = ar.BeginArray("sandboxes", sandboxes.size());
@@ -1569,16 +1461,7 @@ struct PlatformEngine::Impl {
           }
           ar.EndArray();
         }
-        {
-          std::vector<int64_t> pend(s.pending_local.begin(), s.pending_local.end());
-          ar.I64Vec("pending_local", pend);
-          if constexpr (Ar::kLoading) {
-            s.pending_local.clear();
-            for (const int64_t v : pend) {
-              s.pending_local.push_back(static_cast<int>(v));
-            }
-          }
-        }
+        ArchiveInts(ar, "pending_local", s.pending_local);
         ar.EndElem();
       }
       ar.EndArray();
@@ -1600,14 +1483,8 @@ struct PlatformEngine::Impl {
         ar.Field("cold_start", r.cold_start);
         ar.Field("init_duration", r.init_duration);
         ar.Field("sandbox_id", r.sandbox_id);
-        int outcome = static_cast<int>(r.outcome);
-        int last_error = static_cast<int>(r.last_error);
-        ar.Field("outcome", outcome);
-        ar.Field("last_error", last_error);
-        if constexpr (Ar::kLoading) {
-          r.outcome = static_cast<Outcome>(outcome);
-          r.last_error = static_cast<Outcome>(last_error);
-        }
+        ArchiveEnum(ar, "outcome", r.outcome);
+        ArchiveEnum(ar, "last_error", r.last_error);
         ar.Field("attempts", r.attempts);
         ar.EndElem();
       }
@@ -1624,11 +1501,7 @@ struct PlatformEngine::Impl {
         ar.BeginElem();
         ar.Field("req_idx", a.req_idx);
         ar.Field("attempt", a.attempt);
-        int outcome = static_cast<int>(a.outcome);
-        ar.Field("outcome", outcome);
-        if constexpr (Ar::kLoading) {
-          a.outcome = static_cast<Outcome>(outcome);
-        }
+        ArchiveEnum(ar, "outcome", a.outcome);
         ar.Field("dispatched", a.dispatched);
         ar.Field("start_exec", a.start_exec);
         ar.Field("end", a.end);
@@ -1676,14 +1549,7 @@ struct PlatformEngine::Impl {
 };
 
 PlatformEngine::PlatformEngine(PlatformSimConfig config, uint64_t seed) {
-  const std::vector<std::string> errors = config.Validate();
-  if (!errors.empty()) {
-    std::string msg = "invalid PlatformSimConfig";
-    for (const auto& e : errors) {
-      msg += "; " + e;
-    }
-    throw std::invalid_argument(msg);
-  }
+  ThrowIfInvalid(config);
   impl_ = std::make_unique<Impl>(std::move(config), seed);
 }
 
@@ -1762,16 +1628,12 @@ PlatformSimResult PlatformEngine::Finish() {
     result.total_instance_seconds += MicrosToSecs(acc.destroyed_at - acc.created_at);
     result.sandboxes.push_back(acc);
   }
-  for (const auto& a : result.attempts) {
-    if (a.cold_start) {
-      ++result.cold_starts;
-    }
-  }
-  for (const auto& r : result.requests) {
-    if (r.outcome == Outcome::kOk) {
-      ++result.successes;
-    }
-  }
+  result.cold_starts = static_cast<int>(
+      std::count_if(result.attempts.begin(), result.attempts.end(),
+                    [](const AttemptOutcome& a) { return a.cold_start; }));
+  result.successes =
+      std::count_if(result.requests.begin(), result.requests.end(),
+                    [](const RequestOutcome& r) { return r.outcome == Outcome::kOk; });
   result.retries =
       static_cast<int64_t>(result.attempts.size()) - static_cast<int64_t>(result.requests.size());
   result.breaker_trips = im.breaker.trips();

@@ -15,6 +15,7 @@ import sys
 import tempfile
 
 HUGE = "10000000000000"  # Seconds; times 1e6 overflows int64 microseconds.
+PAST_INT = "4294967299"  # 2^32 + 3: narrowed to int it would read as 3.
 
 # (argv after the binary, expected start of one stderr line)
 CASES = [
@@ -48,6 +49,18 @@ CASES = [
     (["network", "--window", HUGE], "network: --window"),
     (["generate", "--out", "{out}/t.csv", "--requests", "-5"], "generate: --requests"),
     (["observe", "--out", "{out}"], "unknown command 'observe'"),
+    # Int-valued flags reject values past int's range instead of wrapping.
+    (["failures", "--retries", PAST_INT], "failures: --retries"),
+    (["chaos", "--hosts", PAST_INT], "chaos: --hosts"),
+    (["chaos", "--zones", "-" + PAST_INT], "chaos: --zones"),
+    (["monitor", "--out", "{out}", "--fast-windows", PAST_INT], "monitor: --fast-windows"),
+    (["monitor", "--out", "{out}", "--sim", "platform", "--cotenants", PAST_INT],
+     "monitor: --cotenants"),
+    (["audit", "--sim", "fleet", "--breaker-threshold", PAST_INT],
+     "audit: --breaker-threshold"),
+    (["audit", "--sim", "platform", "--retries", PAST_INT], "audit: --retries"),
+    (["workflows", "--hops", PAST_INT], "workflows: --hops"),
+    (["network", "--zones-per-region", PAST_INT], "network: --zones-per-region"),
 ]
 
 

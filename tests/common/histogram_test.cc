@@ -2,72 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
 #include <vector>
 
 namespace faascost {
 namespace {
-
-TEST(Histogram, BinsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bin_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-}
-
-TEST(Histogram, CountsLandInRightBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(0.5);
-  h.Add(1.9);
-  h.Add(2.0);
-  h.Add(9.9);
-  EXPECT_EQ(h.count(0), 2);
-  EXPECT_EQ(h.count(1), 1);
-  EXPECT_EQ(h.count(4), 1);
-  EXPECT_EQ(h.total(), 4);
-}
-
-TEST(Histogram, OutOfRangeClamped) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(-100.0);
-  h.Add(1000.0);
-  EXPECT_EQ(h.count(0), 1);
-  EXPECT_EQ(h.count(4), 1);
-}
-
-TEST(Histogram, NanIsDroppedAndCounted) {
-  // Regression: casting NaN to an index is UB; Add must drop it instead.
-  Histogram h(0.0, 10.0, 5);
-  h.Add(std::numeric_limits<double>::quiet_NaN());
-  h.Add(3.0);
-  h.Add(std::nan(""));
-  EXPECT_EQ(h.total(), 1);
-  EXPECT_EQ(h.nan_count(), 2);
-  for (size_t b = 0; b < h.bin_count(); ++b) {
-    EXPECT_GE(h.count(b), 0);
-  }
-  EXPECT_EQ(h.count(1), 1);
-}
-
-TEST(Histogram, InfinityStillClampsToEdgeBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(std::numeric_limits<double>::infinity());
-  h.Add(-std::numeric_limits<double>::infinity());
-  EXPECT_EQ(h.count(0), 1);
-  EXPECT_EQ(h.count(4), 1);
-  EXPECT_EQ(h.nan_count(), 0);
-}
-
-TEST(Histogram, ModeMidpoint) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(4.5);
-  h.Add(4.6);
-  h.Add(1.0);
-  EXPECT_DOUBLE_EQ(h.ModeMidpoint(), 5.0);  // Bin [4,6) midpoint.
-}
 
 TEST(EmpiricalCdf, AtAndQuantile) {
   EmpiricalCdf cdf({1.0, 2.0, 3.0, 4.0});

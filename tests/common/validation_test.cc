@@ -20,26 +20,6 @@
 namespace faascost {
 namespace {
 
-TEST(ValidationTest, HistogramRejectsBadBounds) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  // NaN bounds cannot order, so they must be rejected too.
-  EXPECT_THROW(Histogram(std::nan(""), 1.0, 10), std::invalid_argument);
-  EXPECT_NO_THROW(Histogram(0.0, 1.0, 10));
-}
-
-TEST(ValidationTest, HistogramErrorMessageNamesTheBounds) {
-  try {
-    Histogram(5.0, 2.0, 4);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("hi"), std::string::npos);
-    EXPECT_NE(msg.find("lo"), std::string::npos);
-  }
-}
-
 TEST(ValidationTest, EmpiricalCdfQuantileRejectsOutOfRangeQ) {
   const EmpiricalCdf cdf({1.0, 2.0, 3.0});
   EXPECT_THROW(cdf.Quantile(0.0), std::invalid_argument);

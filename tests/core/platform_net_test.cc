@@ -1,6 +1,7 @@
 // MeterPlatformNetwork: post-run routing of platform attempts through the
-// zone topology — engine results untouched except client e2e latency,
-// bitwise transfer reconciliation, and waste attribution.
+// zone topology — engine results untouched except each request's client-side
+// completion and e2e latency, bitwise transfer reconciliation, waste
+// attribution, and a metered result that still passes a full audit.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,8 @@
 
 #include "src/billing/catalog.h"
 #include "src/core/observe.h"
+#include "src/integrity/audit_rules.h"
+#include "src/integrity/integrity.h"
 #include "src/net/model.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
@@ -29,11 +32,17 @@ bool BitEq(double a, double b) {
   return ua == ub;
 }
 
-PlatformSimResult RunPlatform(double crash_prob = 0.0) {
+constexpr uint64_t kSeed = 11;
+
+PlatformSimConfig PlatformConfig(double crash_prob) {
   PlatformSimConfig cfg = AwsLambdaPlatform(1.0, 1'769.0);
   cfg.faults.crash_prob = crash_prob;
   cfg.retry.max_attempts = 3;
-  PlatformSim sim(cfg, /*seed=*/11);
+  return cfg;
+}
+
+PlatformSimResult RunPlatform(double crash_prob = 0.0) {
+  PlatformSim sim(PlatformConfig(crash_prob), kSeed);
   return sim.Run(UniformArrivals(6.0, 40 * kSec), PyAesWorkload());
 }
 
@@ -46,7 +55,7 @@ NetworkModel MakeNet() {
   nc.payload.response_mean_kb = 32.0;
   nc.class_a_ops_per_request = 1;
   nc.class_b_ops_per_request = 2;
-  return NetworkModel(nc, MakeNetworkPricing(Platform::kAwsLambda), 11);
+  return NetworkModel(nc, MakeNetworkPricing(Platform::kAwsLambda), kSeed);
 }
 
 TEST(PlatformNet, MeteringExtendsOnlyClientLatency) {
@@ -75,8 +84,25 @@ TEST(PlatformNet, MeteringExtendsOnlyClientLatency) {
   for (size_t i = 0; i < base.requests.size(); ++i) {
     ASSERT_GE(metered.requests[i].e2e_latency, base.requests[i].e2e_latency) << i;
     grew += (metered.requests[i].e2e_latency > base.requests[i].e2e_latency) ? 1 : 0;
+    // Completion moves by the same transfer time.
+    EXPECT_EQ(metered.requests[i].completion - base.requests[i].completion,
+              metered.requests[i].e2e_latency - base.requests[i].e2e_latency)
+        << i;
   }
   EXPECT_GT(grew, 0);
+}
+
+// Metering first and auditing after works: the audit's
+// platform.request_conservation check (e2e == completion - arrival) holds on
+// a metered result, retries and failed attempts included.
+TEST(PlatformNet, MeteredResultPassesAFullAudit) {
+  PlatformSimResult res = RunPlatform(/*crash_prob=*/0.05);
+  ASSERT_GT(res.retries, 0);
+  NetworkModel net = MakeNet();
+  MeterPlatformNetwork(net, &res, /*spans=*/nullptr, /*series=*/nullptr);
+  Auditor auditor(AuditLevel::kFull);
+  EXPECT_NO_THROW(AuditPlatformRun(res, PlatformConfig(0.05), kSeed, auditor));
+  EXPECT_GT(auditor.checks_run(), 0);
 }
 
 TEST(PlatformNet, TransferUsdReconcilesBitwiseAgainstTelemetry) {

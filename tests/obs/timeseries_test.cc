@@ -100,23 +100,6 @@ TEST(StreamingHistogramTest, LargeValueQuantileWithinResolution) {
   EXPECT_NEAR(p100, 3.0e6, 3.0e6 * 0.017);
 }
 
-TEST(StreamingHistogramTest, MergePreservesCountsAndBounds) {
-  StreamingHistogram a;
-  StreamingHistogram b;
-  a.Observe(10.0);
-  b.Observe(50.0);
-  b.Observe(std::numeric_limits<double>::quiet_NaN());
-  a.MergeFrom(b);
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_EQ(a.rejected(), 1);
-  EXPECT_DOUBLE_EQ(a.min(), 10.0);
-  EXPECT_DOUBLE_EQ(a.max(), 50.0);
-  // Merging an empty histogram is a no-op beyond rejected().
-  StreamingHistogram empty;
-  a.MergeFrom(empty);
-  EXPECT_EQ(a.count(), 2);
-}
-
 // --- Window boundary determinism ---
 
 TEST(TimeSeriesTest, EventExactlyOnWindowEdgeOpensTheNextWindow) {

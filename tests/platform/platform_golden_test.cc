@@ -1,16 +1,20 @@
-// Field-level PlatformSimResult goldens: four PlatformEngine shapes (GCP
+// Field-level PlatformSimResult goldens: six PlatformEngine shapes (GCP
 // multi-concurrency with crashes under random routing, GCP with busy
 // scale-down drains, AWS single-concurrency with the admission queue and
-// client timeouts, and 429s at max_instances) at seeds 7 and 8. Counts are
-// pinned as integers; the request, attempt, timeline and sandbox tables as
-// FNV digests over every field.
+// client timeouts, multi-concurrency 429s at max_instances, and two AWS
+// single-concurrency shapes at max_instances: 429s with a client breaker
+// and no admission queue, and the queue shedding its newest arrival) at
+// seeds 7 and 8. Counts are pinned as integers; the request, attempt,
+// timeline and sandbox tables as FNV digests over every field.
 //
-// The values were computed by the engine that swept every sandbox it ever
-// created on each dispatch, queue pull, scaler evaluation and sample, and
-// recounted each sandbox's CPU-phase requests on every rate update. The
-// engine that walks live sandboxes only must reproduce them exactly:
-// straight through, in AdvanceUntil slices, and resumed from a mid-run
-// checkpoint that holds dead sandboxes. `destroyed_at` and
+// The first four shapes' values were computed by the engine that swept
+// every sandbox it ever created on each dispatch, queue pull, scaler
+// evaluation and sample, and recounted each sandbox's CPU-phase requests on
+// every rate update. The two AWS shapes at max_instances were computed by
+// the engine that still coded the single-concurrency placement once for
+// dispatch and once for the admission pump. The current engine must
+// reproduce them exactly: straight through, in AdvanceUntil slices, and
+// resumed from a mid-run checkpoint that holds dead sandboxes. `destroyed_at` and
 // `total_instance_seconds` are left out: they report each sandbox's own
 // retirement time, checked against its lifetime span below. A failure
 // prints the actual table, ready to paste if a change is meant to move it.
@@ -41,7 +45,14 @@ constexpr MicroSecs kSec = kMicrosPerSec;
 // and the faults have retired sandboxes.
 constexpr MicroSecs kCheckpointAt = 150 * kSec;
 
-enum class Shape { kGcpCrashes, kGcpDrains, kAwsAdmission, kReject429 };
+enum class Shape {
+  kGcpCrashes,
+  kGcpDrains,
+  kAwsAdmission,
+  kReject429,
+  kAwsReject429,
+  kAwsRejectNewest,
+};
 
 const char* ShapeName(Shape shape) {
   switch (shape) {
@@ -53,6 +64,10 @@ const char* ShapeName(Shape shape) {
       return "kAwsAdmission";
     case Shape::kReject429:
       return "kReject429";
+    case Shape::kAwsReject429:
+      return "kAwsReject429";
+    case Shape::kAwsRejectNewest:
+      return "kAwsRejectNewest";
   }
   return "?";
 }
@@ -98,6 +113,29 @@ PlatformSimConfig ShapeConfig(Shape shape) {
       cfg.faults.max_exec_duration = 700 * kMicrosPerMilli;
       cfg.retry.max_attempts = 3;
       break;
+    case Shape::kAwsReject429:
+      cfg = AwsLambdaPlatform(1.0, 1'769.0);
+      cfg.max_instances = 4;
+      cfg.faults.reject_on_overload = true;
+      cfg.faults.crash_prob = 0.04;
+      cfg.faults.init_failure_prob = 0.05;
+      cfg.faults.max_exec_duration = 264 * kMicrosPerMilli;
+      cfg.retry.max_attempts = 3;
+      cfg.retry.breaker_threshold = 8;
+      cfg.retry.breaker_cooldown = 2 * kSec;
+      break;
+    case Shape::kAwsRejectNewest:
+      cfg = AwsLambdaPlatform(1.0, 1'769.0);
+      cfg.max_instances = 4;
+      cfg.admission.enabled = true;
+      cfg.admission.queue_depth = 8;
+      cfg.admission.queue_timeout = 400 * kMicrosPerMilli;
+      cfg.admission.shed = ShedPolicy::kRejectNewest;
+      cfg.faults.crash_prob = 0.04;
+      cfg.faults.init_failure_prob = 0.05;
+      cfg.retry.max_attempts = 3;
+      cfg.retry.attempt_timeout = 600 * kMicrosPerMilli;
+      break;
   }
   return cfg;
 }
@@ -109,7 +147,8 @@ WorkloadSpec ShapeWorkload(Shape shape) {
   WorkloadSpec w = PyAesWorkload();
   if (shape == Shape::kGcpDrains) {
     w.io_wait = 5 * kSec;
-  } else if (shape == Shape::kAwsAdmission) {
+  } else if (shape == Shape::kAwsAdmission || shape == Shape::kAwsReject429 ||
+             shape == Shape::kAwsRejectNewest) {
     w.io_wait = 100 * kMicrosPerMilli;
   }
   return w;
@@ -254,6 +293,24 @@ const Golden kGoldens[] = {
      "retries=270 circuit_open_attempts=0 queue_timeout_attempts=0 "
      "shed_attempts=0 breaker_trips=0 drained_sandboxes=0 "
      "drain_killed_attempts=0 "},
+    {Shape::kAwsReject429, 7,
+     "requests=2632 attempts=6621 timeline=400 "
+     "sandboxes=63 request_rows=0x7779fd4d9dcdc328 attempt_rows=0x64c4e05112268bd9 "
+     "timeline_rows=0x5a86cdf62bd910fd sandbox_rows=0x20ed7b4c0387f9f3 cold_starts=63 "
+     "successes=1049 failed_attempts=5572 init_failure_attempts=3 "
+     "crash_attempts=57 timeout_attempts=422 rejected_attempts=2883 "
+     "retries=3989 circuit_open_attempts=2207 queue_timeout_attempts=0 "
+     "shed_attempts=0 breaker_trips=236 drained_sandboxes=0 "
+     "drain_killed_attempts=0 "},
+    {Shape::kAwsRejectNewest, 7,
+     "requests=2632 attempts=6611 timeline=401 "
+     "sandboxes=92 request_rows=0x84c796ac60b52c5e attempt_rows=0xbbcbcf4a8b4b9912 "
+     "timeline_rows=0xd82112c7f441d51c sandbox_rows=0xc575e94dc3b34b8f cold_starts=27 "
+     "successes=993 failed_attempts=4757 init_failure_attempts=2 "
+     "crash_attempts=84 timeout_attempts=688 rejected_attempts=3983 "
+     "retries=3979 circuit_open_attempts=0 queue_timeout_attempts=623 "
+     "shed_attempts=3983 breaker_trips=0 drained_sandboxes=0 "
+     "drain_killed_attempts=0 "},
     {Shape::kGcpCrashes, 8,
      "requests=2722 attempts=3313 timeline=431 "
      "sandboxes=82 request_rows=0xdc305de42a8d23ba attempt_rows=0xef99dcc8dd817298 "
@@ -290,6 +347,24 @@ const Golden kGoldens[] = {
      "retries=312 circuit_open_attempts=0 queue_timeout_attempts=0 "
      "shed_attempts=0 breaker_trips=0 drained_sandboxes=0 "
      "drain_killed_attempts=0 "},
+    {Shape::kAwsReject429, 8,
+     "requests=2722 attempts=6865 timeline=400 "
+     "sandboxes=65 request_rows=0xfa6e423dd53c71e7 attempt_rows=0x4395dbdc368332df "
+     "timeline_rows=0x6f4c80530501395b sandbox_rows=0xfe9da2a432c6e597 cold_starts=65 "
+     "successes=1092 failed_attempts=5773 init_failure_attempts=2 "
+     "crash_attempts=59 timeout_attempts=438 rejected_attempts=2924 "
+     "retries=4143 circuit_open_attempts=2350 queue_timeout_attempts=0 "
+     "shed_attempts=0 breaker_trips=248 drained_sandboxes=0 "
+     "drain_killed_attempts=0 "},
+    {Shape::kAwsRejectNewest, 8,
+     "requests=2722 attempts=6570 timeline=401 "
+     "sandboxes=67 request_rows=0x402724737739deb9 attempt_rows=0xaf9766ba6f270d28 "
+     "timeline_rows=0xd7cca3650df927c4 sandbox_rows=0x147e49ca80527725 cold_starts=14 "
+     "successes=1172 failed_attempts=4690 init_failure_attempts=0 "
+     "crash_attempts=60 timeout_attempts=721 rejected_attempts=3909 "
+     "retries=3848 circuit_open_attempts=0 queue_timeout_attempts=668 "
+     "shed_attempts=3909 breaker_trips=0 drained_sandboxes=0 "
+     "drain_killed_attempts=0 "},
 };
 // clang-format on
 
@@ -304,8 +379,9 @@ void ExpectGolden(Shape shape, uint64_t seed, const PlatformSimResult& r, const 
                        want, Render(r), how);
 }
 
-constexpr Shape kShapes[] = {Shape::kGcpCrashes, Shape::kGcpDrains, Shape::kAwsAdmission,
-                             Shape::kReject429};
+constexpr Shape kShapes[] = {Shape::kGcpCrashes,   Shape::kGcpDrains,
+                             Shape::kAwsAdmission, Shape::kReject429,
+                             Shape::kAwsReject429, Shape::kAwsRejectNewest};
 
 PlatformSimResult RunStraight(Shape shape, uint64_t seed) {
   PlatformEngine engine(ShapeConfig(shape), seed);
@@ -353,6 +429,16 @@ TEST(PlatformGolden, ShapesExerciseTheirMechanisms) {
   const PlatformSimResult rejects = RunStraight(Shape::kReject429, 7);
   EXPECT_GT(rejects.rejected_attempts, 0);
   EXPECT_GT(rejects.timeout_attempts, 0);
+  const PlatformSimResult aws429 = RunStraight(Shape::kAwsReject429, 7);
+  EXPECT_GT(aws429.rejected_attempts, 0);
+  EXPECT_EQ(aws429.shed_attempts, 0);
+  EXPECT_GT(aws429.timeout_attempts, 0);
+  EXPECT_GT(aws429.circuit_open_attempts, 0);
+  EXPECT_GT(aws429.breaker_trips, 0);
+  const PlatformSimResult newest = RunStraight(Shape::kAwsRejectNewest, 7);
+  EXPECT_GT(newest.shed_attempts, 0);
+  EXPECT_GT(newest.queue_timeout_attempts, 0);
+  EXPECT_GT(newest.init_failure_attempts, 0);
 }
 
 // Slicing the run and restoring it from a mid-run checkpoint reach the same

@@ -309,26 +309,29 @@ done
 echo "tampered checkpoint state rejected with exit 3 on both sims."
 
 echo
-echo "== perfbench: correctness smoke (pinned counts and USD bits at seed 7) =="
-# One short invocation per end-to-end workload. run.py checks every pipeline
-# run's counts and USD bit patterns against perfbench/pins.json, and its last
-# stdout line reports "correct"; a change that moves a simulated result fails
-# here, not only in the timed benchmark.
-for workload in fleet_chaos fleet_observed platform_topdown workflow_fanout; do
-  last="$(python3 "$repo/perfbench/run.py" --workload "$workload" --seed 7 \
-    --seconds 1 --trace 0 | tail -n 1 || true)"
-  python3 - "$workload" "$last" <<'PYEOF'
+echo "== perfbench: correctness smoke (pinned counts and USD bits at seeds 7 and 1729) =="
+# One short invocation per end-to-end workload and pinned seed (7, and the
+# held-out 1729). run.py checks every pipeline run's counts and USD bit
+# patterns against perfbench/pins.json, and its last stdout line reports
+# "correct"; a change that moves a simulated result fails here, not only in
+# the timed benchmark.
+for seed in 7 1729; do
+  for workload in fleet_chaos fleet_observed platform_topdown workflow_fanout; do
+    last="$(python3 "$repo/perfbench/run.py" --workload "$workload" --seed "$seed" \
+      --seconds 1 --trace 0 | tail -n 1 || true)"
+    python3 - "$workload" "$seed" "$last" <<'PYEOF'
 import json, sys
-workload, line = sys.argv[1], sys.argv[2]
+workload, seed, line = sys.argv[1], sys.argv[2], sys.argv[3]
 try:
     correct = json.loads(line).get("correct") is True
 except ValueError:
     correct = False
 if not correct:
-    sys.exit(f"perfbench {workload}: no correct result: {line[:400]}")
+    sys.exit(f"perfbench {workload} seed {seed}: no correct result: {line[:400]}")
 PYEOF
+  done
 done
-echo "all four perfbench workloads correct at seed 7."
+echo "all four perfbench workloads correct at seeds 7 and 1729."
 
 echo
 echo "== Micro-bench: BENCH_micro.json + instrumented-overhead budget (<10%) =="

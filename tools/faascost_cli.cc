@@ -55,6 +55,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -221,6 +222,21 @@ std::optional<int64_t> ReadCount(const Flags& flags, const char* cmd, const char
   return n;
 }
 
+// An int-valued flag (--retries, --zones, ...). A value past int's range is
+// a usage error: narrowing it would wrap silently. It exits 1, as GetInt
+// does on a malformed value, so callers can fill config fields in place;
+// tighter ranges are the config validators' job.
+int ReadInt(const Flags& flags, const char* cmd, const char* key, int fallback) {
+  const int64_t v = flags.GetInt(key, fallback);
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "%s: --%s must be in [%d, %d], got %lld\n", cmd, key,
+                 std::numeric_limits<int>::min(), std::numeric_limits<int>::max(),
+                 static_cast<long long>(v));
+    std::exit(cli::kUsage);
+  }
+  return static_cast<int>(v);
+}
+
 // Longest whole-second flag value: a century of sim time. Its microsecond
 // form, and sums of a few such spans, stay far inside int64.
 constexpr int64_t kMaxFlagSeconds = 100LL * 365 * 86'400;
@@ -258,11 +274,11 @@ std::optional<TraceGenConfig> ReadTraceFlags(const Flags& flags, const char* cmd
 // The host-fault block of chaos, monitor --sim fleet and audit --sim fleet:
 // client retries plus seeded host failures. FleetSimConfig::Validate checks
 // the ranges once the caller has added its own fields.
-FleetSimConfig ReadHostFaultFlags(const Flags& flags, uint64_t seed) {
+FleetSimConfig ReadHostFaultFlags(const Flags& flags, const char* cmd, uint64_t seed) {
   FleetSimConfig cfg;
   cfg.fault_seed = seed;
-  cfg.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
-  cfg.host_faults.hosts = static_cast<int>(flags.GetInt("hosts", 16));
+  cfg.retry.max_attempts = ReadInt(flags, cmd, "retries", 3);
+  cfg.host_faults.hosts = ReadInt(flags, cmd, "hosts", 16);
   cfg.host_faults.mtbf_seconds = flags.GetDouble("mtbf-s", 3'600.0);
   cfg.host_faults.mttr_seconds = flags.GetDouble("mttr-s", 120.0);
   cfg.host_faults.graceful_fraction = flags.GetDouble("graceful", 0.3);
@@ -327,7 +343,7 @@ std::optional<PlatformScenario> ReadPlatformScenario(const Flags& flags, const c
   }
   sc.config.faults.crash_prob = rate;
   sc.config.faults.init_failure_prob = rate / 4.0;
-  sc.config.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
+  sc.config.retry.max_attempts = ReadInt(flags, cmd, "retries", 3);
   if (!ConfigOk(cmd, sc.config.Validate())) {
     return std::nullopt;
   }
@@ -625,10 +641,9 @@ int CmdChaos(const Flags& flags) {
   const TraceGenConfig& tcfg = *trace_cfg;
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
-  FleetSimConfig chaos = ReadHostFaultFlags(flags, seed);
-  chaos.retry.breaker_threshold =
-      static_cast<int>(flags.GetInt("breaker-threshold", 0));
-  chaos.host_faults.zones = static_cast<int>(flags.GetInt("zones", 1));
+  FleetSimConfig chaos = ReadHostFaultFlags(flags, "chaos", seed);
+  chaos.retry.breaker_threshold = ReadInt(flags, "chaos", "breaker-threshold", 0);
+  chaos.host_faults.zones = ReadInt(flags, "chaos", "zones", 1);
   chaos.host_faults.zone_outage_mtbf_seconds =
       flags.GetDouble("zone-outage-mtbf-s", 0.0);
   // Surface config errors (bad --mtbf-s / --graceful / ...) as CLI messages
@@ -773,8 +788,8 @@ int CmdMonitor(const Flags& flags) {
   }
   SloSpec slo;
   slo.target = flags.GetDouble("slo-target", 0.99);
-  slo.fast_windows = static_cast<int>(flags.GetInt("fast-windows", 1));
-  slo.slow_windows = static_cast<int>(flags.GetInt("slow-windows", 12));
+  slo.fast_windows = ReadInt(flags, "monitor", "fast-windows", 1);
+  slo.slow_windows = ReadInt(flags, "monitor", "slow-windows", 12);
   slo.fast_burn = flags.GetDouble("fast-burn", 14.4);
   slo.slow_burn = flags.GetDouble("slow-burn", 6.0);
   if (!ConfigOk("monitor", slo.Validate())) {
@@ -804,7 +819,7 @@ int CmdMonitor(const Flags& flags) {
     if (!tcfg.has_value()) {
       return 1;
     }
-    FleetSimConfig cfg = ReadHostFaultFlags(flags, seed);
+    FleetSimConfig cfg = ReadHostFaultFlags(flags, "monitor", seed);
     cfg.trace_sink = &collector;
     cfg.timeseries = &series;
     if (profile) {
@@ -836,7 +851,7 @@ int CmdMonitor(const Flags& flags) {
     if (!sc.has_value()) {
       return 1;
     }
-    const int n_cotenants = static_cast<int>(flags.GetInt("cotenants", 0));
+    const int n_cotenants = ReadInt(flags, "monitor", "cotenants", 0);
     if (n_cotenants < 0) {
       std::fprintf(stderr, "monitor: --cotenants must be >= 0\n");
       return 1;
@@ -1264,8 +1279,8 @@ int AuditFleetSim(const Flags& flags, AuditLevel level) {
   }
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
-  FleetSimConfig fcfg = ReadHostFaultFlags(flags, seed);
-  fcfg.retry.breaker_threshold = static_cast<int>(flags.GetInt("breaker-threshold", 0));
+  FleetSimConfig fcfg = ReadHostFaultFlags(flags, "audit", seed);
+  fcfg.retry.breaker_threshold = ReadInt(flags, "audit", "breaker-threshold", 0);
   if (!ConfigOk("audit", fcfg.Validate())) {
     return 1;
   }
@@ -1331,17 +1346,17 @@ int CmdWorkflows(const Flags& flags) {
   }
 
   const std::string archetype = flags.Get("archetype").value_or("chain");
-  const int hops = static_cast<int>(flags.GetInt("hops", 5));
+  const int hops = ReadInt(flags, "workflows", "hops", 5);
   if (hops < 1) {
     std::fprintf(stderr, "workflows: --hops must be >= 1\n");
     return 1;
   }
-  const int quorum = static_cast<int>(flags.GetInt("quorum", 0));
+  const int quorum = ReadInt(flags, "workflows", "quorum", 0);
 
   WorkflowSimConfig cfg;
   cfg.workflows = flags.GetInt("workflows", 200);
   cfg.wps = flags.GetDouble("wps", 2.0);
-  cfg.zones = static_cast<int>(flags.GetInt("zones", 1));
+  cfg.zones = ReadInt(flags, "workflows", "zones", 1);
   cfg.failure_rate = flags.GetDouble("rate", 0.0);
   cfg.init_failure_rate = flags.GetDouble("init-fail-rate", cfg.failure_rate / 4.0);
   cfg.pricing = MakeWorkflowPricing(*platform);
@@ -1363,17 +1378,16 @@ int CmdWorkflows(const Flags& flags) {
     return 1;
   }
 
-  cfg.policy.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
-  cfg.policy.retry.breaker_threshold =
-      static_cast<int>(flags.GetInt("breaker-threshold", 0));
+  cfg.policy.retry.max_attempts = ReadInt(flags, "workflows", "retries", 3);
+  cfg.policy.retry.breaker_threshold = ReadInt(flags, "workflows", "breaker-threshold", 0);
   cfg.policy.deadline.deadline = MillisToMicros(flags.GetDouble("deadline-ms", 0.0));
   cfg.policy.deadline.propagate = !flags.GetBool("no-propagate");
   cfg.policy.hedge.hedge_after = MillisToMicros(flags.GetDouble("hedge-ms", 0.0));
-  cfg.policy.redrive.max_redrives = static_cast<int>(flags.GetInt("async-redrives", 2));
+  cfg.policy.redrive.max_redrives = ReadInt(flags, "workflows", "async-redrives", 2);
 
   if (flags.Get("outage-zone").has_value()) {
     ZonalOutageSpec outage;
-    outage.zone = static_cast<int>(flags.GetInt("outage-zone", 0));
+    outage.zone = ReadInt(flags, "workflows", "outage-zone", 0);
     outage.start = SecsToMicros(flags.GetDouble("outage-start-s", 10.0));
     outage.duration = SecsToMicros(flags.GetDouble("outage-seconds", 30.0));
     cfg.outages.push_back(outage);
@@ -1530,14 +1544,14 @@ int CmdNetwork(const Flags& flags) {
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
   NetworkModelConfig ncfg;
-  ncfg.topology.zones = static_cast<int>(flags.GetInt("zones", 3));
+  ncfg.topology.zones = ReadInt(flags, "network", "zones", 3);
   ncfg.topology.zones_per_region =
-      static_cast<int>(flags.GetInt("zones-per-region", ncfg.topology.zones));
+      ReadInt(flags, "network", "zones-per-region", ncfg.topology.zones);
   ncfg.class_a_ops_per_request = flags.GetInt("class-a", 1);
   ncfg.class_b_ops_per_request = flags.GetInt("class-b", 2);
   if (flags.Get("outage-zone").has_value()) {
     NetOutage outage;
-    outage.zone = static_cast<int>(flags.GetInt("outage-zone", 0));
+    outage.zone = ReadInt(flags, "network", "outage-zone", 0);
     outage.start = SecsToMicros(flags.GetDouble("outage-start-s", 10.0));
     outage.duration = SecsToMicros(flags.GetDouble("outage-seconds", 30.0));
     ncfg.outages.push_back(outage);
@@ -1548,7 +1562,7 @@ int CmdNetwork(const Flags& flags) {
 
   FleetSimConfig fcfg;
   fcfg.fault_seed = seed;
-  fcfg.retry.max_attempts = static_cast<int>(flags.GetInt("retries", 3));
+  fcfg.retry.max_attempts = ReadInt(flags, "network", "retries", 3);
   if (!ConfigOk("network", fcfg.Validate())) {
     return cli::kUsage;
   }

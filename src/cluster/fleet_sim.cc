@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
 #include "src/common/rng.h"
+#include "src/engine/event_queue.h"
 #include "src/integrity/archive.h"
 #include "src/integrity/digest.h"
 
@@ -28,38 +28,50 @@ struct LiveSandbox {
 // "No warm sandbox" pool slot.
 constexpr size_t kNone = std::numeric_limits<size_t>::max();
 
-// One dispatch (initial or retry) waiting to be processed, in (arrival, seq)
-// order. Initial attempts stream from the arrival-sorted trace with seq =
-// trace index, which reproduces the fault-free per-record iteration order
-// exactly; retries and parked attempts take seqs from `next_seq`, which
-// starts at the trace size, so the trace cursor wins every arrival tie. An
-// attempt parked in an admission queue keeps its `ticket` as the re-queue
-// seq so queue order stays FIFO across wake-ups.
+// One dispatch (initial or retry) waiting to be processed at `time`, in
+// (time, seq) order. Initial attempts stream from the arrival-sorted trace
+// with seq = trace index, which reproduces the fault-free per-record
+// iteration order exactly; retries and parked attempts take seqs from
+// `next_seq`, which starts at the trace size, so the trace cursor wins every
+// arrival tie. An attempt parked in an admission queue keeps its `ticket` as
+// the re-queue seq so queue order stays FIFO across wake-ups.
 struct PendingAttempt {
-  MicroSecs arrival = 0;
+  MicroSecs time = 0;
   int64_t seq = 0;
   size_t trace_idx = 0;
   int attempt = 1;
   bool queued = false;  // Waiting in a function's admission queue.
   MicroSecs queued_since = 0;
   int64_t ticket = -1;
+};
 
-  bool operator>(const PendingAttempt& other) const {
-    if (arrival != other.arrival) {
-      return arrival > other.arrival;
-    }
-    return seq > other.seq;
+// The trace as the attempt queue's input: record i is request i's first
+// attempt.
+struct TraceArrivals {
+  const std::vector<RequestRecord>* trace = nullptr;
+
+  size_t size() const { return trace == nullptr ? 0 : trace->size(); }
+  PendingAttempt At(size_t i) const {
+    return {(*trace)[i].arrival, static_cast<int64_t>(i), i, 1};
   }
 };
 
-// priority_queue with the protected underlying container exposed, so
-// checkpoints can write it in canonical ascending (arrival, seq) order — a
-// layout-independent form that is itself a valid heap when read back.
-struct AttemptQueue : std::priority_queue<PendingAttempt, std::vector<PendingAttempt>,
-                                          std::greater<PendingAttempt>> {
-  std::vector<PendingAttempt>& raw() { return c; }
-  const std::vector<PendingAttempt>& raw() const { return c; }
-};
+// The keys of a per-function map that `keep` accepts, ascending: hash-map
+// order must never be observable in spans, sums or checkpoints.
+template <typename Map, typename Keep>
+std::vector<int64_t> SortedFids(const Map& map, Keep keep) {
+  std::vector<int64_t> fids;
+  fids.reserve(map.size());
+  for (const auto& [fid, value] : map) {
+    if (keep(value)) {
+      fids.push_back(fid);
+    }
+  }
+  std::sort(fids.begin(), fids.end());
+  return fids;
+}
+
+constexpr auto kEveryEntry = [](const auto&) { return true; };
 
 // The trace is outside input and the engine's cursor depends on arrival
 // order, so both are validated on Start and Resume rather than trusted.
@@ -82,13 +94,6 @@ void RequireValidTrace(const std::vector<RequestRecord>& trace) {
 Usd SpanRate(const SandboxSpan& span, const FleetSimConfig& cfg) {
   return cfg.hardware_per_vcpu_second * span.vcpus +
          cfg.hardware_per_gb_second * MbToGb(span.mem_mb);
-}
-
-RequestRecord Billed(const RequestRecord& r, bool cold, const FleetSimConfig& cfg) {
-  RequestRecord out = r;
-  out.cold_start = cold;
-  out.init_duration = cold ? cfg.init_duration : 0;
-  return out;
 }
 
 uint64_t HashFleetConfig(const FleetSimConfig& c) {
@@ -196,10 +201,9 @@ struct FleetEngine::Impl {
   bool breaker_on = false;
   int cap = 0;
 
-  // Initial attempts not yet processed are trace[next_arrival..]; the heap
-  // holds only retries and attempts parked in admission queues.
-  size_t next_arrival = 0;
-  AttemptQueue pending;
+  // Initial attempts stream from the trace; the heap holds only retries and
+  // attempts parked in admission queues.
+  StreamedEventQueue<PendingAttempt, TraceArrivals> queue;
   int64_t next_seq = 0;
   // Per-function live sandbox pools, fed in global (arrival, seq) order.
   std::unordered_map<int64_t, std::vector<LiveSandbox>> pools;
@@ -245,29 +249,40 @@ struct FleetEngine::Impl {
         .first->second;
   }
 
-  // --- Attempt order: the trace cursor merged with the heap ---
+  void Attach(const std::vector<RequestRecord>& input, const BillingModel& bill) {
+    RequireValidTrace(input);
+    started = true;
+    trace = &input;
+    billing = bill;
+    queue = StreamedEventQueue<PendingAttempt, TraceArrivals>(TraceArrivals{&input});
+  }
 
-  size_t unstreamed() const {
-    return trace == nullptr ? 0 : trace->size() - next_arrival;
-  }
-  bool has_next() const { return unstreamed() > 0 || !pending.empty(); }
-  // True when the next attempt in (arrival, seq) order is the cursor's: its
-  // seq (a trace index) is below every queued seq, so it wins arrival ties.
-  bool cursor_first() const {
-    return unstreamed() > 0 &&
-           (pending.empty() || (*trace)[next_arrival].arrival <= pending.top().arrival);
-  }
-  MicroSecs next_time() const {
-    return cursor_first() ? (*trace)[next_arrival].arrival : pending.top().arrival;
-  }
-  PendingAttempt PopNext() {
-    if (cursor_first()) {
-      const size_t i = next_arrival++;
-      return {(*trace)[i].arrival, static_cast<int64_t>(i), i, 1};
+  // A loaded state indexes the `records`-long trace, the sandbox spans and
+  // the hosts; an index out of range would crash the run, so it is a
+  // malformed checkpoint.
+  void RequireIndicesInRange(size_t records) const {
+    const auto check = [](const char* field, int64_t value, int64_t lo, int64_t end) {
+      if (value < lo || value >= end) {
+        throw CheckpointError("fleet checkpoint " + std::string(field) + " " +
+                              std::to_string(value) + " is outside [" + std::to_string(lo) +
+                              ", " + std::to_string(end) + ")");
+      }
+    };
+    const auto n = static_cast<int64_t>(records);
+    const int hosts = config.host_faults.hosts;
+    check("next_arrival", static_cast<int64_t>(queue.cursor()), 0, n + 1);
+    check("e2e_latency length", static_cast<int64_t>(result.e2e_latency.size()), n, n + 1);
+    check("next_host", host_faults.next_host(), 0, std::max(hosts, 1));
+    for (const PendingAttempt& at : queue.heap()) {
+      check("pending idx", static_cast<int64_t>(at.trace_idx), 0, n);
     }
-    PendingAttempt at = pending.top();
-    pending.pop();
-    return at;
+    for (const int64_t fid : SortedFids(pools, kEveryEntry)) {
+      for (const LiveSandbox& sb : pools.at(fid)) {
+        check("pooled span", static_cast<int64_t>(sb.span_index), 0,
+              static_cast<int64_t>(result.spans.size()));
+        check("pooled host", sb.host, -1, hosts);
+      }
+    }
   }
 
   // --- Live sandbox pools, settled when touched ---
@@ -349,67 +364,87 @@ struct FleetEngine::Impl {
     }
   }
 
-  // A failed attempt: schedule the retry, or resolve the request if the
-  // outcome is not retryable / the budget is spent.
-  void HandleFailure(const PendingAttempt& at, MicroSecs end, bool retryable) {
-    if (retryable && at.attempt < config.retry.max_attempts) {
-      const MicroSecs delay = config.retry.BackoffDelay(at.attempt, fault_rng);
+  // A span on the attempt's function track.
+  Span FunctionSpan(SpanKind kind, const PendingAttempt& at, MicroSecs start,
+                    MicroSecs duration) const {
+    Span sp;
+    sp.kind = kind;
+    sp.group = kTrackGroupFleetFunction;
+    sp.track = (*trace)[at.trace_idx].function_id;
+    sp.start = start;
+    sp.duration = duration;
+    sp.req_idx = static_cast<int32_t>(at.trace_idx);
+    sp.attempt = at.attempt;
+    return sp;
+  }
+
+  // Concludes every failed attempt: counts it under its failure type, bills
+  // it if it never `ran` (an executed attempt was billed where it ran),
+  // feeds the breaker (a circuit-open fast-fail is the breaker's own
+  // verdict), then schedules the retry or resolves the request. The breaker
+  // sees the failure at `end`; the client, which also waits on the network,
+  // at `client_end`.
+  void FailAttempt(const PendingAttempt& at, Outcome oc, bool ran, MicroSecs end,
+                   MicroSecs client_end) {
+    ++result.failed_attempts;
+    if (oc == Outcome::kCircuitOpen) {
+      ++result.circuit_open_attempts;
+    } else if (oc == Outcome::kRejected) {
+      ++result.rejected_attempts;
+    } else if (oc == Outcome::kTimeout) {
+      ++(ran ? result.timeout_attempts : result.queue_timeout_attempts);
+    } else if (oc == Outcome::kCrash) {
+      ++result.crash_attempts;
+    } else {
+      ++result.init_failure_attempts;
+    }
+    if (!ran) {
+      // No resources ran: only per-invocation fee rules apply (kCircuitOpen
+      // is $0 by construction). The series' billed entry matches the
+      // terminal kQueueWait span's price, end time and order, so
+      // ReconcileBilledUsd is bitwise.
+      ++result.attempts;
+      RequestRecord billed = (*trace)[at.trace_idx];
+      billed.cold_start = false;
+      billed.init_duration = 0;
+      billed.exec_duration = 0;
+      billed.cpu_time = 0;
+      billed.outcome = oc;
+      billed.attempt = at.attempt;
+      const Invoice inv = ComputeInvoice(billing, billed);
+      result.revenue += inv.total;
+      result.fee_revenue += inv.invocation_cost;
+      if (ts != nullptr) {
+        ts->RecordBilled(end, inv.total);
+        ts->RecordWaste(end, WasteKind::kFailedAttempt, inv.total);
+      }
       if (sink != nullptr) {
-        Span sp;
-        sp.kind = SpanKind::kBackoff;
-        sp.group = kTrackGroupFleetFunction;
-        sp.track = (*trace)[at.trace_idx].function_id;
-        sp.start = end;
-        sp.duration = delay;
-        sp.req_idx = static_cast<int32_t>(at.trace_idx);
-        sp.attempt = at.attempt;
+        const MicroSecs start = at.queued ? at.queued_since : at.time;
+        Span sp = FunctionSpan(SpanKind::kQueueWait, at, start, end - start);
+        sp.status = OutcomeName(oc);
+        sp.terminal = true;
+        sp.billed_micros = inv.billable_time;
+        sp.billed_usd = inv.total;
         sink->Record(sp);
       }
-      pending.push({end + delay, next_seq++, at.trace_idx, at.attempt + 1});
+    }
+    if (breaker_on && oc != Outcome::kCircuitOpen) {
+      BreakerFor((*trace)[at.trace_idx].function_id).RecordFailure(end);
+    }
+    if ((oc != Outcome::kRejected || config.retry.retry_rejected) &&
+        at.attempt < config.retry.max_attempts) {
+      const MicroSecs delay = config.retry.BackoffDelay(at.attempt, fault_rng);
+      if (sink != nullptr) {
+        sink->Record(FunctionSpan(SpanKind::kBackoff, at, client_end, delay));
+      }
+      queue.Push({client_end + delay, next_seq++, at.trace_idx, at.attempt + 1});
       ++result.retries;
       if (ts != nullptr) {
-        ts->RecordRetry(end);
+        ts->RecordRetry(client_end);
       }
     } else {
       ++result.retries_exhausted;
-      ResolveTerminal(at, end, false);
-    }
-  }
-
-  // Bill an attempt that never reached a sandbox (shed, queue timeout,
-  // breaker fast-fail): no resources ran, only per-invocation fee rules can
-  // apply. kCircuitOpen is $0 by construction.
-  void BillUnexecuted(const PendingAttempt& at, Outcome oc, MicroSecs end) {
-    RequestRecord billed = (*trace)[at.trace_idx];
-    billed.cold_start = false;
-    billed.init_duration = 0;
-    billed.exec_duration = 0;
-    billed.cpu_time = 0;
-    billed.outcome = oc;
-    billed.attempt = at.attempt;
-    const Invoice inv = ComputeInvoice(billing, billed);
-    result.revenue += inv.total;
-    result.fee_revenue += inv.invocation_cost;
-    // Billed recording is co-located with the terminal span's pricing (same
-    // value, same end time, same order) so ReconcileBilledUsd is bitwise.
-    if (ts != nullptr) {
-      ts->RecordBilled(end, inv.total);
-      ts->RecordWaste(end, WasteKind::kFailedAttempt, inv.total);
-    }
-    if (sink != nullptr) {
-      Span sp;
-      sp.kind = SpanKind::kQueueWait;
-      sp.group = kTrackGroupFleetFunction;
-      sp.track = (*trace)[at.trace_idx].function_id;
-      sp.start = at.queued ? at.queued_since : at.arrival;
-      sp.duration = end - sp.start;
-      sp.req_idx = static_cast<int32_t>(at.trace_idx);
-      sp.attempt = at.attempt;
-      sp.status = OutcomeName(oc);
-      sp.terminal = true;
-      sp.billed_micros = inv.billable_time;
-      sp.billed_usd = inv.total;
-      sink->Record(sp);
+      ResolveTerminal(at, client_end, false);
     }
   }
 
@@ -422,7 +457,7 @@ struct FleetEngine::Impl {
     auditor->NoteScan();
     // Request conservation: every request is resolved (success or exhausted)
     // or has exactly one live attempt chain, unstreamed or in the heap.
-    const size_t open = unstreamed() + pending.size();
+    const size_t open = queue.size();
     auditor->CheckLazy(
         static_cast<int64_t>(open) ==
             result.requests - result.successes - result.retries_exhausted,
@@ -446,7 +481,7 @@ struct FleetEngine::Impl {
       per_fn += n;
     }
     int64_t flagged = 0;
-    for (const PendingAttempt& at : pending.raw()) {
+    for (const PendingAttempt& at : queue.heap()) {
       if (at.queued) {
         ++flagged;
       }
@@ -497,47 +532,43 @@ struct FleetEngine::Impl {
                        "fleet.usd_conservation", now, config.fault_seed,
                        [] { return "revenue"; },
                        [&] {
-                         return "fees=" + std::to_string(result.fee_revenue) +
-                                " total=" + std::to_string(result.revenue);
+                         return "fees=" + JsonWriter::FormatDouble(result.fee_revenue) +
+                                " total=" + JsonWriter::FormatDouble(result.revenue);
                        });
   }
 
   void StepOne() {
-    PendingAttempt at = PopNext();
+    PendingAttempt at = queue.Pop();
     if (auditor != nullptr && auditor->basic()) {
-      auditor->CheckLazy(at.arrival >= now, "fleet.monotone_event_time", now,
+      auditor->CheckLazy(at.time >= now, "fleet.monotone_event_time", now,
                          config.fault_seed, [] { return "pending queue"; },
                          [&] {
-                           return "attempt at t=" + std::to_string(at.arrival) +
+                           return "attempt at t=" + std::to_string(at.time) +
                                   " after t=" + std::to_string(now);
                          });
     }
-    now = at.arrival;
+    now = at.time;
     ++attempts_processed;
     if (prof != nullptr) {
       // Depth counts attempts held in the heap, not the unstreamed trace.
-      prof->CountEvent(0, at.arrival, pending.size());
+      prof->CountEvent(0, at.time, queue.heap().size());
     }
     if (ts != nullptr) {
-      ts->RecordArrivalQueued(at.arrival, waiting_now);
+      ts->RecordArrivalQueued(at.time, waiting_now);
     }
     const RequestRecord& r = (*trace)[at.trace_idx];
 
     // Client circuit breaker: fast-fail without reaching the platform. Only
     // fresh dispatches are gated; an attempt already parked in an admission
     // queue is a continuation, not a new dispatch.
-    if (breaker_on && !at.queued && !BreakerFor(r.function_id).AllowDispatch(at.arrival)) {
-      ++result.attempts;
-      ++result.failed_attempts;
-      ++result.circuit_open_attempts;
-      BillUnexecuted(at, Outcome::kCircuitOpen, at.arrival);
-      HandleFailure(at, at.arrival, /*retryable=*/true);
+    if (breaker_on && !at.queued && !BreakerFor(r.function_id).AllowDispatch(at.time)) {
+      FailAttempt(at, Outcome::kCircuitOpen, /*ran=*/false, at.time, at.time);
       return;
     }
 
     auto& pool = pools[r.function_id];
     // Reuse the most recently freed idle sandbox whose host survived.
-    const size_t warm = PickWarm(pool, at.arrival);
+    const size_t warm = PickWarm(pool, at.time);
 
     // Per-function sandbox cap: no warm sandbox and no room to scale out
     // means queueing (admission control), shedding, or plain rejection.
@@ -545,44 +576,27 @@ struct FleetEngine::Impl {
       int busy = 0;
       MicroSecs next_free = std::numeric_limits<MicroSecs>::max();
       for (const auto& sb : pool) {
-        if (sb.available_at > at.arrival) {
+        if (sb.available_at > at.time) {
           ++busy;
           next_free = std::min(next_free, sb.available_at);
         }
       }
       if (busy >= cap) {
-        if (!config.admission.enabled) {
-          // A cap without a queue is the classic 429 at capacity.
-          ++result.attempts;
-          ++result.failed_attempts;
-          ++result.rejected_attempts;
-          BillUnexecuted(at, Outcome::kRejected, at.arrival);
-          if (breaker_on) {
-            BreakerFor(r.function_id).RecordFailure(at.arrival);
-          }
-          HandleFailure(at, at.arrival, config.retry.retry_rejected);
+        // A cap without a queue is the classic 429 at capacity; a full queue
+        // sheds the newcomer. The fleet model is tail-drop only;
+        // reject-oldest lives in the event-driven PlatformSim.
+        if (!config.admission.enabled ||
+            (!at.queued && queue_waiting[r.function_id] >= config.admission.queue_depth)) {
+          FailAttempt(at, Outcome::kRejected, /*ran=*/false, at.time, at.time);
           return;
         }
         int& waiting = queue_waiting[r.function_id];
         if (!at.queued) {
-          if (waiting >= config.admission.queue_depth) {
-            // Full queue: shed the newcomer. The fleet model is tail-drop
-            // only; reject-oldest lives in the event-driven PlatformSim.
-            ++result.attempts;
-            ++result.failed_attempts;
-            ++result.rejected_attempts;
-            BillUnexecuted(at, Outcome::kRejected, at.arrival);
-            if (breaker_on) {
-              BreakerFor(r.function_id).RecordFailure(at.arrival);
-            }
-            HandleFailure(at, at.arrival, config.retry.retry_rejected);
-            return;
-          }
           ++waiting;
           ++waiting_now;
           ++result.queued_attempts;
           at.queued = true;
-          at.queued_since = at.arrival;
+          at.queued_since = at.time;
           at.ticket = next_seq++;
         }
         const MicroSecs deadline = config.admission.queue_timeout > 0
@@ -592,23 +606,16 @@ struct FleetEngine::Impl {
           // No sandbox frees before the queue timeout: fail at the deadline.
           --waiting;
           --waiting_now;
-          ++result.attempts;
-          ++result.failed_attempts;
-          ++result.queue_timeout_attempts;
           result.queue_wait_seconds += MicrosToSecs(deadline - at.queued_since);
-          BillUnexecuted(at, Outcome::kTimeout, deadline);
-          if (breaker_on) {
-            BreakerFor(r.function_id).RecordFailure(deadline);
-          }
-          HandleFailure(at, deadline, /*retryable=*/true);
+          FailAttempt(at, Outcome::kTimeout, /*ran=*/false, deadline, deadline);
           return;
         }
         // Wait for the earliest sandbox to free. Re-queuing under the
         // original ticket keeps the queue FIFO across wake-ups.
         PendingAttempt parked = at;
-        parked.arrival = next_free;
+        parked.time = next_free;
         parked.seq = at.ticket;
-        pending.push(parked);
+        queue.Push(parked);
         return;
       }
     }
@@ -617,17 +624,10 @@ struct FleetEngine::Impl {
     if (at.queued) {
       --queue_waiting[r.function_id];
       --waiting_now;
-      result.queue_wait_seconds += MicrosToSecs(at.arrival - at.queued_since);
+      result.queue_wait_seconds += MicrosToSecs(at.time - at.queued_since);
       if (sink != nullptr) {
-        Span sp;
-        sp.kind = SpanKind::kQueueWait;
-        sp.group = kTrackGroupFleetFunction;
-        sp.track = r.function_id;
-        sp.start = at.queued_since;
-        sp.duration = at.arrival - at.queued_since;
-        sp.req_idx = static_cast<int32_t>(at.trace_idx);
-        sp.attempt = at.attempt;
-        sink->Record(sp);
+        sink->Record(
+            FunctionSpan(SpanKind::kQueueWait, at, at.queued_since, at.time - at.queued_since));
       }
     }
     ++result.attempts;
@@ -656,14 +656,14 @@ struct FleetEngine::Impl {
     const MicroSecs init = cold ? config.init_duration : 0;
     int host = -1;
     if (hosts_on) {
-      host = cold ? host_faults.PickHost(at.arrival) : pool[warm].host;
+      host = cold ? host_faults.PickHost(at.time) : pool[warm].host;
     }
-    const MicroSecs body_start = at.arrival + init;
+    const MicroSecs body_start = at.time + init;
     MicroSecs end = body_start + effective;
     MicroSecs init_billed = init;
     bool host_kills_sandbox = false;
     if (hosts_on && host >= 0) {
-      if (auto ev = host_faults.FirstFailureIn(host, at.arrival, end)) {
+      if (auto ev = host_faults.FirstFailureIn(host, at.time, end)) {
         // The host goes away while we run. A graceful drain grants the
         // deadline to finish; an abrupt crash (or a blown deadline) kills
         // the attempt where the host died. Either way the sandbox is gone.
@@ -675,7 +675,7 @@ struct FleetEngine::Impl {
           end = kill;
           if (kill < body_start) {
             oc = Outcome::kInitFailure;  // Died before init completed.
-            init_billed = kill - at.arrival;
+            init_billed = kill - at.time;
             effective = 0;
           } else {
             oc = Outcome::kCrash;
@@ -690,7 +690,7 @@ struct FleetEngine::Impl {
     if (!cold) {
       LiveSandbox& sb = pool[warm];
       SandboxSpan& span = result.spans[used_span];
-      span.idle += at.arrival - sb.available_at;
+      span.idle += at.time - sb.available_at;
       span.busy += effective;
       ++span.requests;
       sb.available_at = end;
@@ -704,7 +704,7 @@ struct FleetEngine::Impl {
       span.function_id = r.function_id;
       span.vcpus = r.alloc_vcpus;
       span.mem_mb = r.alloc_mem_mb;
-      span.created_at = at.arrival;
+      span.created_at = at.time;
       span.busy = init_billed + effective;
       span.requests = 1;
       span.host = host;
@@ -718,7 +718,9 @@ struct FleetEngine::Impl {
     }
 
     // Bill the attempt under the platform's failure rules.
-    RequestRecord billed = Billed(r, cold, config);
+    RequestRecord billed = r;
+    billed.cold_start = cold;
+    billed.init_duration = init_billed;  // Only the partial init ran on an init failure.
     billed.outcome = oc;
     billed.attempt = at.attempt;
     if (oc != Outcome::kOk) {
@@ -729,17 +731,14 @@ struct FleetEngine::Impl {
                                                      static_cast<double>(r.exec_duration))
                             : r.cpu_time;
     }
-    if (oc == Outcome::kInitFailure) {
-      billed.init_duration = init_billed;  // Only the partial init ran.
-    }
     const Invoice inv = ComputeInvoice(billing, billed);
     result.revenue += inv.total;
     result.fee_revenue += inv.invocation_cost;
     if (ts != nullptr) {
       // The billed add carries the same value / end time / order as the
       // terminal span below: bitwise reconciliation depends on it.
-      ts->RecordDispatchBilled(at.arrival, end, cold, inv.total);
-      ts->RecordExecution(at.arrival, end);
+      ts->RecordDispatchBilled(at.time, end, cold, inv.total);
+      ts->RecordExecution(at.time, end);
       if (oc != Outcome::kOk) {
         ts->RecordWaste(end, WasteKind::kFailedAttempt, inv.total);
       } else if (cold && init_billed + effective > 0) {
@@ -759,7 +758,7 @@ struct FleetEngine::Impl {
         in.kind = SpanKind::kInit;
         in.group = kTrackGroupFleetSandbox;
         in.track = static_cast<int64_t>(used_span);
-        in.start = at.arrival;
+        in.start = at.time;
         in.duration = init_billed;
         in.req_idx = static_cast<int32_t>(at.trace_idx);
         in.attempt = at.attempt;
@@ -770,14 +769,7 @@ struct FleetEngine::Impl {
         }
         sink->Record(in);
       }
-      Span ex;
-      ex.kind = SpanKind::kExec;
-      ex.group = kTrackGroupFleetFunction;
-      ex.track = r.function_id;
-      ex.start = at.arrival;
-      ex.duration = end - at.arrival;
-      ex.req_idx = static_cast<int32_t>(at.trace_idx);
-      ex.attempt = at.attempt;
+      Span ex = FunctionSpan(SpanKind::kExec, at, at.time, end - at.time);
       ex.sandbox_id = static_cast<int32_t>(used_span);
       ex.ref = static_cast<int64_t>(used_span);
       ex.status = OutcomeName(oc);
@@ -799,12 +791,9 @@ struct FleetEngine::Impl {
       trip.ok = oc == Outcome::kOk;
       trip.payload = net->PayloadFor(r.function_id, at.trace_idx, at.attempt - 1,
                                      r.req_bytes, r.resp_bytes, trip.ok);
-      trip.sent = at.arrival;
+      trip.sent = at.time;
       trip.returned = end;
-      trip.label.group = kTrackGroupFleetFunction;
-      trip.label.track = r.function_id;
-      trip.label.req_idx = static_cast<int32_t>(at.trace_idx);
-      trip.label.attempt = at.attempt;
+      trip.label = FunctionSpan(SpanKind::kTransfer, at, at.time, 0);
       client_end = end + MeterRoundTrip(*net, trip, &net_totals, sink, ts);
     }
 
@@ -814,18 +803,7 @@ struct FleetEngine::Impl {
       }
       ResolveTerminal(at, client_end, true);
     } else {
-      ++result.failed_attempts;
-      if (oc == Outcome::kCrash) {
-        ++result.crash_attempts;
-      } else if (oc == Outcome::kTimeout) {
-        ++result.timeout_attempts;
-      } else {
-        ++result.init_failure_attempts;
-      }
-      if (breaker_on) {
-        BreakerFor(r.function_id).RecordFailure(end);
-      }
-      HandleFailure(at, client_end, /*retryable=*/true);
+      FailAttempt(at, oc, /*ran=*/true, end, client_end);
     }
 
     if (auditor != nullptr && auditor->ScanDue(attempts_processed)) {
@@ -833,17 +811,38 @@ struct FleetEngine::Impl {
     }
   }
 
+  // Walks the per-function map `map` as the array `key`: one element per
+  // entry `keep` accepts, in ascending function id order, each its "fid"
+  // then what `fields(fid)` walks. Loading rebuilds the map.
+  template <typename Ar, typename Map, typename Keep, typename Fields>
+  static void ArchiveByFid(Ar& ar, std::string_view key, Map& map, Keep keep, Fields fields) {
+    std::vector<int64_t> fids;
+    if constexpr (Ar::kLoading) {
+      map.clear();
+    } else {
+      fids = SortedFids(map, keep);
+    }
+    fids.resize(ar.BeginArray(key, fids.size()));
+    for (int64_t& fid : fids) {
+      ar.BeginElem();
+      ar.Field("fid", fid);
+      fields(fid);
+      ar.EndElem();
+    }
+    ar.EndArray();
+  }
+
   // The complete mutable state, walked once for save, load, and digest (see
   // src/integrity/archive.h). The trace and billing model are inputs, not
   // state; maps are archived in sorted-key order and the heap in ascending
-  // (arrival, seq) order, so the walk is canonical.
+  // (time, seq) order, so the walk is canonical.
   template <typename Ar>
   void Archive(Ar& ar) {
     ar.Field("now", now);
-    uint64_t cursor = next_arrival;
+    uint64_t cursor = queue.cursor();
     ar.Field("next_arrival", cursor);
     if constexpr (Ar::kLoading) {
-      next_arrival = static_cast<size_t>(cursor);
+      queue.set_cursor(static_cast<size_t>(cursor));
     }
     ar.Field("next_seq", next_seq);
     ar.Field("waiting_now", waiting_now);
@@ -855,148 +854,42 @@ struct FleetEngine::Impl {
     }
     ArchiveRng(ar, "fault_rng", fault_rng);
 
-    {
-      const auto ascending = [](const PendingAttempt& a, const PendingAttempt& b) {
-        return b > a;
-      };
-      std::vector<PendingAttempt> sorted;
-      if constexpr (!Ar::kLoading) {
-        sorted = pending.raw();
-        std::sort(sorted.begin(), sorted.end(), ascending);
-      }
-      const size_t n = ar.BeginArray("pending", sorted.size());
+    queue.ArchiveHeap(ar, "pending", [](Ar& a, PendingAttempt& at) {
+      a.Field("t", at.time);
+      a.Field("seq", at.seq);
+      uint64_t idx = at.trace_idx;
+      a.Field("idx", idx);
       if constexpr (Ar::kLoading) {
-        sorted.resize(n);
+        at.trace_idx = static_cast<size_t>(idx);
       }
-      for (size_t i = 0; i < n; ++i) {
-        PendingAttempt& at = sorted[i];
+      a.Field("attempt", at.attempt);
+      a.Field("queued", at.queued);
+      a.Field("queued_since", at.queued_since);
+      a.Field("ticket", at.ticket);
+    });
+
+    // Live pools only: an emptied pool is indistinguishable from none.
+    const auto live = [](const std::vector<LiveSandbox>& pool) { return !pool.empty(); };
+    ArchiveByFid(ar, "pools", pools, live, [&](int64_t fid) {
+      std::vector<LiveSandbox>& pool = pools[fid];
+      pool.resize(ar.BeginArray("sandboxes", pool.size()));
+      for (LiveSandbox& sb : pool) {
         ar.BeginElem();
-        ar.Field("t", at.arrival);
-        ar.Field("seq", at.seq);
-        uint64_t idx = at.trace_idx;
-        ar.Field("idx", idx);
+        ar.Field("available_at", sb.available_at);
+        uint64_t span_index = sb.span_index;
+        ar.Field("span", span_index);
         if constexpr (Ar::kLoading) {
-          at.trace_idx = static_cast<size_t>(idx);
+          sb.span_index = static_cast<size_t>(span_index);
         }
-        ar.Field("attempt", at.attempt);
-        ar.Field("queued", at.queued);
-        ar.Field("queued_since", at.queued_since);
-        ar.Field("ticket", at.ticket);
+        ar.Field("host", sb.host);
         ar.EndElem();
       }
       ar.EndArray();
-      if constexpr (Ar::kLoading) {
-        // An ascending array is already a valid heap; sorting also restores
-        // one from a file whose entries were reordered.
-        std::sort(sorted.begin(), sorted.end(), ascending);
-        pending.raw() = std::move(sorted);
-      }
-    }
-
-    {
-      // Live pools only: an emptied pool is indistinguishable from none.
-      std::vector<std::pair<int64_t, std::vector<LiveSandbox>>> sorted;
-      if constexpr (!Ar::kLoading) {
-        for (const auto& [fid, pool] : pools) {
-          if (!pool.empty()) {
-            sorted.emplace_back(fid, pool);
-          }
-        }
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-      }
-      const size_t n = ar.BeginArray("pools", sorted.size());
-      if constexpr (Ar::kLoading) {
-        sorted.resize(n);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ar.BeginElem();
-        ar.Field("fid", sorted[i].first);
-        std::vector<LiveSandbox>& pool = sorted[i].second;
-        const size_t m = ar.BeginArray("sandboxes", pool.size());
-        if constexpr (Ar::kLoading) {
-          pool.resize(m);
-        }
-        for (size_t j = 0; j < m; ++j) {
-          LiveSandbox& sb = pool[j];
-          ar.BeginElem();
-          ar.Field("available_at", sb.available_at);
-          uint64_t span_index = sb.span_index;
-          ar.Field("span", span_index);
-          if constexpr (Ar::kLoading) {
-            sb.span_index = static_cast<size_t>(span_index);
-          }
-          ar.Field("host", sb.host);
-          ar.EndElem();
-        }
-        ar.EndArray();
-        ar.EndElem();
-      }
-      ar.EndArray();
-      if constexpr (Ar::kLoading) {
-        pools.clear();
-        for (auto& [fid, pool] : sorted) {
-          pools.emplace(fid, std::move(pool));
-        }
-      }
-    }
-
-    {
-      std::vector<std::pair<int64_t, int>> sorted;
-      if constexpr (!Ar::kLoading) {
-        sorted.assign(queue_waiting.begin(), queue_waiting.end());
-        std::sort(sorted.begin(), sorted.end());
-      }
-      const size_t n = ar.BeginArray("queue_waiting", sorted.size());
-      if constexpr (Ar::kLoading) {
-        sorted.resize(n);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ar.BeginElem();
-        ar.Field("fid", sorted[i].first);
-        ar.Field("n", sorted[i].second);
-        ar.EndElem();
-      }
-      ar.EndArray();
-      if constexpr (Ar::kLoading) {
-        queue_waiting.clear();
-        queue_waiting.insert(sorted.begin(), sorted.end());
-      }
-    }
-
-    {
-      std::vector<std::pair<int64_t, CircuitBreakerState>> sorted;
-      if constexpr (!Ar::kLoading) {
-        sorted.reserve(breakers.size());
-        for (const auto& [fid, cb] : breakers) {
-          sorted.emplace_back(fid, cb.SaveState());
-        }
-        std::sort(sorted.begin(), sorted.end(),
-                  [](const auto& a, const auto& b) { return a.first < b.first; });
-      }
-      const size_t n = ar.BeginArray("breakers", sorted.size());
-      if constexpr (Ar::kLoading) {
-        sorted.resize(n);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        ar.BeginElem();
-        ar.Field("fid", sorted[i].first);
-        CircuitBreakerState& st = sorted[i].second;
-        ar.Field("state", st.state);
-        ar.Field("consecutive_failures", st.consecutive_failures);
-        ar.Field("open_until", st.open_until);
-        ar.Field("probe_inflight", st.probe_inflight);
-        ar.Field("trips", st.trips);
-        ar.EndElem();
-      }
-      ar.EndArray();
-      if constexpr (Ar::kLoading) {
-        breakers.clear();
-        for (const auto& [fid, st] : sorted) {
-          BreakerFor(fid).LoadState(st);
-        }
-      }
-    }
+    });
+    ArchiveByFid(ar, "queue_waiting", queue_waiting, kEveryEntry,
+                 [&](int64_t fid) { ar.Field("n", queue_waiting[fid]); });
+    ArchiveByFid(ar, "breakers", breakers, kEveryEntry,
+                 [&](int64_t fid) { ArchiveBreaker(ar, BreakerFor(fid)); });
 
     ar.Begin("counters");
     ar.Field("requests", result.requests);
@@ -1021,35 +914,23 @@ struct FleetEngine::Impl {
     ar.Field("fee_revenue", result.fee_revenue);
     ar.End();
 
-    {
-      std::vector<int64_t> e2e(result.e2e_latency.begin(), result.e2e_latency.end());
-      ar.I64Vec("e2e_latency", e2e);
-      if constexpr (Ar::kLoading) {
-        result.e2e_latency.assign(e2e.begin(), e2e.end());
-      }
-    }
+    ar.I64Vec("e2e_latency", result.e2e_latency);
 
-    {
-      const size_t n = ar.BeginArray("spans", result.spans.size());
-      if constexpr (Ar::kLoading) {
-        result.spans.resize(n);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        SandboxSpan& span = result.spans[i];
-        ar.BeginElem();
-        ar.Field("fid", span.function_id);
-        ar.Field("vcpus", span.vcpus);
-        ar.Field("mem_mb", span.mem_mb);
-        ar.Field("created_at", span.created_at);
-        ar.Field("destroyed_at", span.destroyed_at);
-        ar.Field("busy", span.busy);
-        ar.Field("idle", span.idle);
-        ar.Field("requests", span.requests);
-        ar.Field("host", span.host);
-        ar.EndElem();
-      }
-      ar.EndArray();
+    result.spans.resize(ar.BeginArray("spans", result.spans.size()));
+    for (SandboxSpan& span : result.spans) {
+      ar.BeginElem();
+      ar.Field("fid", span.function_id);
+      ar.Field("vcpus", span.vcpus);
+      ar.Field("mem_mb", span.mem_mb);
+      ar.Field("created_at", span.created_at);
+      ar.Field("destroyed_at", span.destroyed_at);
+      ar.Field("busy", span.busy);
+      ar.Field("idle", span.idle);
+      ar.Field("requests", span.requests);
+      ar.Field("host", span.host);
+      ar.EndElem();
     }
+    ar.EndArray();
   }
 };
 
@@ -1075,10 +956,7 @@ void FleetEngine::Start(const std::vector<RequestRecord>& trace,
   if (im.started) {
     throw std::logic_error("FleetEngine::Start called twice");
   }
-  RequireValidTrace(trace);
-  im.started = true;
-  im.trace = &trace;
-  im.billing = billing;
+  im.Attach(trace, billing);
   im.result.requests = static_cast<int64_t>(trace.size());
   im.result.e2e_latency.assign(trace.size(), 0);
   im.next_seq = static_cast<int64_t>(trace.size());
@@ -1090,34 +968,27 @@ void FleetEngine::Resume(const std::vector<RequestRecord>& trace,
   if (im.started) {
     throw std::logic_error("FleetEngine::Resume on a started engine");
   }
-  RequireValidTrace(trace);
-  im.started = true;
-  im.trace = &trace;
-  im.billing = billing;
+  im.Attach(trace, billing);
   Loader ar(&state);
   im.Archive(ar);
-  if (im.next_arrival > trace.size()) {
-    throw CheckpointError("fleet checkpoint cursor " + std::to_string(im.next_arrival) +
-                          " is past the end of a " + std::to_string(trace.size()) +
-                          "-record trace");
-  }
+  im.RequireIndicesInRange(trace.size());
 }
 
 void FleetEngine::AdvanceUntil(MicroSecs t) {
   Impl& im = *impl_;
-  while (im.has_next() && im.next_time() <= t) {
+  while (!im.queue.empty() && im.queue.next_time() <= t) {
     im.StepOne();
   }
 }
 
 void FleetEngine::RunToEnd() {
   Impl& im = *impl_;
-  while (im.has_next()) {
+  while (!im.queue.empty()) {
     im.StepOne();
   }
 }
 
-bool FleetEngine::done() const { return !impl_->has_next(); }
+bool FleetEngine::done() const { return impl_->queue.empty(); }
 
 MicroSecs FleetEngine::now() const { return impl_->now; }
 
@@ -1133,28 +1004,12 @@ FleetResult FleetEngine::Finish() {
   // Close every sandbox still in a pool: it lingers one keep-alive window
   // past its last use, unless its host dies mid-linger first (crashed and
   // host-killed sandboxes left their pools on the spot).
-  // Iterate pools in sorted key order: the hash-map order must never be
-  // observable, and this loop touches spans that feed serialized artifacts.
-  std::vector<int64_t> pool_fids;
-  pool_fids.reserve(im.pools.size());
-  for (const auto& [fid, pool] : im.pools) {
-    pool_fids.push_back(fid);
-  }
-  std::sort(pool_fids.begin(), pool_fids.end());
-  for (const int64_t fid : pool_fids) {
+  for (const int64_t fid : SortedFids(im.pools, kEveryEntry)) {
     for (const LiveSandbox& sb : im.pools[fid]) {
       im.Retire(sb);
     }
   }
-  // A commutative sum today, but iterate deterministically anyway so a
-  // future non-commutative use cannot silently inherit hash-map order.
-  std::vector<int64_t> breaker_fids;
-  breaker_fids.reserve(im.breakers.size());
-  for (const auto& [fid, cb] : im.breakers) {
-    breaker_fids.push_back(fid);
-  }
-  std::sort(breaker_fids.begin(), breaker_fids.end());
-  for (const int64_t fid : breaker_fids) {
+  for (const int64_t fid : SortedFids(im.breakers, kEveryEntry)) {
     result.breaker_trips += im.breakers.at(fid).trips();
   }
   if (im.sink != nullptr) {

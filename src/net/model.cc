@@ -247,12 +247,13 @@ Usd NetworkModel::MeterOps(int64_t class_a, int64_t class_b) {
   return meter_.AddOps(class_a, class_b);
 }
 
-namespace {
-
-// One metered transfer: fold into the totals, then the series and the sink,
-// with the same value and end time on every side.
-void RecordCharge(const TransferCharge& c, MicroSecs start, const Span& label,
-                  NetworkTotals* totals, TraceSink* sink, TimeSeries* series) {
+TransferCharge MeterPayload(NetworkModel& net, int src_zone, int dst_zone, int64_t bytes,
+                            MicroSecs start, const Span& label, NetworkTotals* totals,
+                            TraceSink* sink, TimeSeries* series) {
+  if (bytes <= 0) {
+    return {};
+  }
+  const TransferCharge c = net.Transfer(src_zone, dst_zone, bytes, start);
   ++totals->transfers;
   totals->bytes += c.bytes;
   totals->transfer_usd += c.usd;
@@ -269,24 +270,17 @@ void RecordCharge(const TransferCharge& c, MicroSecs start, const Span& label,
     sp.billed_usd = c.usd;
     sink->Record(sp);
   }
+  return c;
 }
-
-}  // namespace
 
 MicroSecs MeterRoundTrip(NetworkModel& net, const RoundTrip& trip, NetworkTotals* totals,
                          TraceSink* sink, TimeSeries* series) {
-  TransferCharge in;
-  if (trip.payload.request_bytes > 0) {
-    in = net.Transfer(NetworkModel::kInternet, trip.zone, trip.payload.request_bytes,
-                      trip.sent);
-    RecordCharge(in, trip.sent, trip.label, totals, sink, series);
-  }
-  TransferCharge back;
-  if (trip.payload.response_bytes > 0) {
-    back = net.Transfer(trip.zone, NetworkModel::kInternet, trip.payload.response_bytes,
-                        trip.returned);
-    RecordCharge(back, trip.returned, trip.label, totals, sink, series);
-  }
+  const TransferCharge in =
+      MeterPayload(net, NetworkModel::kInternet, trip.zone, trip.payload.request_bytes,
+                   trip.sent, trip.label, totals, sink, series);
+  const TransferCharge back =
+      MeterPayload(net, trip.zone, NetworkModel::kInternet, trip.payload.response_bytes,
+                   trip.returned, trip.label, totals, sink, series);
   totals->ops_usd += net.MeterRequestOps();
   const MicroSecs delay = in.time + back.time;
   const Usd detour = in.detour_usd + back.detour_usd;

@@ -173,6 +173,16 @@ struct NetworkTotals {
   Usd detour_usd = 0.0;    // Outage-reroute surcharge subset of transfer_usd.
 };
 
+// Meters one payload of `bytes` moving src -> dst from `start` through
+// `net`, and records it wherever a transfer shows: folded into `totals`,
+// and, when attached, a RecordTransfer in `series` and a kTransfer span in
+// `sink`, both at the transfer's end, the span attributed like `label`
+// (group, track, req_idx and attempt). A zero-byte payload moves and
+// records nothing. Returns the charge; waste attribution is the caller's.
+TransferCharge MeterPayload(NetworkModel& net, int src_zone, int dst_zone, int64_t bytes,
+                            MicroSecs start, const Span& label, NetworkTotals* totals,
+                            TraceSink* sink, TimeSeries* series);
+
 // One executed attempt's trip over the network edge.
 struct RoundTrip {
   int zone = 0;  // Zone of the sandbox that ran the attempt.
@@ -186,13 +196,11 @@ struct RoundTrip {
 
 // Meters one executed attempt's round trip through `net`: the request
 // payload internet -> zone at `sent`, the response (or error body) back at
-// `returned`, then the per-request storage-op bundle. A zero-byte direction
-// moves nothing. Each transfer folds into `totals` and, when attached, ends
-// in a kTransfer span in `sink` and a RecordTransfer in `series`. The series
-// also takes the waste at the client's end: a failed attempt's whole
-// transfer spend (kFailedEgress), a successful one's reroute surcharge
-// (kCrossZoneDetour). Returns both transfer times: the delay the trip adds
-// to the client path, never to sandbox occupancy.
+// `returned` (each a MeterPayload), then the per-request storage-op bundle.
+// The series also takes the waste at the client's end: a failed attempt's
+// whole transfer spend (kFailedEgress), a successful one's reroute
+// surcharge (kCrossZoneDetour). Returns both transfer times: the delay the
+// trip adds to the client path, never to sandbox occupancy.
 MicroSecs MeterRoundTrip(NetworkModel& net, const RoundTrip& trip, NetworkTotals* totals,
                          TraceSink* sink, TimeSeries* series);
 

@@ -145,6 +145,21 @@ class CircuitBreaker {
   int64_t trips_ = 0;
 };
 
+// Walks a breaker's five snapshot fields with a state archiver
+// (src/integrity/archive.h), under the keys every engine's checkpoint uses.
+template <typename Ar>
+void ArchiveBreaker(Ar& ar, CircuitBreaker& breaker) {
+  CircuitBreakerState st = breaker.SaveState();
+  ar.Field("state", st.state);
+  ar.Field("consecutive_failures", st.consecutive_failures);
+  ar.Field("open_until", st.open_until);
+  ar.Field("probe_inflight", st.probe_inflight);
+  ar.Field("trips", st.trips);
+  if constexpr (Ar::kLoading) {
+    breaker.LoadState(st);
+  }
+}
+
 // How a full admission queue sheds load.
 enum class ShedPolicy {
   kRejectNewest,  // The incoming attempt is rejected (classic tail drop).

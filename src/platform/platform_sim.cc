@@ -92,21 +92,6 @@ struct EventQueue
 // --- Shared archive helpers (save / load / digest through one walker) ---
 
 template <typename Ar>
-void ArchiveBreaker(Ar& ar, std::string_view key, CircuitBreaker& breaker) {
-  CircuitBreakerState st = breaker.SaveState();
-  ar.Begin(key);
-  ar.Field("state", st.state);
-  ar.Field("consecutive_failures", st.consecutive_failures);
-  ar.Field("open_until", st.open_until);
-  ar.Field("probe_inflight", st.probe_inflight);
-  ar.Field("trips", st.trips);
-  ar.End();
-  if constexpr (Ar::kLoading) {
-    breaker.LoadState(st);
-  }
-}
-
-template <typename Ar>
 void ArchiveScaler(Ar& ar, std::string_view key, WindowedAutoscaler& scaler) {
   std::deque<std::pair<MicroSecs, double>> samples = scaler.samples();
   const size_t n = ar.BeginArray(key, samples.size());
@@ -1391,7 +1376,9 @@ struct PlatformEngine::Impl {
 
     ArchiveRng(ar, "rng", rng);
     ArchiveRng(ar, "fault_rng", faults.rng());
-    ArchiveBreaker(ar, "breaker", breaker);
+    ar.Begin("breaker");
+    ArchiveBreaker(ar, breaker);
+    ar.End();
     ArchiveScaler(ar, "scaler_samples", scaler);
     ArchiveKeepAlive(ar, "keepalive", *config.keepalive);
 

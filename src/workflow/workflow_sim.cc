@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/engine/event_queue.h"
 
 namespace faascost {
 
@@ -93,14 +93,20 @@ struct Event {
   int flavor = kFlavorClient;
 };
 
-// Min-heap on (time, seq): ties resolve in scheduling order, so runs are
-// bit-reproducible regardless of heap internals.
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) {
-      return a.time > b.time;
-    }
-    return a.seq > b.seq;
+// Workflow arrivals as the event queue's input: workflow `wf` arrives at
+// wf / wps seconds with seq `first_seq + wf`, the seq it had when every
+// arrival was pushed at start, so ties pop in the same order.
+struct WorkflowArrivals {
+  int64_t workflows = 0;
+  double wps = 1.0;
+  int64_t first_seq = 0;
+
+  size_t size() const { return static_cast<size_t>(workflows); }
+  Event At(size_t i) const {
+    const int64_t wf = static_cast<int64_t>(i);
+    const MicroSecs t = static_cast<MicroSecs>(std::llround(
+        static_cast<double>(wf) * static_cast<double>(kMicrosPerSec) / wps));
+    return {t, first_seq + wf, EvKind::kArrival, wf, -1, -1, kFlavorClient};
   }
 };
 
@@ -167,7 +173,11 @@ struct AttemptExtra {
 class Engine {
  public:
   Engine(const WorkflowSimConfig& cfg, const BillingModel& billing, uint64_t seed)
-      : cfg_(cfg), billing_(billing), seed_(seed) {}
+      : cfg_(cfg),
+        billing_(billing),
+        seed_(seed),
+        events_(WorkflowArrivals{cfg.workflows, cfg.wps,
+                                 static_cast<int64_t>(cfg.outages.size())}) {}
 
   WorkflowSimResult Run();
 
@@ -177,6 +187,9 @@ class Engine {
     return Dag(d).hops[static_cast<size_t>(h)];
   }
   int ZoneOf(const HopSpec& spec) const { return spec.zone % cfg_.zones; }
+  FunctionState& Function(int d, int h) {
+    return functions_[static_cast<size_t>(d)][static_cast<size_t>(h)];
+  }
 
   uint64_t AttemptSeed(int64_t wf, int hop, int ordinal) const {
     const uint64_t wf_seed =
@@ -187,7 +200,7 @@ class Engine {
 
   void Schedule(Event e) {
     e.seq = next_seq_++;
-    events_.push(e);
+    events_.Push(e);
   }
 
   bool InOutage(int zone, MicroSecs t) const {
@@ -241,7 +254,7 @@ class Engine {
   }
 
   void NoteBreaker(int d, int h) {
-    FunctionState& fs = functions_[static_cast<size_t>(d)][static_cast<size_t>(h)];
+    FunctionState& fs = Function(d, h);
     const bool open = fs.breaker.open();
     if (open != fs.breaker_open_last) {
       fs.breaker_open_last = open;
@@ -264,11 +277,27 @@ class Engine {
     row.attempt.req_idx = hop;
     row.attempt.attempt = ++hs.total_attempts;  // 1-based ordinal.
     row.attempt.outcome = outcome;
+    row.attempt.dispatched = now_;
+    row.attempt.end = now_;
     row.hedge = hedge;
     row.provider_redrive = redrive;
     res_.attempts.push_back(row);
     extras_.emplace_back();
     return static_cast<int64_t>(res_.attempts.size()) - 1;
+  }
+
+  // A span on workflow `wf`'s track, attributed to `hop` (-1: the whole
+  // instance).
+  static Span WorkflowSpan(SpanKind kind, int64_t wf, int hop, MicroSecs start,
+                           MicroSecs duration) {
+    Span s;
+    s.kind = kind;
+    s.group = kTrackGroupWorkflow;
+    s.track = wf;
+    s.start = start;
+    s.duration = duration;
+    s.req_idx = hop;
+    return s;
   }
 
   void EmitAttemptSpans(int64_t idx) {
@@ -277,25 +306,16 @@ class Engine {
     }
     const HopAttempt& row = res_.attempts[static_cast<size_t>(idx)];
     if (row.attempt.cold_start && row.attempt.init_duration > 0) {
-      Span s;
-      s.kind = SpanKind::kInit;
-      s.group = kTrackGroupWorkflow;
-      s.track = row.wf;
-      s.start = row.attempt.dispatched;
-      s.duration = row.attempt.init_duration;
-      s.req_idx = row.hop;
+      Span s = WorkflowSpan(SpanKind::kInit, row.wf, row.hop, row.attempt.dispatched,
+                            row.attempt.init_duration);
       s.attempt = row.attempt.attempt;
       s.ref = idx;
       s.cold = true;
       cfg_.trace->Record(s);
     }
-    Span s;
-    s.kind = SpanKind::kExec;
-    s.group = kTrackGroupWorkflow;
-    s.track = row.wf;
-    s.start = row.attempt.dispatched + row.attempt.init_duration;
-    s.duration = row.attempt.exec_duration;
-    s.req_idx = row.hop;
+    Span s = WorkflowSpan(SpanKind::kExec, row.wf, row.hop,
+                          row.attempt.dispatched + row.attempt.init_duration,
+                          row.attempt.exec_duration);
     s.attempt = row.attempt.attempt;
     s.ref = idx;
     s.status = OutcomeName(row.attempt.outcome);
@@ -313,64 +333,36 @@ class Engine {
     return cfg_.network->ZoneOf(static_cast<int64_t>(ZoneOf(spec)));
   }
 
-  // Walks the tiered meter in event-processing order, books the marginal
-  // charge to the instance and the run, and emits telemetry. kTransfer spans
-  // are non-terminal, so the billed-USD and transfer-USD columns stay
-  // disjoint and each reconciles independently. Waste attribution is
-  // disjoint, first match wins: a failed sink's egress wastes the whole
-  // charge; a rerouted-but-successful transfer wastes the detour surcharge.
-  // Returns the transfer time.
+  // Meters the payload in event-processing order (MeterPayload emits its
+  // kTransfer span and series entry) and books the marginal charge to the
+  // instance and the run. kTransfer spans are non-terminal, so the billed-USD
+  // and transfer-USD columns stay disjoint and each reconciles
+  // independently. Waste attribution is disjoint, first match wins: a failed
+  // sink's egress wastes the whole charge; a rerouted-but-successful
+  // transfer wastes the detour surcharge. Returns the transfer time.
   MicroSecs MeterTransfer(int src_zone, int dst_zone, int64_t bytes, int64_t wf,
                           int hop, bool failed_egress) {
     if (cfg_.network == nullptr || bytes <= 0) {
       return 0;
     }
-    const TransferCharge c = cfg_.network->Transfer(src_zone, dst_zone, bytes, now_);
+    const TransferCharge c =
+        MeterPayload(*cfg_.network, src_zone, dst_zone, bytes, now_,
+                     WorkflowSpan(SpanKind::kTransfer, wf, hop, now_, 0), &net_totals_,
+                     cfg_.trace, cfg_.timeseries);
     WfState& ws = wfs_[static_cast<size_t>(wf)];
     ws.usd_network += c.usd;
     ws.usd_net_detour += c.detour_usd;
     res_.usd_network += c.usd;
     res_.usd_network_detour += c.detour_usd;
-    ++res_.net_transfers;
-    res_.net_bytes += c.bytes;
-    const MicroSecs end = now_ + c.time;
     if (cfg_.timeseries != nullptr) {
-      cfg_.timeseries->RecordTransfer(end, c.bytes, c.usd);
       if (failed_egress) {
-        cfg_.timeseries->RecordWaste(end, WasteKind::kFailedEgress, c.usd);
+        cfg_.timeseries->RecordWaste(now_ + c.time, WasteKind::kFailedEgress, c.usd);
       } else if (c.detour_usd > 0.0) {
-        cfg_.timeseries->RecordWaste(end, WasteKind::kCrossZoneDetour, c.detour_usd);
+        cfg_.timeseries->RecordWaste(now_ + c.time, WasteKind::kCrossZoneDetour,
+                                     c.detour_usd);
       }
     }
-    if (cfg_.trace != nullptr) {
-      Span s;
-      s.kind = SpanKind::kTransfer;
-      s.group = kTrackGroupWorkflow;
-      s.track = wf;
-      s.start = now_;
-      s.duration = c.time;
-      s.req_idx = hop;
-      s.ref = c.bytes;
-      s.status = c.rerouted ? "rerouted" : "";
-      s.billed_usd = c.usd;
-      cfg_.trace->Record(s);
-    }
     return c.time;
-  }
-
-  void EmitBackoffSpan(int64_t wf, int hop, int attempt, MicroSecs delay) {
-    if (cfg_.trace == nullptr) {
-      return;
-    }
-    Span s;
-    s.kind = SpanKind::kBackoff;
-    s.group = kTrackGroupWorkflow;
-    s.track = wf;
-    s.start = now_;
-    s.duration = delay;
-    s.req_idx = hop;
-    s.attempt = attempt;
-    cfg_.trace->Record(s);
   }
 
   // Bills the row, books its USD, returns the sandbox, emits spans. Every
@@ -402,8 +394,7 @@ class Engine {
       res_.usd_stragglers += row.usd;
     }
     if (row.platform_dispatched && ex.survives) {
-      functions_[static_cast<size_t>(row.dag)][static_cast<size_t>(row.hop)].warm.push_back(
-          {row.attempt.end});
+      Function(row.dag, row.hop).warm.push_back({row.attempt.end});
     }
     if (cfg_.timeseries != nullptr) {
       // Same value and timestamp the terminal span carries (start + duration),
@@ -430,8 +421,23 @@ class Engine {
     EmitAttemptSpans(idx);
   }
 
-  void RemoveOpen(HopState& hs, int64_t idx) {
-    hs.open.erase(std::remove(hs.open.begin(), hs.open.end(), idx), hs.open.end());
+  // Closes a dispatched row that ended, drops it from its hop's open set
+  // and feeds its outcome to the client breaker, which guards sync hops
+  // only.
+  void SettleRow(int64_t wf, int hop, int64_t idx, bool ok) {
+    WfState& ws = wfs_[static_cast<size_t>(wf)];
+    std::vector<int64_t>& open = ws.hops[static_cast<size_t>(hop)].open;
+    CloseRow(idx);
+    open.erase(std::remove(open.begin(), open.end(), idx), open.end());
+    FunctionState& fs = Function(ws.dag, hop);
+    if (!Spec(ws.dag, hop).async && fs.breaker.enabled()) {
+      if (ok) {
+        fs.breaker.RecordSuccess();
+      } else {
+        fs.breaker.RecordFailure(now_);
+      }
+      NoteBreaker(ws.dag, hop);
+    }
   }
 
   // Truncates an in-flight row at `t` (hedge cancel or outage kill).
@@ -463,12 +469,9 @@ class Engine {
       hs.dispatched = true;
       // Client ingress: the input payload travels internet -> source zone
       // before the source can start.
-      MicroSecs xfer = 0;
-      if (cfg_.network != nullptr && dag.input_bytes > 0) {
-        xfer = MeterTransfer(NetworkModel::kInternet,
-                             NetZone(dag.hops[static_cast<size_t>(src)]),
-                             dag.input_bytes, wf, src, /*failed_egress=*/false);
-      }
+      const MicroSecs xfer =
+          MeterTransfer(NetworkModel::kInternet, NetZone(dag.hops[static_cast<size_t>(src)]),
+                        dag.input_bytes, wf, src, /*failed_egress=*/false);
       if (xfer > 0) {
         hs.data_ready = now_ + xfer;
         Schedule({now_ + xfer, 0, EvKind::kDispatch, wf, src, -1, kFlavorClient});
@@ -487,22 +490,14 @@ class Engine {
     }
 
     // Deadline fast-fail: with a propagated budget, a hop that cannot fit is
-    // never handed to the platform — the row exists (taxonomy + audit) but
-    // is unbilled by construction.
+    // never handed to the platform.
     const DeadlineBudgetPolicy& dl = cfg_.policy.deadline;
     if (!hedge && dl.enabled() && dl.propagate && now_ >= ws.arrival + dl.deadline) {
-      const int64_t idx = NewRow(wf, hop, Outcome::kTimeout, hedge, redrive);
-      HopAttempt& row = res_.attempts[static_cast<size_t>(idx)];
-      row.fail_fast = true;
-      row.attempt.dispatched = now_;
-      row.attempt.end = now_;
-      CloseRow(idx);
-      ++res_.counters.fail_fast;
-      ResolveHopFailure(wf, hop, Outcome::kTimeout);
+      FailUndispatched(wf, hop, Outcome::kTimeout, redrive);
       return;
     }
 
-    FunctionState& fs = functions_[static_cast<size_t>(ws.dag)][static_cast<size_t>(hop)];
+    FunctionState& fs = Function(ws.dag, hop);
 
     // Circuit breaker guards sync client dispatches (hedges ride on an
     // admitted primary; redrives are platform-side).
@@ -510,16 +505,7 @@ class Engine {
       const bool allowed = fs.breaker.AllowDispatch(now_);
       NoteBreaker(ws.dag, hop);
       if (!allowed) {
-        const int ordinal = hs.total_attempts;
-        const int64_t idx = NewRow(wf, hop, Outcome::kCircuitOpen, hedge, redrive);
-        HopAttempt& row = res_.attempts[static_cast<size_t>(idx)];
-        row.attempt.dispatched = now_;
-        row.attempt.end = now_;
-        CloseRow(idx);
-        ++res_.counters.circuit_open;
-        Rng rng(AttemptSeed(wf, hop, ordinal));
-        FailClientAttempt(wf, hop, Outcome::kCircuitOpen,
-                          cfg_.policy.retry.BackoffDelay(hs.client_attempts, rng));
+        FailUndispatched(wf, hop, Outcome::kCircuitOpen, redrive);
         return;
       }
     }
@@ -603,7 +589,6 @@ class Engine {
     }
 
     row.attempt.outcome = outcome;
-    row.attempt.dispatched = now_;
     row.attempt.cold_start = cold;
     row.attempt.init_duration = init_run;
     row.attempt.exec_duration = cut;
@@ -623,20 +608,25 @@ class Engine {
     }
   }
 
-  // Rewrites a failed async delivery that has exhausted its redrives to
-  // kDeadLettered. Must run before the row is billed.
-  bool MaybeDeadLetter(int64_t wf, int hop, int64_t idx) {
-    WfState& ws = wfs_[static_cast<size_t>(wf)];
-    HopState& hs = ws.hops[static_cast<size_t>(hop)];
-    const HopSpec& spec = Spec(ws.dag, hop);
-    if (!spec.async || hs.straggler || hs.resolved) {
-      return false;
+  // Closes every row that never reaches a sandbox: a deadline fast-fail
+  // (kTimeout), a circuit-open fast-fail, or a hop whose quorum can no longer
+  // be met (kUpstreamFailed). The zero-length row is unbilled by
+  // construction. A circuit-open try falls to the client's retry.
+  void FailUndispatched(int64_t wf, int hop, Outcome outcome, bool redrive) {
+    HopState& hs = wfs_[static_cast<size_t>(wf)].hops[static_cast<size_t>(hop)];
+    const int ordinal = hs.total_attempts;
+    const int64_t idx = NewRow(wf, hop, outcome, /*hedge=*/false, redrive);
+    HopAttempt& row = res_.attempts[static_cast<size_t>(idx)];
+    row.fail_fast = outcome == Outcome::kTimeout;
+    CloseRow(idx);
+    if (outcome == Outcome::kCircuitOpen) {
+      ++res_.counters.circuit_open;
+      Rng rng(AttemptSeed(wf, hop, ordinal));
+      FailClientAttempt(wf, hop, outcome, cfg_.policy.retry.BackoffDelay(hs.client_attempts, rng));
+      return;
     }
-    if (hs.redrives < cfg_.policy.redrive.max_redrives) {
-      return false;
-    }
-    res_.attempts[static_cast<size_t>(idx)].attempt.outcome = Outcome::kDeadLettered;
-    return true;
+    ++(outcome == Outcome::kTimeout ? res_.counters.fail_fast : res_.counters.upstream_skipped);
+    ResolveHopFailure(wf, hop, outcome);
   }
 
   // Common continuation after a dispatched attempt failed (natural
@@ -646,17 +636,15 @@ class Engine {
     WfState& ws = wfs_[static_cast<size_t>(wf)];
     HopState& hs = ws.hops[static_cast<size_t>(hop)];
     const HopSpec& spec = Spec(ws.dag, hop);
-    const bool dead_letter = MaybeDeadLetter(wf, hop, idx);
-    CloseRow(idx);
-    RemoveOpen(hs, idx);
-    const HopAttempt& row = res_.attempts[static_cast<size_t>(idx)];
-
-    FunctionState& fs = functions_[static_cast<size_t>(ws.dag)][static_cast<size_t>(hop)];
-    if (!spec.async && fs.breaker.enabled()) {
-      fs.breaker.RecordFailure(now_);
-      NoteBreaker(ws.dag, hop);
+    // A failed async delivery that has exhausted its redrives is dead-lettered
+    // before the row is billed.
+    const bool dead_letter = spec.async && !hs.straggler && !hs.resolved &&
+                             hs.redrives >= cfg_.policy.redrive.max_redrives;
+    if (dead_letter) {
+      res_.attempts[static_cast<size_t>(idx)].attempt.outcome = Outcome::kDeadLettered;
     }
-
+    SettleRow(wf, hop, idx, /*ok=*/false);
+    const HopAttempt& row = res_.attempts[static_cast<size_t>(idx)];
     if (hs.resolved) {
       return;
     }
@@ -695,7 +683,11 @@ class Engine {
       if (cfg_.timeseries != nullptr) {
         cfg_.timeseries->RecordRetry(now_);
       }
-      EmitBackoffSpan(wf, hop, hs.client_attempts, backoff);
+      if (cfg_.trace != nullptr) {
+        Span s = WorkflowSpan(SpanKind::kBackoff, wf, hop, now_, backoff);
+        s.attempt = hs.client_attempts;
+        cfg_.trace->Record(s);
+      }
       Schedule({now_ + backoff, 0, EvKind::kDispatch, wf, hop, -1, kFlavorClient});
       return;
     }
@@ -714,21 +706,12 @@ class Engine {
       CloseRow(idx);
       return;
     }
-    WfState& ws = wfs_[static_cast<size_t>(wf)];
-    HopState& hs = ws.hops[static_cast<size_t>(hop)];
     if (row.attempt.outcome != Outcome::kOk) {
       OnAttemptFailed(wf, hop, idx);
       return;
     }
-    CloseRow(idx);
-    RemoveOpen(hs, idx);
-    const HopSpec& spec = Spec(ws.dag, hop);
-    FunctionState& fs = functions_[static_cast<size_t>(ws.dag)][static_cast<size_t>(hop)];
-    if (!spec.async && fs.breaker.enabled()) {
-      fs.breaker.RecordSuccess();
-      NoteBreaker(ws.dag, hop);
-    }
-    if (hs.resolved) {
+    SettleRow(wf, hop, idx, /*ok=*/true);
+    if (wfs_[static_cast<size_t>(wf)].hops[static_cast<size_t>(hop)].resolved) {
       return;
     }
     if (row.hedge) {
@@ -769,13 +752,10 @@ class Engine {
       if (cfg_.network != nullptr) {
         // Ship the edge payload producer zone -> consumer zone now; the
         // consumer's first dispatch waits for every inbound payload.
-        const int64_t bytes = dag.EdgeBytes(hop, c);
-        if (bytes > 0) {
-          const MicroSecs xfer =
-              MeterTransfer(NetZone(Spec(ws.dag, hop)), NetZone(Spec(ws.dag, c)),
-                            bytes, wf, c, /*failed_egress=*/false);
-          cs.data_ready = std::max(cs.data_ready, now_ + xfer);
-        }
+        const MicroSecs xfer =
+            MeterTransfer(NetZone(Spec(ws.dag, hop)), NetZone(Spec(ws.dag, c)),
+                          dag.EdgeBytes(hop, c), wf, c, /*failed_egress=*/false);
+        cs.data_ready = std::max(cs.data_ready, now_ + xfer);
       }
       ++cs.succeeded_parents;
       ++cs.terminal_parents;
@@ -834,15 +814,9 @@ class Engine {
       return;
     }
     if (cs.succeeded_parents + (n - cs.terminal_parents) < req) {
-      // The quorum can no longer be met: skip the hop, unbilled.
+      // The quorum can no longer be met: skip the hop.
       cs.dispatched = true;
-      const int64_t idx = NewRow(wf, c, Outcome::kUpstreamFailed, false, false);
-      HopAttempt& row = res_.attempts[static_cast<size_t>(idx)];
-      row.attempt.dispatched = now_;
-      row.attempt.end = now_;
-      CloseRow(idx);
-      ++res_.counters.upstream_skipped;
-      ResolveHopFailure(wf, c, Outcome::kUpstreamFailed);
+      FailUndispatched(wf, c, Outcome::kUpstreamFailed, /*redrive=*/false);
     }
   }
 
@@ -858,12 +832,9 @@ class Engine {
       const int64_t bytes = sink_success
                                 ? Dag(ws.dag).output_bytes
                                 : cfg_.network->config().error_response_bytes;
-      if (bytes > 0) {
-        const MicroSecs xfer =
-            MeterTransfer(NetZone(Spec(ws.dag, hop)), NetworkModel::kInternet,
-                          bytes, wf, hop, /*failed_egress=*/!sink_success);
-        ws.net_end = std::max(ws.net_end, now_ + xfer);
-      }
+      const MicroSecs xfer = MeterTransfer(NetZone(Spec(ws.dag, hop)), NetworkModel::kInternet,
+                                           bytes, wf, hop, /*failed_egress=*/!sink_success);
+      ws.net_end = std::max(ws.net_end, now_ + xfer);
     }
     if (--ws.pending_sinks > 0) {
       return;
@@ -943,15 +914,13 @@ class Engine {
       row.outage_killed = true;
       ++res_.counters.outage_killed;
       ex.survives = false;
-      if (row.attempt.outcome == Outcome::kHedgeLoser) {
-        // Already lost its race; just stop the meter at the outage.
-        TruncateRow(row, now_);
-        CloseRow(i);
-        continue;
-      }
-      row.attempt.outcome = Outcome::kCrash;
       TruncateRow(row, now_);
-      OnAttemptFailed(row.wf, row.hop, i);
+      if (row.attempt.outcome == Outcome::kHedgeLoser) {
+        CloseRow(i);  // Already lost its race: the meter just stops at the outage.
+      } else {
+        row.attempt.outcome = Outcome::kCrash;
+        OnAttemptFailed(row.wf, row.hop, i);
+      }
     }
   }
 
@@ -965,38 +934,13 @@ class Engine {
     return first_open_;
   }
 
-  // Next event in (time, seq) order: the arrival cursor or the heap top.
-  // Arrival `wf` carries seq outages + wf, the seq it had when every
-  // arrival was pushed at start, so the merge pops in the same order.
-  Event PopNext() {
-    if (next_wf_ < cfg_.workflows) {
-      const MicroSecs t = static_cast<MicroSecs>(std::llround(
-          static_cast<double>(next_wf_) * static_cast<double>(kMicrosPerSec) / cfg_.wps));
-      const Event arrival{t,
-                          static_cast<int64_t>(cfg_.outages.size()) + next_wf_,
-                          EvKind::kArrival,
-                          next_wf_,
-                          -1,
-                          -1,
-                          kFlavorClient};
-      if (events_.empty() || EventAfter()(events_.top(), arrival)) {
-        ++next_wf_;
-        return arrival;
-      }
-    }
-    const Event ev = events_.top();
-    events_.pop();
-    return ev;
-  }
-
   const WorkflowSimConfig& cfg_;
   const BillingModel& billing_;
   uint64_t seed_;
 
-  // Holds every scheduled event but the arrivals, which stream from the
-  // next_wf_ cursor.
-  std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
-  int64_t next_wf_ = 0;
+  // Arrivals stream from the queue's input; the heap holds every other
+  // scheduled event.
+  StreamedEventQueue<Event, WorkflowArrivals> events_;
   int64_t next_seq_ = 0;
   MicroSecs now_ = 0;
   int64_t events_processed_ = 0;
@@ -1005,6 +949,7 @@ class Engine {
   std::vector<std::vector<FunctionState>> functions_;  // [dag][hop].
   std::vector<WfState> wfs_;
   std::vector<AttemptExtra> extras_;
+  NetworkTotals net_totals_;  // Copied into the result's transfer counts at the end.
   WorkflowSimResult res_;
 };
 
@@ -1028,8 +973,8 @@ WorkflowSimResult Engine::Run() {
   next_seq_ += cfg_.workflows;
 
   Auditor* aud = cfg_.auditor;
-  while (next_wf_ < cfg_.workflows || !events_.empty()) {
-    const Event ev = PopNext();
+  while (!events_.empty()) {
+    const Event ev = events_.Pop();
     if (aud != nullptr && aud->basic()) {
       aud->CheckLazy(
           ev.time >= now_, "workflow.monotone_event_time", ev.time, seed_,
@@ -1106,12 +1051,8 @@ WorkflowSimResult Engine::Run() {
     }
     res_.workflows.push_back(row);
     if (cfg_.trace != nullptr) {
-      Span s;
-      s.kind = SpanKind::kWorkflow;
-      s.group = kTrackGroupWorkflow;
-      s.track = static_cast<int64_t>(i);
-      s.start = ws.arrival;
-      s.duration = ws.end - ws.arrival;
+      Span s = WorkflowSpan(SpanKind::kWorkflow, static_cast<int64_t>(i), -1, ws.arrival,
+                            ws.end - ws.arrival);
       s.status = OutcomeName(ws.outcome);
       s.terminal = true;
       s.billed_usd = row.usd;
@@ -1127,6 +1068,8 @@ WorkflowSimResult Engine::Run() {
     }
   }
   res_.usd_wasted = res_.usd_total - res_.usd_useful;
+  res_.net_transfers = net_totals_.transfers;
+  res_.net_bytes = net_totals_.bytes;
   for (const auto& dag_fns : functions_) {
     for (const FunctionState& fs : dag_fns) {
       res_.counters.breaker_trips += fs.breaker.trips();

@@ -3,6 +3,9 @@
 // at seeds 7 and 8. Counts are pinned as integers, every double (USD,
 // seconds, margin) as its IEEE-754 bit pattern, and the per-request e2e
 // latencies and every SandboxSpan as FNV digests over all their fields.
+// A fifth, observed shape (execution timeouts, sheds that are not retried
+// and a 3-zone network with an outage) also pins digests over every emitted
+// span and every time-series window.
 //
 // The values were computed by the engine that preloaded every arrival into
 // its heap and swept every sandbox a function ever created on each arrival.
@@ -20,6 +23,9 @@
 #include "src/common/json_reader.h"
 #include "src/common/json_writer.h"
 #include "src/integrity/digest.h"
+#include "src/net/model.h"
+#include "src/obs/span.h"
+#include "src/obs/timeseries.h"
 #include "src/trace/generator.h"
 #include "tests/golden_table.h"
 
@@ -29,7 +35,7 @@ namespace {
 constexpr MicroSecs kSec = kMicrosPerSec;
 constexpr MicroSecs kWindow = 1'200 * kSec;
 
-enum class Shape { kHostChaos, kZoneOutages, kAdmissionBreaker, kCap429 };
+enum class Shape { kHostChaos, kZoneOutages, kAdmissionBreaker, kCap429, kObserved };
 
 const char* ShapeName(Shape shape) {
   switch (shape) {
@@ -41,6 +47,8 @@ const char* ShapeName(Shape shape) {
       return "kAdmissionBreaker";
     case Shape::kCap429:
       return "kCap429";
+    case Shape::kObserved:
+      return "kObserved";
   }
   return "?";
 }
@@ -77,6 +85,21 @@ FleetSimConfig ShapeConfig(Shape shape, uint64_t seed) {
       break;
     case Shape::kCap429:
       cfg.max_sandboxes_per_function = 1;
+      break;
+    case Shape::kObserved:
+      cfg.failure_rate = 0.05;
+      cfg.max_exec_duration = 2 * kSec;
+      cfg.max_sandboxes_per_function = 2;
+      cfg.admission.enabled = true;
+      cfg.admission.queue_depth = 1;
+      cfg.admission.queue_timeout = 400 * kMicrosPerMilli;
+      cfg.retry.retry_rejected = false;
+      cfg.retry.breaker_threshold = 4;
+      cfg.retry.breaker_cooldown = 3 * kSec;
+      cfg.host_faults.hosts = 12;
+      cfg.host_faults.mtbf_seconds = 600.0;
+      cfg.host_faults.mttr_seconds = 60.0;
+      cfg.host_faults.graceful_fraction = 0.3;
       break;
   }
   return cfg;
@@ -276,10 +299,40 @@ const Golden kGoldens[] = {
      "net_transfers=0 net_bytes=0 network_transfer_usd=0x0000000000000000 "
      "network_ops_usd=0x0000000000000000 network_detour_usd=0x0000000000000000 network_bill_transfers=0 "
      "network_bill_usd=0x0000000000000000 "},
+    {Shape::kObserved, 7,
+     "requests=8000 attempts=11719 cold_starts=649 "
+     "sandboxes=649 failed_attempts=5436 crash_attempts=387 "
+     "timeout_attempts=2283 init_failure_attempts=0 retries=3719 "
+     "retries_exhausted=1717 successes=6283 rejected_attempts=76 "
+     "queue_timeout_attempts=308 circuit_open_attempts=2382 breaker_trips=283 "
+     "queued_attempts=699 queue_wait_seconds=0x40681a4152b0a725 host_fault_attempt_kills=6 "
+     "host_fault_sandbox_kills=112 drain_survivals=1 e2e_latency=0x7bbc2424e3252f7f "
+     "sandbox_seconds=0x40f0618f5000c94e busy_seconds=0x40bfe689aac53b02 idle_seconds=0x40ecc64d6aa8eb47 "
+     "peak_servers=2 revenue=0x3fd63e44ca43554e fee_revenue=0x3f5e58b09b3dd6c2 "
+     "hardware_cost=0x3fe765df37f5d3dc margin=0xbff1a94439327ca8 spans=0xf0cce73a96773c8f "
+     "net_transfers=17906 net_bytes=558924623 network_transfer_usd=0x3f6af50268f5c3c6 "
+     "network_ops_usd=0x3faa963a69885af7 network_detour_usd=0x3f41c84b3d70a3d5 network_bill_transfers=17906 "
+     "network_bill_usd=0x3fac458a9017b733 trace_spans=35033 span_digest=0x40705e2a87322976 "
+     "windows=21 window_digest=0x446c1841e6658ec4 "},
+    {Shape::kObserved, 8,
+     "requests=8000 attempts=11280 cold_starts=654 "
+     "sandboxes=654 failed_attempts=4771 crash_attempts=394 "
+     "timeout_attempts=2447 init_failure_attempts=0 retries=3280 "
+     "retries_exhausted=1491 successes=6509 rejected_attempts=93 "
+     "queue_timeout_attempts=275 circuit_open_attempts=1562 breaker_trips=264 "
+     "queued_attempts=689 queue_wait_seconds=0x4066fb69dd7ecbe2 host_fault_attempt_kills=13 "
+     "host_fault_sandbox_kills=85 drain_survivals=0 e2e_latency=0x553af4d314c67a57 "
+     "sandbox_seconds=0x40f09fa7e7e414e7 busy_seconds=0x40c0b83c351deefa idle_seconds=0x40ed1140c280ae0e "
+     "peak_servers=2 revenue=0x3fd792ab0eb0a097 fee_revenue=0x3f5f8a0902ddf85e "
+     "hardware_cost=0x3fe89f5b353e66f8 margin=0xbff16cbdc6e539a7 spans=0x4a98e06fa88306cf "
+     "net_transfers=18700 net_bytes=590169247 network_transfer_usd=0x3f6eb74c628f5de2 "
+     "network_ops_usd=0x3fabc408d8ec96ef network_detour_usd=0x3f418ee747ae147b network_bill_transfers=18700 "
+     "network_bill_usd=0x3fadaf7d9f158ccd trace_spans=34982 span_digest=0xf307984df882e97e "
+     "windows=21 window_digest=0x2473beebda88ea52 "},
 };
 // clang-format on
 
-void ExpectGolden(Shape shape, uint64_t seed, const FleetResult& r, const char* how) {
+void ExpectGolden(Shape shape, uint64_t seed, const golden::Fields& got, const char* how) {
   const char* want = nullptr;
   for (const Golden& g : kGoldens) {
     if (g.shape == shape && g.seed == seed) {
@@ -287,7 +340,11 @@ void ExpectGolden(Shape shape, uint64_t seed, const FleetResult& r, const char* 
     }
   }
   golden::ExpectFields("Shape::" + std::string(ShapeName(shape)) + ", " + std::to_string(seed),
-                       want, Render(r), how);
+                       want, got, how);
+}
+
+void ExpectGolden(Shape shape, uint64_t seed, const FleetResult& r, const char* how) {
+  ExpectGolden(shape, seed, Render(r), how);
 }
 
 constexpr Shape kShapes[] = {Shape::kHostChaos, Shape::kZoneOutages,
@@ -358,6 +415,87 @@ TEST(FleetGolden, SlicedAndResumedRunsMatchTheGoldens) {
       ExpectGolden(shape, seed, resumed.Finish(), "resumed");
     }
   }
+}
+
+// --- The observed shape ---
+//
+// Paths no golden above reaches: platform execution timeouts, sheds from a
+// full admission queue with `retry_rejected = false`, and an attached
+// 3-zone network whose zone 0 goes dark mid-run, with host faults and the
+// client breaker on. The run carries a span sink and a time series, pinned
+// as digests over every span field and every window. It runs straight and
+// in slices, not resumed: a network-attached run does not checkpoint.
+
+NetworkModelConfig ObservedNetwork() {
+  NetworkModelConfig ncfg;
+  ncfg.topology.zones = 3;
+  ncfg.topology.zones_per_region = 3;
+  ncfg.payload.request_mean_kb = 16.0;
+  ncfg.payload.response_mean_kb = 64.0;
+  ncfg.class_a_ops_per_request = 1;
+  ncfg.class_b_ops_per_request = 2;
+  ncfg.outages.push_back(NetOutage{/*zone=*/0, /*start=*/300 * kSec, /*duration=*/300 * kSec});
+  return ncfg;
+}
+
+// FleetResult's fields, then the span and window digests.
+golden::Fields RenderObserved(const FleetResult& r, const SpanCollector& spans,
+                              const TimeSeries& series) {
+  golden::Fields f = Render(r);
+  f.emplace_back("trace_spans", std::to_string(spans.spans().size()));
+  f.emplace_back("span_digest", Hex(golden::SpanDigest(spans.spans())));
+  f.emplace_back("windows", std::to_string(series.window_count()));
+  f.emplace_back("window_digest", Hex(golden::WindowDigest(series)));
+  return f;
+}
+
+// Runs the observed shape, in `slice`-wide AdvanceUntil steps when `slice`
+// is positive, and checks it against its golden.
+void ExpectObservedGolden(uint64_t seed, MicroSecs slice, const char* how) {
+  const BillingModel billing = MakeBillingModel(Platform::kAwsLambda);
+  const std::vector<RequestRecord> trace = ShapeTrace(seed);
+  NetworkModel net(ObservedNetwork(), MakeNetworkPricing(Platform::kAwsLambda), seed);
+  SpanCollector spans;
+  TimeSeries series(60 * kSec);
+  FleetSimConfig cfg = ShapeConfig(Shape::kObserved, seed);
+  cfg.network = &net;
+  cfg.trace_sink = &spans;
+  cfg.timeseries = &series;
+  FleetEngine engine(cfg);
+  engine.Start(trace, billing);
+  if (slice > 0) {
+    for (MicroSecs t = 0; !engine.done(); t += slice) {
+      engine.AdvanceUntil(t);
+    }
+  }
+  engine.RunToEnd();
+  ExpectGolden(Shape::kObserved, seed, RenderObserved(engine.Finish(), spans, series), how);
+}
+
+TEST(FleetGolden, ObservedShapeMatchesStraightAndSliced) {
+  for (const uint64_t seed : {7ULL, 8ULL}) {
+    ExpectObservedGolden(seed, 0, "straight");
+    ExpectObservedGolden(seed, 41 * kSec, "sliced");
+  }
+}
+
+TEST(FleetGolden, ObservedShapeExercisesItsMechanisms) {
+  const BillingModel billing = MakeBillingModel(Platform::kAwsLambda);
+  const std::vector<RequestRecord> trace = ShapeTrace(7);
+  NetworkModel net(ObservedNetwork(), MakeNetworkPricing(Platform::kAwsLambda), 7);
+  FleetSimConfig cfg = ShapeConfig(Shape::kObserved, 7);
+  cfg.network = &net;
+  const FleetResult r = SimulateFleet(trace, billing, cfg);
+  EXPECT_GT(r.timeout_attempts, 0);
+  EXPECT_GT(r.crash_attempts, 0);
+  EXPECT_GT(r.rejected_attempts, 0);
+  EXPECT_GT(r.queue_timeout_attempts, 0);
+  EXPECT_GT(r.circuit_open_attempts, 0);
+  EXPECT_GT(r.host_fault_attempt_kills, 0);
+  EXPECT_GT(r.net_transfers, 0);
+  EXPECT_GT(r.network_detour_usd, 0.0);
+  // Sheds are not retried, so some requests end on their first rejection.
+  EXPECT_GT(r.retries_exhausted, 0);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "src/common/json_reader.h"
 #include "src/common/json_writer.h"
 #include "src/integrity/checkpoint.h"
+#include "src/integrity/integrity.h"
 #include "src/platform/platform_sim.h"
 #include "src/platform/presets.h"
 #include "src/platform/workload.h"
@@ -332,6 +334,146 @@ TEST(CheckpointState, FleetMissingOrWrongTypedKeyThrowsCheckpointError) {
   FleetEngine overrun(cfg);
   EXPECT_THROW(overrun.Resume(trace, billing, EditKey(state, "next_arrival", &past_end)),
                CheckpointError);
+}
+
+// `v` with the value at `path` replaced by `value`; a step into an array is
+// the element's index.
+JsonValue ReplaceAt(const JsonValue& v, const std::vector<std::string>& path,
+                    const JsonValue& value, size_t depth = 0) {
+  if (depth == path.size()) {
+    return value;
+  }
+  if (v.kind() == JsonValue::Kind::kArray) {
+    std::vector<JsonValue> items = v.GetArray();
+    JsonValue& item = items.at(std::stoul(path[depth]));
+    item = ReplaceAt(item, path, value, depth + 1);
+    return JsonValue::MakeArray(std::move(items));
+  }
+  std::vector<std::pair<std::string, JsonValue>> members = v.GetObject();
+  for (auto& [key, member] : members) {
+    if (key == path[depth]) {
+      member = ReplaceAt(member, path, value, depth + 1);
+    }
+  }
+  return JsonValue::MakeObject(std::move(members));
+}
+
+JsonValue Uint(uint64_t v) { return JsonValue::MakeInt(v, /*negative=*/false); }
+
+// A chaos fleet stopped at 200 s, with live pools on its 16 hosts. Each
+// index its state holds must fit what it indexes: the last valid value
+// resumes, one past it is a malformed checkpoint (CheckpointError, the
+// CLI's exit 3), not a crash in the resumed run.
+class FleetStateIndices : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    FleetEngine engine(cfg_);
+    engine.Start(trace_, billing_);
+    engine.AdvanceUntil(200 * kSec);
+    state_ = ParseJson(SaveFleetState(engine));
+    ASSERT_FALSE(state_.At("pools").GetArray().empty());
+  }
+
+  // Resumes `state_` with the value at `path` set to `ok`, then to `bad`.
+  void ExpectBoundary(const std::vector<std::string>& path, const JsonValue& ok,
+                      const JsonValue& bad) {
+    FleetEngine accepted(cfg_);
+    EXPECT_NO_THROW(accepted.Resume(trace_, billing_, ReplaceAt(state_, path, ok)));
+    FleetEngine rejected(cfg_);
+    EXPECT_THROW(rejected.Resume(trace_, billing_, ReplaceAt(state_, path, bad)),
+                 CheckpointError);
+  }
+
+  const FleetSimConfig cfg_ = ChaosFleetConfig(7);
+  const std::vector<RequestRecord> trace_ = FleetTrace(7);
+  const BillingModel billing_ = MakeBillingModel(Platform::kAwsLambda);
+  JsonValue state_;
+};
+
+TEST_F(FleetStateIndices, PendingRecordPastTheTraceThrows) {
+  // One retry waiting in the heap, naming the last record, then one past it.
+  const auto pending = [&](uint64_t idx) {
+    return JsonValue::MakeArray({JsonValue::MakeObject({
+        {"t", Uint(201 * kSec)},
+        {"seq", state_.At("next_seq")},
+        {"idx", Uint(idx)},
+        {"attempt", Uint(2)},
+        {"queued", JsonValue::MakeBool(false)},
+        {"queued_since", Uint(0)},
+        {"ticket", JsonValue::MakeInt(1, /*negative=*/true)},
+    })});
+  };
+  ExpectBoundary({"pending"}, pending(trace_.size() - 1), pending(trace_.size()));
+}
+
+TEST_F(FleetStateIndices, PooledSpanPastTheSpansThrows) {
+  const uint64_t spans = state_.At("spans").GetArray().size();
+  ExpectBoundary({"pools", "0", "sandboxes", "0", "span"}, Uint(spans - 1), Uint(spans));
+}
+
+TEST_F(FleetStateIndices, PooledHostPastTheHostsThrows) {
+  const auto hosts = static_cast<uint64_t>(cfg_.host_faults.hosts);
+  ExpectBoundary({"pools", "0", "sandboxes", "0", "host"}, Uint(hosts - 1), Uint(hosts));
+}
+
+TEST_F(FleetStateIndices, NextHostPastTheHostsThrows) {
+  const auto hosts = static_cast<uint64_t>(cfg_.host_faults.hosts);
+  ExpectBoundary({"next_host"}, Uint(hosts - 1), Uint(hosts));
+}
+
+TEST_F(FleetStateIndices, E2eLatencyShorterThanTheTraceThrows) {
+  std::vector<JsonValue> latencies = state_.At("e2e_latency").GetArray();
+  ASSERT_EQ(latencies.size(), trace_.size());
+  const JsonValue full = JsonValue::MakeArray(latencies);
+  latencies.pop_back();
+  ExpectBoundary({"e2e_latency"}, full, JsonValue::MakeArray(std::move(latencies)));
+}
+
+// The in-run USD conservation check names both sums exactly: a resumed
+// state whose fee revenue exceeds its revenue fails the first scan, and
+// the detail's two numbers parse back to the engine's two doubles, bit for
+// bit.
+TEST(CheckpointState, FleetUsdConservationDetailIsExact) {
+  const FleetSimConfig cfg = ChaosFleetConfig(7);
+  const std::vector<RequestRecord> trace = FleetTrace(7);
+  const BillingModel billing = MakeBillingModel(Platform::kAwsLambda);
+  FleetEngine engine(cfg);
+  engine.Start(trace, billing);
+  engine.AdvanceUntil(200 * kSec);
+  const JsonValue state = ParseJson(SaveFleetState(engine));
+  const auto counter = [](const JsonValue& st, const char* key) {
+    return std::bit_cast<double>(st.At("counters").At(key).GetUint64());
+  };
+  const double fees = counter(state, "revenue") * 1.37;
+
+  Auditor auditor(AuditLevel::kFull, /*scan_cadence_events=*/1);
+  FleetSimConfig audited = cfg;
+  audited.auditor = &auditor;
+  FleetEngine resumed(audited);
+  resumed.Resume(trace, billing,
+                 ReplaceAt(state, {"counters", "fee_revenue"},
+                           Uint(std::bit_cast<uint64_t>(fees))));
+  try {
+    resumed.RunToEnd();
+    FAIL() << "fee revenue above revenue passed the scan";
+  } catch (const IntegrityViolation& v) {
+    EXPECT_EQ(v.invariant(), "fleet.usd_conservation");
+    const std::string& detail = v.detail();
+    const size_t total_at = detail.find(" total=");
+    ASSERT_EQ(detail.rfind("fees=", 0), 0U) << detail;
+    ASSERT_NE(total_at, std::string::npos) << detail;
+    const double printed_fees = ParseJson(detail.substr(5, total_at - 5)).GetDouble();
+    const double printed_total = ParseJson(detail.substr(total_at + 7)).GetDouble();
+    // The scan ran after the first resumed attempt billed: compare with
+    // the sums the engine holds now.
+    const JsonValue now = ParseJson(SaveFleetState(resumed));
+    EXPECT_EQ(std::bit_cast<uint64_t>(printed_fees),
+              std::bit_cast<uint64_t>(counter(now, "fee_revenue")))
+        << detail;
+    EXPECT_EQ(std::bit_cast<uint64_t>(printed_total),
+              std::bit_cast<uint64_t>(counter(now, "revenue")))
+        << detail;
+  }
 }
 
 }  // namespace

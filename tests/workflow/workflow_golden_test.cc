@@ -9,8 +9,10 @@
 // cursor and scans only from its low-water mark of open rows must reproduce
 // them exactly. The tie-break shape makes arrival instants coincide with
 // completions and with an outage start, so the cursor/heap merge order is
-// pinned where it matters. A failure prints the actual table, ready to
-// paste if a change is meant to move it.
+// pinned where it matters. kFanOut, the one shape with network transfers,
+// also pins digests over every emitted span and every time-series window. A
+// failure prints the actual table, ready to paste if a change is meant to
+// move it.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,8 @@
 #include "src/integrity/digest.h"
 #include "src/integrity/integrity.h"
 #include "src/net/model.h"
+#include "src/obs/span.h"
+#include "src/obs/timeseries.h"
 #include "src/workflow/dag.h"
 #include "src/workflow/workflow_sim.h"
 #include "tests/golden_table.h"
@@ -386,6 +390,44 @@ TEST(WorkflowGolden, AuditedEveryEventMatchesDetached) {
   EXPECT_GT(auditor.scans_run(), 0);
   EXPECT_EQ(Render(audited), Render(RunShape(Shape::kFanOut, 7)));
   ExpectGolden(Shape::kFanOut, 7, audited, "audited");
+}
+
+// kFanOut's spans and time-series windows, with the span sink and the
+// series attached; the result itself stays the detached golden.
+// clang-format off
+const Golden kFanOutObservedGoldens[] = {
+    {Shape::kFanOut, 7,
+     "spans=96376 span_digest=0x958d029458d67458 windows=16 "
+     "window_digest=0xeae022bb6c6782e4 "},
+    {Shape::kFanOut, 8,
+     "spans=96638 span_digest=0xeb03e6392a244173 windows=16 "
+     "window_digest=0x7aef0f04f78eb9b6 "},
+};
+// clang-format on
+
+TEST(WorkflowGolden, FanOutSpansAndWindowsMatch) {
+  for (const uint64_t seed : {7ULL, 8ULL}) {
+    ShapeSetup setup(Shape::kFanOut, seed);
+    SpanCollector spans;
+    TimeSeries series(10 * kSec);
+    setup.cfg.trace = &spans;
+    setup.cfg.timeseries = &series;
+    const WorkflowSimResult r =
+        SimulateWorkflows(setup.cfg, MakeBillingModel(Platform::kAwsLambda), seed);
+    ExpectGolden(Shape::kFanOut, seed, r, "observed");
+    const char* want = nullptr;
+    for (const Golden& g : kFanOutObservedGoldens) {
+      if (g.seed == seed) {
+        want = g.fields;
+      }
+    }
+    golden::ExpectFields("Shape::kFanOut, " + std::to_string(seed), want,
+                         {{"spans", std::to_string(spans.spans().size())},
+                          {"span_digest", Hex(golden::SpanDigest(spans.spans()))},
+                          {"windows", std::to_string(series.window_count())},
+                          {"window_digest", Hex(golden::WindowDigest(series))}},
+                         "observed");
+  }
 }
 
 }  // namespace

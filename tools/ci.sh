@@ -258,8 +258,24 @@ for seed in 1 2 3; do
   digest_of "$obs_tmp/f_straight.json" > "$obs_tmp/f_a"
   digest_of "$obs_tmp/f_resumed.json" > "$obs_tmp/f_b"
   cmp "$obs_tmp/f_a" "$obs_tmp/f_b"
+
+  # The fleet with its client breaker on: every checkpoint carries
+  # per-function breaker state through the archive's sorted-key walk. Two
+  # hosts that crash every ~20 s fail enough attempts to trip breakers
+  # (seeds 1 and 2 checkpoint with trips, seed 1 with a breaker open).
+  breaker=(--sim fleet --audit-level full --requests 3000 --functions 50
+    --seconds 300 --breaker-threshold 2 --hosts 2 --mtbf-s 20 --mttr-s 10
+    --graceful 0 --seed "$seed")
+  "$repo/build/tools/faascost" audit "${breaker[@]}" --json > "$obs_tmp/b_straight.json"
+  "$repo/build/tools/faascost" audit "${breaker[@]}" \
+    --checkpoint "$obs_tmp/b_cp.json" --checkpoint-every 60 --json > /dev/null
+  "$repo/build/tools/faascost" audit "${breaker[@]}" \
+    --resume "$obs_tmp/b_cp.json" --json > "$obs_tmp/b_resumed.json"
+  digest_of "$obs_tmp/b_straight.json" > "$obs_tmp/b_a"
+  digest_of "$obs_tmp/b_resumed.json" > "$obs_tmp/b_b"
+  cmp "$obs_tmp/b_a" "$obs_tmp/b_b"
 done
-echo "platform (aws, gcp) and fleet digests identical across seeds 1-3."
+echo "platform (aws, gcp) and fleet (breaker off, on) digests identical across seeds 1-3."
 
 # A malformed checkpoint must be the dedicated artifact-error exit (3), not a
 # crash or a silent fresh run.

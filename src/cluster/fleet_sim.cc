@@ -262,11 +262,7 @@ struct FleetEngine::Impl {
   // malformed checkpoint.
   void RequireIndicesInRange(size_t records) const {
     const auto check = [](const char* field, int64_t value, int64_t lo, int64_t end) {
-      if (value < lo || value >= end) {
-        throw CheckpointError("fleet checkpoint " + std::string(field) + " " +
-                              std::to_string(value) + " is outside [" + std::to_string(lo) +
-                              ", " + std::to_string(end) + ")");
-      }
+      RequireInRange("fleet", field, value, lo, end);
     };
     const auto n = static_cast<int64_t>(records);
     const int hosts = config.host_faults.hosts;

@@ -2,7 +2,7 @@
 
 namespace faascost {
 
-ProvenanceTotals TagPlatformSpanBilling(std::vector<Span>* spans,
+ProvenanceTotals TagPlatformSpanBilling(SpanLog* spans,
                                         const PlatformSimResult& result,
                                         const PlatformSimConfig& config,
                                         const BillingModel& billing) {
@@ -34,17 +34,17 @@ ProvenanceTotals TagPlatformSpanBilling(std::vector<Span>* spans,
 
 namespace {
 
-// Appends to a caller-owned span vector.
+// Appends to a caller-owned span log.
 struct AppendSink final : TraceSink {
-  explicit AppendSink(std::vector<Span>* spans) : out(spans) {}
+  explicit AppendSink(SpanLog* spans) : out(spans) {}
   void Record(const Span& span) override { out->push_back(span); }
-  std::vector<Span>* out;
+  SpanLog* out;
 };
 
 }  // namespace
 
 NetworkTotals MeterPlatformNetwork(NetworkModel& net, PlatformSimResult* result,
-                                   std::vector<Span>* spans, TimeSeries* series) {
+                                   SpanLog* spans, TimeSeries* series) {
   NetworkTotals totals;
   AppendSink append(spans);
   TraceSink* sink = spans != nullptr ? &append : nullptr;

@@ -7,8 +7,6 @@
 #ifndef FAASCOST_CORE_OBSERVE_H_
 #define FAASCOST_CORE_OBSERVE_H_
 
-#include <vector>
-
 #include "src/billing/model.h"
 #include "src/net/model.h"
 #include "src/obs/span.h"
@@ -30,7 +28,7 @@ struct ProvenanceTotals {
 // Returns the run's invoice totals; by construction the USD tags across
 // `spans` sum to `billed_usd` exactly. Spans from other simulators (no ref /
 // not terminal) are left untouched.
-ProvenanceTotals TagPlatformSpanBilling(std::vector<Span>* spans,
+ProvenanceTotals TagPlatformSpanBilling(SpanLog* spans,
                                         const PlatformSimResult& result,
                                         const PlatformSimConfig& config,
                                         const BillingModel& billing);
@@ -44,7 +42,7 @@ ProvenanceTotals TagPlatformSpanBilling(std::vector<Span>* spans,
 // attempt's transfer time moves its request's completion and e2e_latency,
 // so a metered result still passes AuditPlatformRun.
 NetworkTotals MeterPlatformNetwork(NetworkModel& net, PlatformSimResult* result,
-                                   std::vector<Span>* spans, TimeSeries* series);
+                                   SpanLog* spans, TimeSeries* series);
 
 }  // namespace faascost
 

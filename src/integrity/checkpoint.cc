@@ -4,6 +4,15 @@
 
 namespace faascost {
 
+void RequireInRange(std::string_view sim, std::string_view field, int64_t value, int64_t lo,
+                    int64_t end) {
+  if (value < lo || value >= end) {
+    throw CheckpointError(std::string(sim) + " checkpoint " + std::string(field) + " " +
+                          std::to_string(value) + " is outside [" + std::to_string(lo) +
+                          ", " + std::to_string(end) + ")");
+  }
+}
+
 void WriteCheckpoint(const std::string& path, const CheckpointHeader& header,
                      const std::function<void(JsonWriter&)>& write_state) {
   JsonWriter w;

@@ -46,6 +46,12 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// An index in a loaded state that does not fit what it indexes would make
+// the resumed run read out of bounds. Throws CheckpointError ("<sim>
+// checkpoint <field> <value> is outside [lo, end)") unless lo <= value < end.
+void RequireInRange(std::string_view sim, std::string_view field, int64_t value, int64_t lo,
+                    int64_t end);
+
 struct CheckpointHeader {
   std::string sim;
   uint64_t seed = 0;

@@ -84,7 +84,7 @@ std::string ObjectiveColumn(MicroSecs objective) {
 
 }  // namespace
 
-std::string ChromeTraceJson(const std::vector<Span>& spans) {
+std::string ChromeTraceJson(const SpanLog& spans) {
   std::vector<SpanKey> keys;
   keys.reserve(spans.size());
   size_t capacity = kDocumentBytes;

@@ -7,7 +7,6 @@
 #define FAASCOST_OBS_EXPORTERS_H_
 
 #include <string>
-#include <vector>
 
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
@@ -20,7 +19,7 @@ namespace faascost {
 // monotone within every track and enclosing spans precede their children.
 // The spans are not copied: a compact key per span is sorted and each event
 // is written once into one pre-reserved string.
-std::string ChromeTraceJson(const std::vector<Span>& spans);
+std::string ChromeTraceJson(const SpanLog& spans);
 
 // Renders the tumbling-window time series as JSONL: one JSON object per
 // window in index order, with rates, latency quantiles (p50/p95/p99 ms),

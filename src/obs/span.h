@@ -13,8 +13,8 @@
 #define FAASCOST_OBS_SPAN_H_
 
 #include <cstdint>
-#include <vector>
 
+#include "src/common/append_log.h"
 #include "src/common/units.h"
 
 namespace faascost {
@@ -60,21 +60,26 @@ struct Span {
   int32_t req_idx = -1;
   int32_t attempt = 0;
   int32_t sandbox_id = -1;
+  bool cold = false;
+  // True on the single span that carries an attempt's billing attribution.
+  bool terminal = false;
   // Layer-specific back-reference (PlatformSim: index into result.attempts;
   // FleetSim: index into result.spans for sandbox spans). -1 when unset.
   int64_t ref = -1;
   // Interned outcome string ("" while in flight / not applicable). Must point
   // at static storage; spans never own it.
   const char* status = "";
-  bool cold = false;
-  // True on the single span that carries an attempt's billing attribution.
-  bool terminal = false;
 
   // Billed share: filled in by the simulator (FleetSim) or a post-run tagger
   // (core/observe.h for PlatformSim).
   MicroSecs billed_micros = 0;
   Usd billed_usd = 0.0;
 };
+// The two bools share the word after sandbox_id; a long run keeps millions.
+static_assert(sizeof(Span) == 80);
+
+// Spans in emission order. Growing never copies the spans already held.
+using SpanLog = AppendLog<Span>;
 
 class TraceSink {
  public:
@@ -82,17 +87,18 @@ class TraceSink {
   virtual void Record(const Span& span) = 0;
 };
 
-// Default sink: appends every span to a vector, in emission order.
+// Default sink: appends every span to a SpanLog, in emission order.
 class SpanCollector final : public TraceSink {
  public:
   void Record(const Span& span) override { spans_.push_back(span); }
 
-  const std::vector<Span>& spans() const { return spans_; }
-  std::vector<Span>* mutable_spans() { return &spans_; }
+  const SpanLog& spans() const { return spans_; }
+  SpanLog* mutable_spans() { return &spans_; }
+  // Keeps the log's chunks for the next run's spans.
   void Clear() { spans_.clear(); }
 
  private:
-  std::vector<Span> spans_;
+  SpanLog spans_;
 };
 
 }  // namespace faascost

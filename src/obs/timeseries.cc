@@ -283,7 +283,7 @@ int64_t TimeSeries::TotalNetBytes() const {
 }
 
 BilledReconciliation ReconcileBilledUsd(const TimeSeries& series,
-                                        const std::vector<Span>& spans) {
+                                        const SpanLog& spans) {
   BilledReconciliation rec;
   const MicroSecs width = series.window();
   // Bucket terminal-span USD in emission order: the same order RecordBilled
@@ -323,7 +323,7 @@ BilledReconciliation ReconcileBilledUsd(const TimeSeries& series,
 }
 
 BilledReconciliation ReconcileTransferUsd(const TimeSeries& series,
-                                          const std::vector<Span>& spans) {
+                                          const SpanLog& spans) {
   BilledReconciliation rec;
   const MicroSecs width = series.window();
   // Same discipline as ReconcileBilledUsd, over the network column: fold
@@ -361,7 +361,7 @@ BilledReconciliation ReconcileTransferUsd(const TimeSeries& series,
   return rec;
 }
 
-void IngestBilledSpans(TimeSeries& series, const std::vector<Span>& spans) {
+void IngestBilledSpans(TimeSeries& series, const SpanLog& spans) {
   for (const Span& sp : spans) {
     if (!sp.terminal || sp.kind == SpanKind::kWorkflow) {
       continue;

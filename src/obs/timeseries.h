@@ -279,13 +279,13 @@ struct BilledReconciliation {
   Usd span_total = 0.0;
 };
 BilledReconciliation ReconcileBilledUsd(const TimeSeries& series,
-                                        const std::vector<Span>& spans);
+                                        const SpanLog& spans);
 
 // Feeds post-run-priced terminal spans into the series (PlatformSim bills
 // spans after the run via TagPlatformSpanBilling, so it cannot call
 // RecordBilled inline). Iterates spans in emission order; by construction
-// the series then reconciles bitwise against the same span vector.
-void IngestBilledSpans(TimeSeries& series, const std::vector<Span>& spans);
+// the series then reconciles bitwise against the same span log.
+void IngestBilledSpans(TimeSeries& series, const SpanLog& spans);
 
 // Same bitwise reconciliation for the network column: the USD carried on
 // kTransfer spans (bucketed by end time, folded in emission order) must
@@ -293,7 +293,7 @@ void IngestBilledSpans(TimeSeries& series, const std::vector<Span>& spans);
 // non-terminal, so the compute-billing reconciliation above never sees them
 // and the two columns stay disjoint.
 BilledReconciliation ReconcileTransferUsd(const TimeSeries& series,
-                                          const std::vector<Span>& spans);
+                                          const SpanLog& spans);
 
 }  // namespace faascost
 

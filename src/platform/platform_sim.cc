@@ -1023,6 +1023,69 @@ struct PlatformEngine::Impl {
                        });
   }
 
+  // A loaded state indexes the requests, the attempt rows and the sandboxes;
+  // an index out of range would crash the run, so it is a malformed
+  // checkpoint.
+  void RequireIndicesInRange() const {
+    const auto check = [](const char* field, int64_t value, int64_t lo, int64_t end) {
+      RequireInRange("platform", field, value, lo, end);
+    };
+    const auto requests = static_cast<int64_t>(result.requests.size());
+    const auto attempts = static_cast<int64_t>(result.attempts.size());
+    const auto boxes = static_cast<int64_t>(sandboxes.size());
+    const auto length = [&](const char* field, size_t size, int64_t n) {
+      check(field, static_cast<int64_t>(size), n, n + 1);
+    };
+    length("next_attempt_no length", next_attempt_no.size(), requests);
+    length("attempt_open length", attempt_open.size(), attempts);
+    length("attempt_started length", attempt_started.size(), attempts);
+    for (const Event& e : queue.raw()) {
+      int64_t sb_lo = -1;  // An event of a kind that names no sandbox may carry -1.
+      switch (e.type) {
+        case EventType::kArrival:
+        case EventType::kRetryArrival:
+          check("event r", e.req_idx, 0, requests);
+          break;
+        case EventType::kExecTimeout:
+        case EventType::kClientTimeout:
+        case EventType::kQueueTimeout:
+          check("event r", e.req_idx, 0, attempts);
+          break;
+        case EventType::kInitDone:
+        case EventType::kSandboxNext:
+        case EventType::kKaExpire:
+        case EventType::kDrainDeadline:
+          sb_lo = 0;
+          break;
+        case EventType::kScalerEval:
+        case EventType::kSample:
+          break;
+        default:
+          check("event k", static_cast<int64_t>(e.type), 0,
+                static_cast<int64_t>(std::size(kEventTypeNames)));
+      }
+      check("event sb", e.sandbox_id, sb_lo, boxes);
+    }
+    for (size_t i = 0; i < sandboxes.size(); ++i) {
+      const SandboxState& s = sandboxes[i];
+      check("sandbox id", s.id, static_cast<int64_t>(i), static_cast<int64_t>(i) + 1);
+      for (const InFlightReq& r : s.inflight) {
+        check("inflight req_idx", r.req_idx, 0, requests);
+        check("inflight attempt_idx", r.attempt_idx, 0, attempts);
+      }
+      for (const int a : s.pending_local) {
+        check("pending_local entry", a, 0, attempts);
+      }
+    }
+    for (const int a : global_queue) {
+      check("global_queue entry", a, 0, attempts);
+    }
+    for (const AttemptOutcome& a : result.attempts) {
+      check("attempt req_idx", a.req_idx, 0, requests);
+      check("attempt sandbox_id", a.sandbox_id, -1, boxes);
+    }
+  }
+
   // Rebuilds the derived indexes (`live`, each cpu_phase) from the sandbox
   // table after a load.
   void RebuildDerived() {
@@ -1646,6 +1709,7 @@ void PlatformEngine::LoadState(const JsonValue& state) {
   im.started = true;
   Loader ar(&state);
   im.Archive(ar);
+  im.RequireIndicesInRange();
   im.RebuildDerived();
 }
 

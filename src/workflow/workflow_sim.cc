@@ -948,7 +948,7 @@ class Engine {
 
   std::vector<std::vector<FunctionState>> functions_;  // [dag][hop].
   std::vector<WfState> wfs_;
-  std::vector<AttemptExtra> extras_;
+  AppendLog<AttemptExtra> extras_;
   NetworkTotals net_totals_;  // Copied into the result's transfer counts at the end.
   WorkflowSimResult res_;
 };

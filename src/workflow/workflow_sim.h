@@ -27,6 +27,7 @@
 
 #include "src/billing/catalog.h"
 #include "src/billing/model.h"
+#include "src/common/append_log.h"
 #include "src/common/units.h"
 #include "src/integrity/integrity.h"
 #include "src/net/model.h"
@@ -182,7 +183,9 @@ struct BreakerTransition {
 };
 
 struct WorkflowSimResult {
-  std::vector<HopAttempt> attempts;
+  // One row per attempt in creation order (104 bytes each); growing never
+  // copies the rows already held.
+  AppendLog<HopAttempt> attempts;
   std::vector<WorkflowRow> workflows;
   WorkflowCounters counters;
   std::vector<BreakerTransition> breaker_transitions;

@@ -108,7 +108,7 @@ TEST(PlatformNet, MeteredResultPassesAFullAudit) {
 TEST(PlatformNet, TransferUsdReconcilesBitwiseAgainstTelemetry) {
   PlatformSimResult res = RunPlatform(/*crash_prob=*/0.05);
   NetworkModel net = MakeNet();
-  std::vector<Span> spans;
+  SpanLog spans;
   TimeSeries series(5 * kSec);
   const NetworkTotals totals = MeterPlatformNetwork(net, &res, &spans, &series);
 

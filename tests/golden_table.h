@@ -37,7 +37,7 @@ inline std::string Hex(uint64_t v) {
 inline std::string Bits(double v) { return Hex(std::bit_cast<uint64_t>(v)); }
 
 // Every field of every span, in emission order.
-inline uint64_t SpanDigest(const std::vector<Span>& spans) {
+inline uint64_t SpanDigest(const SpanLog& spans) {
   StateDigest d;
   for (const Span& s : spans) {
     d.MixI64(static_cast<int64_t>(s.kind));

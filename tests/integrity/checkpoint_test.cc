@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <string>
@@ -427,6 +428,151 @@ TEST_F(FleetStateIndices, E2eLatencyShorterThanTheTraceThrows) {
   const JsonValue full = JsonValue::MakeArray(latencies);
   latencies.pop_back();
   ExpectBoundary({"e2e_latency"}, full, JsonValue::MakeArray(std::move(latencies)));
+}
+
+JsonValue Int(int64_t v) {
+  return JsonValue::MakeInt(v < 0 ? 0 - static_cast<uint64_t>(v) : static_cast<uint64_t>(v),
+                            v < 0);
+}
+
+// The chaos platform stopped at 5 s, with sandboxes live and attempts in
+// flight. As for the fleet, each index its state holds must fit what it
+// indexes: the last valid value loads, one past it is a malformed
+// checkpoint.
+class PlatformStateIndices : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    PlatformEngine engine(ChaosPlatformConfig(), 3);
+    engine.Start(PlatformArrivals(), PyAesWorkload());
+    engine.AdvanceUntil(5 * kSec);
+    state_ = ParseJson(SavePlatformState(engine));
+    requests_ = static_cast<int64_t>(state_.At("requests").GetArray().size());
+    attempts_ = static_cast<int64_t>(state_.At("attempts").GetArray().size());
+    const std::vector<JsonValue>& sandboxes = state_.At("sandboxes").GetArray();
+    sandboxes_ = static_cast<int64_t>(sandboxes.size());
+    for (size_t i = 0; i < sandboxes.size() && busy_ < 0; ++i) {
+      if (!sandboxes[i].At("inflight").GetArray().empty()) {
+        busy_ = static_cast<int64_t>(i);
+      }
+    }
+    ASSERT_GT(attempts_, 0);
+    ASSERT_GE(busy_, 0);
+  }
+
+  void ExpectBoundary(const std::vector<std::string>& path, const JsonValue& ok,
+                      const JsonValue& bad) {
+    PlatformEngine accepted(ChaosPlatformConfig(), 3);
+    EXPECT_NO_THROW(accepted.LoadState(ReplaceAt(state_, path, ok)));
+    PlatformEngine rejected(ChaosPlatformConfig(), 3);
+    EXPECT_THROW(rejected.LoadState(ReplaceAt(state_, path, bad)), CheckpointError);
+  }
+
+  // The saved events plus one of kind `k` naming sandbox `sb` and index `r`,
+  // due after every saved event so the heap order holds.
+  JsonValue EventsWith(int64_t k, int64_t sb, int64_t r) const {
+    std::vector<JsonValue> events = state_.At("events").GetArray();
+    int64_t last = 0;
+    for (const JsonValue& e : events) {
+      last = std::max(last, e.At("t").GetInt64());
+    }
+    events.push_back(JsonValue::MakeObject({
+        {"t", Int(last + 1)},
+        {"k", Int(k)},
+        {"sb", Int(sb)},
+        {"g", Uint(0)},
+        {"r", Int(r)},
+    }));
+    return JsonValue::MakeArray(std::move(events));
+  }
+
+  // The top-level array `key`, whole and then one element short.
+  void ExpectShorterThrows(const std::string& key) {
+    std::vector<JsonValue> items = state_.At(key).GetArray();
+    const JsonValue full = JsonValue::MakeArray(items);
+    items.pop_back();
+    ExpectBoundary({key}, full, JsonValue::MakeArray(std::move(items)));
+  }
+
+  // EventType values (src/platform/platform_sim.cc).
+  static constexpr int64_t kArrival = 0;
+  static constexpr int64_t kInitDone = 1;
+  static constexpr int64_t kExecTimeout = 7;
+  static constexpr int64_t kDrainDeadline = 10;
+
+  JsonValue state_;
+  int64_t requests_ = 0;
+  int64_t attempts_ = 0;
+  int64_t sandboxes_ = 0;
+  int64_t busy_ = -1;  // A sandbox with a request in flight.
+};
+
+TEST_F(PlatformStateIndices, EventSandboxPastTheSandboxesThrows) {
+  ExpectBoundary({"events"}, EventsWith(kInitDone, sandboxes_ - 1, -1),
+                 EventsWith(kInitDone, sandboxes_, -1));
+  // A kind that indexes a sandbox needs one; the others carry -1 or one.
+  ExpectBoundary({"events"}, EventsWith(kInitDone, 0, -1), EventsWith(kInitDone, -1, -1));
+  ExpectBoundary({"events"}, EventsWith(kArrival, sandboxes_ - 1, 0),
+                 EventsWith(kArrival, sandboxes_, 0));
+}
+
+TEST_F(PlatformStateIndices, EventRequestPastTheRequestsThrows) {
+  ExpectBoundary({"events"}, EventsWith(kArrival, -1, requests_ - 1),
+                 EventsWith(kArrival, -1, requests_));
+}
+
+TEST_F(PlatformStateIndices, EventAttemptPastTheAttemptRowsThrows) {
+  ExpectBoundary({"events"}, EventsWith(kExecTimeout, -1, attempts_ - 1),
+                 EventsWith(kExecTimeout, -1, attempts_));
+}
+
+TEST_F(PlatformStateIndices, EventKindPastTheKindsThrows) {
+  ExpectBoundary({"events"}, EventsWith(kDrainDeadline, 0, -1),
+                 EventsWith(kDrainDeadline + 1, 0, -1));
+}
+
+TEST_F(PlatformStateIndices, SandboxIdOtherThanItsPositionThrows) {
+  ExpectBoundary({"sandboxes", "0", "id"}, Uint(0), Uint(1));
+}
+
+TEST_F(PlatformStateIndices, InflightRequestPastTheRequestsThrows) {
+  ExpectBoundary({"sandboxes", std::to_string(busy_), "inflight", "0", "req_idx"},
+                 Int(requests_ - 1), Int(requests_));
+}
+
+TEST_F(PlatformStateIndices, InflightAttemptPastTheAttemptRowsThrows) {
+  ExpectBoundary({"sandboxes", std::to_string(busy_), "inflight", "0", "attempt_idx"},
+                 Int(attempts_ - 1), Int(attempts_));
+}
+
+TEST_F(PlatformStateIndices, PendingLocalEntryPastTheAttemptRowsThrows) {
+  ExpectBoundary({"sandboxes", "0", "pending_local"},
+                 JsonValue::MakeArray({Int(attempts_ - 1)}),
+                 JsonValue::MakeArray({Int(attempts_)}));
+}
+
+TEST_F(PlatformStateIndices, GlobalQueueEntryPastTheAttemptRowsThrows) {
+  ExpectBoundary({"global_queue"}, JsonValue::MakeArray({Int(attempts_ - 1)}),
+                 JsonValue::MakeArray({Int(attempts_)}));
+}
+
+TEST_F(PlatformStateIndices, NextAttemptNoShorterThanTheRequestsThrows) {
+  ExpectShorterThrows("next_attempt_no");
+}
+
+TEST_F(PlatformStateIndices, AttemptOpenShorterThanTheAttemptRowsThrows) {
+  ExpectShorterThrows("attempt_open");
+}
+
+TEST_F(PlatformStateIndices, AttemptStartedShorterThanTheAttemptRowsThrows) {
+  ExpectShorterThrows("attempt_started");
+}
+
+TEST_F(PlatformStateIndices, AttemptRowRequestPastTheRequestsThrows) {
+  ExpectBoundary({"attempts", "0", "req_idx"}, Int(requests_ - 1), Int(requests_));
+}
+
+TEST_F(PlatformStateIndices, AttemptRowSandboxPastTheSandboxesThrows) {
+  ExpectBoundary({"attempts", "0", "sandbox_id"}, Int(sandboxes_ - 1), Int(sandboxes_));
 }
 
 // The in-run USD conservation check names both sums exactly: a resumed

@@ -17,8 +17,8 @@
 namespace faascost {
 namespace {
 
-std::vector<Span> SampleSpans() {
-  std::vector<Span> spans;
+SpanLog SampleSpans() {
+  SpanLog spans;
   Span a;
   a.kind = SpanKind::kExec;
   a.group = kTrackGroupClient;
@@ -105,8 +105,8 @@ bool ReferenceSpanBefore(const Span& a, const Span& b) {
   return a.duration > b.duration;
 }
 
-std::string ReferenceChromeTraceJson(const std::vector<Span>& spans) {
-  std::vector<Span> sorted = spans;
+std::string ReferenceChromeTraceJson(const SpanLog& spans) {
+  std::vector<Span> sorted(spans.begin(), spans.end());
   std::stable_sort(sorted.begin(), sorted.end(), ReferenceSpanBefore);
   std::set<int> groups;
   for (const Span& s : sorted) {
@@ -168,7 +168,7 @@ std::string ReferenceChromeTraceJson(const std::vector<Span>& spans) {
 // Spans drawn from small ranges, so exact (group, track, start, duration)
 // ties and same-start nestings are common, plus the edge values of every
 // field the exporter formats.
-std::vector<Span> RandomSpans(uint64_t seed, size_t count) {
+SpanLog RandomSpans(uint64_t seed, size_t count) {
   static const char* const kStatuses[] = {
       nullptr, "", "ok", "crash", "quote\"inside", "back\\slash",
       "ctl\x01" "byte\x1f", "tab\tnl\nret\r", "caf\xc3\xa9"};
@@ -184,8 +184,9 @@ std::vector<Span> RandomSpans(uint64_t seed, size_t count) {
                          std::numeric_limits<double>::infinity(),
                          -std::numeric_limits<double>::infinity()};
   Rng rng(seed);
-  std::vector<Span> spans(count);
-  for (Span& s : spans) {
+  SpanLog spans;
+  for (size_t i = 0; i < count; ++i) {
+    Span& s = spans.emplace_back();
     // Kinds past kTransfer, and negative ones, render as "unknown".
     s.kind = static_cast<SpanKind>(rng.UniformInt(-1, 17));
     // Groups 1-6 are the named track groups; 0 and 7 render as "unknown".
@@ -208,20 +209,21 @@ std::vector<Span> RandomSpans(uint64_t seed, size_t count) {
 }
 
 // Three spans with identical sort keys, told apart only by req_idx.
-std::vector<Span> ExactTies() {
-  std::vector<Span> spans(3);
-  for (size_t i = 0; i < spans.size(); ++i) {
-    spans[i].group = kTrackGroupSandbox;
-    spans[i].track = 9;
-    spans[i].start = 100;
-    spans[i].duration = 50;
-    spans[i].req_idx = static_cast<int32_t>(i);
+SpanLog ExactTies() {
+  SpanLog spans;
+  for (int32_t i = 0; i < 3; ++i) {
+    Span& s = spans.emplace_back();
+    s.group = kTrackGroupSandbox;
+    s.track = 9;
+    s.start = 100;
+    s.duration = 50;
+    s.req_idx = i;
   }
   return spans;
 }
 
 TEST(ChromeTraceJson, MatchesReferenceBytes) {
-  std::vector<std::vector<Span>> inputs = {{}, SampleSpans(), ExactTies(), ExactTies()};
+  std::vector<SpanLog> inputs = {{}, SampleSpans(), ExactTies(), ExactTies()};
   std::reverse(inputs.back().begin(), inputs.back().end());
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     inputs.push_back(RandomSpans(seed, seed * 7));

@@ -205,7 +205,7 @@ Span TerminalSpan(MicroSecs start, MicroSecs duration, Usd usd) {
 TEST(ReconcileBilledUsdTest, MatchingSeriesAndSpansReconcileBitwise) {
   const MicroSecs width = 1'000;
   TimeSeries series(width);
-  std::vector<Span> spans;
+  SpanLog spans;
   // Awkward doubles whose sum depends on accumulation order: the reconciler
   // must agree bit-for-bit anyway because both sides fold in emission order.
   const Usd values[] = {1.0e-7, 3.333333333e-8, 7.77e-9, 1.0e-13, 2.5e-8};
@@ -224,7 +224,7 @@ TEST(ReconcileBilledUsdTest, MatchingSeriesAndSpansReconcileBitwise) {
 
 TEST(ReconcileBilledUsdTest, DetectsASingleDroppedAttempt) {
   TimeSeries series(1'000);
-  std::vector<Span> spans;
+  SpanLog spans;
   spans.push_back(TerminalSpan(0, 500, 1.0e-7));
   spans.push_back(TerminalSpan(1'200, 500, 2.0e-7));
   series.RecordBilled(500, 1.0e-7);
@@ -236,7 +236,7 @@ TEST(ReconcileBilledUsdTest, DetectsASingleDroppedAttempt) {
 
 TEST(ReconcileBilledUsdTest, DetectsAOneUlpPerturbation) {
   TimeSeries series(1'000);
-  std::vector<Span> spans;
+  SpanLog spans;
   const Usd usd = 1.23456789e-7;
   spans.push_back(TerminalSpan(0, 500, usd));
   series.RecordBilled(500, std::nextafter(usd, 1.0));
@@ -247,7 +247,7 @@ TEST(ReconcileBilledUsdTest, DetectsAOneUlpPerturbation) {
 
 TEST(ReconcileBilledUsdTest, IgnoresNonTerminalAndWorkflowRollupSpans) {
   TimeSeries series(1'000);
-  std::vector<Span> spans;
+  SpanLog spans;
   spans.push_back(TerminalSpan(0, 500, 1.0e-7));
   Span open = TerminalSpan(0, 500, 9.9e-5);
   open.terminal = false;  // Non-terminal USD must not be counted.
@@ -260,7 +260,7 @@ TEST(ReconcileBilledUsdTest, IgnoresNonTerminalAndWorkflowRollupSpans) {
 }
 
 TEST(IngestBilledSpansTest, RoundTripsToABitwiseReconciliation) {
-  std::vector<Span> spans;
+  SpanLog spans;
   spans.push_back(TerminalSpan(100, 400, 3.0e-8));
   Span failed = TerminalSpan(900, 300, 5.0e-8);
   failed.status = "crash";
@@ -310,7 +310,7 @@ TEST(TimeSeriesTest, TransfersAccumulateBytesAndUsdPerWindow) {
 TEST(ReconcileTransferUsdTest, MatchingSeriesAndSpansReconcileBitwise) {
   const MicroSecs width = 1'000;
   TimeSeries series(width);
-  std::vector<Span> spans;
+  SpanLog spans;
   // Order-sensitive doubles, as in the billed-USD reconciliation test.
   const Usd values[] = {1.0e-7, 3.333333333e-8, 7.77e-9, 1.0e-13, 2.5e-8};
   MicroSecs t = 100;
@@ -328,7 +328,7 @@ TEST(ReconcileTransferUsdTest, MatchingSeriesAndSpansReconcileBitwise) {
 
 TEST(ReconcileTransferUsdTest, DetectsDropsAndPerturbations) {
   TimeSeries series(1'000);
-  std::vector<Span> spans;
+  SpanLog spans;
   spans.push_back(TransferSpan(0, 500, 1'024, 1.0e-7));
   spans.push_back(TransferSpan(1'200, 500, 1'024, 2.0e-7));
   series.RecordTransfer(500, 1'024, 1.0e-7);
@@ -339,7 +339,8 @@ TEST(ReconcileTransferUsdTest, DetectsDropsAndPerturbations) {
 
   TimeSeries ulp(1'000);
   const Usd usd = 1.23456789e-7;
-  std::vector<Span> one = {TransferSpan(0, 500, 1'024, usd)};
+  SpanLog one;
+  one.push_back(TransferSpan(0, 500, 1'024, usd));
   ulp.RecordTransfer(500, 1'024, std::nextafter(usd, 1.0));
   EXPECT_FALSE(ReconcileTransferUsd(ulp, one).ok);
 }
@@ -349,7 +350,7 @@ TEST(ReconcileTransferUsdTest, ColumnsStayDisjoint) {
   // spans are invisible to the transfer reconciliation; a series carrying
   // both columns reconciles on each side independently.
   TimeSeries series(1'000);
-  std::vector<Span> spans;
+  SpanLog spans;
   spans.push_back(TerminalSpan(0, 500, 1.0e-7));
   spans.push_back(TransferSpan(0, 300, 2'048, 4.0e-8));
   series.RecordBilled(500, 1.0e-7);

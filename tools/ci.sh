@@ -322,7 +322,28 @@ PYEOF
     exit 1
   fi
 done
-echo "tampered checkpoint state rejected with exit 3 on both sims."
+# And a platform state whose event names a sandbox that does not exist: the
+# loader's range check rejects it before the run could index it (the state
+# digest alone would not, since a tampered file can carry a recomputed one).
+"$repo/build/tools/faascost" audit --sim platform --audit-level full --seconds 20 \
+  --seed 1 --checkpoint "$obs_tmp/tamper_cp.json" --checkpoint-at 7 > /dev/null
+python3 - "$obs_tmp/tamper_cp.json" <<'PYEOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["state"]["events"][0]["sb"] = 1000000
+json.dump(doc, open(sys.argv[1], "w"))
+PYEOF
+set +e
+"$repo/build/tools/faascost" audit --sim platform --audit-level full --seconds 20 \
+  --seed 1 --resume "$obs_tmp/tamper_cp.json" > /dev/null 2> "$obs_tmp/tamper_err.txt"
+audit_rc=$?
+set -e
+if [ "$audit_rc" -ne 3 ] || ! grep -q "event sb 1000000" "$obs_tmp/tamper_err.txt"; then
+  echo "audit --sim platform: expected exit 3 naming the out-of-range event sb, got" \
+    "$audit_rc: $(cat "$obs_tmp/tamper_err.txt")" >&2
+  exit 1
+fi
+echo "tampered checkpoint state rejected with exit 3 on both sims (missing key, event sb)."
 
 echo
 echo "== perfbench: correctness smoke (pinned counts and USD bits at seeds 7 and 1729) =="

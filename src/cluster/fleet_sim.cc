@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "src/common/rng.h"
+#include "src/common/validate.h"
 #include "src/engine/event_queue.h"
 #include "src/integrity/archive.h"
 #include "src/integrity/digest.h"
@@ -931,14 +932,7 @@ struct FleetEngine::Impl {
 };
 
 FleetEngine::FleetEngine(FleetSimConfig config) {
-  const std::vector<std::string> errors = config.Validate();
-  if (!errors.empty()) {
-    std::string msg = "invalid FleetSimConfig";
-    for (const auto& e : errors) {
-      msg += "; " + e;
-    }
-    throw std::invalid_argument(msg);
-  }
+  ThrowIfInvalid("FleetSimConfig", config.Validate());
   impl_ = std::make_unique<Impl>(std::move(config));
 }
 

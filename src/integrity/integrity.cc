@@ -21,20 +21,6 @@ std::string BuildMessage(const std::string& invariant, MicroSecs sim_time,
 
 }  // namespace
 
-AuditLevel ParseAuditLevel(std::string_view text) {
-  if (text == "off") {
-    return AuditLevel::kOff;
-  }
-  if (text == "basic") {
-    return AuditLevel::kBasic;
-  }
-  if (text == "full") {
-    return AuditLevel::kFull;
-  }
-  throw std::invalid_argument("unknown audit level '" + std::string(text) +
-                              "' (expected off|basic|full)");
-}
-
 const char* AuditLevelName(AuditLevel level) {
   switch (level) {
     case AuditLevel::kOff:

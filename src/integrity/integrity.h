@@ -33,8 +33,6 @@ namespace faascost {
 //            the configured cadence and USD reconciliation at end of run.
 enum class AuditLevel { kOff, kBasic, kFull };
 
-// Parses "off" | "basic" | "full"; throws std::invalid_argument otherwise.
-AuditLevel ParseAuditLevel(std::string_view text);
 const char* AuditLevelName(AuditLevel level);
 
 // Thrown when an invariant fails. The what() string is a single line

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
+
+#include "src/common/validate.h"
 
 namespace faascost {
 
@@ -25,10 +26,12 @@ double LnMuForMeanBytes(double mean_kb, double sigma) {
 
 std::vector<std::string> NetworkModelConfig::Validate() const {
   std::vector<std::string> errors = topology.Validate();
-  if (payload.request_mean_kb < 0.0 || payload.response_mean_kb < 0.0) {
+  if (payload.request_mean_kb < 0.0 || payload.response_mean_kb < 0.0 ||
+      std::isnan(payload.request_mean_kb) || std::isnan(payload.response_mean_kb)) {
     errors.push_back("payload means must be >= 0 (0 disables)");
   }
-  if (payload.request_sigma < 0.0 || payload.response_sigma < 0.0) {
+  if (payload.request_sigma < 0.0 || payload.response_sigma < 0.0 ||
+      std::isnan(payload.request_sigma) || std::isnan(payload.response_sigma)) {
     errors.push_back("payload sigmas must be >= 0");
   }
   if (class_a_ops_per_request < 0 || class_b_ops_per_request < 0) {
@@ -53,19 +56,14 @@ NetworkModel::NetworkModel(NetworkModelConfig config, NetworkPricing pricing,
                            uint64_t seed)
     : config_(std::move(config)),
       meter_(std::move(pricing)),
-      payload_seed_(DeriveSeed(seed, kNetStream)),
-      topo_(MakeCloudTopology(config_.topology)) {
+      payload_seed_(DeriveSeed(seed, kNetStream)) {
   std::vector<std::string> errors = config_.Validate();
   for (const std::string& e : meter_.pricing().Validate()) {
     errors.push_back("pricing: " + e);
   }
-  if (!errors.empty()) {
-    std::string joined = "invalid NetworkModel configuration:";
-    for (const std::string& e : errors) {
-      joined += "\n  " + e;
-    }
-    throw std::invalid_argument(joined);
-  }
+  ThrowIfInvalid("NetworkModel configuration", errors);
+  // Built only once validated: regions() divides by zones_per_region.
+  topo_ = MakeCloudTopology(config_.topology);
   req_ln_mu_ = LnMuForMeanBytes(config_.payload.request_mean_kb,
                                 config_.payload.request_sigma);
   resp_ln_mu_ = LnMuForMeanBytes(config_.payload.response_mean_kb,

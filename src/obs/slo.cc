@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "src/common/json_writer.h"
+#include "src/common/validate.h"
 
 namespace faascost {
 
@@ -50,14 +51,7 @@ double BurnRate(const TimeSeries& series, const SloSpec& spec, size_t last,
 }
 
 std::vector<SloAlert> EvaluateSlo(const TimeSeries& series, const SloSpec& spec) {
-  const std::vector<std::string> errors = spec.Validate();
-  if (!errors.empty()) {
-    std::string msg = "invalid SloSpec";
-    for (const std::string& e : errors) {
-      msg += "; " + e;
-    }
-    throw std::invalid_argument(msg);
-  }
+  ThrowIfInvalid("SloSpec", spec.Validate());
   if (static_cast<size_t>(spec.objective_id) >= series.objective_count()) {
     throw std::invalid_argument(
         "SloSpec.objective_id " + std::to_string(spec.objective_id) +

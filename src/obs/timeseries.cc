@@ -282,17 +282,21 @@ int64_t TimeSeries::TotalNetBytes() const {
   return total;
 }
 
-BilledReconciliation ReconcileBilledUsd(const TimeSeries& series,
-                                        const SpanLog& spans) {
+namespace {
+
+// Buckets the USD of the spans `counted` selects by end-time window, in
+// emission order: the order the series accumulated `column` in, so
+// per-window sums agree bitwise, not just "up to reassociation". Then
+// compares each window, and the column folded in window order (as
+// TotalBilledUsd and TotalNetUsd fold it) against the span total.
+template <typename Counted>
+BilledReconciliation Reconcile(const TimeSeries& series, const SpanLog& spans,
+                               Counted counted, double WindowStats::*column) {
   BilledReconciliation rec;
   const MicroSecs width = series.window();
-  // Bucket terminal-span USD in emission order: the same order RecordBilled
-  // contractually ran in, so per-window sums agree bitwise, not just "up to
-  // reassociation". kWorkflow spans are roll-ups of their per-attempt spans
-  // plus orchestration fees — counting both sides would double count.
   std::vector<double> by_window;
   for (const Span& sp : spans) {
-    if (!sp.terminal || sp.kind == SpanKind::kWorkflow) {
+    if (!counted(sp)) {
       continue;
     }
     const MicroSecs end = sp.start + sp.duration;
@@ -306,14 +310,16 @@ BilledReconciliation ReconcileBilledUsd(const TimeSeries& series,
   const size_t n = std::max(series.window_count(), by_window.size());
   for (size_t i = 0; i < n; ++i) {
     const double from_series =
-        i < series.window_count() ? series.window_at(i).billed_usd : 0.0;
+        i < series.window_count() ? series.window_at(i).*column : 0.0;
     const double from_spans = i < by_window.size() ? by_window[i] : 0.0;
     if (!SameBits(from_series, from_spans)) {
       rec.first_mismatch_window = static_cast<int64_t>(i);
       break;
     }
   }
-  rec.timeseries_total = series.TotalBilledUsd();
+  for (size_t i = 0; i < series.window_count(); ++i) {
+    rec.timeseries_total += series.window_at(i).*column;
+  }
   for (const double w : by_window) {
     rec.span_total += w;
   }
@@ -322,43 +328,24 @@ BilledReconciliation ReconcileBilledUsd(const TimeSeries& series,
   return rec;
 }
 
+}  // namespace
+
+BilledReconciliation ReconcileBilledUsd(const TimeSeries& series,
+                                        const SpanLog& spans) {
+  // Terminal spans carry the billed USD. kWorkflow spans are roll-ups of
+  // their per-attempt spans plus orchestration fees — counting both sides
+  // would double count.
+  return Reconcile(
+      series, spans,
+      [](const Span& sp) { return sp.terminal && sp.kind != SpanKind::kWorkflow; },
+      &WindowStats::billed_usd);
+}
+
 BilledReconciliation ReconcileTransferUsd(const TimeSeries& series,
                                           const SpanLog& spans) {
-  BilledReconciliation rec;
-  const MicroSecs width = series.window();
-  // Same discipline as ReconcileBilledUsd, over the network column: fold
-  // kTransfer-span USD per end-time window in emission order — the order
-  // RecordTransfer contractually ran in.
-  std::vector<double> by_window;
-  for (const Span& sp : spans) {
-    if (sp.kind != SpanKind::kTransfer) {
-      continue;
-    }
-    const MicroSecs end = sp.start + sp.duration;
-    const int64_t index = end >= 0 ? end / width : 0;
-    if (static_cast<size_t>(index) >= by_window.size()) {
-      by_window.resize(static_cast<size_t>(index) + 1, 0.0);
-    }
-    by_window[static_cast<size_t>(index)] += sp.billed_usd;
-  }
-
-  const size_t n = std::max(series.window_count(), by_window.size());
-  for (size_t i = 0; i < n; ++i) {
-    const double from_series =
-        i < series.window_count() ? series.window_at(i).net_usd : 0.0;
-    const double from_spans = i < by_window.size() ? by_window[i] : 0.0;
-    if (!SameBits(from_series, from_spans)) {
-      rec.first_mismatch_window = static_cast<int64_t>(i);
-      break;
-    }
-  }
-  rec.timeseries_total = series.TotalNetUsd();
-  for (const double w : by_window) {
-    rec.span_total += w;
-  }
-  rec.ok = rec.first_mismatch_window == -1 &&
-           SameBits(rec.timeseries_total, rec.span_total);
-  return rec;
+  return Reconcile(
+      series, spans, [](const Span& sp) { return sp.kind == SpanKind::kTransfer; },
+      &WindowStats::net_usd);
 }
 
 void IngestBilledSpans(TimeSeries& series, const SpanLog& spans) {

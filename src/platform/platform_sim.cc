@@ -9,6 +9,7 @@
 #include <queue>
 #include <stdexcept>
 
+#include "src/common/validate.h"
 #include "src/integrity/archive.h"
 #include "src/integrity/digest.h"
 
@@ -190,17 +191,6 @@ uint64_t HashPlatformConfig(const PlatformSimConfig& c, uint64_t seed) {
   return d.value();
 }
 
-void ThrowIfInvalid(const PlatformSimConfig& config) {
-  const std::vector<std::string> errors = config.Validate();
-  if (!errors.empty()) {
-    std::string msg = "invalid PlatformSimConfig";
-    for (const auto& e : errors) {
-      msg += "; " + e;
-    }
-    throw std::invalid_argument(msg);
-  }
-}
-
 AutoscalerConfig MakeScalerConfig(const PlatformSimConfig& config) {
   AutoscalerConfig scaler_config = config.autoscaler;
   scaler_config.per_instance_capacity =
@@ -230,13 +220,13 @@ std::vector<std::string> PlatformSimConfig::Validate() const {
   if (coldstart == nullptr && init_mean <= 0) {
     errors.push_back("init_mean must be > 0 when no cold-start model is set");
   }
-  if (init_jitter < 0.0 || init_jitter >= 1.0) {
+  if (init_jitter < 0.0 || init_jitter >= 1.0 || std::isnan(init_jitter)) {
     errors.push_back("init_jitter must be in [0, 1), got " + std::to_string(init_jitter));
   }
-  if (contention_coeff < 0.0) {
+  if (contention_coeff < 0.0 || std::isnan(contention_coeff)) {
     errors.push_back("contention_coeff must be >= 0");
   }
-  if (contention_excess_cap < 0.0) {
+  if (contention_excess_cap < 0.0 || std::isnan(contention_excess_cap)) {
     errors.push_back("contention_excess_cap must be >= 0");
   }
   if (keepalive == nullptr) {
@@ -260,7 +250,7 @@ std::vector<std::string> PlatformSimConfig::Validate() const {
 
 PlatformSim::PlatformSim(PlatformSimConfig config, uint64_t seed)
     : config_(std::move(config)), seed_(seed) {
-  ThrowIfInvalid(config_);
+  ThrowIfInvalid("PlatformSimConfig", config_.Validate());
 }
 
 struct PlatformEngine::Impl {
@@ -1599,7 +1589,7 @@ struct PlatformEngine::Impl {
 };
 
 PlatformEngine::PlatformEngine(PlatformSimConfig config, uint64_t seed) {
-  ThrowIfInvalid(config);
+  ThrowIfInvalid("PlatformSimConfig", config.Validate());
   impl_ = std::make_unique<Impl>(std::move(config), seed);
 }
 

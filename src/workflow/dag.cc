@@ -1,6 +1,7 @@
 #include "src/workflow/dag.h"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 #include <string>
 #include <vector>
@@ -111,22 +112,22 @@ std::vector<std::string> WorkflowDag::Validate() const {
     if (hop.exec_mean <= 0) {
       errors.push_back(where + ": exec_mean must be positive");
     }
-    if (hop.exec_cv < 0.0) {
+    if (hop.exec_cv < 0.0 || std::isnan(hop.exec_cv)) {
       errors.push_back(where + ": exec_cv must be non-negative");
     }
-    if (hop.cpu_fraction < 0.0 || hop.cpu_fraction > 1.0) {
+    if (hop.cpu_fraction < 0.0 || hop.cpu_fraction > 1.0 || std::isnan(hop.cpu_fraction)) {
       errors.push_back(where + ": cpu_fraction must be in [0, 1]");
     }
-    if (hop.vcpus <= 0.0) {
+    if (hop.vcpus <= 0.0 || std::isnan(hop.vcpus)) {
       errors.push_back(where + ": vcpus must be positive");
     }
-    if (hop.mem_mb <= 0.0) {
+    if (hop.mem_mb <= 0.0 || std::isnan(hop.mem_mb)) {
       errors.push_back(where + ": mem_mb must be positive");
     }
     if (hop.timeout < 0) {
       errors.push_back(where + ": timeout must be non-negative");
     }
-    if (hop.failure_rate > 1.0) {
+    if (hop.failure_rate > 1.0 || std::isnan(hop.failure_rate)) {
       errors.push_back(where + ": failure_rate must be <= 1");
     }
     const int fan_in = static_cast<int>(parents[static_cast<size_t>(h)].size());

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/validate.h"
 #include "src/engine/event_queue.h"
 
 namespace faascost {
@@ -48,13 +48,13 @@ std::vector<std::string> WorkflowSimConfig::Validate() const {
   if (init_mean <= 0) {
     errors.push_back("init_mean must be positive");
   }
-  if (init_jitter < 0.0 || init_jitter > 1.0) {
+  if (init_jitter < 0.0 || init_jitter > 1.0 || std::isnan(init_jitter)) {
     errors.push_back("init_jitter must be in [0, 1]");
   }
-  if (failure_rate < 0.0 || failure_rate > 1.0) {
+  if (failure_rate < 0.0 || failure_rate > 1.0 || std::isnan(failure_rate)) {
     errors.push_back("failure_rate must be in [0, 1]");
   }
-  if (init_failure_rate < 0.0 || init_failure_rate > 1.0) {
+  if (init_failure_rate < 0.0 || init_failure_rate > 1.0 || std::isnan(init_failure_rate)) {
     errors.push_back("init_failure_rate must be in [0, 1]");
   }
   if (zones < 1) {
@@ -69,7 +69,8 @@ std::vector<std::string> WorkflowSimConfig::Validate() const {
     errors.push_back(e);
   }
   if (pricing.per_state_transition < 0.0 || pricing.dlq_write_fee < 0.0 ||
-      pricing.dlq_read_fee < 0.0) {
+      pricing.dlq_read_fee < 0.0 || std::isnan(pricing.per_state_transition) ||
+      std::isnan(pricing.dlq_write_fee) || std::isnan(pricing.dlq_read_fee)) {
     errors.push_back("pricing fees must be non-negative");
   }
   return errors;
@@ -1082,14 +1083,7 @@ WorkflowSimResult Engine::Run() {
 
 WorkflowSimResult SimulateWorkflows(const WorkflowSimConfig& config,
                                     const BillingModel& billing, uint64_t seed) {
-  const std::vector<std::string> errors = config.Validate();
-  if (!errors.empty()) {
-    std::string joined = "invalid WorkflowSimConfig:";
-    for (const auto& e : errors) {
-      joined += "\n  " + e;
-    }
-    throw std::invalid_argument(joined);
-  }
+  ThrowIfInvalid("WorkflowSimConfig", config.Validate());
   Engine engine(config, billing, seed);
   return engine.Run();
 }

@@ -15,7 +15,11 @@
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
+#include "src/net/model.h"
+#include "src/platform/presets.h"
 #include "src/sched/config.h"
+#include "src/workflow/dag.h"
+#include "src/workflow/workflow_sim.h"
 
 namespace faascost {
 namespace {
@@ -88,6 +92,95 @@ TEST(ValidationTest, BucketEconomicsRejectsNonPositiveBucketCount) {
   EXPECT_THROW(BucketEconomics(result, trace, billing, config, -3),
                std::invalid_argument);
   EXPECT_NO_THROW(BucketEconomics(result, trace, billing, config, 4));
+}
+
+// The config validators below write range checks as `x < lo || x > hi`,
+// which NaN passes; each NaN field must still be an error.
+
+TEST(ValidationTest, PlatformSimConfigRejectsNan) {
+  const PlatformSimConfig base = AwsLambdaPlatform(1.0, 1769.0);
+  ASSERT_TRUE(base.Validate().empty());
+  for (double PlatformSimConfig::*field :
+       {&PlatformSimConfig::init_jitter, &PlatformSimConfig::contention_coeff,
+        &PlatformSimConfig::contention_excess_cap}) {
+    PlatformSimConfig config = base;
+    config.*field = std::nan("");
+    EXPECT_FALSE(config.Validate().empty());
+  }
+}
+
+TEST(ValidationTest, WorkflowSimConfigRejectsNan) {
+  WorkflowSimConfig base;
+  base.workflows = 10;
+  base.dags.push_back(MakeChainDag("chain", 3, HopSpec{}));
+  ASSERT_TRUE(base.Validate().empty());
+  for (double WorkflowSimConfig::*field :
+       {&WorkflowSimConfig::init_jitter, &WorkflowSimConfig::failure_rate,
+        &WorkflowSimConfig::init_failure_rate}) {
+    WorkflowSimConfig config = base;
+    config.*field = std::nan("");
+    EXPECT_FALSE(config.Validate().empty());
+  }
+  for (Usd WorkflowPricing::*fee :
+       {&WorkflowPricing::per_state_transition, &WorkflowPricing::dlq_write_fee,
+        &WorkflowPricing::dlq_read_fee}) {
+    WorkflowSimConfig config = base;
+    config.pricing.*fee = std::nan("");
+    EXPECT_FALSE(config.Validate().empty());
+  }
+}
+
+TEST(ValidationTest, WorkflowDagRejectsNanHopFields) {
+  const WorkflowDag base = MakeChainDag("chain", 3, HopSpec{});
+  ASSERT_TRUE(base.Validate().empty());
+  // A NaN failure_rate must not read as "inherit the global rate".
+  for (double HopSpec::*field : {&HopSpec::exec_cv, &HopSpec::cpu_fraction, &HopSpec::vcpus,
+                                 &HopSpec::mem_mb, &HopSpec::failure_rate}) {
+    WorkflowDag dag = base;
+    dag.hops[1].*field = std::nan("");
+    EXPECT_FALSE(dag.Validate().empty());
+  }
+}
+
+TEST(ValidationTest, NetworkModelConfigRejectsNanPayloads) {
+  const NetworkModelConfig base;
+  ASSERT_TRUE(base.Validate().empty());
+  for (double PayloadModelParams::*field :
+       {&PayloadModelParams::request_mean_kb, &PayloadModelParams::request_sigma,
+        &PayloadModelParams::response_mean_kb, &PayloadModelParams::response_sigma}) {
+    NetworkModelConfig config = base;
+    config.payload.*field = std::nan("");
+    EXPECT_FALSE(config.Validate().empty());
+  }
+}
+
+// Engines turn Validate() errors into one single-line exception, so the CLI
+// prints a config error as one stderr line.
+TEST(ValidationTest, ConfigErrorsThrowAsOneLine) {
+  const auto message = [](const auto& call) {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  WorkflowSimConfig workflows;
+  workflows.workflows = -1;
+  workflows.wps = 0.0;
+  const std::string wf = message([&] {
+    SimulateWorkflows(workflows, MakeBillingModel(Platform::kAwsLambda), 1);
+  });
+  EXPECT_EQ(wf, "invalid WorkflowSimConfig: workflows must be non-negative; wps must be positive");
+
+  // zones_per_region 0 also checks the topology is validated before it is
+  // built (its region count divides by zones_per_region).
+  NetworkModelConfig net;
+  net.topology.zones_per_region = 0;
+  net.class_a_ops_per_request = -1;
+  const std::string nm = message([&] { NetworkModel model(net, NetworkPricing{}, 1); });
+  EXPECT_EQ(nm.find('\n'), std::string::npos) << nm;
+  EXPECT_NE(nm.find("zones_per_region must be >= 1; "), std::string::npos) << nm;
 }
 
 }  // namespace

@@ -1,52 +1,13 @@
 // faascost command-line tool: billing, auditing, rightsizing and trace
-// generation from the shell.
-//
-//   faascost bill      --platform aws --exec-ms 150 --cpu-ms 80
-//                      --vcpus 1 --mem-mb 1769 [--init-ms 400] [--used-mem-mb 300]
-//   faascost cost      [--trace file.csv] [--requests N] [--functions N]
-//   faascost audit     --sim platform|fleet [--audit-level off|basic|full]
-//                      [--checkpoint f.json --checkpoint-every N|--checkpoint-at N]
-//                      [--resume f.json] [--seed S] [--json]
-//   faascost rightsize --cpu-ms 160 --slo-ms 500 [--platform aws|gcp]
-//   faascost generate  --out file.csv [--requests N] [--functions N] [--seed S]
-//   faascost failures  --platform aws --rate 0.05 --retries 3 [--rps N]
-//                      [--seconds N] [--timeout-ms N] [--seed S]
-//   faascost chaos     --platform aws --hosts 16 --mtbf-s 3600 [--mttr-s N]
-//                      [--zones N] [--zone-outage-mtbf-s N] [--graceful F]
-//                      [--breaker-threshold N] [--retries N] [--requests N]
-//                      [--functions N] [--seed S]
-//   faascost monitor   --out DIR [--sim fleet|platform] [--window SECONDS]
-//                      [--slo MS --slo-target F] [--fast-windows N]
-//                      [--slow-windows N] [--fast-burn X] [--slow-burn X]
-//                      [--profile-engine] [--platform P] [--seed S]
-//                      (fleet: [--requests N] [--functions N] [--seconds N]
-//                       [--hosts N] [--mtbf-s N] [--mttr-s N] [--graceful F]
-//                       [--retries N]; platform: [--rps N] [--seconds N]
-//                       [--rate R] [--retries N] [--cotenants N])
-//   faascost workflows --archetype chain|fanout|mapreduce [--hops N]
-//                      [--workflows N] [--wps R] [--rate R] [--retries N]
-//                      [--timeout-ms N] [--deadline-ms N] [--no-propagate]
-//                      [--hedge-ms N] [--async --async-redrives N] [--quorum K]
-//                      [--zones N --outage-zone Z --outage-start-s S
-//                       --outage-seconds N] [--breaker-threshold N]
-//                      [--platform P] [--audit-level L] [--seed S] [--json]
-//   faascost network   [--platform P] [--requests N] [--functions N]
-//                      [--seconds N] [--zones N] [--zones-per-region N]
-//                      [--req-kb K] [--resp-kb K] [--class-a N] [--class-b N]
-//                      [--rate R] [--retries N] [--outage-zone Z
-//                       --outage-start-s S --outage-seconds N] [--seed S]
-//                      [--json]
-//   faascost platforms
-//
-// `failures`, `chaos`, `workflows`, `network` and `audit` accept --json for
-// machine-readable output. Counts (--requests, --functions) must be >= 1
-// and whole-second spans (--seconds, --window) at most a century; a value
-// out of range is a usage error naming the flag.
+// generation from the shell. Usage() lists every subcommand and its flags.
 //
 // Exit status (src/cli/exit_codes.h, documented in README): 0 on success,
-// 1 on usage errors, 2 when an integrity invariant or a bit-for-bit USD
-// reconciliation fails mid-run (IntegrityViolation), 3 on a malformed or
-// mismatched checkpoint / unparseable artifact (CheckpointError).
+// 1 on usage errors (an unknown or unused flag, a stray argument, a
+// malformed, non-finite or out-of-range value, or an invalid config, all
+// raised before anything runs), 2 when an integrity invariant or a
+// bit-for-bit USD reconciliation fails mid-run (IntegrityViolation), 3 on a
+// malformed or mismatched checkpoint / unparseable artifact
+// (CheckpointError).
 
 #include <algorithm>
 #include <cerrno>
@@ -55,10 +16,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/billing/analysis.h"
@@ -69,6 +34,7 @@
 #include "src/common/chart.h"
 #include "src/common/json_writer.h"
 #include "src/common/table.h"
+#include "src/common/validate.h"
 #include "src/core/observe.h"
 #include "src/core/rightsizing.h"
 #include "src/integrity/audit_rules.h"
@@ -93,200 +59,228 @@
 namespace faascost {
 namespace {
 
-// Minimal --flag value parser.
+// Longest duration flag value: a century of sim time. Its microsecond form,
+// and sums of a few such spans, stay far inside int64.
+constexpr int64_t kMaxFlagSeconds = 100LL * 365 * 86'400;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr bool kOpen = true;  // Flags::Real excludes both bounds.
+
+// The flags after the subcommand: `--key value`, or a bare `--key`. Each
+// typed reader is a flag's only declaration: it parses the value strictly
+// (no atof/atoll, which report neither garbage nor overflow), range-checks
+// it, marks the flag read, and on a bad value throws std::invalid_argument
+// naming the flag, which Main prints as `<cmd>: --<flag> ...` (exit 1). A
+// subcommand reads every flag it uses before it runs anything, then calls
+// RejectUnread.
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
     for (int i = first; i < argc; ++i) {
-      const std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        extra_.push_back(key);
-        continue;
+      const std::string arg = argv[i];
+      if (arg.rfind("--", 0) != 0) {
+        throw std::invalid_argument("unexpected argument '" + arg + "'");
       }
-      // A flag followed by another flag (or nothing) is boolean-valued:
-      // `--json --platform aws` must not swallow `--platform` as a value.
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[key.substr(2)] = argv[++i];
-      } else {
-        values_[key.substr(2)] = "true";
+      // A flag followed by another flag (or nothing) is bare: `--json
+      // --platform aws` must not swallow `--platform` as a value.
+      std::optional<std::string> value;
+      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+        value = argv[++i];
       }
+      entries_[arg.substr(2)] = {std::move(value), false};
     }
   }
 
-  std::optional<std::string> Get(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
+  // A bare flag, or one of true/false/1/0; false when absent.
+  bool Bool(const char* key) {
+    const Entry* e = Take(key);
+    if (e == nullptr || !e->value.has_value()) {
+      return e != nullptr;
+    }
+    const std::string& v = *e->value;
+    if (v == "true" || v == "1") {
+      return true;
+    }
+    if (v == "false" || v == "0") {
+      return false;
+    }
+    throw Invalid(key, "takes no value, or one of true, false, 1, 0", v);
+  }
+
+  // The flag's value; nullopt when absent.
+  std::optional<std::string> Text(const char* key) {
+    const Entry* e = Take(key);
+    if (e == nullptr) {
       return std::nullopt;
     }
-    return it->second;
+    if (!e->value.has_value()) {
+      throw std::invalid_argument(std::string("--") + key + " needs a value");
+    }
+    return e->value;
   }
 
-  // Present (bare `--flag` or with any value other than false/0).
-  bool GetBool(const std::string& key) const {
-    const auto v = Get(key);
-    return v.has_value() && *v != "false" && *v != "0";
+  std::string Required(const char* key) {
+    const std::optional<std::string> v = Text(key);
+    if (!v.has_value()) {
+      throw std::invalid_argument(std::string("--") + key + " is required");
+    }
+    return *v;
   }
 
-  // Numeric flags are parsed strictly (no atof/atoll: those report neither
-  // garbage nor overflow). A malformed value aborts with a usage error
-  // instead of silently running the experiment with 0.
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto v = Get(key);
+  // An integer in [lo, hi]. A value past T's range is rejected, never
+  // narrowed.
+  template <typename T>
+  T Int(const char* key, T fallback, std::type_identity_t<T> lo,
+        std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+    const std::optional<std::string> v = Text(key);
     if (!v.has_value()) {
       return fallback;
     }
     errno = 0;
     char* end = nullptr;
-    const double parsed = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0' || errno == ERANGE) {
-      std::fprintf(stderr, "faascost: --%s expects a number, got '%s'\n",
-                   key.c_str(), v->c_str());
-      std::exit(1);
+    const long long x = std::strtoll(v->c_str(), &end, 10);
+    if (end == v->c_str() || *end != '\0' || errno == ERANGE || x < lo || x > hi) {
+      throw Invalid(key,
+                    "must be an integer in [" + std::to_string(lo) + ", " +
+                        std::to_string(hi) + "]",
+                    *v);
     }
-    return parsed;
+    return static_cast<T>(x);
   }
 
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
-    const auto v = Get(key);
+  // A finite number in [lo, hi], or in (lo, hi) when `open`.
+  double Real(const char* key, double fallback, double lo, double hi = kInf,
+              bool open = false) {
+    const std::optional<std::string> v = Text(key);
     if (!v.has_value()) {
       return fallback;
     }
     errno = 0;
     char* end = nullptr;
-    const long long parsed = std::strtoll(v->c_str(), &end, 10);
-    if (end == v->c_str() || *end != '\0' || errno == ERANGE) {
-      std::fprintf(stderr, "faascost: --%s expects an integer, got '%s'\n",
-                   key.c_str(), v->c_str());
-      std::exit(1);
+    const double x = std::strtod(v->c_str(), &end);
+    const bool in_range = open ? lo < x && x < hi : lo <= x && x <= hi;
+    if (end == v->c_str() || *end != '\0' || errno == ERANGE || !std::isfinite(x) ||
+        !in_range) {
+      char range[64];
+      std::snprintf(range, sizeof(range), "%c%g, %g%c", open ? '(' : '[', lo, hi,
+                    open || std::isinf(hi) ? ')' : ']');
+      throw Invalid(key, std::string("must be a finite number in ") + range, *v);
     }
-    return parsed;
+    return x;
   }
 
-  const std::vector<std::string>& extra() const { return extra_; }
+  // A fractional duration counted in `unit` (kMicrosPerMilli for the --*-ms
+  // flags, kMicrosPerSec for the --*-s ones), from `min_us` up to a century,
+  // in microseconds. The century bound is checked before the conversion,
+  // so the cast cannot overflow.
+  MicroSecs Duration(const char* key, double fallback, MicroSecs unit, MicroSecs min_us = 0) {
+    const double scale = static_cast<double>(unit);
+    const double max_us = static_cast<double>(kMaxFlagSeconds * kMicrosPerSec);
+    return static_cast<MicroSecs>(
+        Real(key, fallback, static_cast<double>(min_us) / scale, max_us / scale) * scale);
+  }
+
+  // Whole seconds in [lo, a century], in microseconds.
+  MicroSecs Seconds(const char* key, int64_t fallback, int64_t lo = 1) {
+    return Int<int64_t>(key, fallback, lo, kMaxFlagSeconds) * kMicrosPerSec;
+  }
+
+  // The value `choices` pairs with the flag's name; `fallback` names it when
+  // the flag is absent, and a null `fallback` makes the flag required.
+  template <typename T, size_t N>
+  T Choice(const char* key, const char* fallback,
+           const std::pair<const char*, T> (&choices)[N]) {
+    const std::string name = fallback != nullptr ? Text(key).value_or(fallback) : Required(key);
+    std::string names;
+    for (const auto& [choice, value] : choices) {
+      if (name == choice) {
+        return value;
+      }
+      names += (names.empty() ? "" : ", ") + std::string(choice);
+    }
+    throw Invalid(key, "must be one of " + names, name);
+  }
+
+  // Throws on a flag no reader asked for: unknown to the subcommand, or
+  // unused in the mode the other flags select.
+  void RejectUnread() const {
+    for (const auto& [key, entry] : entries_) {
+      if (!entry.read) {
+        throw std::invalid_argument("--" + key + " is unknown, or unused with these flags");
+      }
+    }
+  }
 
  private:
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> extra_;
+  struct Entry {
+    std::optional<std::string> value;  // nullopt: a bare flag.
+    bool read = false;
+  };
+
+  // Marks `key` read; nullptr when the flag is absent.
+  const Entry* Take(const char* key) {
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      return nullptr;
+    }
+    it->second.read = true;
+    return &it->second;
+  }
+
+  static std::invalid_argument Invalid(const char* key, const std::string& rule,
+                                       const std::string& got) {
+    return std::invalid_argument(std::string("--") + key + " " + rule + ", got '" + got + "'");
+  }
+
+  std::map<std::string, Entry> entries_;
 };
 
-std::optional<Platform> ParsePlatform(const std::string& name) {
-  static const std::map<std::string, Platform> kNames = {
-      {"aws", Platform::kAwsLambda},
-      {"gcp", Platform::kGcpCloudRunFunctions},
-      {"azure", Platform::kAzureConsumption},
-      {"azure-flex", Platform::kAzureFlexConsumption},
-      {"ibm", Platform::kIbmCodeEngine},
-      {"huawei", Platform::kHuaweiFunctionGraph},
-      {"alibaba", Platform::kAlibabaFunctionCompute},
-      {"oracle", Platform::kOracleFunctions},
-      {"vercel", Platform::kVercelFunctions},
-      {"cloudflare", Platform::kCloudflareWorkers},
-  };
-  const auto it = kNames.find(name);
-  if (it == kNames.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
+constexpr std::pair<const char*, Platform> kPlatforms[] = {
+    {"aws", Platform::kAwsLambda},
+    {"gcp", Platform::kGcpCloudRunFunctions},
+    {"azure", Platform::kAzureConsumption},
+    {"azure-flex", Platform::kAzureFlexConsumption},
+    {"ibm", Platform::kIbmCodeEngine},
+    {"huawei", Platform::kHuaweiFunctionGraph},
+    {"alibaba", Platform::kAlibabaFunctionCompute},
+    {"oracle", Platform::kOracleFunctions},
+    {"vercel", Platform::kVercelFunctions},
+    {"cloudflare", Platform::kCloudflareWorkers},
+};
 
-// --- Flag readers shared by the subcommands. Each prints a
-// `<cmd>: --<flag> ...` usage error and returns nullopt on a bad value. ---
+constexpr std::pair<const char*, AuditLevel> kAuditLevels[] = {
+    {"off", AuditLevel::kOff}, {"basic", AuditLevel::kBasic}, {"full", AuditLevel::kFull}};
 
-// Prints each config error as `<cmd>: <error>`; true when there are none.
-bool ConfigOk(const char* cmd, const std::vector<std::string>& errors) {
-  for (const std::string& err : errors) {
-    std::fprintf(stderr, "%s: %s\n", cmd, err.c_str());
-  }
-  return errors.empty();
-}
-
-// --platform, default aws.
-std::optional<Platform> ReadPlatform(const Flags& flags, const char* cmd) {
-  const std::string name = flags.Get("platform").value_or("aws");
-  const auto platform = ParsePlatform(name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "%s: unknown platform '%s'\n", cmd, name.c_str());
-  }
-  return platform;
-}
-
-// A count flag (--requests, --functions): at least 1.
-std::optional<int64_t> ReadCount(const Flags& flags, const char* cmd, const char* key,
-                                 int64_t fallback) {
-  const int64_t n = flags.GetInt(key, fallback);
-  if (n < 1) {
-    std::fprintf(stderr, "%s: --%s must be >= 1, got %lld\n", cmd, key,
-                 static_cast<long long>(n));
-    return std::nullopt;
-  }
-  return n;
-}
-
-// An int-valued flag (--retries, --zones, ...). A value past int's range is
-// a usage error: narrowing it would wrap silently. It exits 1, as GetInt
-// does on a malformed value, so callers can fill config fields in place;
-// tighter ranges are the config validators' job.
-int ReadInt(const Flags& flags, const char* cmd, const char* key, int fallback) {
-  const int64_t v = flags.GetInt(key, fallback);
-  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
-    std::fprintf(stderr, "%s: --%s must be in [%d, %d], got %lld\n", cmd, key,
-                 std::numeric_limits<int>::min(), std::numeric_limits<int>::max(),
-                 static_cast<long long>(v));
-    std::exit(cli::kUsage);
-  }
-  return static_cast<int>(v);
-}
-
-// Longest whole-second flag value: a century of sim time. Its microsecond
-// form, and sums of a few such spans, stay far inside int64.
-constexpr int64_t kMaxFlagSeconds = 100LL * 365 * 86'400;
-
-// A whole-second flag (--seconds, --window, --checkpoint-*) in
-// [min_s, kMaxFlagSeconds], returned in microseconds.
-std::optional<MicroSecs> ReadSeconds(const Flags& flags, const char* cmd, const char* key,
-                                     int64_t fallback, int64_t min_s = 1) {
-  const int64_t s = flags.GetInt(key, fallback);
-  if (s < min_s || s > kMaxFlagSeconds) {
-    std::fprintf(stderr, "%s: --%s must be in [%lld, %lld] seconds, got %lld\n", cmd, key,
-                 static_cast<long long>(min_s), static_cast<long long>(kMaxFlagSeconds),
-                 static_cast<long long>(s));
-    return std::nullopt;
-  }
-  return s * kMicrosPerSec;
-}
+enum class Sim { kPlatform, kFleet };
+constexpr std::pair<const char*, Sim> kSims[] = {{"platform", Sim::kPlatform},
+                                                 {"fleet", Sim::kFleet}};
 
 // The synthetic trace behind chaos, network, monitor --sim fleet and audit
 // --sim fleet: --requests over --functions spread across --seconds.
-std::optional<TraceGenConfig> ReadTraceFlags(const Flags& flags, const char* cmd) {
-  const auto requests = ReadCount(flags, cmd, "requests", 20'000);
-  const auto functions = ReadCount(flags, cmd, "functions", 200);
-  const auto window = ReadSeconds(flags, cmd, "seconds", 3'600);
-  if (!requests.has_value() || !functions.has_value() || !window.has_value()) {
-    return std::nullopt;
-  }
+TraceGenConfig ReadTraceFlags(Flags& flags) {
   TraceGenConfig cfg;
-  cfg.num_requests = *requests;
-  cfg.num_functions = *functions;
-  cfg.window = *window;
+  cfg.num_requests = flags.Int<int64_t>("requests", 20'000, 1);
+  cfg.num_functions = flags.Int<int64_t>("functions", 200, 1);
+  cfg.window = flags.Seconds("seconds", 3'600);
   return cfg;
 }
 
 // The host-fault block of chaos, monitor --sim fleet and audit --sim fleet:
 // client retries plus seeded host failures. FleetSimConfig::Validate checks
-// the ranges once the caller has added its own fields.
-FleetSimConfig ReadHostFaultFlags(const Flags& flags, const char* cmd, uint64_t seed) {
+// mtbf against mttr once the caller has added its own fields.
+FleetSimConfig ReadHostFaultFlags(Flags& flags, uint64_t seed) {
   FleetSimConfig cfg;
   cfg.fault_seed = seed;
-  cfg.retry.max_attempts = ReadInt(flags, cmd, "retries", 3);
-  cfg.host_faults.hosts = ReadInt(flags, cmd, "hosts", 16);
-  cfg.host_faults.mtbf_seconds = flags.GetDouble("mtbf-s", 3'600.0);
-  cfg.host_faults.mttr_seconds = flags.GetDouble("mttr-s", 120.0);
-  cfg.host_faults.graceful_fraction = flags.GetDouble("graceful", 0.3);
+  cfg.retry.max_attempts = flags.Int("retries", 3, 1);
+  cfg.host_faults.hosts = flags.Int("hosts", 16, 0);
+  cfg.host_faults.mtbf_seconds = flags.Real("mtbf-s", 3'600.0, 0.0);
+  cfg.host_faults.mttr_seconds = flags.Real("mttr-s", 120.0, 0.0);
+  cfg.host_faults.graceful_fraction = flags.Real("graceful", 0.3, 0.0, 1.0);
   return cfg;
 }
 
 // Platform-sim preset for the subset of platforms that have one.
-std::optional<PlatformSimConfig> SimPreset(Platform platform, const char* cmd) {
+PlatformSimConfig SimPreset(Platform platform) {
   switch (platform) {
     case Platform::kAwsLambda:
       return AwsLambdaPlatform(1.0, 1769.0);
@@ -299,11 +293,8 @@ std::optional<PlatformSimConfig> SimPreset(Platform platform, const char* cmd) {
     case Platform::kIbmCodeEngine:
       return IbmPlatform(1.0, 2048.0);
     default:
-      std::fprintf(stderr,
-                   "%s: --platform has no platform-sim preset "
-                   "(use aws, gcp, azure, ibm or cloudflare)\n",
-                   cmd);
-      return std::nullopt;
+      throw std::invalid_argument(
+          "--platform has no platform-sim preset (use aws, gcp, azure, ibm or cloudflare)");
   }
 }
 
@@ -315,66 +306,31 @@ struct PlatformFlagDefaults {
 };
 
 // The steady-stream platform-sim run behind failures, monitor --sim
-// platform and audit --sim platform: the --platform preset with crash
+// platform and audit --sim platform: the `platform` preset with crash
 // probability --rate (init failures at rate/4), --retries attempts, and
 // --rps uniform arrivals over --seconds.
 struct PlatformScenario {
-  Platform platform = Platform::kAwsLambda;
   PlatformSimConfig config;
   double rps = 0.0;
   MicroSecs duration = 0;
 };
 
-std::optional<PlatformScenario> ReadPlatformScenario(const Flags& flags, const char* cmd,
-                                                     const PlatformFlagDefaults& defaults) {
-  const auto platform = ReadPlatform(flags, cmd);
-  if (!platform.has_value()) {
-    return std::nullopt;
-  }
-  auto preset = SimPreset(*platform, cmd);
-  if (!preset.has_value()) {
-    return std::nullopt;
-  }
-  PlatformScenario sc{*platform, std::move(*preset)};
-  const double rate = flags.GetDouble("rate", defaults.rate);
-  if (!(rate >= 0.0 && rate <= 1.0)) {
-    std::fprintf(stderr, "%s: --rate must be in [0, 1]\n", cmd);
-    return std::nullopt;
-  }
+PlatformScenario ReadPlatformScenario(Flags& flags, Platform platform,
+                                      const PlatformFlagDefaults& defaults) {
+  PlatformScenario sc{SimPreset(platform)};
+  const double rate = flags.Real("rate", defaults.rate, 0.0, 1.0);
   sc.config.faults.crash_prob = rate;
   sc.config.faults.init_failure_prob = rate / 4.0;
-  sc.config.retry.max_attempts = ReadInt(flags, cmd, "retries", 3);
-  if (!ConfigOk(cmd, sc.config.Validate())) {
-    return std::nullopt;
-  }
-  sc.rps = flags.GetDouble("rps", defaults.rps);
-  if (!(sc.rps > 0.0)) {
-    std::fprintf(stderr, "%s: --rps must be > 0\n", cmd);
-    return std::nullopt;
-  }
-  const auto duration = ReadSeconds(flags, cmd, "seconds", defaults.seconds);
-  if (!duration.has_value()) {
-    return std::nullopt;
-  }
-  sc.duration = *duration;
+  sc.config.retry.max_attempts = flags.Int("retries", 3, 1);
+  sc.rps = flags.Real("rps", defaults.rps, 0.0, kInf, kOpen);
+  sc.duration = flags.Seconds("seconds", defaults.seconds);
   return sc;
 }
 
-int CmdPlatforms() {
+int CmdPlatforms(Flags& flags) {
+  flags.RejectUnread();
   TextTable t({"Short name", "Platform", "Billable time", "Fee"});
-  const std::pair<const char*, Platform> rows[] = {
-      {"aws", Platform::kAwsLambda},
-      {"gcp", Platform::kGcpCloudRunFunctions},
-      {"azure", Platform::kAzureConsumption},
-      {"azure-flex", Platform::kAzureFlexConsumption},
-      {"ibm", Platform::kIbmCodeEngine},
-      {"huawei", Platform::kHuaweiFunctionGraph},
-      {"alibaba", Platform::kAlibabaFunctionCompute},
-      {"oracle", Platform::kOracleFunctions},
-      {"vercel", Platform::kVercelFunctions},
-      {"cloudflare", Platform::kCloudflareWorkers},
-  };
-  for (const auto& [name, p] : rows) {
+  for (const auto& [name, p] : kPlatforms) {
     const BillingModel m = MakeBillingModel(p);
     const char* time_kind = m.billable_time == BillableTime::kTurnaround ? "turnaround"
                             : m.billable_time == BillableTime::kExecution
@@ -387,27 +343,19 @@ int CmdPlatforms() {
   return 0;
 }
 
-int CmdBill(const Flags& flags) {
-  const auto platform_name = flags.Get("platform");
-  if (!platform_name.has_value()) {
-    std::fprintf(stderr, "bill: --platform is required (see 'faascost platforms')\n");
-    return 1;
-  }
-  const auto platform = ParsePlatform(*platform_name);
-  if (!platform.has_value()) {
-    std::fprintf(stderr, "bill: unknown platform '%s'\n", platform_name->c_str());
-    return 1;
-  }
+int CmdBill(Flags& flags) {
+  const Platform platform = flags.Choice("platform", nullptr, kPlatforms);
   RequestRecord r;
-  r.exec_duration = MillisToMicros(flags.GetDouble("exec-ms", 100.0));
-  r.cpu_time = MillisToMicros(flags.GetDouble("cpu-ms", 50.0));
-  r.alloc_vcpus = flags.GetDouble("vcpus", 1.0);
-  r.alloc_mem_mb = flags.GetDouble("mem-mb", 1'024.0);
-  r.used_mem_mb = flags.GetDouble("used-mem-mb", r.alloc_mem_mb / 4.0);
-  r.init_duration = MillisToMicros(flags.GetDouble("init-ms", 0.0));
+  r.exec_duration = flags.Duration("exec-ms", 100.0, kMicrosPerMilli);
+  r.cpu_time = flags.Duration("cpu-ms", 50.0, kMicrosPerMilli);
+  r.alloc_vcpus = flags.Real("vcpus", 1.0, 0.0);
+  r.alloc_mem_mb = flags.Real("mem-mb", 1'024.0, 0.0);
+  r.used_mem_mb = flags.Real("used-mem-mb", r.alloc_mem_mb / 4.0, 0.0);
+  r.init_duration = flags.Duration("init-ms", 0.0, kMicrosPerMilli);
   r.cold_start = r.init_duration > 0;
+  flags.RejectUnread();
 
-  const BillingModel model = MakeBillingModel(*platform);
+  const BillingModel model = MakeBillingModel(platform);
   const SnappedAllocation alloc = SnapAllocation(model, r.alloc_vcpus, r.alloc_mem_mb);
   const Invoice inv = ComputeInvoice(model, r);
 
@@ -423,10 +371,11 @@ int CmdBill(const Flags& flags) {
   return 0;
 }
 
-int CmdCost(const Flags& flags) {
+int CmdCost(Flags& flags) {
   std::vector<RequestRecord> trace;
-  const auto path = flags.Get("trace");
+  const auto path = flags.Text("trace");
   if (path.has_value()) {
+    flags.RejectUnread();
     size_t skipped = 0;
     trace = ReadTraceCsvFile(*path, &skipped);
     if (trace.empty()) {
@@ -436,17 +385,14 @@ int CmdCost(const Flags& flags) {
     std::printf("Read %zu records (%zu skipped) from %s\n", trace.size(), skipped,
                 path->c_str());
   } else {
-    const auto requests = ReadCount(flags, "cost", "requests", 200'000);
-    const auto functions = ReadCount(flags, "cost", "functions", 1'000);
-    if (!requests.has_value() || !functions.has_value()) {
-      return 1;
-    }
     TraceGenConfig cfg;
-    cfg.num_requests = *requests;
-    cfg.num_functions = *functions;
+    cfg.num_requests = flags.Int<int64_t>("requests", 200'000, 1);
+    cfg.num_functions = flags.Int<int64_t>("functions", 1'000, 1);
+    const auto seed = static_cast<uint64_t>(flags.Int<int64_t>("seed", 1, 0));
+    flags.RejectUnread();
     std::printf("Generating %lld synthetic requests...\n",
                 static_cast<long long>(cfg.num_requests));
-    trace = TraceGenerator(cfg, static_cast<uint64_t>(flags.GetInt("seed", 1))).Generate();
+    trace = TraceGenerator(cfg, seed).Generate();
   }
 
   TextTable t({"Platform", "total $", "$ / 1k requests", "fees share", "CPU inflation",
@@ -473,17 +419,21 @@ int CmdCost(const Flags& flags) {
   return 0;
 }
 
-int CmdRightsize(const Flags& flags) {
-  const std::string platform = flags.Get("platform").value_or("aws");
-  const MicroSecs cpu_demand = MillisToMicros(flags.GetDouble("cpu-ms", 160.0));
-  const double slo_ms = flags.GetDouble("slo-ms", 1'000.0);
-  if (platform == "aws") {
+constexpr std::pair<const char*, Platform> kRightsizePlatforms[] = {
+    {"aws", Platform::kAwsLambda}, {"gcp", Platform::kGcpCloudRunFunctions}};
+
+int CmdRightsize(Flags& flags) {
+  const Platform platform = flags.Choice("platform", "aws", kRightsizePlatforms);
+  const MicroSecs cpu_demand = flags.Duration("cpu-ms", 160.0, kMicrosPerMilli);
+  const double slo_ms = flags.Real("slo-ms", 1'000.0, 0.0);
+  const auto seed = static_cast<uint64_t>(flags.Int<int64_t>("seed", 1, 0));
+  if (platform == Platform::kAwsLambda) {
+    flags.RejectUnread();
     RightsizingConfig cfg;
     cfg.cpu_demand = cpu_demand;
     cfg.latency_slo_ms = slo_ms;
     const RightsizingResult r =
-        RightsizeAwsMemory(cfg, MakeBillingModel(Platform::kAwsLambda),
-                           static_cast<uint64_t>(flags.GetInt("seed", 1)));
+        RightsizeAwsMemory(cfg, MakeBillingModel(Platform::kAwsLambda), seed);
     std::printf("AWS Lambda, %.0f ms CPU, SLO %.0f ms:\n",
                 MicrosToMillis(cpu_demand), slo_ms);
     std::printf("  recommended memory: %.0f MB (%.1f ms, $%.4g per invocation)\n",
@@ -494,77 +444,58 @@ int CmdRightsize(const Flags& flags) {
                 r.savings_fraction * 100.0);
     return 0;
   }
-  if (platform == "gcp") {
-    GcpRightsizingConfig cfg;
-    cfg.cpu_demand = cpu_demand;
-    cfg.latency_slo_ms = slo_ms;
-    cfg.mem_mb = flags.GetDouble("mem-mb", 512.0);
-    const RightsizingResult r =
-        RightsizeGcpCpu(cfg, MakeBillingModel(Platform::kGcpCloudRunFunctions),
-                        static_cast<uint64_t>(flags.GetInt("seed", 1)));
-    std::printf("GCP, %.0f ms CPU at %.0f MB, SLO %.0f ms:\n",
-                MicrosToMillis(cpu_demand), cfg.mem_mb, slo_ms);
-    std::printf("  recommended CPU: %.2f vCPUs (%.1f ms, $%.4g per invocation)\n",
-                r.best.vcpu_fraction, r.best.mean_duration_ms, r.best.cost_per_invocation);
-    std::printf("  reciprocal-model pick: %.2f vCPUs ($%.4g real)\n",
-                r.model_choice.vcpu_fraction, r.model_choice.cost_per_invocation);
-    std::printf("  savings from quantization-awareness: %.2f%%\n",
-                r.savings_fraction * 100.0);
-    return 0;
-  }
-  std::fprintf(stderr, "rightsize: --platform must be aws or gcp\n");
-  return 1;
+  GcpRightsizingConfig cfg;
+  cfg.cpu_demand = cpu_demand;
+  cfg.latency_slo_ms = slo_ms;
+  cfg.mem_mb = flags.Real("mem-mb", 512.0, 0.0);
+  flags.RejectUnread();
+  const RightsizingResult r =
+      RightsizeGcpCpu(cfg, MakeBillingModel(Platform::kGcpCloudRunFunctions), seed);
+  std::printf("GCP, %.0f ms CPU at %.0f MB, SLO %.0f ms:\n", MicrosToMillis(cpu_demand),
+              cfg.mem_mb, slo_ms);
+  std::printf("  recommended CPU: %.2f vCPUs (%.1f ms, $%.4g per invocation)\n",
+              r.best.vcpu_fraction, r.best.mean_duration_ms, r.best.cost_per_invocation);
+  std::printf("  reciprocal-model pick: %.2f vCPUs ($%.4g real)\n",
+              r.model_choice.vcpu_fraction, r.model_choice.cost_per_invocation);
+  std::printf("  savings from quantization-awareness: %.2f%%\n", r.savings_fraction * 100.0);
+  return 0;
 }
 
-int CmdGenerate(const Flags& flags) {
-  const auto out = flags.Get("out");
-  if (!out.has_value()) {
-    std::fprintf(stderr, "generate: --out is required\n");
-    return 1;
-  }
-  const auto requests = ReadCount(flags, "generate", "requests", 100'000);
-  const auto functions = ReadCount(flags, "generate", "functions", 1'000);
-  if (!requests.has_value() || !functions.has_value()) {
-    return 1;
-  }
+int CmdGenerate(Flags& flags) {
+  const std::string out = flags.Required("out");
   TraceGenConfig cfg;
-  cfg.num_requests = *requests;
-  cfg.num_functions = *functions;
-  TraceGenerator gen(cfg, static_cast<uint64_t>(flags.GetInt("seed", 1)));
-  const auto trace = gen.Generate();
-  const size_t written = WriteTraceCsvFile(*out, trace);
+  cfg.num_requests = flags.Int<int64_t>("requests", 100'000, 1);
+  cfg.num_functions = flags.Int<int64_t>("functions", 1'000, 1);
+  const auto seed = static_cast<uint64_t>(flags.Int<int64_t>("seed", 1, 0));
+  flags.RejectUnread();
+  const auto trace = TraceGenerator(cfg, seed).Generate();
+  const size_t written = WriteTraceCsvFile(out, trace);
   if (written == 0) {
-    std::fprintf(stderr, "generate: could not write %s\n", out->c_str());
+    std::fprintf(stderr, "generate: could not write %s\n", out.c_str());
     return 1;
   }
-  std::printf("Wrote %zu records to %s\n", written, out->c_str());
+  std::printf("Wrote %zu records to %s\n", written, out.c_str());
   return 0;
 }
 
 // Cost-of-failure exploration on a simulated platform: run a steady request
 // stream with fault injection and client retries, then report the outcome
 // taxonomy and what the failures were billed.
-int CmdFailures(const Flags& flags) {
-  auto sc =
-      ReadPlatformScenario(flags, "failures", {.rate = 0.05, .rps = 5.0, .seconds = 120});
-  if (!sc.has_value()) {
-    return 1;
-  }
-  const double timeout_ms = flags.GetDouble("timeout-ms", 0.0);
-  if (!(timeout_ms >= 0.0)) {
-    std::fprintf(stderr, "failures: --timeout-ms must be >= 0 (0 disables)\n");
-    return 1;
-  }
-  PlatformSimConfig& sim_config = sc->config;
-  sim_config.faults.max_exec_duration = MillisToMicros(timeout_ms);
-  const double rps = sc->rps;
-  const int64_t seconds = sc->duration / kMicrosPerSec;
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+int CmdFailures(Flags& flags) {
+  const Platform platform = flags.Choice("platform", "aws", kPlatforms);
+  PlatformScenario sc =
+      ReadPlatformScenario(flags, platform, {.rate = 0.05, .rps = 5.0, .seconds = 120});
+  PlatformSimConfig& sim_config = sc.config;
+  sim_config.faults.max_exec_duration = flags.Duration("timeout-ms", 0.0, kMicrosPerMilli);
+  const auto seed = static_cast<uint64_t>(flags.Int<int64_t>("seed", 1, 0));
+  const bool json = flags.Bool("json");
+  flags.RejectUnread();
+  const double rps = sc.rps;
+  const int64_t seconds = sc.duration / kMicrosPerSec;
   PlatformSim sim(sim_config, seed);
-  const PlatformSimResult res =
-      sim.Run(UniformArrivals(rps, sc->duration), PyAesWorkload());
+  const PlatformSimResult res = sim.Run(UniformArrivals(rps, sc.duration), PyAesWorkload());
 
-  const BillingModel billing = MakeBillingModel(sc->platform);
+  const BillingModel billing = MakeBillingModel(platform);
   Usd total = 0.0;
   Usd failed_cost = 0.0;
   for (const auto& att : res.attempts) {
@@ -576,7 +507,7 @@ int CmdFailures(const Flags& flags) {
     }
   }
 
-  if (flags.GetBool("json")) {
+  if (json) {
     JsonWriter w;
     w.BeginObject();
     w.KV("platform", billing.platform);
@@ -632,32 +563,26 @@ int CmdFailures(const Flags& flags) {
 // Fleet-level chaos: run the same synthetic trace healthy and with host
 // fault injection, and report what the failures cost in availability, tail
 // latency and dollars per successful request.
-int CmdChaos(const Flags& flags) {
-  const auto platform = ReadPlatform(flags, "chaos");
-  const auto trace_cfg = ReadTraceFlags(flags, "chaos");
-  if (!platform.has_value() || !trace_cfg.has_value()) {
-    return 1;
-  }
-  const TraceGenConfig& tcfg = *trace_cfg;
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-
-  FleetSimConfig chaos = ReadHostFaultFlags(flags, "chaos", seed);
-  chaos.retry.breaker_threshold = ReadInt(flags, "chaos", "breaker-threshold", 0);
-  chaos.host_faults.zones = ReadInt(flags, "chaos", "zones", 1);
-  chaos.host_faults.zone_outage_mtbf_seconds =
-      flags.GetDouble("zone-outage-mtbf-s", 0.0);
-  // Surface config errors (bad --mtbf-s / --graceful / ...) as CLI messages
-  // instead of letting SimulateFleet throw.
-  if (!ConfigOk("chaos", chaos.Validate())) {
-    return 1;
-  }
+int CmdChaos(Flags& flags) {
+  const Platform platform = flags.Choice("platform", "aws", kPlatforms);
+  const TraceGenConfig tcfg = ReadTraceFlags(flags);
+  const auto seed = static_cast<uint64_t>(flags.Int<int64_t>("seed", 7, 0));
+  FleetSimConfig chaos = ReadHostFaultFlags(flags, seed);
+  chaos.retry.breaker_threshold = flags.Int("breaker-threshold", 0, 0);
+  chaos.host_faults.zones = flags.Int("zones", 1, 1);
+  chaos.host_faults.zone_outage_mtbf_seconds = flags.Real("zone-outage-mtbf-s", 0.0, 0.0);
+  const bool json = flags.Bool("json");
+  flags.RejectUnread();
+  // Cross-flag checks (mtbf > mttr) only the validator makes, before the
+  // trace is generated.
+  ThrowIfInvalid("FleetSimConfig", chaos.Validate());
 
   FleetSimConfig healthy = chaos;
   healthy.host_faults = HostFaultModelConfig{};
   healthy.retry.breaker_threshold = 0;
 
   const std::vector<RequestRecord> trace = TraceGenerator(tcfg, seed).Generate();
-  const BillingModel billing = MakeBillingModel(*platform);
+  const BillingModel billing = MakeBillingModel(platform);
   const FleetResult base = SimulateFleet(trace, billing, healthy);
   const FleetResult res = SimulateFleet(trace, billing, chaos);
 
@@ -679,7 +604,7 @@ int CmdChaos(const Flags& flags) {
     return r.successes > 0 ? r.revenue / static_cast<double>(r.successes) : 0.0;
   };
 
-  if (flags.GetBool("json")) {
+  if (json) {
     JsonWriter w;
     const auto scenario = [&](const char* key, const FleetResult& r) {
       w.Key(key);
@@ -764,46 +689,30 @@ int CmdChaos(const Flags& flags) {
 // intentionally not (CI byte-compares must exclude it). The billed-USD
 // column is reconciled bit-for-bit against the run's terminal-span totals
 // before anything is written; a mismatch is an integrity failure (exit 2).
-int CmdMonitor(const Flags& flags) {
-  const auto out = flags.Get("out");
-  if (!out.has_value()) {
-    std::fprintf(stderr, "monitor: --out DIR is required\n");
-    return 1;
-  }
-  const std::string sim_name = flags.Get("sim").value_or("fleet");
-  if (sim_name != "fleet" && sim_name != "platform") {
-    std::fprintf(stderr, "monitor: --sim must be fleet or platform, got '%s'\n",
-                 sim_name.c_str());
-    return 1;
-  }
-  const auto platform = ReadPlatform(flags, "monitor");
-  const auto window = ReadSeconds(flags, "monitor", "window", 60);
-  if (!platform.has_value() || !window.has_value()) {
-    return 1;
-  }
-  const double slo_ms = flags.GetDouble("slo", 1'000.0);
-  if (slo_ms <= 0.0) {
-    std::fprintf(stderr, "monitor: --slo must be a positive latency in ms\n");
-    return 1;
-  }
+int CmdMonitor(Flags& flags) {
+  const std::string out = flags.Required("out");
+  const Sim sim = flags.Choice("sim", "fleet", kSims);
+  const Platform platform = flags.Choice("platform", "aws", kPlatforms);
+  const MicroSecs window = flags.Seconds("window", 60);
+  const MicroSecs slo_latency = flags.Duration("slo", 1'000.0, kMicrosPerMilli, 1);
   SloSpec slo;
-  slo.target = flags.GetDouble("slo-target", 0.99);
-  slo.fast_windows = ReadInt(flags, "monitor", "fast-windows", 1);
-  slo.slow_windows = ReadInt(flags, "monitor", "slow-windows", 12);
-  slo.fast_burn = flags.GetDouble("fast-burn", 14.4);
-  slo.slow_burn = flags.GetDouble("slow-burn", 6.0);
-  if (!ConfigOk("monitor", slo.Validate())) {
-    return 1;
-  }
-  const bool profile = flags.GetBool("profile-engine");
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  const int64_t window_s = *window / kMicrosPerSec;
+  slo.target = flags.Real("slo-target", 0.99, 0.0, 1.0, kOpen);
+  slo.fast_windows = flags.Int("fast-windows", 1, 1);
+  slo.slow_windows = flags.Int("slow-windows", 12, 1);
+  slo.fast_burn = flags.Real("fast-burn", 14.4, 0.0, kInf, kOpen);
+  slo.slow_burn = flags.Real("slow-burn", 6.0, 0.0, kInf, kOpen);
+  // fast_windows <= slow_windows, checked before the run, not after it by
+  // EvaluateSlo.
+  ThrowIfInvalid("SloSpec", slo.Validate());
+  const bool profile = flags.Bool("profile-engine");
+  const auto seed = static_cast<uint64_t>(flags.Int<int64_t>("seed", 7, 0));
+  const int64_t window_s = window / kMicrosPerSec;
 
-  TimeSeries series(*window);
-  slo.objective_id = series.AddLatencyObjective(MillisToMicros(slo_ms));
+  TimeSeries series(window);
+  slo.objective_id = series.AddLatencyObjective(slo_latency);
   EngineProfiler profiler;
   SpanCollector collector;
-  const BillingModel billing = MakeBillingModel(*platform);
+  const BillingModel billing = MakeBillingModel(platform);
 
   std::string scenario;
   // Platform runs only: the sampled warm pool, and the --cotenants host run
@@ -811,28 +720,24 @@ int CmdMonitor(const Flags& flags) {
   std::vector<TimelineSample> timeline;
   HostSimConfig host;
   std::vector<TenantSpec> cotenants;
-  if (sim_name == "fleet") {
+  if (sim == Sim::kFleet) {
     // Fleet chaos scenario (the `faascost chaos` shape): host fault domains,
     // client retries, admission defaults — the run where windowed telemetry
     // has something to show.
-    const auto tcfg = ReadTraceFlags(flags, "monitor");
-    if (!tcfg.has_value()) {
-      return 1;
-    }
-    FleetSimConfig cfg = ReadHostFaultFlags(flags, "monitor", seed);
+    const TraceGenConfig tcfg = ReadTraceFlags(flags);
+    FleetSimConfig cfg = ReadHostFaultFlags(flags, seed);
+    flags.RejectUnread();
+    ThrowIfInvalid("FleetSimConfig", cfg.Validate());
     cfg.trace_sink = &collector;
     cfg.timeseries = &series;
     if (profile) {
       cfg.profiler = &profiler;
     }
-    if (!ConfigOk("monitor", cfg.Validate())) {
-      return 1;
-    }
 
     if (profile) {
       profiler.BeginPhase("generate_trace");
     }
-    const std::vector<RequestRecord> trace = TraceGenerator(*tcfg, seed).Generate();
+    const std::vector<RequestRecord> trace = TraceGenerator(tcfg, seed).Generate();
     if (profile) {
       profiler.EndPhase();
       profiler.BeginPhase("simulate");
@@ -841,22 +746,16 @@ int CmdMonitor(const Flags& flags) {
     if (profile) {
       profiler.EndPhase();
     }
-    scenario = "fleet chaos: " + std::to_string(tcfg->num_requests) + " requests / " +
-               std::to_string(tcfg->num_functions) + " functions, " +
+    scenario = "fleet chaos: " + std::to_string(tcfg.num_requests) + " requests / " +
+               std::to_string(tcfg.num_functions) + " functions, " +
                std::to_string(cfg.host_faults.hosts) + " hosts, " +
                std::to_string(res.host_fault_sandbox_kills) + " sandbox kills";
   } else {
-    auto sc =
-        ReadPlatformScenario(flags, "monitor", {.rate = 0.02, .rps = 20.0, .seconds = 600});
-    if (!sc.has_value()) {
-      return 1;
-    }
-    const int n_cotenants = ReadInt(flags, "monitor", "cotenants", 0);
-    if (n_cotenants < 0) {
-      std::fprintf(stderr, "monitor: --cotenants must be >= 0\n");
-      return 1;
-    }
-    PlatformSimConfig& cfg = sc->config;
+    PlatformScenario sc =
+        ReadPlatformScenario(flags, platform, {.rate = 0.02, .rps = 20.0, .seconds = 600});
+    const int n_cotenants = flags.Int("cotenants", 0, 0);
+    flags.RejectUnread();
+    PlatformSimConfig& cfg = sc.config;
     cfg.trace = &collector;
     cfg.timeseries = &series;
     if (profile) {
@@ -865,7 +764,7 @@ int CmdMonitor(const Flags& flags) {
     }
     PlatformSim sim(cfg, seed);
     const PlatformSimResult res =
-        sim.Run(UniformArrivals(sc->rps, sc->duration), PyAesWorkload());
+        sim.Run(UniformArrivals(sc.rps, sc.duration), PyAesWorkload());
     if (profile) {
       profiler.EndPhase();
       profiler.BeginPhase("price_spans");
@@ -885,7 +784,7 @@ int CmdMonitor(const Flags& flags) {
     // OS-scheduling layer: co-tenants contending on one shared host for the
     // same span of sim time, as throttle/preempt spans on sched.tenants
     // tracks.
-    host.duration = sc->duration;
+    host.duration = sc.duration;
     host.trace = &collector;
     cotenants.resize(static_cast<size_t>(n_cotenants));
     for (size_t i = 0; i < cotenants.size(); ++i) {
@@ -913,23 +812,23 @@ int CmdMonitor(const Flags& flags) {
   const std::vector<SloAlert> alerts = EvaluateSlo(series, slo);
 
   std::error_code ec;
-  std::filesystem::create_directories(*out, ec);
+  std::filesystem::create_directories(out, ec);
   if (ec) {
-    std::fprintf(stderr, "monitor: cannot create %s: %s\n", out->c_str(),
+    std::fprintf(stderr, "monitor: cannot create %s: %s\n", out.c_str(),
                  ec.message().c_str());
     return 1;
   }
-  const std::string series_path = *out + "/timeseries.jsonl";
-  const std::string alerts_path = *out + "/alerts.jsonl";
-  const std::string trace_path = *out + "/trace.json";
+  const std::string series_path = out + "/timeseries.jsonl";
+  const std::string alerts_path = out + "/alerts.jsonl";
+  const std::string trace_path = out + "/trace.json";
   if (!WriteTextFile(series_path, TimeSeriesJsonl(series)) ||
       !WriteTextFile(alerts_path, SloAlertsJsonl(alerts)) ||
       !WriteTextFile(trace_path, ChromeTraceJson(collector.spans()))) {
-    std::fprintf(stderr, "monitor: cannot write artifacts under %s\n", out->c_str());
+    std::fprintf(stderr, "monitor: cannot write artifacts under %s\n", out.c_str());
     return 1;
   }
-  if (profile && !WriteTextFile(*out + "/profile.json", profiler.ChromeTraceJson())) {
-    std::fprintf(stderr, "monitor: cannot write profile under %s\n", out->c_str());
+  if (profile && !WriteTextFile(out + "/profile.json", profiler.ChromeTraceJson())) {
+    std::fprintf(stderr, "monitor: cannot write profile under %s\n", out.c_str());
     return 1;
   }
 
@@ -937,7 +836,8 @@ int CmdMonitor(const Flags& flags) {
   std::printf("%s on %s, seed %llu\n", scenario.c_str(), billing.platform.c_str(),
               static_cast<unsigned long long>(seed));
   std::printf("%zu windows of %llds; SLO: %.0fms @ %s (burn %gx/%dw fast, %gx/%dw slow)\n",
-              series.window_count(), static_cast<long long>(window_s), slo_ms,
+              series.window_count(), static_cast<long long>(window_s),
+              MicrosToMillis(slo_latency),
               FormatPercent(slo.target, 2).c_str(), slo.fast_burn, slo.fast_windows,
               slo.slow_burn, slo.slow_windows);
 
@@ -1083,32 +983,24 @@ struct CheckpointPlan {
   MicroSecs every = 0;  // Rolling checkpoint (atomic overwrite) each interval.
 };
 
-// Parses --checkpoint/--checkpoint-at/--checkpoint-every; nullopt + usage
-// error when the combination is inconsistent.
-std::optional<CheckpointPlan> ParseCheckpointPlan(const Flags& flags, bool* bad) {
-  *bad = false;
-  const auto path = flags.Get("checkpoint");
-  const auto at = ReadSeconds(flags, "audit", "checkpoint-at", 0, /*min_s=*/0);
-  const auto every = ReadSeconds(flags, "audit", "checkpoint-every", 0, /*min_s=*/0);
-  if (!at.has_value() || !every.has_value()) {
-    *bad = true;
-    return std::nullopt;
-  }
+// Reads --checkpoint/--checkpoint-at/--checkpoint-every; nullopt when no
+// checkpoint is asked for.
+std::optional<CheckpointPlan> ReadCheckpointPlan(Flags& flags) {
+  const auto path = flags.Text("checkpoint");
+  const MicroSecs at = flags.Seconds("checkpoint-at", 0, 0);
+  const MicroSecs every = flags.Seconds("checkpoint-every", 0, 0);
   if (!path.has_value()) {
-    if (*at > 0 || *every > 0) {
-      std::fprintf(stderr, "audit: --checkpoint-at/--checkpoint-every need --checkpoint\n");
-      *bad = true;
+    if (at > 0 || every > 0) {
+      throw std::invalid_argument("--checkpoint-at/--checkpoint-every need --checkpoint");
     }
     return std::nullopt;
   }
-  if ((*at > 0) == (*every > 0)) {
-    std::fprintf(stderr,
-                 "audit: --checkpoint needs exactly one of --checkpoint-at N or "
-                 "--checkpoint-every N (seconds)\n");
-    *bad = true;
-    return std::nullopt;
+  if ((at > 0) == (every > 0)) {
+    throw std::invalid_argument(
+        "--checkpoint needs exactly one of --checkpoint-at N or --checkpoint-every N "
+        "(seconds)");
   }
-  return CheckpointPlan{*path, *at, *every};
+  return CheckpointPlan{*path, at, every};
 }
 
 // Verifies a loaded checkpoint belongs to this scenario before any state is
@@ -1204,26 +1096,17 @@ void PrintAuditSummary(bool json, const std::string& sim, const std::string& pla
               static_cast<long long>(end_time));
 }
 
-int AuditPlatformSim(const Flags& flags, AuditLevel level) {
-  auto sc = ReadPlatformScenario(flags, "audit", {.rate = 0.05, .rps = 5.0, .seconds = 120});
-  if (!sc.has_value()) {
-    return 1;
-  }
-  PlatformSimConfig& sim_config = sc->config;
-
-  bool bad_plan = false;
-  const auto plan = ParseCheckpointPlan(flags, &bad_plan);
-  if (bad_plan) {
-    return 1;
-  }
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-
-  const int64_t scan_cadence = flags.GetInt("scan-cadence", 8192);
-  if (scan_cadence < 0) {
-    std::fprintf(stderr, "audit: --scan-cadence must be >= 0 (0 disables scans)\n");
-    return 1;
-  }
-  Auditor auditor(level, scan_cadence);
+int AuditPlatformSim(Flags& flags, AuditLevel level) {
+  const Platform platform = flags.Choice("platform", "aws", kPlatforms);
+  PlatformScenario sc =
+      ReadPlatformScenario(flags, platform, {.rate = 0.05, .rps = 5.0, .seconds = 120});
+  PlatformSimConfig& sim_config = sc.config;
+  const auto plan = ReadCheckpointPlan(flags);
+  const auto seed = static_cast<uint64_t>(flags.Int<int64_t>("seed", 1, 0));
+  Auditor auditor(level, flags.Int<int64_t>("scan-cadence", 8192, 0));
+  const auto resume = flags.Text("resume");
+  const bool json = flags.Bool("json");
+  flags.RejectUnread();
   if (level != AuditLevel::kOff) {
     sim_config.auditor = &auditor;
   }
@@ -1231,7 +1114,6 @@ int AuditPlatformSim(const Flags& flags, AuditLevel level) {
   // The platform checkpoint is self-contained (future arrivals live in the
   // serialized event queue), so there is no external input digest.
   PlatformEngine engine(sim_config, seed);
-  const auto resume = flags.Get("resume");
   if (resume.has_value()) {
     const LoadedCheckpoint cp = LoadCheckpoint(*resume);
     RequireCheckpointMatch(cp, "platform", engine.ConfigHash(), /*input_digest=*/0);
@@ -1243,14 +1125,14 @@ int AuditPlatformSim(const Flags& flags, AuditLevel level) {
                             DigestHex(cp.header.state_digest));
     }
   } else {
-    engine.Start(UniformArrivals(sc->rps, sc->duration), PyAesWorkload());
+    engine.Start(UniformArrivals(sc.rps, sc.duration), PyAesWorkload());
   }
 
   const uint64_t digest = RunAudited(engine, plan, "platform", seed, 0);
   const MicroSecs end_time = engine.now();
   const PlatformSimResult res = engine.Finish();
 
-  const BillingModel billing = MakeBillingModel(sc->platform);
+  const BillingModel billing = MakeBillingModel(platform);
   Usd total = 0.0;
   for (const auto& att : res.attempts) {
     total += ComputeInvoice(billing,
@@ -1263,7 +1145,7 @@ int AuditPlatformSim(const Flags& flags, AuditLevel level) {
     AuditPlatformRun(res, sim_config, seed, auditor);
   }
 
-  PrintAuditSummary(flags.GetBool("json"), "platform", billing.platform, seed, level,
+  PrintAuditSummary(json, "platform", billing.platform, seed, level,
                     auditor, end_time, digest,
                     static_cast<int64_t>(res.requests.size()), res.successes,
                     static_cast<int64_t>(res.attempts.size()), total,
@@ -1271,44 +1153,29 @@ int AuditPlatformSim(const Flags& flags, AuditLevel level) {
   return 0;
 }
 
-int AuditFleetSim(const Flags& flags, AuditLevel level) {
-  const auto platform = ReadPlatform(flags, "audit");
-  const auto tcfg = ReadTraceFlags(flags, "audit");
-  if (!platform.has_value() || !tcfg.has_value()) {
-    return 1;
-  }
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-
-  FleetSimConfig fcfg = ReadHostFaultFlags(flags, "audit", seed);
-  fcfg.retry.breaker_threshold = ReadInt(flags, "audit", "breaker-threshold", 0);
-  if (!ConfigOk("audit", fcfg.Validate())) {
-    return 1;
-  }
-
-  bool bad_plan = false;
-  const auto plan = ParseCheckpointPlan(flags, &bad_plan);
-  if (bad_plan) {
-    return 1;
-  }
-
-  const int64_t scan_cadence = flags.GetInt("scan-cadence", 8192);
-  if (scan_cadence < 0) {
-    std::fprintf(stderr, "audit: --scan-cadence must be >= 0 (0 disables scans)\n");
-    return 1;
-  }
-  Auditor auditor(level, scan_cadence);
+int AuditFleetSim(Flags& flags, AuditLevel level) {
+  const Platform platform = flags.Choice("platform", "aws", kPlatforms);
+  const TraceGenConfig tcfg = ReadTraceFlags(flags);
+  const auto seed = static_cast<uint64_t>(flags.Int<int64_t>("seed", 7, 0));
+  FleetSimConfig fcfg = ReadHostFaultFlags(flags, seed);
+  fcfg.retry.breaker_threshold = flags.Int("breaker-threshold", 0, 0);
+  const auto plan = ReadCheckpointPlan(flags);
+  Auditor auditor(level, flags.Int<int64_t>("scan-cadence", 8192, 0));
+  const auto resume = flags.Text("resume");
+  const bool json = flags.Bool("json");
+  flags.RejectUnread();
+  ThrowIfInvalid("FleetSimConfig", fcfg.Validate());
   if (level != AuditLevel::kOff) {
     fcfg.auditor = &auditor;
   }
 
   // The fleet checkpoint does not embed the request trace; it is regenerated
   // from the same flags and guarded by input_digest.
-  const std::vector<RequestRecord> trace = TraceGenerator(*tcfg, seed).Generate();
-  const BillingModel billing = MakeBillingModel(*platform);
+  const std::vector<RequestRecord> trace = TraceGenerator(tcfg, seed).Generate();
+  const BillingModel billing = MakeBillingModel(platform);
   const uint64_t input_digest = FleetEngine::DigestTrace(trace);
 
   FleetEngine engine(fcfg);
-  const auto resume = flags.Get("resume");
   if (resume.has_value()) {
     const LoadedCheckpoint cp = LoadCheckpoint(*resume);
     RequireCheckpointMatch(cp, "fleet", engine.ConfigHash(), input_digest);
@@ -1330,7 +1197,7 @@ int AuditFleetSim(const Flags& flags, AuditLevel level) {
     AuditFleetRun(res, fcfg, auditor);
   }
 
-  PrintAuditSummary(flags.GetBool("json"), "fleet", billing.platform, seed, level,
+  PrintAuditSummary(json, "fleet", billing.platform, seed, level,
                     auditor, end_time, digest, res.requests, res.successes,
                     res.attempts, res.revenue, resume.has_value());
   return 0;
@@ -1339,81 +1206,68 @@ int AuditFleetSim(const Flags& flags, AuditLevel level) {
 // Workflow engine: cost of chains / fan-outs / map-reduces under resilience
 // policies (retries, deadline budgets, hedging, async redrives + DLQ, quorum
 // joins), optionally with a zonal outage mid-run.
-int CmdWorkflows(const Flags& flags) {
-  const auto platform = ReadPlatform(flags, "workflows");
-  if (!platform.has_value()) {
-    return 1;
-  }
+enum class Archetype { kChain, kFanOut, kMapReduce };
+constexpr std::pair<const char*, Archetype> kArchetypes[] = {
+    {"chain", Archetype::kChain},
+    {"fanout", Archetype::kFanOut},
+    {"mapreduce", Archetype::kMapReduce}};
 
-  const std::string archetype = flags.Get("archetype").value_or("chain");
-  const int hops = ReadInt(flags, "workflows", "hops", 5);
-  if (hops < 1) {
-    std::fprintf(stderr, "workflows: --hops must be >= 1\n");
-    return 1;
-  }
-  const int quorum = ReadInt(flags, "workflows", "quorum", 0);
+int CmdWorkflows(Flags& flags) {
+  const Platform platform = flags.Choice("platform", "aws", kPlatforms);
+  const Archetype archetype = flags.Choice("archetype", "chain", kArchetypes);
+  const int hops = flags.Int("hops", 5, 1);
 
   WorkflowSimConfig cfg;
-  cfg.workflows = flags.GetInt("workflows", 200);
-  cfg.wps = flags.GetDouble("wps", 2.0);
-  cfg.zones = ReadInt(flags, "workflows", "zones", 1);
-  cfg.failure_rate = flags.GetDouble("rate", 0.0);
-  cfg.init_failure_rate = flags.GetDouble("init-fail-rate", cfg.failure_rate / 4.0);
-  cfg.pricing = MakeWorkflowPricing(*platform);
+  cfg.workflows = flags.Int<int64_t>("workflows", 200, 0);
+  cfg.wps = flags.Real("wps", 2.0, 0.0, kInf, kOpen);
+  cfg.zones = flags.Int("zones", 1, 1);
+  cfg.failure_rate = flags.Real("rate", 0.0, 0.0, 1.0);
+  cfg.init_failure_rate = flags.Real("init-fail-rate", cfg.failure_rate / 4.0, 0.0, 1.0);
+  cfg.pricing = MakeWorkflowPricing(platform);
 
   HopSpec proto;
-  proto.exec_mean = MillisToMicros(flags.GetDouble("exec-ms", 80.0));
-  proto.timeout = MillisToMicros(flags.GetDouble("timeout-ms", 0.0));
-  proto.async = flags.GetBool("async");
-  if (archetype == "chain") {
-    cfg.dags.push_back(MakeChainDag("chain", hops, proto, cfg.zones > 1));
-  } else if (archetype == "fanout") {
-    cfg.dags.push_back(MakeFanOutDag("fanout", hops, quorum, proto));
-  } else if (archetype == "mapreduce") {
-    cfg.dags.push_back(MakeMapReduceDag("mapreduce", hops, proto));
-  } else {
-    std::fprintf(stderr,
-                 "workflows: --archetype must be chain, fanout or mapreduce, got '%s'\n",
-                 archetype.c_str());
-    return 1;
+  proto.exec_mean = flags.Duration("exec-ms", 80.0, kMicrosPerMilli, 1);
+  proto.timeout = flags.Duration("timeout-ms", 0.0, kMicrosPerMilli);
+  proto.async = flags.Bool("async");
+  switch (archetype) {
+    case Archetype::kChain:
+      cfg.dags.push_back(MakeChainDag("chain", hops, proto, cfg.zones > 1));
+      break;
+    case Archetype::kFanOut:
+      cfg.dags.push_back(MakeFanOutDag("fanout", hops, flags.Int("quorum", 0, 0), proto));
+      break;
+    case Archetype::kMapReduce:
+      cfg.dags.push_back(MakeMapReduceDag("mapreduce", hops, proto));
+      break;
   }
+  const std::string archetype_name = cfg.dags.front().name;
 
-  cfg.policy.retry.max_attempts = ReadInt(flags, "workflows", "retries", 3);
-  cfg.policy.retry.breaker_threshold = ReadInt(flags, "workflows", "breaker-threshold", 0);
-  cfg.policy.deadline.deadline = MillisToMicros(flags.GetDouble("deadline-ms", 0.0));
-  cfg.policy.deadline.propagate = !flags.GetBool("no-propagate");
-  cfg.policy.hedge.hedge_after = MillisToMicros(flags.GetDouble("hedge-ms", 0.0));
-  cfg.policy.redrive.max_redrives = ReadInt(flags, "workflows", "async-redrives", 2);
+  cfg.policy.retry.max_attempts = flags.Int("retries", 3, 1);
+  cfg.policy.retry.breaker_threshold = flags.Int("breaker-threshold", 0, 0);
+  cfg.policy.deadline.deadline = flags.Duration("deadline-ms", 0.0, kMicrosPerMilli);
+  cfg.policy.deadline.propagate = !flags.Bool("no-propagate");
+  cfg.policy.hedge.hedge_after = flags.Duration("hedge-ms", 0.0, kMicrosPerMilli);
+  cfg.policy.redrive.max_redrives = flags.Int("async-redrives", 2, 0);
 
-  if (flags.Get("outage-zone").has_value()) {
+  const int outage_zone = flags.Int("outage-zone", -1, 0);  // -1: no outage.
+  if (outage_zone >= 0) {
     ZonalOutageSpec outage;
-    outage.zone = ReadInt(flags, "workflows", "outage-zone", 0);
-    outage.start = SecsToMicros(flags.GetDouble("outage-start-s", 10.0));
-    outage.duration = SecsToMicros(flags.GetDouble("outage-seconds", 30.0));
+    outage.zone = outage_zone;
+    outage.start = flags.Duration("outage-start-s", 10.0, kMicrosPerSec);
+    outage.duration = flags.Duration("outage-seconds", 30.0, kMicrosPerSec, 1);
     cfg.outages.push_back(outage);
   }
 
-  AuditLevel level = AuditLevel::kOff;
-  const std::string level_name = flags.Get("audit-level").value_or("off");
-  try {
-    level = ParseAuditLevel(level_name);
-  } catch (const std::invalid_argument&) {
-    std::fprintf(stderr,
-                 "workflows: --audit-level must be off, basic or full, got '%s'\n",
-                 level_name.c_str());
-    return 1;
-  }
+  const AuditLevel level = flags.Choice("audit-level", "off", kAuditLevels);
+  const auto seed = static_cast<uint64_t>(flags.Int<int64_t>("seed", 1, 0));
+  const bool json = flags.Bool("json");
+  flags.RejectUnread();
   Auditor auditor(level);
   if (level != AuditLevel::kOff) {
     cfg.auditor = &auditor;
   }
 
-  if (!ConfigOk("workflows", cfg.Validate())) {
-    return 1;
-  }
-
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  const BillingModel billing = MakeBillingModel(*platform);
+  const BillingModel billing = MakeBillingModel(platform);
   const WorkflowSimResult res = SimulateWorkflows(cfg, billing, seed);
   if (level != AuditLevel::kOff) {
     AuditWorkflowRun(res, cfg, seed, auditor, billing);
@@ -1425,11 +1279,11 @@ int CmdWorkflows(const Flags& flags) {
           ? res.usd_total / static_cast<double>(c.workflows_succeeded)
           : 0.0;
 
-  if (flags.GetBool("json")) {
+  if (json) {
     JsonWriter w;
     w.BeginObject();
     w.KV("platform", billing.platform);
-    w.KV("archetype", archetype);
+    w.KV("archetype", archetype_name);
     w.KV("hops", static_cast<int64_t>(hops));
     w.KV("workflows", cfg.workflows);
     w.KV("seed", static_cast<int64_t>(seed));
@@ -1475,7 +1329,7 @@ int CmdWorkflows(const Flags& flags) {
   }
 
   std::printf("%s %s x%lld hops=%d: %lld ok (%lld degraded), %lld failed\n",
-              billing.platform.c_str(), archetype.c_str(),
+              billing.platform.c_str(), archetype_name.c_str(),
               static_cast<long long>(cfg.workflows), hops,
               static_cast<long long>(c.workflows_succeeded),
               static_cast<long long>(c.degraded_successes),
@@ -1524,58 +1378,46 @@ int CmdWorkflows(const Flags& flags) {
 // on the telemetry contract: per-window transfer USD and billed USD must
 // reproduce the span folds bit-for-bit, else the tool exits with the same
 // code as a tripped invariant (cli::kIntegrityViolation).
-int CmdNetwork(const Flags& flags) {
-  const auto platform = ReadPlatform(flags, "network");
-  const auto trace_cfg = ReadTraceFlags(flags, "network");
-  const auto window = ReadSeconds(flags, "network", "window", 5);
-  if (!platform.has_value() || !trace_cfg.has_value() || !window.has_value()) {
-    return cli::kUsage;
-  }
-  TraceGenConfig tcfg = *trace_cfg;
+int CmdNetwork(Flags& flags) {
+  const Platform platform = flags.Choice("platform", "aws", kPlatforms);
+  TraceGenConfig tcfg = ReadTraceFlags(flags);
+  const MicroSecs window = flags.Seconds("window", 5);
   // Trace records carry explicit payload hints; the model's own payload
   // distribution stays disabled so sizes are pinned by the trace.
-  tcfg.payload_request_mean_kb = flags.GetDouble("req-kb", 16.0);
-  tcfg.payload_response_mean_kb = flags.GetDouble("resp-kb", 64.0);
-  tcfg.failure_rate_mean = flags.GetDouble("rate", 0.0);
-  if (tcfg.failure_rate_mean < 0.0 || tcfg.failure_rate_mean > 1.0) {
-    std::fprintf(stderr, "network: --rate must be in [0, 1]\n");
-    return cli::kUsage;
-  }
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  tcfg.payload_request_mean_kb = flags.Real("req-kb", 16.0, 0.0);
+  tcfg.payload_response_mean_kb = flags.Real("resp-kb", 64.0, 0.0);
+  tcfg.failure_rate_mean = flags.Real("rate", 0.0, 0.0, 1.0);
+  const auto seed = static_cast<uint64_t>(flags.Int<int64_t>("seed", 7, 0));
 
   NetworkModelConfig ncfg;
-  ncfg.topology.zones = ReadInt(flags, "network", "zones", 3);
-  ncfg.topology.zones_per_region =
-      ReadInt(flags, "network", "zones-per-region", ncfg.topology.zones);
-  ncfg.class_a_ops_per_request = flags.GetInt("class-a", 1);
-  ncfg.class_b_ops_per_request = flags.GetInt("class-b", 2);
-  if (flags.Get("outage-zone").has_value()) {
+  ncfg.topology.zones = flags.Int("zones", 3, 1);
+  ncfg.topology.zones_per_region = flags.Int("zones-per-region", ncfg.topology.zones, 1);
+  ncfg.class_a_ops_per_request = flags.Int<int64_t>("class-a", 1, 0);
+  ncfg.class_b_ops_per_request = flags.Int<int64_t>("class-b", 2, 0);
+  const int outage_zone = flags.Int("outage-zone", -1, 0);  // -1: no outage.
+  if (outage_zone >= 0) {
     NetOutage outage;
-    outage.zone = ReadInt(flags, "network", "outage-zone", 0);
-    outage.start = SecsToMicros(flags.GetDouble("outage-start-s", 10.0));
-    outage.duration = SecsToMicros(flags.GetDouble("outage-seconds", 30.0));
+    outage.zone = outage_zone;
+    outage.start = flags.Duration("outage-start-s", 10.0, kMicrosPerSec);
+    outage.duration = flags.Duration("outage-seconds", 30.0, kMicrosPerSec, 1);
     ncfg.outages.push_back(outage);
-  }
-  if (!ConfigOk("network", ncfg.Validate())) {
-    return cli::kUsage;
   }
 
   FleetSimConfig fcfg;
   fcfg.fault_seed = seed;
-  fcfg.retry.max_attempts = ReadInt(flags, "network", "retries", 3);
-  if (!ConfigOk("network", fcfg.Validate())) {
-    return cli::kUsage;
-  }
+  fcfg.retry.max_attempts = flags.Int("retries", 3, 1);
+  const bool json = flags.Bool("json");
+  flags.RejectUnread();
 
-  NetworkModel net(ncfg, MakeNetworkPricing(*platform), seed);
+  NetworkModel net(ncfg, MakeNetworkPricing(platform), seed);
   SpanCollector sink;
-  TimeSeries series(*window);
+  TimeSeries series(window);
   fcfg.network = &net;
   fcfg.trace_sink = &sink;
   fcfg.timeseries = &series;
 
   const std::vector<RequestRecord> trace = TraceGenerator(tcfg, seed).Generate();
-  const BillingModel billing = MakeBillingModel(*platform);
+  const BillingModel billing = MakeBillingModel(platform);
   const FleetResult res = SimulateFleet(trace, billing, fcfg);
   const NetworkBill& bill = net.bill();
 
@@ -1619,7 +1461,7 @@ int CmdNetwork(const Flags& flags) {
     return static_cast<double>(bytes) / static_cast<double>(kBytesPerGb);
   };
 
-  if (flags.GetBool("json")) {
+  if (json) {
     JsonWriter w;
     w.BeginObject();
     w.KV("platform", billing.platform);
@@ -1698,102 +1540,99 @@ int CmdNetwork(const Flags& flags) {
   return cli::kOk;
 }
 
-int CmdAuditIntegrity(const Flags& flags) {
-  const std::string sim = flags.Get("sim").value_or("platform");
-  AuditLevel level = AuditLevel::kFull;
-  const std::string level_name = flags.Get("audit-level").value_or("full");
-  try {
-    level = ParseAuditLevel(level_name);
-  } catch (const std::invalid_argument&) {
-    std::fprintf(stderr, "audit: --audit-level must be off, basic or full, got '%s'\n",
-                 level_name.c_str());
-    return 1;
-  }
-  if (sim == "platform") {
-    return AuditPlatformSim(flags, level);
-  }
-  if (sim == "fleet") {
-    return AuditFleetSim(flags, level);
-  }
-  std::fprintf(stderr, "audit: --sim must be platform or fleet, got '%s'\n",
-               sim.c_str());
-  return 1;
+int CmdAuditIntegrity(Flags& flags) {
+  const Sim sim = flags.Choice("sim", "platform", kSims);
+  const AuditLevel level = flags.Choice("audit-level", "full", kAuditLevels);
+  return sim == Sim::kPlatform ? AuditPlatformSim(flags, level) : AuditFleetSim(flags, level);
 }
 
+// The one list of subcommands and their flags.
 int Usage() {
-  std::fprintf(stderr,
-               "usage: faascost <command> [flags]\n"
-               "  platforms                            list supported platforms\n"
-               "  bill --platform P --exec-ms N ...    bill one request\n"
-               "  cost [--trace f.csv|--requests N]    cost a workload on all platforms\n"
-               "  audit --sim platform|fleet           integrity-audited run with\n"
-               "        [--audit-level L] [--checkpoint f.json --checkpoint-every N]\n"
-               "        [--resume f.json]              deterministic checkpoint/resume\n"
-               "  rightsize --cpu-ms N --slo-ms N      quantization-aware rightsizing\n"
-               "  generate --out f.csv [--requests N]  write a synthetic trace\n"
-               "  failures --platform P --rate R       cost of failures and retries\n"
-               "  chaos --platform P --mtbf-s N        cost of fleet host failures\n"
-               "  monitor --out DIR [--sim fleet|platform]  windowed telemetry\n"
-               "        [--window S --slo MS --slo-target F --profile-engine]\n"
-               "        [--cotenants N]                (timeseries.jsonl + alerts.jsonl\n"
-               "                                       + trace.json)\n"
-               "  workflows --archetype A --hops N     cost of workflow DAGs under\n"
-               "        [--rate R --retries N --deadline-ms N --hedge-ms N\n"
-               "         --async --quorum K --audit-level L]  resilience policies\n"
-               "  network [--platform P] [--zones N]    cost-of-network decomposition\n"
-               "        [--req-kb K --resp-kb K --class-a N --class-b N\n"
-               "         --outage-zone Z]              (compute/requests/egress/ops)\n");
+  std::fprintf(
+      stderr,
+      "usage: faascost <command> [--flag value | --flag] ...\n"
+      "Optional flags are in [] with their defaults; a choice's first name is its\n"
+      "default. An unknown or unused flag, a stray argument, or a malformed, non-finite\n"
+      "or out-of-range value is a usage error (exit 1), raised before anything runs.\n"
+      "  platforms   list the platforms P names\n"
+      "  bill        bill one request\n"
+      "              --platform P [--exec-ms 100] [--cpu-ms 50] [--vcpus 1]\n"
+      "              [--mem-mb 1024] [--used-mem-mb MEM/4] [--init-ms 0]\n"
+      "  cost        cost a workload on all platforms\n"
+      "              [--trace f.csv | --requests 200000 --functions 1000 --seed 1]\n"
+      "  rightsize   quantization-aware rightsizing\n"
+      "              [--platform aws|gcp] [--cpu-ms 160] [--slo-ms 1000] [--seed 1]\n"
+      "              gcp: [--mem-mb 512]\n"
+      "  generate    write a synthetic trace\n"
+      "              --out f.csv [--requests 100000] [--functions 1000] [--seed 1]\n"
+      "  failures    cost of failures and retries on the platform sim\n"
+      "              [--platform aws] [--rate 0.05] [--retries 3] [--rps 5]\n"
+      "              [--seconds 120] [--timeout-ms 0] [--seed 1] [--json]\n"
+      "  chaos       cost of fleet host failures, healthy vs chaos\n"
+      "              [--platform aws] [--requests 20000] [--functions 200]\n"
+      "              [--seconds 3600] [--hosts 16] [--mtbf-s 3600] [--mttr-s 120]\n"
+      "              [--graceful 0.3] [--retries 3] [--breaker-threshold 0]\n"
+      "              [--zones 1] [--zone-outage-mtbf-s 0] [--seed 7] [--json]\n"
+      "  monitor     windowed telemetry: timeseries.jsonl, alerts.jsonl, trace.json\n"
+      "              --out DIR [--sim fleet|platform] [--platform aws] [--window 60]\n"
+      "              [--slo 1000] [--slo-target 0.99] [--fast-windows 1]\n"
+      "              [--slow-windows 12] [--fast-burn 14.4] [--slow-burn 6]\n"
+      "              [--profile-engine] [--seed 7]\n"
+      "              fleet: [--requests 20000] [--functions 200] [--seconds 3600]\n"
+      "              [--hosts 16] [--mtbf-s 3600] [--mttr-s 120] [--graceful 0.3]\n"
+      "              [--retries 3]\n"
+      "              platform: [--rate 0.02] [--retries 3] [--rps 20] [--seconds 600]\n"
+      "              [--cotenants 0]\n"
+      "  audit       integrity-audited run with deterministic checkpoint/resume\n"
+      "              [--sim platform|fleet] [--audit-level full|basic|off]\n"
+      "              [--platform aws] [--scan-cadence 8192] [--resume f.json] [--json]\n"
+      "              [--checkpoint f.json --checkpoint-every S|--checkpoint-at S]\n"
+      "              platform: [--rate 0.05] [--retries 3] [--rps 5] [--seconds 120]\n"
+      "              [--seed 1]\n"
+      "              fleet: [--requests 20000] [--functions 200] [--seconds 3600]\n"
+      "              [--hosts 16] [--mtbf-s 3600] [--mttr-s 120] [--graceful 0.3]\n"
+      "              [--retries 3] [--breaker-threshold 0] [--seed 7]\n"
+      "  workflows   cost of workflow DAGs under resilience policies\n"
+      "              [--platform aws] [--archetype chain|fanout|mapreduce] [--hops 5]\n"
+      "              fanout: [--quorum 0]\n"
+      "              [--workflows 200] [--wps 2] [--rate 0] [--init-fail-rate RATE/4]\n"
+      "              [--exec-ms 80] [--timeout-ms 0] [--retries 3]\n"
+      "              [--breaker-threshold 0] [--deadline-ms 0] [--no-propagate]\n"
+      "              [--hedge-ms 0] [--async] [--async-redrives 2] [--zones 1]\n"
+      "              [--outage-zone Z [--outage-start-s 10] [--outage-seconds 30]]\n"
+      "              [--audit-level off|basic|full] [--seed 1] [--json]\n"
+      "  network     cost-of-network decomposition (compute/requests/egress/ops)\n"
+      "              [--platform aws] [--requests 20000] [--functions 200]\n"
+      "              [--seconds 3600] [--window 5] [--req-kb 16] [--resp-kb 64]\n"
+      "              [--rate 0] [--zones 3] [--zones-per-region ZONES] [--class-a 1]\n"
+      "              [--class-b 2] [--retries 3] [--seed 7] [--json]\n"
+      "              [--outage-zone Z [--outage-start-s 10] [--outage-seconds 30]]\n");
   return cli::kUsage;
 }
 
-int Dispatch(const std::string& cmd, const Flags& flags) {
-  if (cmd == "platforms") {
-    return CmdPlatforms();
-  }
-  if (cmd == "bill") {
-    return CmdBill(flags);
-  }
-  if (cmd == "cost") {
-    return CmdCost(flags);
-  }
-  if (cmd == "audit") {
-    return CmdAuditIntegrity(flags);
-  }
-  if (cmd == "rightsize") {
-    return CmdRightsize(flags);
-  }
-  if (cmd == "generate") {
-    return CmdGenerate(flags);
-  }
-  if (cmd == "failures") {
-    return CmdFailures(flags);
-  }
-  if (cmd == "chaos") {
-    return CmdChaos(flags);
-  }
-  if (cmd == "monitor") {
-    return CmdMonitor(flags);
-  }
-  if (cmd == "workflows") {
-    return CmdWorkflows(flags);
-  }
-  if (cmd == "network") {
-    return CmdNetwork(flags);
-  }
-  std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
-  return Usage();
-}
+constexpr std::pair<const char*, int (*)(Flags&)> kCommands[] = {
+    {"platforms", CmdPlatforms}, {"bill", CmdBill},         {"cost", CmdCost},
+    {"audit", CmdAuditIntegrity}, {"rightsize", CmdRightsize}, {"generate", CmdGenerate},
+    {"failures", CmdFailures},   {"chaos", CmdChaos},       {"monitor", CmdMonitor},
+    {"workflows", CmdWorkflows}, {"network", CmdNetwork},
+};
 
 int Main(int argc, char** argv) {
   if (argc < 2) {
     return Usage();
   }
   const std::string cmd = argv[1];
-  const Flags flags(argc, argv, 2);
+  const auto* command = std::find_if(std::begin(kCommands), std::end(kCommands),
+                                     [&](const auto& c) { return cmd == c.first; });
+  if (command == std::end(kCommands)) {
+    std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
+    return Usage();
+  }
   // Distinct exit codes so scripts (and CI) can tell a simulator-integrity
   // failure from a bad input artifact without parsing stderr.
   try {
-    return Dispatch(cmd, flags);
+    Flags flags(argc, argv, 2);
+    return command->second(flags);
   } catch (const IntegrityViolation& e) {
     std::fprintf(stderr, "faascost: integrity violation: %s\n", e.what());
     return cli::kIntegrityViolation;
@@ -1804,10 +1643,9 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "faascost: unparseable artifact: %s\n", e.what());
     return cli::kMalformedArtifact;
   } catch (const std::exception& e) {
-    // Bad flag values surface as library exceptions (std::invalid_argument
-    // from config validation, std::length_error from a negative count);
-    // the CLI contract is a one-line stderr message and exit 1, never an
-    // uncaught-exception abort.
+    // Flag readers, RejectUnread and ThrowIfInvalid throw
+    // std::invalid_argument before anything runs; the CLI contract is a
+    // one-line stderr message and exit 1, never an uncaught-exception abort.
     std::fprintf(stderr, "%s: %s\n", cmd.c_str(), e.what());
     return cli::kUsage;
   }

@@ -42,6 +42,17 @@ inline constexpr double kMbPerGb = 1024.0;
 
 constexpr double MbToGb(MegaBytes mb) { return mb / kMbPerGb; }
 
+// Payload sizes are lognormal draws with unbounded tails. Each draw is
+// clamped to this cap, above every platform's invocation payload limit,
+// before it becomes an integer byte count, so no finite mean overflows the
+// conversion.
+inline constexpr int64_t kMaxPayloadBytes = int64_t{1} << 32;
+
+constexpr double CapPayloadBytes(double bytes) {
+  return bytes < static_cast<double>(kMaxPayloadBytes) ? bytes
+                                                       : static_cast<double>(kMaxPayloadBytes);
+}
+
 // Billable resource-time products.
 struct GbSeconds {
   double value = 0.0;

@@ -92,10 +92,10 @@ AttemptPayload NetworkModel::PayloadFor(int64_t function_id, int64_t req_idx,
     const double req_draw = rng.LogNormal(req_ln_mu_, config_.payload.request_sigma);
     const double resp_draw = rng.LogNormal(resp_ln_mu_, config_.payload.response_sigma);
     if (draw_req) {
-      p.request_bytes = static_cast<int64_t>(std::llround(req_draw));
+      p.request_bytes = static_cast<int64_t>(std::llround(CapPayloadBytes(req_draw)));
     }
     if (draw_resp) {
-      p.response_bytes = static_cast<int64_t>(std::llround(resp_draw));
+      p.response_bytes = static_cast<int64_t>(std::llround(CapPayloadBytes(resp_draw)));
     }
   }
   if (request_hint > 0) {

@@ -10,10 +10,18 @@
 // in CpuBandwidthSim) and short waiting-for-a-core preemptions -- the sub-2ms
 // gaps the paper measures on GCP, which the single-task simulator injects as
 // exogenous noise but which emerge endogenously here.
+//
+// Bandwidth control changes a tenant's fate only at discrete points: a period
+// refill, a demand flip, quota exhaustion, or losing a core. So the simulator
+// processes one tick in full and, while every runnable tenant holds a core,
+// applies the following ticks in bulk up to the next such point; a contended
+// tick (more runnable tenants than cores) is a step of its own. The results
+// are bit-identical to stepping every tick.
 
 #ifndef FAASCOST_SCHED_HOST_SIM_H_
 #define FAASCOST_SCHED_HOST_SIM_H_
 
+#include <string>
 #include <vector>
 
 #include "src/common/units.h"
@@ -45,10 +53,17 @@ struct HostSimConfig {
   // are bit-identical to uninstrumented ones.
   TraceSink* trace = nullptr;
   // Runtime invariant auditor (non-owning, may be null). Basic level checks
-  // dispatch-width bounds per tick; full level additionally verifies
+  // dispatch-width bounds once per step; full level additionally verifies
   // core-time conservation (sum of tenant CPU == busy core ticks) and the
   // per-tenant gap taxonomy at every quota-period boundary.
   Auditor* auditor = nullptr;
+
+  // Empty when this config and `tenants` describe a runnable host: at least
+  // one core, a positive tick dividing a positive period, a positive
+  // duration, a demand phase in (0, 1e15] us, and per tenant a finite
+  // non-negative quota, a finite positive weight and a demand fraction in
+  // [0, 1].
+  std::vector<std::string> Validate(const std::vector<TenantSpec>& tenants) const;
 };
 
 struct TenantResult {
@@ -67,7 +82,8 @@ struct HostSimResult {
   double host_utilization = 0.0;  // Busy core-time / (cores * duration).
 };
 
-// Runs the host for `config.duration`. Deterministic given the seed.
+// Runs the host for `config.duration`. Deterministic given the seed. Throws
+// std::invalid_argument when config.Validate(tenants) reports errors.
 HostSimResult SimulateHost(const HostSimConfig& config,
                            const std::vector<TenantSpec>& tenants, uint64_t seed);
 

@@ -140,13 +140,13 @@ std::vector<RequestRecord> TraceGenerator::Generate() {
     out.push_back(MakeRequest(fn, arrival, rng));
     if (want_req_payload) {
       out.back().req_bytes = std::max<int64_t>(
-          1, static_cast<int64_t>(
-                 payload_rng.LogNormal(req_mu, config_.payload_request_ln_sigma)));
+          1, static_cast<int64_t>(CapPayloadBytes(
+                 payload_rng.LogNormal(req_mu, config_.payload_request_ln_sigma))));
     }
     if (want_resp_payload) {
       out.back().resp_bytes = std::max<int64_t>(
-          1, static_cast<int64_t>(
-                 payload_rng.LogNormal(resp_mu, config_.payload_response_ln_sigma)));
+          1, static_cast<int64_t>(CapPayloadBytes(
+                 payload_rng.LogNormal(resp_mu, config_.payload_response_ln_sigma))));
     }
   }
   std::sort(out.begin(), out.end(),

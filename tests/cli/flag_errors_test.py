@@ -96,6 +96,9 @@ REJECTED = [
      "network: --outage-start-s"),
     (["failures", "--timeout-ms", "1e300"], "failures: --timeout-ms"),
     (["monitor", "--out", "{out}", "--slo", "1e300"], "monitor: --slo"),
+    # A payload mean past the 2^32-byte draw cap.
+    (["network", "--req-kb", "1e300", "--requests", "50", "--functions", "5", "--seconds",
+      "10"], "network: --req-kb"),
     # Negative sizes and seeds.
     (["bill", "--platform", "aws", "--mem-mb", "-5"], "bill: --mem-mb"),
     (["rightsize", "--cpu-ms", "-5"], "rightsize: --cpu-ms"),

@@ -4,8 +4,10 @@
 // (assert-only validation of external input) applied to src/common by hand.
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "src/net/model.h"
 #include "src/platform/presets.h"
 #include "src/sched/config.h"
+#include "src/sched/host_sim.h"
 #include "src/workflow/dag.h"
 #include "src/workflow/workflow_sim.h"
 
@@ -92,6 +95,56 @@ TEST(ValidationTest, BucketEconomicsRejectsNonPositiveBucketCount) {
   EXPECT_THROW(BucketEconomics(result, trace, billing, config, -3),
                std::invalid_argument);
   EXPECT_NO_THROW(BucketEconomics(result, trace, billing, config, 4));
+}
+
+// Release builds compiled out the host sim's asserts: a host with no cores,
+// a period the tick does not divide, an empty run or a NaN quota ran anyway.
+TEST(ValidationTest, SimulateHostRejectsInvalidHosts) {
+  const std::vector<TenantSpec> tenants(2);
+  HostSimConfig base;
+  base.duration = 100 * kMicrosPerMilli;
+  HostSimConfig no_cores = base;
+  no_cores.cores = 0;
+  HostSimConfig ragged_period = base;
+  ragged_period.period = 1'500;
+  HostSimConfig empty_run = base;
+  empty_run.duration = 0;
+  for (const HostSimConfig& config : {no_cores, ragged_period, empty_run}) {
+    EXPECT_THROW(SimulateHost(config, tenants, 1), std::invalid_argument);
+  }
+  std::vector<TenantSpec> nan_quota = tenants;
+  nan_quota[1].quota_fraction = std::nan("");
+  EXPECT_THROW(SimulateHost(base, nan_quota, 1), std::invalid_argument);
+  EXPECT_NO_THROW(SimulateHost(base, tenants, 1));
+}
+
+TEST(ValidationTest, HostSimConfigChecksEveryTenantField) {
+  const HostSimConfig config;
+  const std::vector<TenantSpec> base(2);
+  ASSERT_TRUE(config.Validate(base).empty());
+  // A phase past ~32 years would overflow the int64 cast of its draws.
+  for (const MicroSecs phase : {MicroSecs{0}, MicroSecs{1'000'000'000'000'000'000}}) {
+    HostSimConfig bad_phase = config;
+    bad_phase.demand_phase = phase;
+    EXPECT_FALSE(bad_phase.Validate(base).empty()) << phase;
+  }
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [field, value] :
+       std::vector<std::pair<double TenantSpec::*, double>>{
+           {&TenantSpec::quota_fraction, -0.1}, {&TenantSpec::quota_fraction, nan},
+           {&TenantSpec::quota_fraction, inf},  {&TenantSpec::quota_fraction, 1e300},
+           {&TenantSpec::weight, 0.0},          {&TenantSpec::weight, nan},
+           {&TenantSpec::weight, inf},          {&TenantSpec::demand_fraction, 1.5},
+           {&TenantSpec::demand_fraction, -0.1}, {&TenantSpec::demand_fraction, nan}}) {
+    std::vector<TenantSpec> tenants = base;
+    tenants[1].*field = value;
+    EXPECT_FALSE(config.Validate(tenants).empty()) << value;
+  }
+  // A quota above one core stays legal: the tenant is never throttled.
+  std::vector<TenantSpec> unthrottled = base;
+  unthrottled[0].quota_fraction = 2.0;
+  EXPECT_TRUE(config.Validate(unthrottled).empty());
 }
 
 // The config validators below write range checks as `x < lo || x > hi`,

@@ -183,6 +183,18 @@ TEST(NetworkModelTest, PayloadHintsAndErrorsOverrideDraws) {
   EXPECT_EQ(none.response_bytes, 0);
 }
 
+TEST(NetworkModelTest, PayloadDrawsClampToTheCap) {
+  NetworkModelConfig cfg = FourZoneConfig();
+  cfg.payload.request_mean_kb = 1e300;
+  cfg.payload.response_mean_kb = 1e300;
+  NetworkModel net(cfg, FlatPricing(), 42);
+  for (int64_t req = 0; req < 50; ++req) {
+    const AttemptPayload p = net.PayloadFor(7, req, 0, 0, 0, true);
+    ASSERT_EQ(p.request_bytes, kMaxPayloadBytes);
+    ASSERT_EQ(p.response_bytes, kMaxPayloadBytes);
+  }
+}
+
 TEST(NetworkModelTest, RequestOpsBundleIsFlatPriced) {
   NetworkModelConfig cfg = FourZoneConfig();
   cfg.class_a_ops_per_request = 2;

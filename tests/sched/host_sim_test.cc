@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
 namespace faascost {
 namespace {
 
@@ -25,15 +29,36 @@ TEST(HostSim, SingleTenantUnquotedGetsTheCore) {
   EXPECT_TRUE(r.tenants[0].gaps.empty());
 }
 
+// Closed form for one always-runnable tenant alone on a host: each period it
+// runs ceil(quota * period / tick) ticks, since the tick that spends its
+// pool still runs to the end (0.333 of 100 ms runs 34 ms), but never more
+// than the whole period; it then sits throttled until the next refill.
 TEST(HostSim, QuotaEnforcedOnIdleHost) {
-  const HostSimResult r = SimulateHost(OneCore(), {{0.3, 1.0, 1.0}}, 2);
-  EXPECT_NEAR(r.tenants[0].cpu_share, 0.3, 0.02);
-  EXPECT_GT(r.tenants[0].throttled_ticks, 0);
-  EXPECT_EQ(r.tenants[0].preempted_ticks, 0);  // No one to lose the core to.
-  // Throttle gaps span the rest of each period: ~70 ms each.
-  ASSERT_FALSE(r.tenants[0].gaps.empty());
-  for (const auto& g : r.tenants[0].gaps) {
-    EXPECT_NEAR(MicrosToMillis(g.duration), 70.0, 2.0);
+  for (const int cores : {1, 4}) {
+    for (const double quota : {0.1, 0.3, 0.333, 0.5, 0.75, 1.0}) {
+      HostSimConfig c;
+      c.cores = cores;
+      c.duration = 10 * c.period;
+      const MicroSecs per_period = std::min<MicroSecs>(
+          c.period, static_cast<MicroSecs>(std::ceil(quota * static_cast<double>(c.period) /
+                                                     static_cast<double>(c.tick))) *
+                        c.tick);
+      const HostSimResult r = SimulateHost(c, {{quota, 1.0, 1.0}}, 2);
+      const TenantResult& t = r.tenants[0];
+      SCOPED_TRACE("quota " + std::to_string(quota) + ", cores " + std::to_string(cores));
+      EXPECT_EQ(t.cpu_obtained, 10 * per_period);
+      EXPECT_EQ(t.cpu_share, static_cast<double>(per_period) / static_cast<double>(c.period));
+      EXPECT_EQ(t.runnable_time, c.duration);
+      EXPECT_EQ(t.throttled_ticks, 10 * (c.period - per_period) / c.tick);
+      EXPECT_EQ(t.preempted_ticks, 0);  // No one to lose the core to.
+      // The last period's throttle never ends inside the run.
+      const size_t gaps = per_period < c.period ? 9 : 0;
+      ASSERT_EQ(t.gaps.size(), gaps);
+      for (size_t k = 0; k < gaps; ++k) {
+        EXPECT_EQ(t.gaps[k].start, static_cast<MicroSecs>(k) * c.period + per_period);
+        EXPECT_EQ(t.gaps[k].duration, c.period - per_period);
+      }
+    }
   }
 }
 

@@ -282,5 +282,19 @@ TEST(PayloadSynthesis, OffByDefaultAndOtherFieldsUnaffectedWhenOn) {
   }
 }
 
+// A huge finite mean puts nearly every draw past int64's range; each one is
+// clamped to the cap before it becomes a byte count.
+TEST(PayloadSynthesis, DrawsClampToTheCap) {
+  TraceGenConfig cfg;
+  cfg.num_requests = 200;
+  cfg.num_functions = 10;
+  cfg.payload_request_mean_kb = 1e300;
+  cfg.payload_response_mean_kb = 1e300;
+  for (const auto& r : TraceGenerator(cfg, 3).Generate()) {
+    ASSERT_EQ(r.req_bytes, kMaxPayloadBytes);
+    ASSERT_EQ(r.resp_bytes, kMaxPayloadBytes);
+  }
+}
+
 }  // namespace
 }  // namespace faascost

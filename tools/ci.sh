@@ -164,20 +164,24 @@ echo "same-seed network runs byte-identical; decomposition closes; detours seen.
 
 echo
 echo "== Platform monitor smoke: span trace + co-tenant host, determinism =="
-# Two seeds, each run twice: the span trace (platform requests and sandboxes
-# plus the co-tenant sched.tenants tracks) and both JSONL exports must be
-# byte-identical across repeats, and trace.json must parse.
+# Two seeds and two host sizes, each run twice: the span trace (platform
+# requests and sandboxes plus the co-tenant sched.tenants tracks) and both
+# JSONL exports must be byte-identical across repeats, and trace.json must
+# parse. 2 co-tenants on the host's 4 cores never contend; 6 do, so the host
+# sim's contended ticks run too.
 obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT
-for seed in 1 42; do
-  for run in a b; do
-    "$repo/build/tools/faascost" monitor --sim platform --cotenants 2 \
-      --out "$obs_tmp/pmon_$run$seed" --rps 5 --seconds 60 --seed "$seed" > /dev/null
+for cotenants in 2 6; do
+  for seed in 1 42; do
+    for run in a b; do
+      "$repo/build/tools/faascost" monitor --sim platform --cotenants "$cotenants" \
+        --out "$obs_tmp/pmon_$run$seed" --rps 5 --seconds 60 --seed "$seed" > /dev/null
+    done
+    for f in trace.json timeseries.jsonl alerts.jsonl; do
+      cmp "$obs_tmp/pmon_a$seed/$f" "$obs_tmp/pmon_b$seed/$f"
+    done
+    python3 -m json.tool "$obs_tmp/pmon_a$seed/trace.json" > /dev/null
   done
-  for f in trace.json timeseries.jsonl alerts.jsonl; do
-    cmp "$obs_tmp/pmon_a$seed/$f" "$obs_tmp/pmon_b$seed/$f"
-  done
-  python3 -m json.tool "$obs_tmp/pmon_a$seed/trace.json" > /dev/null
 done
 echo "trace.json parses; repeated runs are byte-identical."
 

@@ -1384,8 +1384,11 @@ int CmdNetwork(Flags& flags) {
   const MicroSecs window = flags.Seconds("window", 5);
   // Trace records carry explicit payload hints; the model's own payload
   // distribution stays disabled so sizes are pinned by the trace.
-  tcfg.payload_request_mean_kb = flags.Real("req-kb", 16.0, 0.0);
-  tcfg.payload_response_mean_kb = flags.Real("resp-kb", 64.0, 0.0);
+  // Payload means stay below the draw cap, kMaxPayloadBytes (4,194,304 KB).
+  constexpr double kMaxPayloadMeanKb = 4e6;
+  static_assert(kMaxPayloadMeanKb * 1024.0 < static_cast<double>(kMaxPayloadBytes));
+  tcfg.payload_request_mean_kb = flags.Real("req-kb", 16.0, 0.0, kMaxPayloadMeanKb);
+  tcfg.payload_response_mean_kb = flags.Real("resp-kb", 64.0, 0.0, kMaxPayloadMeanKb);
   tcfg.failure_rate_mean = flags.Real("rate", 0.0, 0.0, 1.0);
   const auto seed = static_cast<uint64_t>(flags.Int<int64_t>("seed", 7, 0));
 

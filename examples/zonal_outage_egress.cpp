@@ -1,13 +1,13 @@
 // Zonal outage with egress consequences: one chaos scenario, two bills.
 //
-// The same outage window feeds both layers it hurts. The workflow engine's
-// ZonalOutageSpec models the *capacity* consequence — attempts in the dead
-// zone are killed and retried elsewhere, re-billing compute. The network
-// model's mirrored NetOutage models the *egress* consequence — the zone's
-// internet uplink and region peerings go dark, so surviving traffic detours
-// over a peer zone's backup uplink and pays cross-zone per-GB charges the
-// healthy route never sees, through a thinner pipe. Chaos engineering that
-// only counts retries under-bills its own experiment.
+// The same outage window feeds both layers it hurts. In the workflow
+// engine's outages it models the *capacity* consequence — attempts in the
+// dead zone are killed and retried elsewhere, re-billing compute. Copied
+// into the network model's outages it models the *egress* consequence —
+// the zone's internet uplink and region peerings go dark, so surviving
+// traffic detours over a peer zone's backup uplink and pays cross-zone
+// per-GB charges the healthy route never sees, through a thinner pipe.
+// Chaos engineering that only counts retries under-bills its own experiment.
 
 #include <cstdio>
 
@@ -28,6 +28,7 @@ int main() {
   constexpr int kDeadZone = 0;
   constexpr MicroSecs kOutageStart = 10 * kSec;
   constexpr MicroSecs kOutageLen = 20 * kSec;
+  const ZonalOutageSpec window{kDeadZone, kOutageStart, kOutageLen};
 
   const BillingModel billing = MakeBillingModel(Platform::kAwsLambda);
 
@@ -36,8 +37,8 @@ int main() {
     ncfg.topology.zones = 3;
     ncfg.topology.zones_per_region = 3;
     if (chaos) {
-      // The network consequence: mirror the capacity outage on the edge.
-      ncfg.outages.push_back({kDeadZone, kOutageStart, kOutageLen});
+      // The network consequence: the same window darkens the zone's edge.
+      ncfg.outages.push_back(window);
     }
     NetworkModel net(ncfg, MakeNetworkPricing(Platform::kAwsLambda), kSeed);
 
@@ -55,11 +56,7 @@ int main() {
     cfg.network = &net;
     if (chaos) {
       // The capacity consequence: kill in-flight attempts in the dead zone.
-      ZonalOutageSpec outage;
-      outage.zone = kDeadZone;
-      outage.start = kOutageStart;
-      outage.duration = kOutageLen;
-      cfg.outages.push_back(outage);
+      cfg.outages.push_back(window);
     }
     const WorkflowSimResult r = SimulateWorkflows(cfg, billing, kSeed);
 

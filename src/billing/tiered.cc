@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/validate.h"
+
 namespace faascost {
 
 const char* TransferClassName(TransferClass c) {
@@ -36,12 +38,12 @@ std::vector<std::string> TieredSchedule::Validate() const {
   }
   int64_t prev = 0;
   for (size_t i = 0; i < tiers.size(); ++i) {
+    std::vector<std::string> tier;
     if (tiers[i].upto_bytes <= prev) {
-      errors.push_back("tier " + std::to_string(i) + " bound does not ascend");
+      tier.push_back("bound does not ascend");
     }
-    if (tiers[i].usd_per_gb < 0.0) {
-      errors.push_back("tier " + std::to_string(i) + " has a negative rate");
-    }
+    CheckAtLeast(&tier, "usd_per_gb", tiers[i].usd_per_gb, 0.0);
+    AppendErrors(&errors, tier, "tier ", i, " ");
     prev = tiers[i].upto_bytes;
   }
   if (tiers.back().upto_bytes != kNoTierLimit) {
@@ -75,17 +77,12 @@ Usd TieredCost(const TieredSchedule& schedule, int64_t from_bytes, int64_t add_b
 std::vector<std::string> NetworkPricing::Validate() const {
   std::vector<std::string> errors;
   for (int c = 0; c < kTransferClassCount; ++c) {
-    for (const std::string& e : transfer[static_cast<size_t>(c)].Validate()) {
-      errors.push_back(std::string(TransferClassName(static_cast<TransferClass>(c))) +
-                       ": " + e);
-    }
+    AppendErrors(&errors, transfer[static_cast<size_t>(c)].Validate(),
+                 TransferClassName(static_cast<TransferClass>(c)), ": ");
   }
-  if (class_a_per_op < 0.0 || class_b_per_op < 0.0) {
-    errors.push_back("storage operation fees must be non-negative");
-  }
-  if (billing_period < 0) {
-    errors.push_back("billing_period must be >= 0 (0 = never reset)");
-  }
+  CheckAtLeast(&errors, "class_a_per_op", class_a_per_op, 0.0);
+  CheckAtLeast(&errors, "class_b_per_op", class_b_per_op, 0.0);
+  CheckAtLeast(&errors, "billing_period", billing_period, 0, "0 = never reset");
   return errors;
 }
 

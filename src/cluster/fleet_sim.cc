@@ -140,44 +140,23 @@ uint64_t HashFleetConfig(const FleetSimConfig& c) {
 
 std::vector<std::string> FleetSimConfig::Validate() const {
   std::vector<std::string> errors;
-  if (keepalive < 0) {
-    errors.push_back("keepalive must be >= 0, got " + std::to_string(keepalive));
-  }
-  if (init_duration < 0) {
-    errors.push_back("init_duration must be >= 0, got " + std::to_string(init_duration));
-  }
-  if (ka_cost_share < 0.0 || ka_cost_share > 1.0) {
-    errors.push_back("ka_cost_share must be in [0, 1], got " +
-                     std::to_string(ka_cost_share));
-  }
-  if (hardware_per_vcpu_second < 0.0 || hardware_per_gb_second < 0.0) {
-    errors.push_back("hardware rates must be >= 0");
-  }
-  if (failure_rate < 0.0 || failure_rate > 1.0) {
-    errors.push_back("failure_rate must be in [0, 1], got " +
-                     std::to_string(failure_rate));
-  }
-  if (max_exec_duration < 0) {
-    errors.push_back("max_exec_duration must be >= 0 (0 disables), got " +
-                     std::to_string(max_exec_duration));
-  }
-  for (const std::string& e : retry.Validate()) {
-    errors.push_back("retry: " + e);
-  }
-  for (const std::string& e : host_faults.Validate()) {
-    errors.push_back("host_faults: " + e);
-  }
-  for (const std::string& e : admission.Validate()) {
-    errors.push_back("admission: " + e);
-  }
-  if (max_sandboxes_per_function < 0) {
-    errors.push_back("max_sandboxes_per_function must be >= 0 (0 = unbounded), got " +
-                     std::to_string(max_sandboxes_per_function));
-  }
-  if (admission.enabled && max_sandboxes_per_function <= 0) {
-    errors.push_back(
-        "admission control needs max_sandboxes_per_function > 0: with an "
-        "unbounded sandbox pool there is no capacity limit to queue against");
+  CheckAtLeast(&errors, "keepalive", keepalive, 0);
+  CheckAtLeast(&errors, "init_duration", init_duration, 0);
+  CheckWithin(&errors, "ka_cost_share", ka_cost_share, 0.0, 1.0);
+  CheckAtLeast(&errors, "hardware_per_vcpu_second", hardware_per_vcpu_second, 0.0);
+  CheckAtLeast(&errors, "hardware_per_gb_second", hardware_per_gb_second, 0.0);
+  CheckWithin(&errors, "failure_rate", failure_rate, 0.0, 1.0);
+  CheckAtLeast(&errors, "max_exec_duration", max_exec_duration, 0, "0 disables");
+  CheckAbove(&errors, "server.vcpus", server.vcpus, 0.0);
+  CheckAbove(&errors, "server.mem_mb", server.mem_mb, 0.0);
+  AppendErrors(&errors, retry.Validate(), "retry: ");
+  AppendErrors(&errors, host_faults.Validate(), "host_faults: ");
+  AppendErrors(&errors, admission.Validate(), "admission: ");
+  CheckAtLeast(&errors, "max_sandboxes_per_function", max_sandboxes_per_function, 0,
+               "0 = unbounded");
+  if (admission.enabled) {
+    CheckAbove(&errors, "max_sandboxes_per_function", max_sandboxes_per_function, 0,
+               "admission control needs a capacity limit to queue against");
   }
   return errors;
 }

@@ -1,8 +1,9 @@
 #include "src/cluster/host_faults.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+
+#include "src/common/validate.h"
 
 namespace faascost {
 
@@ -23,34 +24,14 @@ MicroSecs SecsToMicrosClamped(double seconds) {
 
 std::vector<std::string> HostFaultModelConfig::Validate() const {
   std::vector<std::string> errors;
-  if (hosts < 0) {
-    errors.push_back("hosts must be >= 0 (0 disables host faults), got " +
-                     std::to_string(hosts));
-  }
-  if (mtbf_seconds < 0.0 || std::isnan(mtbf_seconds)) {
-    errors.push_back("mtbf_seconds must be >= 0 (0 = hosts never crash), got " +
-                     std::to_string(mtbf_seconds));
-  }
-  if (mttr_seconds < 0.0 || std::isnan(mttr_seconds)) {
-    errors.push_back("mttr_seconds must be >= 0, got " + std::to_string(mttr_seconds));
-  }
-  if (zones < 1) {
-    errors.push_back("zones must be >= 1 (hosts are striped across zones), got " +
-                     std::to_string(zones));
-  }
-  if (zone_outage_mtbf_seconds < 0.0 || std::isnan(zone_outage_mtbf_seconds)) {
-    errors.push_back("zone_outage_mtbf_seconds must be >= 0 (0 = no outages), got " +
-                     std::to_string(zone_outage_mtbf_seconds));
-  }
-  if (graceful_fraction < 0.0 || graceful_fraction > 1.0 ||
-      std::isnan(graceful_fraction)) {
-    errors.push_back("graceful_fraction must be in [0, 1], got " +
-                     std::to_string(graceful_fraction));
-  }
-  if (drain_deadline < 0) {
-    errors.push_back("drain_deadline must be >= 0 (0 = drains kill immediately), got " +
-                     std::to_string(drain_deadline));
-  }
+  CheckAtLeast(&errors, "hosts", hosts, 0, "0 disables host faults");
+  CheckAtLeast(&errors, "mtbf_seconds", mtbf_seconds, 0.0, "0 = hosts never crash");
+  CheckAtLeast(&errors, "mttr_seconds", mttr_seconds, 0.0);
+  CheckAtLeast(&errors, "zones", zones, 1, "hosts are striped across zones");
+  CheckAtLeast(&errors, "zone_outage_mtbf_seconds", zone_outage_mtbf_seconds, 0.0,
+               "0 = no outages");
+  CheckWithin(&errors, "graceful_fraction", graceful_fraction, 0.0, 1.0);
+  CheckAtLeast(&errors, "drain_deadline", drain_deadline, 0, "0 = drains kill immediately");
   if (enabled() && mtbf_seconds > 0.0 && mtbf_seconds <= mttr_seconds) {
     errors.push_back(
         "mtbf_seconds must exceed mttr_seconds (a host cannot spend more time "

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/common/validate.h"
 
@@ -24,30 +25,36 @@ double LnMuForMeanBytes(double mean_kb, double sigma) {
 
 }  // namespace
 
+std::vector<std::string> NetOutage::Validate() const {
+  std::vector<std::string> errors;
+  CheckAtLeast(&errors, "zone", zone, 0);
+  CheckAtLeast(&errors, "start", start, 0);
+  CheckAbove(&errors, "duration", duration, 0);
+  if (start >= 0 && duration > std::numeric_limits<MicroSecs>::max() - start) {
+    errors.push_back("start + duration must fit in int64 us, got " + std::to_string(start) +
+                     " + " + std::to_string(duration));
+  }
+  return errors;
+}
+
 std::vector<std::string> NetworkModelConfig::Validate() const {
   std::vector<std::string> errors = topology.Validate();
-  if (payload.request_mean_kb < 0.0 || payload.response_mean_kb < 0.0 ||
-      std::isnan(payload.request_mean_kb) || std::isnan(payload.response_mean_kb)) {
-    errors.push_back("payload means must be >= 0 (0 disables)");
-  }
-  if (payload.request_sigma < 0.0 || payload.response_sigma < 0.0 ||
-      std::isnan(payload.request_sigma) || std::isnan(payload.response_sigma)) {
-    errors.push_back("payload sigmas must be >= 0");
-  }
-  if (class_a_ops_per_request < 0 || class_b_ops_per_request < 0) {
-    errors.push_back("per-request op counts must be >= 0");
-  }
-  if (error_response_bytes < 0) {
-    errors.push_back("error_response_bytes must be >= 0");
-  }
+  CheckAtLeast(&errors, "payload.request_mean_kb", payload.request_mean_kb, 0.0, "0 disables");
+  CheckAtLeast(&errors, "payload.request_sigma", payload.request_sigma, 0.0);
+  CheckAtLeast(&errors, "payload.response_mean_kb", payload.response_mean_kb, 0.0,
+               "0 disables");
+  CheckAtLeast(&errors, "payload.response_sigma", payload.response_sigma, 0.0);
+  CheckAtLeast(&errors, "class_a_ops_per_request", class_a_ops_per_request, 0);
+  CheckAtLeast(&errors, "class_b_ops_per_request", class_b_ops_per_request, 0);
+  CheckAtLeast(&errors, "error_response_bytes", error_response_bytes, 0);
   for (size_t i = 0; i < outages.size(); ++i) {
-    const NetOutage& o = outages[i];
-    if (o.zone < 0 || o.zone >= topology.zones) {
-      errors.push_back("outage " + std::to_string(i) + " names an invalid zone");
+    std::vector<std::string> window = outages[i].Validate();
+    if (outages[i].zone >= topology.zones) {
+      window.push_back("zone must name one of the topology's " +
+                       std::to_string(topology.zones) + " zones, got " +
+                       std::to_string(outages[i].zone));
     }
-    if (o.start < 0 || o.duration <= 0) {
-      errors.push_back("outage " + std::to_string(i) + " has an empty window");
-    }
+    AppendErrors(&errors, window, "outages[", i, "].");
   }
   return errors;
 }
@@ -58,9 +65,7 @@ NetworkModel::NetworkModel(NetworkModelConfig config, NetworkPricing pricing,
       meter_(std::move(pricing)),
       payload_seed_(DeriveSeed(seed, kNetStream)) {
   std::vector<std::string> errors = config_.Validate();
-  for (const std::string& e : meter_.pricing().Validate()) {
-    errors.push_back("pricing: " + e);
-  }
+  AppendErrors(&errors, meter_.pricing().Validate(), "pricing: ");
   ThrowIfInvalid("NetworkModel configuration", errors);
   // Built only once validated: regions() divides by zones_per_region.
   topo_ = MakeCloudTopology(config_.topology);
@@ -119,7 +124,7 @@ int64_t NetworkModel::IntervalFor(MicroSecs t) const {
 
 bool NetworkModel::InOutage(int zone, MicroSecs t) const {
   for (const NetOutage& o : config_.outages) {
-    if (o.zone == zone && t >= o.start && t < o.start + o.duration) {
+    if (o.Covers(zone, t)) {
       return true;
     }
   }

@@ -48,13 +48,21 @@
 
 namespace faascost {
 
-// A zonal outage window on the network edge, [start, start + duration).
-// Mirrors the workflow engine's ZonalOutageSpec so one scenario can feed
-// both the capacity consequence and the network consequence.
+// A zonal outage window, [start, start + duration). The one outage type:
+// in NetworkModelConfig it degrades the zone's network edge, and the workflow
+// engine's ZonalOutageSpec is this struct, so a caller mirrors a capacity
+// outage into the network by copying it.
 struct NetOutage {
   int zone = 0;
   MicroSecs start = 0;
   MicroSecs duration = 0;
+
+  // zone >= 0, start >= 0, duration > 0, and the window ends inside int64.
+  std::vector<std::string> Validate() const;
+  // Whether the window holds time t in `in_zone`.
+  bool Covers(int in_zone, MicroSecs t) const {
+    return in_zone == zone && t >= start && t < start + duration;
+  }
 };
 
 // Deterministic per-attempt payload sizes. A mean of 0 disables that

@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/common/validate.h"
+
 namespace faascost {
 
 MicroSecs PathInfo::TransferTime(int64_t bytes) const {
@@ -122,20 +124,17 @@ PathInfo NetTopology::Route(int src, int dst, const std::vector<bool>& down_link
 
 std::vector<std::string> CloudTopologyParams::Validate() const {
   std::vector<std::string> errors;
-  if (zones < 1) {
-    errors.push_back("zones must be >= 1");
-  }
-  if (zones_per_region < 1) {
-    errors.push_back("zones_per_region must be >= 1");
-  }
-  if (intra_zone_latency < 0 || inter_zone_latency < 0 || inter_region_latency < 0 ||
-      internet_latency < 0) {
-    errors.push_back("latencies must be >= 0");
-  }
-  if (intra_zone_gbps <= 0.0 || inter_zone_gbps <= 0.0 || inter_region_gbps <= 0.0 ||
-      uplink_gbps <= 0.0 || backup_uplink_gbps <= 0.0) {
-    errors.push_back("bandwidths must be > 0");
-  }
+  CheckAtLeast(&errors, "zones", zones, 1);
+  CheckAtLeast(&errors, "zones_per_region", zones_per_region, 1);
+  CheckAtLeast(&errors, "intra_zone_latency", intra_zone_latency, 0);
+  CheckAtLeast(&errors, "inter_zone_latency", inter_zone_latency, 0);
+  CheckAtLeast(&errors, "inter_region_latency", inter_region_latency, 0);
+  CheckAtLeast(&errors, "internet_latency", internet_latency, 0);
+  CheckAbove(&errors, "intra_zone_gbps", intra_zone_gbps, 0.0);
+  CheckAbove(&errors, "inter_zone_gbps", inter_zone_gbps, 0.0);
+  CheckAbove(&errors, "inter_region_gbps", inter_region_gbps, 0.0);
+  CheckAbove(&errors, "uplink_gbps", uplink_gbps, 0.0);
+  CheckAbove(&errors, "backup_uplink_gbps", backup_uplink_gbps, 0.0);
   return errors;
 }
 

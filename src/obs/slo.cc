@@ -12,22 +12,15 @@ std::vector<std::string> SloSpec::Validate() const {
   if (name.empty()) {
     errors.push_back("name must be non-empty");
   }
-  if (objective_id < 0) {
-    errors.push_back("objective_id must be >= 0, got " +
-                     std::to_string(objective_id));
-  }
-  if (!(target > 0.0) || !(target < 1.0)) {
-    errors.push_back("target must be in (0, 1), got " + std::to_string(target));
-  }
-  if (fast_windows <= 0 || slow_windows <= 0) {
-    errors.push_back("window counts must be > 0");
-  }
+  CheckAtLeast(&errors, "objective_id", objective_id, 0);
+  CheckWithin(&errors, "target", target, 0.0, 1.0, Ends::kOpen);
+  CheckAbove(&errors, "fast_windows", fast_windows, 0);
+  CheckAbove(&errors, "slow_windows", slow_windows, 0);
   if (fast_windows > slow_windows) {
     errors.push_back("fast_windows must be <= slow_windows");
   }
-  if (!(fast_burn > 0.0) || !(slow_burn > 0.0)) {
-    errors.push_back("burn thresholds must be > 0");
-  }
+  CheckAbove(&errors, "fast_burn", fast_burn, 0.0);
+  CheckAbove(&errors, "slow_burn", slow_burn, 0.0);
   return errors;
 }
 

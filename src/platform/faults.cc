@@ -1,19 +1,10 @@
 #include "src/platform/faults.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "src/common/validate.h"
 
 namespace faascost {
-
-namespace {
-
-void CheckProbability(double p, const char* what, std::vector<std::string>* errors) {
-  if (p < 0.0 || p > 1.0 || std::isnan(p)) {
-    errors->push_back(std::string(what) + " must be in [0, 1], got " + std::to_string(p));
-  }
-}
-
-}  // namespace
 
 bool FaultModelConfig::AnyEnabled() const {
   return init_failure_prob > 0.0 || crash_prob > 0.0 || max_exec_duration > 0 ||
@@ -22,12 +13,9 @@ bool FaultModelConfig::AnyEnabled() const {
 
 std::vector<std::string> FaultModelConfig::Validate() const {
   std::vector<std::string> errors;
-  CheckProbability(init_failure_prob, "init_failure_prob", &errors);
-  CheckProbability(crash_prob, "crash_prob", &errors);
-  if (max_exec_duration < 0) {
-    errors.push_back("max_exec_duration must be >= 0 (0 disables), got " +
-                     std::to_string(max_exec_duration));
-  }
+  CheckWithin(&errors, "init_failure_prob", init_failure_prob, 0.0, 1.0);
+  CheckWithin(&errors, "crash_prob", crash_prob, 0.0, 1.0);
+  CheckAtLeast(&errors, "max_exec_duration", max_exec_duration, 0, "0 disables");
   return errors;
 }
 
@@ -53,31 +41,14 @@ MicroSecs RetryPolicy::BackoffDelay(int failed_attempt, Rng& rng) const {
 
 std::vector<std::string> RetryPolicy::Validate() const {
   std::vector<std::string> errors;
-  if (max_attempts < 1) {
-    errors.push_back("max_attempts must be >= 1 (1 = no retries), got " +
-                     std::to_string(max_attempts));
-  }
-  if (backoff_base <= 0) {
-    errors.push_back("backoff_base must be > 0, got " + std::to_string(backoff_base));
-  }
-  if (backoff_multiplier < 1.0 || std::isnan(backoff_multiplier)) {
-    errors.push_back("backoff_multiplier must be >= 1, got " +
-                     std::to_string(backoff_multiplier));
-  }
-  if (backoff_cap < backoff_base) {
-    errors.push_back("backoff_cap must be >= backoff_base");
-  }
-  if (attempt_timeout < 0) {
-    errors.push_back("attempt_timeout must be >= 0 (0 disables), got " +
-                     std::to_string(attempt_timeout));
-  }
-  if (breaker_threshold < 0) {
-    errors.push_back("breaker_threshold must be >= 0 (0 disables), got " +
-                     std::to_string(breaker_threshold));
-  }
-  if (breaker_threshold > 0 && breaker_cooldown <= 0) {
-    errors.push_back("breaker_cooldown must be > 0 when the breaker is enabled, got " +
-                     std::to_string(breaker_cooldown));
+  CheckAtLeast(&errors, "max_attempts", max_attempts, 1, "1 = no retries");
+  CheckAbove(&errors, "backoff_base", backoff_base, 0);
+  CheckAtLeast(&errors, "backoff_multiplier", backoff_multiplier, 1.0);
+  CheckAtLeast(&errors, "backoff_cap", backoff_cap, backoff_base, "backoff_base");
+  CheckAtLeast(&errors, "attempt_timeout", attempt_timeout, 0, "0 disables");
+  CheckAtLeast(&errors, "breaker_threshold", breaker_threshold, 0, "0 disables");
+  if (breaker_threshold > 0) {
+    CheckAbove(&errors, "breaker_cooldown", breaker_cooldown, 0, "the breaker is enabled");
   }
   return errors;
 }
@@ -158,16 +129,10 @@ void CircuitBreaker::RecordFailure(MicroSecs now) {
 
 std::vector<std::string> AdmissionControlConfig::Validate() const {
   std::vector<std::string> errors;
-  if (enabled && queue_depth <= 0) {
-    errors.push_back(
-        "queue_depth must be > 0 when admission control is enabled (a zero-depth "
-        "queue admits nothing), got " +
-        std::to_string(queue_depth));
+  if (enabled) {
+    CheckAbove(&errors, "queue_depth", queue_depth, 0, "a zero-depth queue admits nothing");
   }
-  if (queue_timeout < 0) {
-    errors.push_back("queue_timeout must be >= 0 (0 = wait forever), got " +
-                     std::to_string(queue_timeout));
-  }
+  CheckAtLeast(&errors, "queue_timeout", queue_timeout, 0, "0 = wait forever");
   return errors;
 }
 

@@ -204,47 +204,31 @@ AutoscalerConfig MakeScalerConfig(const PlatformSimConfig& config) {
 
 std::vector<std::string> PlatformSimConfig::Validate() const {
   std::vector<std::string> errors;
-  if (!(vcpus > 0.0)) {
-    errors.push_back("vcpus must be > 0, got " + std::to_string(vcpus));
+  CheckAbove(&errors, "vcpus", vcpus, 0.0);
+  CheckAbove(&errors, "mem_mb", mem_mb, 0.0);
+  CheckAtLeast(&errors, "concurrency_limit", concurrency_limit, 1);
+  CheckAtLeast(&errors, "max_instances", max_instances, 1);
+  if (coldstart == nullptr) {
+    CheckAbove(&errors, "init_mean", init_mean, 0, "no cold-start model is set");
   }
-  if (!(mem_mb > 0.0)) {
-    errors.push_back("mem_mb must be > 0, got " + std::to_string(mem_mb));
-  }
-  if (concurrency_limit < 1) {
-    errors.push_back("concurrency_limit must be >= 1, got " +
-                     std::to_string(concurrency_limit));
-  }
-  if (max_instances < 1) {
-    errors.push_back("max_instances must be >= 1, got " + std::to_string(max_instances));
-  }
-  if (coldstart == nullptr && init_mean <= 0) {
-    errors.push_back("init_mean must be > 0 when no cold-start model is set");
-  }
-  if (init_jitter < 0.0 || init_jitter >= 1.0 || std::isnan(init_jitter)) {
-    errors.push_back("init_jitter must be in [0, 1), got " + std::to_string(init_jitter));
-  }
-  if (contention_coeff < 0.0 || std::isnan(contention_coeff)) {
-    errors.push_back("contention_coeff must be >= 0");
-  }
-  if (contention_excess_cap < 0.0 || std::isnan(contention_excess_cap)) {
-    errors.push_back("contention_excess_cap must be >= 0");
-  }
+  CheckWithin(&errors, "init_jitter", init_jitter, 0.0, 1.0, Ends::kOpenHigh);
+  CheckAtLeast(&errors, "contention_coeff", contention_coeff, 0.0);
+  CheckAtLeast(&errors, "contention_excess_cap", contention_excess_cap, 0.0);
   if (keepalive == nullptr) {
     errors.push_back("a keepalive policy is required");
   }
-  for (const std::string& e : faults.Validate()) {
-    errors.push_back("faults: " + e);
-  }
-  for (const std::string& e : retry.Validate()) {
-    errors.push_back("retry: " + e);
-  }
-  for (const std::string& e : admission.Validate()) {
-    errors.push_back("admission: " + e);
-  }
-  if (drain_deadline < 0) {
-    errors.push_back("drain_deadline must be >= 0 (0 = drains kill at once), got " +
-                     std::to_string(drain_deadline));
-  }
+  // kSample re-arms every sample_interval whether or not scaling is on.
+  CheckAbove(&errors, "autoscaler.sample_interval", autoscaler.sample_interval, 0);
+  CheckAbove(&errors, "autoscaler.eval_interval", autoscaler.eval_interval, 0);
+  CheckAbove(&errors, "autoscaler.metric_window", autoscaler.metric_window, 0);
+  CheckAtLeast(&errors, "autoscaler.action_cooldown", autoscaler.action_cooldown, 0);
+  CheckWithin(&errors, "autoscaler.target_utilization", autoscaler.target_utilization, 0.0,
+              1.0, Ends::kOpenLow);
+  CheckAtLeast(&errors, "autoscaler.max_instances", autoscaler.max_instances, 1);
+  AppendErrors(&errors, faults.Validate(), "faults: ");
+  AppendErrors(&errors, retry.Validate(), "retry: ");
+  AppendErrors(&errors, admission.Validate(), "admission: ");
+  CheckAtLeast(&errors, "drain_deadline", drain_deadline, 0, "0 = drains kill at once");
   return errors;
 }
 
@@ -1611,7 +1595,11 @@ void PlatformEngine::Start(const std::vector<MicroSecs>& arrivals,
   // Every arrival plus the first sample and scaler events: one allocation.
   im.queue.raw().reserve(arrivals.size() + 2);
   for (size_t i = 0; i < arrivals.size(); ++i) {
-    assert(i == 0 || arrivals[i] >= arrivals[i - 1]);
+    if (arrivals[i] < (i == 0 ? 0 : arrivals[i - 1])) {
+      throw std::invalid_argument(
+          "PlatformEngine: arrivals must be non-negative and sorted; arrival " +
+          std::to_string(i) + " is at " + std::to_string(arrivals[i]) + "us");
+    }
     im.queue.push({arrivals[i], EventType::kArrival, -1, 0, static_cast<int>(i)});
     im.result.requests[i].arrival = arrivals[i];
   }
@@ -1771,7 +1759,10 @@ RequestRecord BillableRecord(const AttemptOutcome& attempt, double alloc_vcpus,
 
 double ColdStartProbability(const PlatformSimConfig& config, const WorkloadSpec& workload,
                             MicroSecs idle, int samples, uint64_t seed) {
-  assert(samples > 0);
+  if (samples <= 0) {
+    throw std::invalid_argument("ColdStartProbability: samples must be > 0, got " +
+                                std::to_string(samples));
+  }
   int cold = 0;
   for (int i = 0; i < samples; ++i) {
     const uint64_t run_seed = seed + static_cast<uint64_t>(i) * 7919;

@@ -215,6 +215,8 @@ class PlatformEngine {
 
   // Seeds the event queue from the arrival trace (sorted ascending). Call
   // exactly once on a fresh engine; resumed engines LoadState instead.
+  // Throws std::invalid_argument on a negative or decreasing arrival, which
+  // leaves the engine unusable.
   void Start(const std::vector<MicroSecs>& arrivals, const WorkloadSpec& workload);
 
   // Processes every event with time <= t (deterministic boundary: event
@@ -285,6 +287,7 @@ RequestRecord BillableRecord(const AttemptOutcome& attempt, double alloc_vcpus,
 // Empirical cold-start probability at a given idle interval: repeatedly send
 // a warm-up request followed by a probe after `idle`; returns the fraction
 // of probes that hit a cold sandbox (paper Fig. 9, 100 samples per point).
+// Throws std::invalid_argument unless samples > 0.
 double ColdStartProbability(const PlatformSimConfig& config, const WorkloadSpec& workload,
                             MicroSecs idle, int samples, uint64_t seed);
 

@@ -1,7 +1,8 @@
 #include "src/sched/bandwidth_sim.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "src/common/validate.h"
 
 namespace faascost {
 
@@ -31,12 +32,7 @@ MicroSecs CeilDiv(MicroSecs value, MicroSecs divisor) {
 }  // namespace
 
 CpuBandwidthSim::CpuBandwidthSim(SchedConfig config) : config_(std::move(config)) {
-  assert(config_.period > 0);
-  assert(config_.quota > 0);
-  assert(config_.tick > 0);
-  assert(config_.slice > 0);
-  assert(config_.num_threads >= 1);
-  assert(config_.burst >= 0);
+  ThrowIfInvalid("SchedConfig", config_.Validate());
 }
 
 TaskRunResult CpuBandwidthSim::Run(MicroSecs cpu_demand, MicroSecs wall_limit,

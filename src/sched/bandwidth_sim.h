@@ -67,6 +67,7 @@ inline constexpr MicroSecs kUnlimitedDemand = std::numeric_limits<MicroSecs>::ma
 
 class CpuBandwidthSim {
  public:
+  // Throws std::invalid_argument when config.Validate() reports errors.
   explicit CpuBandwidthSim(SchedConfig config);
 
   // Runs a CPU-bound task that needs `cpu_demand` microseconds of CPU time,

@@ -1,34 +1,44 @@
 #include "src/sched/config.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "src/common/validate.h"
 
 namespace faascost {
 
+std::vector<std::string> SchedConfig::Validate() const {
+  std::vector<std::string> errors;
+  CheckAbove(&errors, "period", period, 0);
+  CheckAbove(&errors, "quota", quota, 0);
+  CheckAbove(&errors, "tick", tick, 0);
+  CheckAbove(&errors, "slice", slice, 0);
+  CheckAtLeast(&errors, "num_threads", num_threads, 1);
+  CheckAtLeast(&errors, "burst", burst, 0, "0 disables");
+  CheckAtLeast(&errors, "noise_mean_gap", noise_mean_gap, 0, "0 disables");
+  CheckAtLeast(&errors, "noise_min", noise_min, 0);
+  CheckAtLeast(&errors, "noise_max", noise_max, noise_min, "noise_min");
+  return errors;
+}
+
 SchedConfig MakeSchedConfig(MicroSecs period, double vcpu_fraction, int config_hz,
                             SchedulerKind kind) {
-  // Explicit checks rather than assert: these parameters arrive from CLI
-  // flags and experiment configs, and must be rejected in release builds too.
-  if (period <= 0) {
-    throw std::invalid_argument("MakeSchedConfig: period must be > 0 us, got " +
-                                std::to_string(period));
-  }
-  if (!(vcpu_fraction > 0.0)) {
-    throw std::invalid_argument(
-        "MakeSchedConfig: vcpu_fraction must be > 0, got " +
-        std::to_string(vcpu_fraction));
-  }
-  if (config_hz <= 0) {
-    throw std::invalid_argument("MakeSchedConfig: config_hz must be > 0, got " +
-                                std::to_string(config_hz));
-  }
+  // Checked before the quota cast, which needs vcpu_fraction * period below
+  // 9e18 us, and the tick division; the config is then validated whole,
+  // which catches a tick rate past 1 MHz (tick 0).
+  std::vector<std::string> errors;
+  CheckWithin(&errors, "vcpu_fraction", vcpu_fraction, 0.0,
+              period > 0 ? 9.0e18 / static_cast<double>(period) : kInf, Ends::kOpen);
+  CheckAbove(&errors, "config_hz", config_hz, 0);
+  ThrowIfInvalid("MakeSchedConfig arguments", errors);
   SchedConfig c;
   c.period = period;
   c.quota = std::max<MicroSecs>(
       1, static_cast<MicroSecs>(vcpu_fraction * static_cast<double>(period)));
   c.tick = kMicrosPerSec / config_hz;
   c.scheduler = kind;
+  ThrowIfInvalid("SchedConfig", c.Validate());
   return c;
 }
 

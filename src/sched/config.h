@@ -15,6 +15,7 @@
 #define FAASCOST_SCHED_CONFIG_H_
 
 #include <string>
+#include <vector>
 
 #include "src/common/units.h"
 
@@ -54,9 +55,13 @@ struct SchedConfig {
   double QuotaFraction() const {
     return period > 0 ? static_cast<double>(quota) / static_cast<double>(period) : 0.0;
   }
+
+  // Human-readable config errors; empty when the simulator can run it.
+  std::vector<std::string> Validate() const;
 };
 
-// Convenience constructors.
+// Convenience constructors. Throw std::invalid_argument on a non-positive
+// period, vCPU fraction or tick rate, or one whose tick rounds to 0 us.
 SchedConfig MakeSchedConfig(MicroSecs period, double vcpu_fraction, int config_hz,
                             SchedulerKind kind = SchedulerKind::kCfs);
 

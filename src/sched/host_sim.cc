@@ -1,7 +1,6 @@
 #include "src/sched/host_sim.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "src/common/rng.h"
@@ -25,39 +24,24 @@ constexpr MicroSecs kMaxDemandPhase = 1'000'000'000'000'000;  // ~32 years.
 std::vector<std::string> HostSimConfig::Validate(
     const std::vector<TenantSpec>& tenants) const {
   std::vector<std::string> errors;
-  if (cores < 1) {
-    errors.push_back("cores must be >= 1, got " + std::to_string(cores));
-  }
-  if (tick <= 0) {
-    errors.push_back("tick must be > 0, got " + std::to_string(tick));
-  } else if (period <= 0 || period % tick != 0) {
+  CheckAtLeast(&errors, "cores", cores, 1);
+  if (CheckAbove(&errors, "tick", tick, 0) && (period <= 0 || period % tick != 0)) {
     errors.push_back("period must be a positive multiple of tick " + std::to_string(tick) +
                      ", got " + std::to_string(period));
   }
-  if (duration <= 0) {
-    errors.push_back("duration must be > 0, got " + std::to_string(duration));
-  }
-  if (demand_phase <= 0 || demand_phase > kMaxDemandPhase) {
-    errors.push_back("demand_phase must be in (0, 1e15] us, got " +
-                     std::to_string(demand_phase));
-  }
+  CheckAbove(&errors, "duration", duration, 0);
+  CheckWithin(&errors, "demand_phase", demand_phase, 0, kMaxDemandPhase, Ends::kOpenLow,
+              "us");
   for (size_t i = 0; i < tenants.size(); ++i) {
     const TenantSpec& t = tenants[i];
-    const std::string who = "tenants[" + std::to_string(i) + "].";
-    if (!std::isfinite(t.quota_fraction) || t.quota_fraction < 0.0) {
-      errors.push_back(who + "quota_fraction must be finite and >= 0, got " +
-                       std::to_string(t.quota_fraction));
-    } else if (t.quota_fraction * static_cast<double>(period) >= kMaxPoolMicros) {
-      errors.push_back(who + "quota_fraction * period must be below 9e18 us");
+    std::vector<std::string> tenant;
+    if (CheckWithin(&tenant, "quota_fraction", t.quota_fraction, 0.0, kInf, Ends::kOpenHigh) &&
+        t.quota_fraction * static_cast<double>(period) >= kMaxPoolMicros) {
+      tenant.push_back("quota_fraction * period must be below 9e18 us");
     }
-    if (t.weight <= 0.0 || !std::isfinite(t.weight)) {
-      errors.push_back(who + "weight must be finite and > 0, got " +
-                       std::to_string(t.weight));
-    }
-    if (t.demand_fraction < 0.0 || t.demand_fraction > 1.0 || std::isnan(t.demand_fraction)) {
-      errors.push_back(who + "demand_fraction must be in [0, 1], got " +
-                       std::to_string(t.demand_fraction));
-    }
+    CheckWithin(&tenant, "weight", t.weight, 0.0, kInf, Ends::kOpen);
+    CheckWithin(&tenant, "demand_fraction", t.demand_fraction, 0.0, 1.0);
+    AppendErrors(&errors, tenant, "tenants[", i, "].");
   }
   return errors;
 }

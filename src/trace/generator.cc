@@ -1,8 +1,9 @@
 #include "src/trace/generator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+
+#include "src/common/validate.h"
 
 namespace faascost {
 
@@ -14,7 +15,60 @@ namespace {
 constexpr double kFunctionLatentWeight = 0.5;
 const double kRequestLatentWeight = std::sqrt(1.0 - 0.5 * 0.5);
 
+TraceGenConfig Validated(TraceGenConfig config) {
+  ThrowIfInvalid("TraceGenConfig", config.Validate());
+  return config;
+}
+
 }  // namespace
+
+std::vector<std::string> TraceGenConfig::Validate() const {
+  std::vector<std::string> errors;
+  CheckAtLeast(&errors, "num_requests", num_requests, 0);
+  CheckAtLeast(&errors, "num_functions", num_functions, 1);
+  CheckWithin(&errors, "zipf_exponent", zipf_exponent, 0.0, kInf, Ends::kOpenHigh);
+  CheckAtLeast(&errors, "window", window, 1, "us");
+  CheckWithin(&errors, "exec_ln_sigma_function", exec_ln_sigma_function, 0.0, kInf,
+              Ends::kOpenHigh);
+  CheckWithin(&errors, "exec_ln_sigma_request", exec_ln_sigma_request, 0.0, kInf,
+              Ends::kOpenHigh);
+  CheckWithin(&errors, "exec_mean_ms", exec_mean_ms, 0.0, kInf, Ends::kOpen);
+  CheckWithin(&errors, "exec_alloc_exponent", exec_alloc_exponent, -kInf, kInf, Ends::kOpen);
+  CheckAbove(&errors, "cpu_util.a", cpu_util.a, 0.0);
+  CheckAbove(&errors, "cpu_util.b", cpu_util.b, 0.0);
+  CheckAbove(&errors, "mem_util.a", mem_util.a, 0.0);
+  CheckAbove(&errors, "mem_util.b", mem_util.b, 0.0);
+  CheckWithin(&errors, "util_copula_rho", util_copula_rho, -1.0, 1.0);
+  CheckWithin(&errors, "cold_start_fraction", cold_start_fraction, 0.0, 1.0);
+  CheckWithin(&errors, "init_ln_mu", init_ln_mu, -kInf, kInf, Ends::kOpen);
+  CheckWithin(&errors, "init_ln_sigma", init_ln_sigma, 0.0, kInf, Ends::kOpenHigh);
+  double total_weight = 0.0;
+  for (size_t i = 0; i < combos.size(); ++i) {
+    std::vector<std::string> combo;
+    CheckWithin(&combo, "vcpus", combos[i].vcpus, 0.0, kInf, Ends::kOpen);
+    CheckWithin(&combo, "mem_mb", combos[i].mem_mb, 0.0, kInf, Ends::kOpen);
+    CheckWithin(&combo, "weight", combos[i].weight, 0.0, kInf, Ends::kOpenHigh);
+    AppendErrors(&errors, combo, "combos[", i, "].");
+    total_weight += combos[i].weight;
+  }
+  CheckWithin(&errors, "total weight of combos", total_weight, 0.0, kInf, Ends::kOpen,
+              "combos must be non-empty");
+  CheckWithin(&errors, "lifecycle_ln_mu", lifecycle_ln_mu, -kInf, kInf, Ends::kOpen);
+  CheckWithin(&errors, "lifecycle_ln_sigma", lifecycle_ln_sigma, 0.0, kInf, Ends::kOpenHigh);
+  CheckWithin(&errors, "failure_rate_mean", failure_rate_mean, 0.0, 1.0, Ends::kClosed,
+              "0 disables");
+  CheckAbove(&errors, "failure_rate_alpha", failure_rate_alpha, 0.0);
+  // A mean past the draw cap is legal: its draws clamp to kMaxPayloadBytes.
+  CheckWithin(&errors, "payload_request_mean_kb", payload_request_mean_kb, 0.0, kInf,
+              Ends::kOpenHigh, "0 disables");
+  CheckWithin(&errors, "payload_request_ln_sigma", payload_request_ln_sigma, 0.0, kInf,
+              Ends::kOpenHigh);
+  CheckWithin(&errors, "payload_response_mean_kb", payload_response_mean_kb, 0.0, kInf,
+              Ends::kOpenHigh, "0 disables");
+  CheckWithin(&errors, "payload_response_ln_sigma", payload_response_ln_sigma, 0.0, kInf,
+              Ends::kOpenHigh);
+  return errors;
+}
 
 double StdNormalCdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
@@ -29,11 +83,10 @@ double KumaraswamyParams::Cdf(double x) const {
 }
 
 TraceGenerator::TraceGenerator(TraceGenConfig config, uint64_t seed)
-    : config_(std::move(config)),
+    : config_(Validated(std::move(config))),
       rng_(seed),
       payload_seed_(DeriveSeed(seed, kNetStream)),
-      popularity_(std::max<int64_t>(config_.num_functions, 1), config_.zipf_exponent) {
-  assert(!config_.combos.empty());
+      popularity_(config_.num_functions, config_.zipf_exponent) {
   // Global lognormal location from the target mean and the combined sigma.
   const double sigma_total_sq =
       config_.exec_ln_sigma_function * config_.exec_ln_sigma_function +

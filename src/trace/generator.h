@@ -20,6 +20,7 @@
 #define FAASCOST_TRACE_GENERATOR_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -104,6 +105,9 @@ struct TraceGenConfig {
   double payload_request_ln_sigma = 1.0;
   double payload_response_mean_kb = 0.0;
   double payload_response_ln_sigma = 1.0;
+
+  // Human-readable config errors; empty when the generator can use it.
+  std::vector<std::string> Validate() const;
 };
 
 // Static per-function characteristics drawn once.
@@ -120,6 +124,7 @@ struct FunctionProfile {
 
 class TraceGenerator {
  public:
+  // Throws std::invalid_argument when config.Validate() reports errors.
   TraceGenerator(TraceGenConfig config, uint64_t seed);
 
   // Generates the flat request stream, sorted by arrival time.

@@ -1,10 +1,11 @@
 #include "src/workflow/dag.h"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 #include <string>
 #include <vector>
+
+#include "src/common/validate.h"
 
 namespace faascost {
 
@@ -101,63 +102,46 @@ std::vector<int> WorkflowDag::TopoOrder() const {
 
 std::vector<std::string> WorkflowDag::Validate() const {
   std::vector<std::string> errors;
-  const int n = static_cast<int>(hops.size());
-  if (n == 0) {
-    errors.push_back("dag '" + name + "': has no hops");
-    return errors;
+  if (hops.empty()) {
+    errors.push_back("has no hops");
   }
+  const int n = static_cast<int>(hops.size());
   for (int h = 0; h < n; ++h) {
     const HopSpec& hop = hops[static_cast<size_t>(h)];
-    const std::string where = "dag '" + name + "' hop " + std::to_string(h);
-    if (hop.exec_mean <= 0) {
-      errors.push_back(where + ": exec_mean must be positive");
-    }
-    if (hop.exec_cv < 0.0 || std::isnan(hop.exec_cv)) {
-      errors.push_back(where + ": exec_cv must be non-negative");
-    }
-    if (hop.cpu_fraction < 0.0 || hop.cpu_fraction > 1.0 || std::isnan(hop.cpu_fraction)) {
-      errors.push_back(where + ": cpu_fraction must be in [0, 1]");
-    }
-    if (hop.vcpus <= 0.0 || std::isnan(hop.vcpus)) {
-      errors.push_back(where + ": vcpus must be positive");
-    }
-    if (hop.mem_mb <= 0.0 || std::isnan(hop.mem_mb)) {
-      errors.push_back(where + ": mem_mb must be positive");
-    }
-    if (hop.timeout < 0) {
-      errors.push_back(where + ": timeout must be non-negative");
-    }
-    if (hop.failure_rate > 1.0 || std::isnan(hop.failure_rate)) {
-      errors.push_back(where + ": failure_rate must be <= 1");
-    }
-    const int fan_in = static_cast<int>(parents[static_cast<size_t>(h)].size());
-    if (hop.quorum < 0 || hop.quorum > fan_in) {
-      errors.push_back(where + ": quorum " + std::to_string(hop.quorum) +
-                       " out of range for fan-in " + std::to_string(fan_in));
-    }
-    if (hop.zone < 0) {
-      errors.push_back(where + ": zone must be non-negative");
-    }
+    std::vector<std::string> bad;
+    CheckAbove(&bad, "exec_mean", hop.exec_mean, 0);
+    CheckAtLeast(&bad, "exec_cv", hop.exec_cv, 0.0);
+    CheckWithin(&bad, "cpu_fraction", hop.cpu_fraction, 0.0, 1.0);
+    CheckAbove(&bad, "vcpus", hop.vcpus, 0.0);
+    CheckAbove(&bad, "mem_mb", hop.mem_mb, 0.0);
+    CheckAtLeast(&bad, "timeout", hop.timeout, 0, "0 = none");
+    // A NaN failure_rate must not read as "inherit the engine-wide rate".
+    CheckWithin(&bad, "failure_rate", hop.failure_rate, -kInf, 1.0, Ends::kClosed,
+                "< 0 uses the engine-wide rate");
+    CheckWithin(&bad, "quorum", hop.quorum, 0,
+                static_cast<int>(parents[static_cast<size_t>(h)].size()), Ends::kClosed,
+                "0 = every parent");
+    CheckAtLeast(&bad, "zone", hop.zone, 0);
     for (const int c : children[static_cast<size_t>(h)]) {
       if (c < 0 || c >= n) {
-        errors.push_back(where + ": edge to out-of-range hop " + std::to_string(c));
+        bad.push_back("edge to out-of-range hop " + std::to_string(c));
       } else if (c == h) {
-        errors.push_back(where + ": self-edge");
+        bad.push_back("self-edge");
       }
     }
     for (const int64_t b : child_bytes[static_cast<size_t>(h)]) {
-      if (b < 0) {
-        errors.push_back(where + ": edge payload bytes must be non-negative");
-      }
+      CheckAtLeast(&bad, "child_bytes", b, 0);
     }
+    AppendErrors(&errors, bad, "hop ", h, ": ");
   }
-  if (input_bytes < 0 || output_bytes < 0) {
-    errors.push_back("dag '" + name + "': input/output bytes must be non-negative");
-  }
+  CheckAtLeast(&errors, "input_bytes", input_bytes, 0);
+  CheckAtLeast(&errors, "output_bytes", output_bytes, 0);
   if (errors.empty() && TopoOrder().empty()) {
-    errors.push_back("dag '" + name + "': contains a cycle");
+    errors.push_back("contains a cycle");
   }
-  return errors;
+  std::vector<std::string> named;
+  AppendErrors(&named, errors, "dag '", name, "': ");
+  return named;
 }
 
 WorkflowDag MakeChainDag(const std::string& name, int length, const HopSpec& proto,

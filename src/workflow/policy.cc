@@ -3,49 +3,36 @@
 #include <string>
 #include <vector>
 
+#include "src/common/validate.h"
+
 namespace faascost {
 
 std::vector<std::string> DeadlineBudgetPolicy::Validate() const {
   std::vector<std::string> errors;
-  if (deadline < 0) {
-    errors.push_back("deadline.deadline must be non-negative");
-  }
+  CheckAtLeast(&errors, "deadline", deadline, 0, "0 disables");
   return errors;
 }
 
 std::vector<std::string> HedgePolicy::Validate() const {
   std::vector<std::string> errors;
-  if (hedge_after < 0) {
-    errors.push_back("hedge.hedge_after must be non-negative");
-  }
-  if (cancel_latency < 0) {
-    errors.push_back("hedge.cancel_latency must be non-negative");
-  }
+  CheckAtLeast(&errors, "hedge_after", hedge_after, 0, "0 disables");
+  CheckAtLeast(&errors, "cancel_latency", cancel_latency, 0);
   return errors;
 }
 
 std::vector<std::string> AsyncRedrivePolicy::Validate() const {
   std::vector<std::string> errors;
-  if (max_redrives < 0) {
-    errors.push_back("redrive.max_redrives must be non-negative");
-  }
-  if (redrive_delay < 0) {
-    errors.push_back("redrive.redrive_delay must be non-negative");
-  }
+  CheckAtLeast(&errors, "max_redrives", max_redrives, 0);
+  CheckAtLeast(&errors, "redrive_delay", redrive_delay, 0);
   return errors;
 }
 
 std::vector<std::string> WorkflowPolicy::Validate() const {
-  std::vector<std::string> errors = retry.Validate();
-  for (const auto& e : deadline.Validate()) {
-    errors.push_back(e);
-  }
-  for (const auto& e : hedge.Validate()) {
-    errors.push_back(e);
-  }
-  for (const auto& e : redrive.Validate()) {
-    errors.push_back(e);
-  }
+  std::vector<std::string> errors;
+  AppendErrors(&errors, retry.Validate(), "retry.");
+  AppendErrors(&errors, deadline.Validate(), "deadline.");
+  AppendErrors(&errors, hedge.Validate(), "hedge.");
+  AppendErrors(&errors, redrive.Validate(), "redrive.");
   // Worst case per hop: every client attempt plus one hedge each, or the
   // initial async delivery plus every redrive. Keep both well inside the
   // per-hop RNG stream window.

@@ -12,67 +12,29 @@
 
 namespace faascost {
 
-std::vector<std::string> ZonalOutageSpec::Validate() const {
-  std::vector<std::string> errors;
-  if (zone < 0) {
-    errors.push_back("outage.zone must be non-negative");
-  }
-  if (start < 0) {
-    errors.push_back("outage.start must be non-negative");
-  }
-  if (duration <= 0) {
-    errors.push_back("outage.duration must be positive");
-  }
-  return errors;
-}
-
 std::vector<std::string> WorkflowSimConfig::Validate() const {
   std::vector<std::string> errors;
-  if (workflows < 0) {
-    errors.push_back("workflows must be non-negative");
-  }
+  CheckAtLeast(&errors, "workflows", workflows, 0);
   if (workflows > 0 && dags.empty()) {
     errors.push_back("workflows > 0 requires at least one dag");
   }
   for (const WorkflowDag& dag : dags) {
-    for (const auto& e : dag.Validate()) {
-      errors.push_back(e);
-    }
+    AppendErrors(&errors, dag.Validate());
   }
-  if (!(wps > 0.0)) {
-    errors.push_back("wps must be positive");
+  CheckAbove(&errors, "wps", wps, 0.0);
+  CheckAtLeast(&errors, "keepalive", keepalive, 0);
+  CheckAbove(&errors, "init_mean", init_mean, 0);
+  CheckWithin(&errors, "init_jitter", init_jitter, 0.0, 1.0);
+  CheckWithin(&errors, "failure_rate", failure_rate, 0.0, 1.0);
+  CheckWithin(&errors, "init_failure_rate", init_failure_rate, 0.0, 1.0);
+  CheckAtLeast(&errors, "zones", zones, 1);
+  for (size_t i = 0; i < outages.size(); ++i) {
+    AppendErrors(&errors, outages[i].Validate(), "outages[", i, "].");
   }
-  if (keepalive < 0) {
-    errors.push_back("keepalive must be non-negative");
-  }
-  if (init_mean <= 0) {
-    errors.push_back("init_mean must be positive");
-  }
-  if (init_jitter < 0.0 || init_jitter > 1.0 || std::isnan(init_jitter)) {
-    errors.push_back("init_jitter must be in [0, 1]");
-  }
-  if (failure_rate < 0.0 || failure_rate > 1.0 || std::isnan(failure_rate)) {
-    errors.push_back("failure_rate must be in [0, 1]");
-  }
-  if (init_failure_rate < 0.0 || init_failure_rate > 1.0 || std::isnan(init_failure_rate)) {
-    errors.push_back("init_failure_rate must be in [0, 1]");
-  }
-  if (zones < 1) {
-    errors.push_back("zones must be >= 1");
-  }
-  for (const ZonalOutageSpec& o : outages) {
-    for (const auto& e : o.Validate()) {
-      errors.push_back(e);
-    }
-  }
-  for (const auto& e : policy.Validate()) {
-    errors.push_back(e);
-  }
-  if (pricing.per_state_transition < 0.0 || pricing.dlq_write_fee < 0.0 ||
-      pricing.dlq_read_fee < 0.0 || std::isnan(pricing.per_state_transition) ||
-      std::isnan(pricing.dlq_write_fee) || std::isnan(pricing.dlq_read_fee)) {
-    errors.push_back("pricing fees must be non-negative");
-  }
+  AppendErrors(&errors, policy.Validate());
+  CheckAtLeast(&errors, "pricing.per_state_transition", pricing.per_state_transition, 0.0);
+  CheckAtLeast(&errors, "pricing.dlq_write_fee", pricing.dlq_write_fee, 0.0);
+  CheckAtLeast(&errors, "pricing.dlq_read_fee", pricing.dlq_read_fee, 0.0);
   return errors;
 }
 
@@ -178,7 +140,12 @@ class Engine {
         billing_(billing),
         seed_(seed),
         events_(WorkflowArrivals{cfg.workflows, cfg.wps,
-                                 static_cast<int64_t>(cfg.outages.size())}) {}
+                                 static_cast<int64_t>(cfg.outages.size())}),
+        outages_(cfg.outages) {
+    for (ZonalOutageSpec& o : outages_) {
+      o.zone %= cfg.zones;
+    }
+  }
 
   WorkflowSimResult Run();
 
@@ -205,8 +172,8 @@ class Engine {
   }
 
   bool InOutage(int zone, MicroSecs t) const {
-    for (const ZonalOutageSpec& o : cfg_.outages) {
-      if (o.zone % cfg_.zones == zone && t >= o.start && t < o.start + o.duration) {
+    for (const ZonalOutageSpec& o : outages_) {
+      if (o.Covers(zone, t)) {
         return true;
       }
     }
@@ -890,8 +857,7 @@ class Engine {
   }
 
   void OnOutageStart(int64_t outage_idx) {
-    const ZonalOutageSpec& o = cfg_.outages[static_cast<size_t>(outage_idx)];
-    const int zone = o.zone % cfg_.zones;
+    const int zone = outages_[static_cast<size_t>(outage_idx)].zone;
     // Warm capacity in the zone dies.
     for (size_t d = 0; d < functions_.size(); ++d) {
       for (size_t h = 0; h < functions_[d].size(); ++h) {
@@ -942,6 +908,8 @@ class Engine {
   // Arrivals stream from the queue's input; the heap holds every other
   // scheduled event.
   StreamedEventQueue<Event, WorkflowArrivals> events_;
+  // cfg_.outages with each zone taken modulo the zone count, like hop zones.
+  std::vector<ZonalOutageSpec> outages_;
   int64_t next_seq_ = 0;
   MicroSecs now_ = 0;
   int64_t events_processed_ = 0;

@@ -39,17 +39,12 @@
 
 namespace faascost {
 
-// One availability-zone outage window: at `start`, warm sandboxes in the zone
+// One availability-zone outage window, the network model's NetOutage: at
+// `start`, warm sandboxes in the zone (taken modulo the engine's zone count)
 // are destroyed and in-flight attempts crash (billed to the crash point);
 // dispatches during the window fail initialization after the wasted init
 // time. Recovery is implicit: once the window ends, cold starts succeed.
-struct ZonalOutageSpec {
-  int zone = 0;
-  MicroSecs start = 0;
-  MicroSecs duration = 0;
-
-  std::vector<std::string> Validate() const;
-};
+using ZonalOutageSpec = NetOutage;
 
 struct WorkflowSimConfig {
   // DAG templates; workflow instance i runs dags[i % dags.size()].
@@ -92,8 +87,8 @@ struct WorkflowSimConfig {
   // tiered meter and land in usd_network. Storage ops are metered per
   // platform-dispatched attempt. Hop zones map into the model via
   // ZoneOf(spec.zone % zones). Caller-owned run state like a TraceSink; the
-  // caller mirrors ZonalOutageSpec windows into NetworkModelConfig::outages
-  // when the capacity outage should also degrade the network edge.
+  // caller copies `outages` into NetworkModelConfig::outages when the
+  // capacity outage should also degrade the network edge.
   NetworkModel* network = nullptr;
   // Sim-time windowed telemetry (src/obs/timeseries.h). Billed USD is
   // recorded in CloseRow — the single point every priced attempt passes

@@ -63,7 +63,6 @@ namespace {
 // and sums of a few such spans, stay far inside int64.
 constexpr int64_t kMaxFlagSeconds = 100LL * 365 * 86'400;
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr bool kOpen = true;  // Flags::Real excludes both bounds.
 
 // The flags after the subcommand: `--key value`, or a bare `--key`. Each
@@ -263,6 +262,18 @@ TraceGenConfig ReadTraceFlags(Flags& flags) {
   cfg.num_functions = flags.Int<int64_t>("functions", 200, 1);
   cfg.window = flags.Seconds("seconds", 3'600);
   return cfg;
+}
+
+// --outage-zone Z [--outage-start-s 10] [--outage-seconds 30] of workflows
+// and network: one zonal outage window, or none without --outage-zone.
+std::vector<NetOutage> ReadOutages(Flags& flags) {
+  const int zone = flags.Int("outage-zone", -1, 0);  // -1: no outage.
+  if (zone < 0) {
+    return {};
+  }
+  // Braced initializers run in order, so the flags read as listed.
+  return {NetOutage{zone, flags.Duration("outage-start-s", 10.0, kMicrosPerSec),
+                    flags.Duration("outage-seconds", 30.0, kMicrosPerSec, 1)}};
 }
 
 // The host-fault block of chaos, monitor --sim fleet and audit --sim fleet:
@@ -1249,14 +1260,7 @@ int CmdWorkflows(Flags& flags) {
   cfg.policy.hedge.hedge_after = flags.Duration("hedge-ms", 0.0, kMicrosPerMilli);
   cfg.policy.redrive.max_redrives = flags.Int("async-redrives", 2, 0);
 
-  const int outage_zone = flags.Int("outage-zone", -1, 0);  // -1: no outage.
-  if (outage_zone >= 0) {
-    ZonalOutageSpec outage;
-    outage.zone = outage_zone;
-    outage.start = flags.Duration("outage-start-s", 10.0, kMicrosPerSec);
-    outage.duration = flags.Duration("outage-seconds", 30.0, kMicrosPerSec, 1);
-    cfg.outages.push_back(outage);
-  }
+  cfg.outages = ReadOutages(flags);
 
   const AuditLevel level = flags.Choice("audit-level", "off", kAuditLevels);
   const auto seed = static_cast<uint64_t>(flags.Int<int64_t>("seed", 1, 0));
@@ -1397,14 +1401,7 @@ int CmdNetwork(Flags& flags) {
   ncfg.topology.zones_per_region = flags.Int("zones-per-region", ncfg.topology.zones, 1);
   ncfg.class_a_ops_per_request = flags.Int<int64_t>("class-a", 1, 0);
   ncfg.class_b_ops_per_request = flags.Int<int64_t>("class-b", 2, 0);
-  const int outage_zone = flags.Int("outage-zone", -1, 0);  // -1: no outage.
-  if (outage_zone >= 0) {
-    NetOutage outage;
-    outage.zone = outage_zone;
-    outage.start = flags.Duration("outage-start-s", 10.0, kMicrosPerSec);
-    outage.duration = flags.Duration("outage-seconds", 30.0, kMicrosPerSec, 1);
-    ncfg.outages.push_back(outage);
-  }
+  ncfg.outages = ReadOutages(flags);
 
   FleetSimConfig fcfg;
   fcfg.fault_seed = seed;

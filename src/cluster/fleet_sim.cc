@@ -10,6 +10,7 @@
 #include "src/common/rng.h"
 #include "src/common/validate.h"
 #include "src/engine/event_queue.h"
+#include "src/engine/warm_pool.h"
 #include "src/integrity/archive.h"
 #include "src/integrity/digest.h"
 
@@ -17,17 +18,14 @@ namespace faascost {
 
 namespace {
 
-// A function's live sandbox (single-concurrency: busy until available_at).
+// A function's live sandbox (single-concurrency: busy until free_at).
 // Pools hold live sandboxes only, in creation order: a crashed or host-killed
 // sandbox leaves at once, an idle one when first seen past keep-alive.
 struct LiveSandbox {
-  MicroSecs available_at = 0;
+  MicroSecs free_at = 0;
   size_t span_index = 0;
   int host = -1;  // Fault domain (only set when host faults are enabled).
 };
-
-// "No warm sandbox" pool slot.
-constexpr size_t kNone = std::numeric_limits<size_t>::max();
 
 // One dispatch (initial or retry) waiting to be processed at `time`, in
 // (time, seq) order. Initial attempts stream from the arrival-sorted trace
@@ -140,8 +138,9 @@ uint64_t HashFleetConfig(const FleetSimConfig& c) {
 
 std::vector<std::string> FleetSimConfig::Validate() const {
   std::vector<std::string> errors;
-  CheckAtLeast(&errors, "keepalive", keepalive, 0);
-  CheckAtLeast(&errors, "init_duration", init_duration, 0);
+  CheckWithin(&errors, "keepalive", keepalive, 0, kMaxDuration, Ends::kClosed, "a century");
+  CheckWithin(&errors, "init_duration", init_duration, 0, kMaxDuration, Ends::kClosed,
+              "a century");
   CheckWithin(&errors, "ka_cost_share", ka_cost_share, 0.0, 1.0);
   CheckAtLeast(&errors, "hardware_per_vcpu_second", hardware_per_vcpu_second, 0.0);
   CheckAtLeast(&errors, "hardware_per_gb_second", hardware_per_gb_second, 0.0);
@@ -267,18 +266,18 @@ struct FleetEngine::Impl {
   // settling an idle sandbox only when it is next touched gives exactly what
   // an eager sweep of every sandbox on every arrival would.
 
-  // Closes `sb` if its host failed while it sat idle in (available_at, upto]:
+  // Closes `sb` if its host failed while it sat idle in (free_at, upto]:
   // a drain of an idle sandbox retires it at once, so it ends at the failure.
   bool DiedIdle(const LiveSandbox& sb, MicroSecs upto) {
     if (!hosts_on || sb.host < 0) {
       return false;
     }
-    const auto ev = host_faults.FirstFailureIn(sb.host, sb.available_at, upto);
+    const auto ev = host_faults.FirstFailureIn(sb.host, sb.free_at, upto);
     if (!ev.has_value()) {
       return false;
     }
     SandboxSpan& span = result.spans[sb.span_index];
-    span.idle += ev->time - sb.available_at;
+    span.idle += ev->time - sb.free_at;
     span.destroyed_at = ev->time;
     ++result.host_fault_sandbox_kills;
     return true;
@@ -287,42 +286,23 @@ struct FleetEngine::Impl {
   // Closes a sandbox whose keep-alive window has run out (or will, at
   // Finish): it lingers the full window unless its host dies first.
   void Retire(const LiveSandbox& sb) {
-    if (DiedIdle(sb, sb.available_at + config.keepalive)) {
+    if (DiedIdle(sb, sb.free_at + config.keepalive)) {
       return;
     }
     SandboxSpan& span = result.spans[sb.span_index];
     span.idle += config.keepalive;
-    span.destroyed_at = sb.available_at + config.keepalive;
+    span.destroyed_at = sb.free_at + config.keepalive;
   }
 
-  // Slot of the idle sandbox freed last (earliest slot on ties), or kNone.
-  static size_t LatestIdle(const std::vector<LiveSandbox>& pool, MicroSecs t) {
-    size_t best = kNone;
-    for (size_t i = 0; i < pool.size(); ++i) {
-      if (pool[i].available_at <= t &&
-          (best == kNone || pool[i].available_at > pool[best].available_at)) {
-        best = i;
-      }
-    }
-    return best;
-  }
-
-  // Settles `pool` at `t` and returns the slot of the warm sandbox to reuse,
-  // or kNone for a cold start. Sandboxes idle past keep-alive retire first;
-  // then only the reuse candidate is checked for host death, a dead one
-  // closing at its failure time before the next candidate is tried.
+  // Settles `pool` at `t` by the warm-pool rule (src/engine/warm_pool.h)
+  // and returns the slot of the warm sandbox to reuse, or kNoWarm for a cold
+  // start. Sandboxes idle past keep-alive retire first; then only the reuse
+  // candidate is checked for host death, a dead one closing at its failure
+  // time before the next candidate is tried.
   size_t PickWarm(std::vector<LiveSandbox>& pool, MicroSecs t) {
-    size_t kept = 0;
-    for (size_t i = 0; i < pool.size(); ++i) {
-      if (pool[i].available_at <= t && t - pool[i].available_at > config.keepalive) {
-        Retire(pool[i]);
-      } else {
-        pool[kept++] = pool[i];
-      }
-    }
-    pool.resize(kept);
+    ExpireIdle(pool, t, config.keepalive, [&](const LiveSandbox& sb) { Retire(sb); });
     size_t warm = LatestIdle(pool, t);
-    while (warm != kNone && DiedIdle(pool[warm], t)) {
+    while (warm != kNoWarm && DiedIdle(pool[warm], t)) {
       pool.erase(pool.begin() + static_cast<ptrdiff_t>(warm));
       warm = LatestIdle(pool, t);
     }
@@ -548,13 +528,13 @@ struct FleetEngine::Impl {
 
     // Per-function sandbox cap: no warm sandbox and no room to scale out
     // means queueing (admission control), shedding, or plain rejection.
-    if (warm == kNone && cap > 0) {
+    if (warm == kNoWarm && cap > 0) {
       int busy = 0;
       MicroSecs next_free = std::numeric_limits<MicroSecs>::max();
       for (const auto& sb : pool) {
-        if (sb.available_at > at.time) {
+        if (sb.free_at > at.time) {
           ++busy;
-          next_free = std::min(next_free, sb.available_at);
+          next_free = std::min(next_free, sb.free_at);
         }
       }
       if (busy >= cap) {
@@ -627,7 +607,7 @@ struct FleetEngine::Impl {
       effective = config.max_exec_duration;
     }
 
-    const bool cold = (warm == kNone);
+    const bool cold = (warm == kNoWarm);
     const size_t used_span = cold ? result.spans.size() : pool[warm].span_index;
     const MicroSecs init = cold ? config.init_duration : 0;
     int host = -1;
@@ -666,10 +646,10 @@ struct FleetEngine::Impl {
     if (!cold) {
       LiveSandbox& sb = pool[warm];
       SandboxSpan& span = result.spans[used_span];
-      span.idle += at.time - sb.available_at;
+      span.idle += at.time - sb.free_at;
       span.busy += effective;
       ++span.requests;
-      sb.available_at = end;
+      sb.free_at = end;
       if (oc == Outcome::kCrash || host_kills_sandbox) {
         // Process death or host loss: no KA linger, out of the pool.
         span.destroyed_at = end;
@@ -828,7 +808,7 @@ struct FleetEngine::Impl {
     if constexpr (Ar::kLoading) {
       host_faults.set_next_host(next_host);
     }
-    ArchiveRng(ar, "fault_rng", fault_rng);
+    fault_rng.Archive(ar, "fault_rng");
 
     queue.ArchiveHeap(ar, "pending", [](Ar& a, PendingAttempt& at) {
       a.Field("t", at.time);
@@ -851,7 +831,7 @@ struct FleetEngine::Impl {
       pool.resize(ar.BeginArray("sandboxes", pool.size()));
       for (LiveSandbox& sb : pool) {
         ar.BeginElem();
-        ar.Field("available_at", sb.available_at);
+        ar.Field("available_at", sb.free_at);
         uint64_t span_index = sb.span_index;
         ar.Field("span", span_index);
         if constexpr (Ar::kLoading) {
@@ -865,7 +845,7 @@ struct FleetEngine::Impl {
     ArchiveByFid(ar, "queue_waiting", queue_waiting, kEveryEntry,
                  [&](int64_t fid) { ar.Field("n", queue_waiting[fid]); });
     ArchiveByFid(ar, "breakers", breakers, kEveryEntry,
-                 [&](int64_t fid) { ArchiveBreaker(ar, BreakerFor(fid)); });
+                 [&](int64_t fid) { BreakerFor(fid).Archive(ar); });
 
     ar.Begin("counters");
     ar.Field("requests", result.requests);

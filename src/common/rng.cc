@@ -1,7 +1,6 @@
 #include "src/common/rng.h"
 
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -27,25 +26,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : state_) {
     s = SplitMix64(sm);
   }
-}
-
-RngState Rng::SaveState() const {
-  RngState st;
-  for (int i = 0; i < 4; ++i) {
-    st.s[i] = state_[i];
-  }
-  std::memcpy(&st.spare_normal_bits, &spare_normal_, sizeof(st.spare_normal_bits));
-  st.has_spare_normal = has_spare_normal_;
-  return st;
-}
-
-void Rng::LoadState(const RngState& state) {
-  for (int i = 0; i < 4; ++i) {
-    state_[i] = state.s[i];
-  }
-  std::memcpy(&spare_normal_, &state.spare_normal_bits, sizeof(spare_normal_));
-  has_spare_normal_ = state.has_spare_normal;
-  draw_count_ = 0;
 }
 
 uint64_t Rng::NextU64() {

@@ -12,6 +12,7 @@
 #define FAASCOST_COMMON_RNG_H_
 
 #include <cstdint>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,32 +36,37 @@ inline constexpr uint64_t DeriveSeed(uint64_t seed, uint64_t stream) {
 // Stream numbers live in src/common/stream_registry.h (included above): one
 // canonical table so faaslint R7 can prove the numbers never collide.
 
-// Full serializable position of one Rng stream: the xoshiro256** engine
-// words plus the Box-Muller spare. Restoring a saved state resumes the
-// stream bit-exactly, which is what checkpoint/resume and the integrity
-// digests rely on. The spare normal is carried as its IEEE-754 bit pattern
-// so a save/load round trip through text formats cannot perturb it.
-struct RngState {
-  uint64_t s[4] = {0, 0, 0, 0};
-  uint64_t spare_normal_bits = 0;
-  bool has_spare_normal = false;
-};
-
 class Rng {
  public:
   explicit Rng(uint64_t seed);
 
-  // Snapshot / restore of the full stream position (see RngState).
-  RngState SaveState() const;
-  void LoadState(const RngState& state);
+  // Walks the full stream position, the xoshiro256** words and the cached
+  // Box-Muller spare, as the object `key` with a state archiver
+  // (src/integrity/archive.h), so one walk saves, loads and digests it and
+  // a restored stream resumes bit-exactly. The spare goes through the
+  // archivers' double overload, which carries its IEEE-754 bit pattern.
+  template <typename Ar>
+  void Archive(Ar& ar, std::string_view key) {
+    ar.Begin(key);
+    ar.Field("s0", state_[0]);
+    ar.Field("s1", state_[1]);
+    ar.Field("s2", state_[2]);
+    ar.Field("s3", state_[3]);
+    ar.Field("spare_bits", spare_normal_);
+    ar.Field("has_spare", has_spare_normal_);
+    ar.End();
+    if constexpr (Ar::kLoading) {
+      draw_count_ = 0;
+    }
+  }
 
   // Raw 64-bit output of the underlying engine.
   uint64_t NextU64();
 
-  // Engine steps taken since construction (or LoadState, which resets it).
-  // Telemetry only — the engine flight recorder reports it — so it is
-  // deliberately NOT part of RngState: restoring a checkpoint resumes the
-  // stream bit-exactly while the profiler starts counting afresh.
+  // Engine steps taken since construction (or a checkpoint load, which
+  // resets it). Telemetry only — the engine flight recorder reports it — so
+  // Archive deliberately does not walk it: restoring a checkpoint resumes
+  // the stream bit-exactly while the profiler starts counting afresh.
   uint64_t draw_count() const { return draw_count_; }
 
   // Uniform double in [0, 1).

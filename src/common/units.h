@@ -53,6 +53,17 @@ constexpr double CapPayloadBytes(double bytes) {
                                                        : static_cast<double>(kMaxPayloadBytes);
 }
 
+// Longest duration a config may set or a draw may produce: a century of sim
+// time. Duration draws (lognormal, jittered) have unbounded tails; each is
+// clamped to this ceiling before it becomes integer microseconds, and sums
+// of a few such spans stay far inside int64.
+inline constexpr MicroSecs kMaxDuration = 100LL * 365 * 86'400 * kMicrosPerSec;
+
+// Also maps NaN to the ceiling, so the cast that follows is always defined.
+constexpr double CapDuration(double us) {
+  return us < static_cast<double>(kMaxDuration) ? us : static_cast<double>(kMaxDuration);
+}
+
 // Billable resource-time products.
 struct GbSeconds {
   double value = 0.0;

@@ -9,13 +9,16 @@
 //
 //   template <typename Ar> void Archive(Ar& ar) {
 //     ar.Field("now", now);
-//     ar.Begin("breaker"); ... ar.End();
+//     ar.Begin("breaker"); breaker.Archive(ar); ar.End();
 //     ...
 //   }
 //
 // and instantiates it with Saver (JsonWriter-backed), Loader
-// (JsonValue-backed), or Digester (StateDigest-backed). Adding a field to
-// the walker updates all three at once; forgetting one is impossible.
+// (JsonValue-backed), or Digester (StateDigest-backed). A component with
+// state of its own (Rng, CircuitBreaker, WindowedAutoscaler) walks its own
+// members in a template of the same shape, which the engine's walk calls.
+// Adding a field to a walker updates all three at once; forgetting one is
+// impossible.
 //
 // Encoding choices:
 //   - Doubles save/load as their IEEE-754 bit pattern (a JSON uint64), so a
@@ -42,7 +45,6 @@
 
 #include "src/common/json_reader.h"
 #include "src/common/json_writer.h"
-#include "src/common/rng.h"
 #include "src/integrity/checkpoint.h"
 #include "src/integrity/digest.h"
 
@@ -252,21 +254,19 @@ class Digester {
   StateDigest* d_;
 };
 
-// Archives an RNG's position in its stream (xoshiro state words plus the
-// cached Box-Muller spare) under one key. Shared by every engine.
-template <typename Ar>
-void ArchiveRng(Ar& ar, std::string_view key, Rng& rng) {
-  RngState st = rng.SaveState();
-  ar.Begin(key);
-  ar.Field("s0", st.s[0]);
-  ar.Field("s1", st.s[1]);
-  ar.Field("s2", st.s[2]);
-  ar.Field("s3", st.s[3]);
-  ar.Field("spare_bits", st.spare_normal_bits);
-  ar.Field("has_spare", st.has_spare_normal);
-  ar.End();
+// An enum as its integer value. A loaded value outside [0, count) names no
+// enumerator, so it is a malformed checkpoint: CheckpointError naming `what`.
+template <typename Ar, typename Enum>
+void ArchiveEnum(Ar& ar, std::string_view key, Enum& e, size_t count, std::string_view what) {
+  int v = static_cast<int>(e);
+  ar.Field(key, v);
   if constexpr (Ar::kLoading) {
-    rng.LoadState(st);
+    if (v < 0 || static_cast<size_t>(v) >= count) {
+      throw CheckpointError("checkpoint state: " + std::string(what) + " " +
+                            std::to_string(v) + " is outside [0, " + std::to_string(count) +
+                            ")");
+    }
+    e = static_cast<Enum>(v);
   }
 }
 

@@ -17,6 +17,7 @@
 #define FAASCOST_PLATFORM_AUTOSCALER_H_
 
 #include <deque>
+#include <string_view>
 #include <utility>
 
 #include "src/common/units.h"
@@ -53,13 +54,19 @@ class WindowedAutoscaler {
 
   const AutoscalerConfig& config() const { return config_; }
 
-  // Checkpoint support: the sample window is the autoscaler's only mutable
-  // state. Restoring it resumes scaling decisions bit-exactly.
-  const std::deque<std::pair<MicroSecs, double>>& samples() const {
-    return samples_;
-  }
-  void RestoreSamples(std::deque<std::pair<MicroSecs, double>> samples) {
-    samples_ = std::move(samples);
+  // Walks the sample window, the autoscaler's only mutable state, as the
+  // array `key` with a state archiver (src/integrity/archive.h). Restoring
+  // it resumes scaling decisions bit-exactly.
+  template <typename Ar>
+  void Archive(Ar& ar, std::string_view key) {
+    samples_.resize(ar.BeginArray(key, samples_.size()));
+    for (auto& [t, demand] : samples_) {
+      ar.BeginElem();
+      ar.Field("t", t);
+      ar.Field("d", demand);
+      ar.EndElem();
+    }
+    ar.EndArray();
   }
 
  private:

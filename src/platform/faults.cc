@@ -56,24 +56,6 @@ std::vector<std::string> RetryPolicy::Validate() const {
 CircuitBreaker::CircuitBreaker(int threshold, MicroSecs cooldown)
     : threshold_(threshold), cooldown_(cooldown) {}
 
-CircuitBreakerState CircuitBreaker::SaveState() const {
-  CircuitBreakerState st;
-  st.state = static_cast<int>(state_);
-  st.consecutive_failures = consecutive_failures_;
-  st.open_until = open_until_;
-  st.probe_inflight = probe_inflight_;
-  st.trips = trips_;
-  return st;
-}
-
-void CircuitBreaker::LoadState(const CircuitBreakerState& st) {
-  state_ = static_cast<State>(st.state);
-  consecutive_failures_ = st.consecutive_failures;
-  open_until_ = st.open_until;
-  probe_inflight_ = st.probe_inflight;
-  trips_ = st.trips;
-}
-
 bool CircuitBreaker::AllowDispatch(MicroSecs now) {
   if (threshold_ <= 0) {
     return true;

@@ -26,6 +26,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
+#include "src/integrity/archive.h"
 #include "src/trace/record.h"
 
 namespace faascost {
@@ -98,16 +99,6 @@ struct RetryPolicy {
 // multiplication (and the MicroSecs cast) finite for any attempt count.
 inline constexpr int kBackoffExponentCap = 62;
 
-// Serializable snapshot of a CircuitBreaker (checkpoint/resume support).
-// `state` carries the State enum as an int to keep the struct a plain POD.
-struct CircuitBreakerState {
-  int state = 0;
-  int consecutive_failures = 0;
-  MicroSecs open_until = 0;
-  bool probe_inflight = false;
-  int64_t trips = 0;
-};
-
 // Runtime state of the RetryPolicy circuit breaker. One instance represents
 // one client fleet's view of one function. Short-circuited dispatches do not
 // feed back into the state; only real outcomes do.
@@ -115,10 +106,19 @@ class CircuitBreaker {
  public:
   CircuitBreaker(int threshold, MicroSecs cooldown);
 
-  // Snapshot / restore for checkpointing. Thresholds come from config and
-  // are not part of the snapshot.
-  CircuitBreakerState SaveState() const;
-  void LoadState(const CircuitBreakerState& st);
+  // Walks the mutable state with a state archiver (src/integrity/archive.h)
+  // under the keys every engine's checkpoint uses. The state enum goes as an
+  // int, and a load rejects one that names no state: an enabled breaker in
+  // no state could never trip. Thresholds come from config and are not
+  // walked.
+  template <typename Ar>
+  void Archive(Ar& ar) {
+    ArchiveEnum(ar, "state", state_, kStates, "breaker state");
+    ar.Field("consecutive_failures", consecutive_failures_);
+    ar.Field("open_until", open_until_);
+    ar.Field("probe_inflight", probe_inflight_);
+    ar.Field("trips", trips_);
+  }
 
   // Whether a dispatch at `now` may proceed. While open this returns false
   // until the cooldown elapses, then admits exactly one half-open probe
@@ -136,6 +136,7 @@ class CircuitBreaker {
 
  private:
   enum class State { kClosed, kOpen, kHalfOpen };
+  static constexpr size_t kStates = 3;
   int threshold_ = 0;
   MicroSecs cooldown_ = 0;
   State state_ = State::kClosed;
@@ -144,21 +145,6 @@ class CircuitBreaker {
   bool probe_inflight_ = false;
   int64_t trips_ = 0;
 };
-
-// Walks a breaker's five snapshot fields with a state archiver
-// (src/integrity/archive.h), under the keys every engine's checkpoint uses.
-template <typename Ar>
-void ArchiveBreaker(Ar& ar, CircuitBreaker& breaker) {
-  CircuitBreakerState st = breaker.SaveState();
-  ar.Field("state", st.state);
-  ar.Field("consecutive_failures", st.consecutive_failures);
-  ar.Field("open_until", st.open_until);
-  ar.Field("probe_inflight", st.probe_inflight);
-  ar.Field("trips", st.trips);
-  if constexpr (Ar::kLoading) {
-    breaker.LoadState(st);
-  }
-}
 
 // How a full admission queue sheds load.
 enum class ShedPolicy {

@@ -92,35 +92,6 @@ struct EventQueue
 
 // --- Shared archive helpers (save / load / digest through one walker) ---
 
-template <typename Ar>
-void ArchiveScaler(Ar& ar, std::string_view key, WindowedAutoscaler& scaler) {
-  std::deque<std::pair<MicroSecs, double>> samples = scaler.samples();
-  const size_t n = ar.BeginArray(key, samples.size());
-  if constexpr (Ar::kLoading) {
-    samples.resize(n);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    ar.BeginElem();
-    ar.Field("t", samples[i].first);
-    ar.Field("d", samples[i].second);
-    ar.EndElem();
-  }
-  ar.EndArray();
-  if constexpr (Ar::kLoading) {
-    scaler.RestoreSamples(std::move(samples));
-  }
-}
-
-// An enum as its integer value.
-template <typename Ar, typename Enum>
-void ArchiveEnum(Ar& ar, std::string_view key, Enum& e) {
-  int v = static_cast<int>(e);
-  ar.Field(key, v);
-  if constexpr (Ar::kLoading) {
-    e = static_cast<Enum>(v);
-  }
-}
-
 // An integer container (ids, counters or flags) as one int64 array.
 template <typename Ar, typename Ints>
 void ArchiveInts(Ar& ar, std::string_view key, Ints& ints) {
@@ -1034,9 +1005,6 @@ struct PlatformEngine::Impl {
         case EventType::kScalerEval:
         case EventType::kSample:
           break;
-        default:
-          check("event k", static_cast<int64_t>(e.type), 0,
-                static_cast<int64_t>(std::size(kEventTypeNames)));
       }
       check("event sb", e.sandbox_id, sb_lo, boxes);
     }
@@ -1411,12 +1379,12 @@ struct PlatformEngine::Impl {
     ar.Field("cpu_jitter", workload.cpu_jitter);
     ar.End();
 
-    ArchiveRng(ar, "rng", rng);
-    ArchiveRng(ar, "fault_rng", faults.rng());
+    rng.Archive(ar, "rng");
+    faults.rng().Archive(ar, "fault_rng");
     ar.Begin("breaker");
-    ArchiveBreaker(ar, breaker);
+    breaker.Archive(ar);
     ar.End();
-    ArchiveScaler(ar, "scaler_samples", scaler);
+    scaler.Archive(ar, "scaler_samples");
     ArchiveKeepAlive(ar, "keepalive", *config.keepalive);
 
     {
@@ -1429,7 +1397,7 @@ struct PlatformEngine::Impl {
         ar.BeginElem();
         Event& e = events[i];
         ar.Field("t", e.time);
-        ArchiveEnum(ar, "k", e.type);
+        ArchiveEnum(ar, "k", e.type, std::size(kEventTypeNames), "event k");
         ar.Field("sb", e.sandbox_id);
         ar.Field("g", e.gen);
         ar.Field("r", e.req_idx);
@@ -1507,8 +1475,9 @@ struct PlatformEngine::Impl {
         ar.Field("cold_start", r.cold_start);
         ar.Field("init_duration", r.init_duration);
         ar.Field("sandbox_id", r.sandbox_id);
-        ArchiveEnum(ar, "outcome", r.outcome);
-        ArchiveEnum(ar, "last_error", r.last_error);
+        ArchiveEnum(ar, "outcome", r.outcome, std::size(kAllOutcomes), "request outcome");
+        ArchiveEnum(ar, "last_error", r.last_error, std::size(kAllOutcomes),
+                    "request last_error");
         ar.Field("attempts", r.attempts);
         ar.EndElem();
       }
@@ -1525,7 +1494,7 @@ struct PlatformEngine::Impl {
         ar.BeginElem();
         ar.Field("req_idx", a.req_idx);
         ar.Field("attempt", a.attempt);
-        ArchiveEnum(ar, "outcome", a.outcome);
+        ArchiveEnum(ar, "outcome", a.outcome, std::size(kAllOutcomes), "attempt outcome");
         ar.Field("dispatched", a.dispatched);
         ar.Field("start_exec", a.start_exec);
         ar.Field("end", a.end);

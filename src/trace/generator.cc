@@ -15,6 +15,12 @@ namespace {
 constexpr double kFunctionLatentWeight = 0.5;
 const double kRequestLatentWeight = std::sqrt(1.0 - 0.5 * 0.5);
 
+// A drawn duration in whole microseconds, at least 1. The draw is clamped to
+// the duration ceiling before the cast, so no finite config overflows it.
+MicroSecs DrawnMicros(double us) {
+  return std::max<MicroSecs>(1, static_cast<MicroSecs>(CapDuration(us)));
+}
+
 TraceGenConfig Validated(TraceGenConfig config) {
   ThrowIfInvalid("TraceGenConfig", config.Validate());
   return config;
@@ -145,7 +151,7 @@ RequestRecord TraceGenerator::MakeRequest(const FunctionProfile& fn, MicroSecs a
   r.alloc_mem_mb = fn.mem_mb;
 
   const double exec_us = std::exp(rng.Normal(fn.exec_ln_mu, config_.exec_ln_sigma_request));
-  r.exec_duration = std::max<MicroSecs>(1, static_cast<MicroSecs>(exec_us));
+  r.exec_duration = DrawnMicros(exec_us);
 
   const auto [zc, zm] = rng.CorrelatedNormals(config_.util_copula_rho);
   const double latent_cpu = fn.cpu_latent_shift + kRequestLatentWeight * zc;
@@ -153,15 +159,13 @@ RequestRecord TraceGenerator::MakeRequest(const FunctionProfile& fn, MicroSecs a
   const double cpu_util = config_.cpu_util.Quantile(StdNormalCdf(latent_cpu));
   const double mem_util = config_.mem_util.Quantile(StdNormalCdf(latent_mem));
 
-  r.cpu_time = std::max<MicroSecs>(
-      1, static_cast<MicroSecs>(cpu_util * fn.vcpus * static_cast<double>(r.exec_duration)));
+  r.cpu_time = DrawnMicros(cpu_util * fn.vcpus * static_cast<double>(r.exec_duration));
   r.used_mem_mb = mem_util * fn.mem_mb;
   r.failure_rate = fn.failure_rate;
 
   if (rng.Bernoulli(config_.cold_start_fraction)) {
     r.cold_start = true;
-    r.init_duration = std::max<MicroSecs>(
-        1, static_cast<MicroSecs>(rng.LogNormal(config_.init_ln_mu, config_.init_ln_sigma)));
+    r.init_duration = DrawnMicros(rng.LogNormal(config_.init_ln_mu, config_.init_ln_sigma));
   }
   return r;
 }
@@ -218,15 +222,14 @@ std::vector<SandboxLifecycle> TraceGenerator::GenerateLifecycles(int64_t count) 
     lc.function_id = fn.function_id;
     lc.alloc_vcpus = fn.vcpus;
     lc.alloc_mem_mb = fn.mem_mb;
-    lc.init_duration = std::max<MicroSecs>(
-        1, static_cast<MicroSecs>(rng.LogNormal(config_.init_ln_mu, config_.init_ln_sigma)));
+    lc.init_duration = DrawnMicros(rng.LogNormal(config_.init_ln_mu, config_.init_ln_sigma));
     const double n_extra = rng.LogNormal(config_.lifecycle_ln_mu, config_.lifecycle_ln_sigma);
     const int64_t n = 1 + static_cast<int64_t>(n_extra);
     lc.request_durations.reserve(static_cast<size_t>(n));
     for (int64_t k = 0; k < n; ++k) {
       const double exec_us =
           std::exp(rng.Normal(fn.exec_ln_mu, config_.exec_ln_sigma_request));
-      lc.request_durations.push_back(std::max<MicroSecs>(1, static_cast<MicroSecs>(exec_us)));
+      lc.request_durations.push_back(DrawnMicros(exec_us));
     }
     out.push_back(std::move(lc));
   }

@@ -9,6 +9,7 @@
 #include "src/common/rng.h"
 #include "src/common/validate.h"
 #include "src/engine/event_queue.h"
+#include "src/engine/warm_pool.h"
 
 namespace faascost {
 
@@ -22,8 +23,8 @@ std::vector<std::string> WorkflowSimConfig::Validate() const {
     AppendErrors(&errors, dag.Validate());
   }
   CheckAbove(&errors, "wps", wps, 0.0);
-  CheckAtLeast(&errors, "keepalive", keepalive, 0);
-  CheckAbove(&errors, "init_mean", init_mean, 0);
+  CheckWithin(&errors, "keepalive", keepalive, 0, kMaxDuration, Ends::kClosed, "a century");
+  CheckWithin(&errors, "init_mean", init_mean, 0, kMaxDuration, Ends::kOpenLow, "a century");
   CheckWithin(&errors, "init_jitter", init_jitter, 0.0, 1.0);
   CheckWithin(&errors, "failure_rate", failure_rate, 0.0, 1.0);
   CheckWithin(&errors, "init_failure_rate", init_failure_rate, 0.0, 1.0);
@@ -184,7 +185,7 @@ class Engine {
     if (cfg_.init_jitter > 0.0) {
       const double f = rng.Uniform(1.0 - cfg_.init_jitter, 1.0 + cfg_.init_jitter);
       return std::max<MicroSecs>(
-          1, static_cast<MicroSecs>(static_cast<double>(cfg_.init_mean) * f));
+          1, static_cast<MicroSecs>(CapDuration(static_cast<double>(cfg_.init_mean) * f)));
     }
     return cfg_.init_mean;
   }
@@ -197,27 +198,19 @@ class Engine {
     const double sigma2 = std::log1p(spec.exec_cv * spec.exec_cv);
     const double mu = std::log(mean) - sigma2 / 2.0;
     const double x = rng.LogNormal(mu, std::sqrt(sigma2));
-    return std::max<MicroSecs>(1, static_cast<MicroSecs>(x));
+    return std::max<MicroSecs>(1, static_cast<MicroSecs>(CapDuration(x)));
   }
 
-  // Removes (if present) an expired-keepalive prune + MRU acquire. Returns
-  // true when a warm sandbox was taken.
+  // Settles `fs`'s pool at `t` by the warm-pool rule
+  // (src/engine/warm_pool.h) and takes the sandbox it picks out of the pool
+  // until the attempt row closes. Returns true when one was taken.
   bool AcquireWarm(FunctionState& fs, MicroSecs t) {
-    std::vector<Sandbox>& w = fs.warm;
-    w.erase(std::remove_if(w.begin(), w.end(),
-                           [&](const Sandbox& s) { return s.free_at + cfg_.keepalive < t; }),
-            w.end());
-    int best = -1;
-    for (int i = 0; i < static_cast<int>(w.size()); ++i) {
-      if (w[static_cast<size_t>(i)].free_at <= t &&
-          (best < 0 || w[static_cast<size_t>(i)].free_at > w[static_cast<size_t>(best)].free_at)) {
-        best = i;
-      }
-    }
-    if (best < 0) {
+    ExpireIdle(fs.warm, t, cfg_.keepalive, [](const Sandbox&) {});
+    const size_t warm = LatestIdle(fs.warm, t);
+    if (warm == kNoWarm) {
       return false;
     }
-    w.erase(w.begin() + best);
+    fs.warm.erase(fs.warm.begin() + static_cast<ptrdiff_t>(warm));
     return true;
   }
 

@@ -323,6 +323,31 @@ TEST(ValidationTest, OutageWindowMustEndInsideInt64) {
   EXPECT_TRUE(NetOutage({0, std::numeric_limits<MicroSecs>::max() - 100, 100}).Validate().empty());
 }
 
+// A keep-alive past the duration ceiling overflowed the fleet's retirement
+// time (`free_at + keepalive`) and made the workflow engine's expiry test
+// wrap, so every warm sandbox read as expired. The ceiling itself is valid.
+TEST(ValidationTest, KeepAliveAndInitDurationsStayUnderTheCeiling) {
+  constexpr MicroSecs kMax = std::numeric_limits<MicroSecs>::max();
+  FleetSimConfig fleet;
+  WorkflowSimConfig workflow;
+  fleet.keepalive = workflow.keepalive = kMaxDuration;
+  fleet.init_duration = workflow.init_mean = kMaxDuration;
+  EXPECT_TRUE(fleet.Validate().empty());
+  EXPECT_TRUE(workflow.Validate().empty());
+  for (MicroSecs FleetSimConfig::*field : {&FleetSimConfig::keepalive,
+                                           &FleetSimConfig::init_duration}) {
+    FleetSimConfig bad;
+    bad.*field = kMax;
+    EXPECT_EQ(bad.Validate().size(), 1U);
+  }
+  for (MicroSecs WorkflowSimConfig::*field : {&WorkflowSimConfig::keepalive,
+                                              &WorkflowSimConfig::init_mean}) {
+    WorkflowSimConfig bad;
+    bad.*field = kMax;
+    EXPECT_EQ(bad.Validate().size(), 1U);
+  }
+}
+
 // kSample re-arms every sample_interval, enabled autoscaler or not: at 0 a
 // run never ends.
 TEST(ValidationTest, PlatformSimConfigRejectsZeroSampleInterval) {

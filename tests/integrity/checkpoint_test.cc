@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -422,6 +423,28 @@ TEST_F(FleetStateIndices, NextHostPastTheHostsThrows) {
   ExpectBoundary({"next_host"}, Uint(hosts - 1), Uint(hosts));
 }
 
+TEST_F(FleetStateIndices, BreakerStatePastItsEnumeratorsThrows) {
+  // The chaos fleet runs no breaker; this one trips on its crashing hosts.
+  FleetSimConfig cfg = cfg_;
+  cfg.retry.breaker_threshold = 2;
+  FleetEngine engine(cfg);
+  engine.Start(trace_, billing_);
+  engine.AdvanceUntil(200 * kSec);
+  const JsonValue state = ParseJson(SaveFleetState(engine));
+  ASSERT_FALSE(state.At("breakers").GetArray().empty());
+  // Closed, open and half-open: the last loads, the next names no state.
+  for (const auto& [ok, bad] : {std::pair{Uint(2), Uint(3)},
+                                std::pair{Uint(0), JsonValue::MakeInt(1, true)}}) {
+    FleetEngine accepted(cfg);
+    EXPECT_NO_THROW(accepted.Resume(trace_, billing_,
+                                    ReplaceAt(state, {"breakers", "0", "state"}, ok)));
+    FleetEngine rejected(cfg);
+    EXPECT_THROW(rejected.Resume(trace_, billing_,
+                                 ReplaceAt(state, {"breakers", "0", "state"}, bad)),
+                 CheckpointError);
+  }
+}
+
 TEST_F(FleetStateIndices, E2eLatencyShorterThanTheTraceThrows) {
   std::vector<JsonValue> latencies = state_.At("e2e_latency").GetArray();
   ASSERT_EQ(latencies.size(), trace_.size());
@@ -528,6 +551,20 @@ TEST_F(PlatformStateIndices, EventAttemptPastTheAttemptRowsThrows) {
 TEST_F(PlatformStateIndices, EventKindPastTheKindsThrows) {
   ExpectBoundary({"events"}, EventsWith(kDrainDeadline, 0, -1),
                  EventsWith(kDrainDeadline + 1, 0, -1));
+}
+
+TEST_F(PlatformStateIndices, BreakerStatePastItsEnumeratorsThrows) {
+  // Closed, open and half-open.
+  ExpectBoundary({"breaker", "state"}, Int(2), Int(3));
+  ExpectBoundary({"breaker", "state"}, Int(0), Int(-1));
+}
+
+TEST_F(PlatformStateIndices, OutcomePastTheOutcomesThrows) {
+  const auto last = static_cast<int64_t>(std::size(kAllOutcomes)) - 1;
+  ExpectBoundary({"requests", "0", "outcome"}, Int(last), Int(last + 1));
+  ExpectBoundary({"requests", "0", "last_error"}, Int(last), Int(last + 1));
+  ExpectBoundary({"attempts", "0", "outcome"}, Int(last), Int(last + 1));
+  ExpectBoundary({"attempts", "0", "outcome"}, Int(0), Int(-1));
 }
 
 TEST_F(PlatformStateIndices, SandboxIdOtherThanItsPositionThrows) {

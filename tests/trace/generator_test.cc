@@ -296,5 +296,25 @@ TEST(PayloadSynthesis, DrawsClampToTheCap) {
   }
 }
 
+// Duration draws are lognormal too: a mean no draw fits in int64 clamps each
+// one to the duration ceiling before it becomes microseconds.
+TEST(TraceGenerator, DurationDrawsClampToTheCeiling) {
+  TraceGenConfig cfg;
+  cfg.num_requests = 200;
+  cfg.num_functions = 10;
+  cfg.exec_mean_ms = 1e300;
+  TraceGenerator gen(cfg, 3);
+  for (const auto& r : gen.Generate()) {
+    ASSERT_EQ(r.exec_duration, kMaxDuration);
+    ASSERT_GE(r.cpu_time, 1);
+    ASSERT_LE(r.cpu_time, kMaxDuration);
+  }
+  for (const auto& lc : gen.GenerateLifecycles(20)) {
+    for (const MicroSecs d : lc.request_durations) {
+      ASSERT_EQ(d, kMaxDuration);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace faascost

@@ -326,28 +326,37 @@ PYEOF
     exit 1
   fi
 done
-# And a platform state whose event names a sandbox that does not exist: the
-# loader's range check rejects it before the run could index it (the state
-# digest alone would not, since a tampered file can carry a recomputed one).
+# And platform states holding a value that the loader's range checks reject
+# before the run could use it (the state digest alone would not, since a
+# tampered file can carry a recomputed one): an event naming a sandbox that
+# does not exist, and a breaker state naming none of closed, open and
+# half-open. Each case is "<path in state> <value>|<expected stderr>".
 "$repo/build/tools/faascost" audit --sim platform --audit-level full --seconds 20 \
-  --seed 1 --checkpoint "$obs_tmp/tamper_cp.json" --checkpoint-at 7 > /dev/null
-python3 - "$obs_tmp/tamper_cp.json" <<'PYEOF'
+  --seed 1 --checkpoint "$obs_tmp/platform_cp.json" --checkpoint-at 7 > /dev/null
+for tamper in "events 0 sb 1000000|event sb 1000000" "breaker state 7|breaker state 7"; do
+  # Unquoted on purpose: the path steps and the value are separate arguments.
+  python3 - "$obs_tmp/platform_cp.json" "$obs_tmp/tamper_cp.json" ${tamper%%|*} <<'PYEOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-doc["state"]["events"][0]["sb"] = 1000000
-json.dump(doc, open(sys.argv[1], "w"))
+node = doc["state"]
+*path, key, value = sys.argv[3:]
+for step in path:
+    node = node[int(step)] if isinstance(node, list) else node[step]
+node[key] = int(value)
+json.dump(doc, open(sys.argv[2], "w"))
 PYEOF
-set +e
-"$repo/build/tools/faascost" audit --sim platform --audit-level full --seconds 20 \
-  --seed 1 --resume "$obs_tmp/tamper_cp.json" > /dev/null 2> "$obs_tmp/tamper_err.txt"
-audit_rc=$?
-set -e
-if [ "$audit_rc" -ne 3 ] || ! grep -q "event sb 1000000" "$obs_tmp/tamper_err.txt"; then
-  echo "audit --sim platform: expected exit 3 naming the out-of-range event sb, got" \
-    "$audit_rc: $(cat "$obs_tmp/tamper_err.txt")" >&2
-  exit 1
-fi
-echo "tampered checkpoint state rejected with exit 3 on both sims (missing key, event sb)."
+  set +e
+  "$repo/build/tools/faascost" audit --sim platform --audit-level full --seconds 20 \
+    --seed 1 --resume "$obs_tmp/tamper_cp.json" > /dev/null 2> "$obs_tmp/tamper_err.txt"
+  audit_rc=$?
+  set -e
+  if [ "$audit_rc" -ne 3 ] || ! grep -q "${tamper#*|}" "$obs_tmp/tamper_err.txt"; then
+    echo "audit --sim platform: expected exit 3 naming ${tamper#*|}, got" \
+      "$audit_rc: $(cat "$obs_tmp/tamper_err.txt")" >&2
+    exit 1
+  fi
+done
+echo "tampered checkpoint state rejected with exit 3 on both sims (missing key, event sb, breaker state)."
 
 echo
 echo "== perfbench: correctness smoke (pinned counts and USD bits at seeds 7 and 1729) =="

@@ -59,9 +59,9 @@
 namespace faascost {
 namespace {
 
-// Longest duration flag value: a century of sim time. Its microsecond form,
-// and sums of a few such spans, stay far inside int64.
-constexpr int64_t kMaxFlagSeconds = 100LL * 365 * 86'400;
+// Longest duration flag value, in whole seconds: the sim's duration ceiling
+// (kMaxDuration, a century).
+constexpr int64_t kMaxFlagSeconds = kMaxDuration / kMicrosPerSec;
 
 constexpr bool kOpen = true;  // Flags::Real excludes both bounds.
 
@@ -174,7 +174,7 @@ class Flags {
   // so the cast cannot overflow.
   MicroSecs Duration(const char* key, double fallback, MicroSecs unit, MicroSecs min_us = 0) {
     const double scale = static_cast<double>(unit);
-    const double max_us = static_cast<double>(kMaxFlagSeconds * kMicrosPerSec);
+    const double max_us = static_cast<double>(kMaxDuration);
     return static_cast<MicroSecs>(
         Real(key, fallback, static_cast<double>(min_us) / scale, max_us / scale) * scale);
   }

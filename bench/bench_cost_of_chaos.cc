@@ -29,6 +29,7 @@
 #include "src/cluster/fleet_sim.h"
 #include "src/common/json_writer.h"
 #include "src/common/table.h"
+#include "src/core/observe.h"
 #include "src/platform/platform_sim.h"
 #include "src/platform/presets.h"
 #include "src/platform/workload.h"
@@ -181,11 +182,8 @@ OverloadRow RunOverload(const std::string& label, bool overloaded, ShedPolicy po
   const PlatformSimResult res =
       sim.Run(UniformArrivals(40.0, 60 * kMicrosPerSec), PyAesWorkload());
 
-  const BillingModel billing = MakeBillingModel(Platform::kAwsLambda);
-  Usd total = 0.0;
-  for (const auto& att : res.attempts) {
-    total += ComputeInvoice(billing, BillableRecord(att, cfg.vcpus, cfg.mem_mb)).total;
-  }
+  const Usd total =
+      PricePlatformRun(res, cfg, MakeBillingModel(Platform::kAwsLambda)).billed_usd;
   OverloadRow row;
   row.label = label;
   row.policy = overloaded ? ShedPolicyName(policy) : "none";

@@ -22,6 +22,7 @@
 #include "src/billing/catalog.h"
 #include "src/common/json_writer.h"
 #include "src/common/table.h"
+#include "src/core/observe.h"
 #include "src/platform/platform_sim.h"
 #include "src/platform/presets.h"
 #include "src/platform/workload.h"
@@ -47,14 +48,9 @@ RunStats RunOnce(PlatformSimConfig config, const BillingModel& billing, double r
   const PlatformSimResult res =
       sim.Run(UniformArrivals(4.0, 180 * kMicrosPerSec), PyAesWorkload());
   RunStats out;
-  for (const auto& att : res.attempts) {
-    const Invoice inv =
-        ComputeInvoice(billing, BillableRecord(att, config.vcpus, config.mem_mb));
-    out.total += inv.total;
-    if (att.outcome != Outcome::kOk) {
-      out.failed_cost += inv.total;
-    }
-  }
+  const ProvenanceTotals priced = PricePlatformRun(res, config, billing);
+  out.total = priced.billed_usd;
+  out.failed_cost = priced.failed_usd;
   out.successes = res.successes;
   out.attempts = static_cast<int64_t>(res.attempts.size());
   out.cold_starts = res.cold_starts;

@@ -38,7 +38,7 @@ int main() {
 
   struct Case {
     const char* platform;
-    std::unique_ptr<KeepAlivePolicy> policy;
+    KeepAlivePolicy policy;
     double alloc_vcpus;
     const char* shutdown_note;
   };
@@ -51,19 +51,19 @@ int main() {
        "N/A (killed right after SIGTERM)"},
       {"Cloudflare Workers", MakeCloudflareKeepAlive(), 1.0, "N/A"},
   };
-  for (auto& c : cases) {
-    const double measured = MeasureKaCpuShare(*c.policy, c.alloc_vcpus);
-    table.AddRow({c.platform, KaResourceBehaviorName(c.policy->resource_behavior()),
+  for (const Case& c : cases) {
+    const double measured = MeasureKaCpuShare(c.policy, c.alloc_vcpus);
+    table.AddRow({c.platform, KaResourceBehaviorName(c.policy.resource_behavior()),
                   FormatDouble(measured, 3), c.shutdown_note});
   }
   std::printf("%s", table.Render().c_str());
 
   PrintPaperVsMeasured("GCP CPU during KA (paper: ~0.01 vCPUs)", 0.01,
-                       MeasureKaCpuShare(*MakeGcpKeepAlive(), 1.0), "vCPU");
+                       MeasureKaCpuShare(MakeGcpKeepAlive(), 1.0), "vCPU");
   PrintPaperVsMeasured("Azure CPU during KA (full allocation)", 1.0,
-                       MeasureKaCpuShare(*MakeAzureKeepAlive(), 1.0), "vCPU");
+                       MeasureKaCpuShare(MakeAzureKeepAlive(), 1.0), "vCPU");
   PrintPaperVsMeasured("AWS CPU during KA (frozen)", 0.0,
-                       MeasureKaCpuShare(*MakeAwsKeepAlive(), 1.0), "vCPU");
+                       MeasureKaCpuShare(MakeAwsKeepAlive(), 1.0), "vCPU");
 
   std::printf(
       "\nImplications (paper §3.3): deallocating resources during KA (AWS,\n"

@@ -73,13 +73,20 @@ std::vector<int64_t> SortedFids(const Map& map, Keep keep) {
 constexpr auto kEveryEntry = [](const auto&) { return true; };
 
 // The trace is outside input and the engine's cursor depends on arrival
-// order, so both are validated on Start and Resume rather than trusted.
+// order, so both are validated on Start and Resume rather than trusted. Its
+// times stay within kMaxDuration, so the engine's sums of them fit in int64.
 void RequireValidTrace(const std::vector<RequestRecord>& trace) {
   for (size_t i = 0; i < trace.size(); ++i) {
-    if (trace[i].exec_duration < 0) {
-      throw std::invalid_argument("FleetEngine: record " + std::to_string(i) +
-                                  " has negative exec_duration " +
-                                  std::to_string(trace[i].exec_duration) + "us");
+    const RequestRecord& r = trace[i];
+    for (const auto& [name, us] : {std::pair<const char*, MicroSecs>{"arrival", r.arrival},
+                                   {"exec_duration", r.exec_duration},
+                                   {"cpu_time", r.cpu_time},
+                                   {"init_duration", r.init_duration}}) {
+      if (us < 0 || us > kMaxDuration) {
+        throw std::invalid_argument("FleetEngine: record " + std::to_string(i) + " has " +
+                                    name + " " + std::to_string(us) +
+                                    "us, outside [0, kMaxDuration]");
+      }
     }
     if (i > 0 && trace[i].arrival < trace[i - 1].arrival) {
       throw std::invalid_argument(

@@ -2,13 +2,10 @@
 
 namespace faascost {
 
-ProvenanceTotals TagPlatformSpanBilling(SpanLog* spans,
-                                        const PlatformSimResult& result,
-                                        const PlatformSimConfig& config,
-                                        const BillingModel& billing) {
+ProvenanceTotals PricePlatformRun(const PlatformSimResult& result,
+                                  const PlatformSimConfig& config, const BillingModel& billing,
+                                  std::vector<Invoice>* invoices) {
   ProvenanceTotals totals;
-  std::vector<Invoice> invoices;
-  invoices.reserve(result.attempts.size());
   for (const AttemptOutcome& att : result.attempts) {
     const Invoice inv =
         ComputeInvoice(billing, BillableRecord(att, config.vcpus, config.mem_mb));
@@ -17,8 +14,20 @@ ProvenanceTotals TagPlatformSpanBilling(SpanLog* spans,
     if (att.outcome != Outcome::kOk) {
       totals.failed_usd += inv.total;
     }
-    invoices.push_back(inv);
+    if (invoices != nullptr) {
+      invoices->push_back(inv);
+    }
   }
+  return totals;
+}
+
+ProvenanceTotals TagPlatformSpanBilling(SpanLog* spans,
+                                        const PlatformSimResult& result,
+                                        const PlatformSimConfig& config,
+                                        const BillingModel& billing) {
+  std::vector<Invoice> invoices;
+  invoices.reserve(result.attempts.size());
+  ProvenanceTotals totals = PricePlatformRun(result, config, billing, &invoices);
   for (Span& sp : *spans) {
     if (!sp.terminal || sp.group != kTrackGroupClient || sp.ref < 0 ||
         sp.ref >= static_cast<int64_t>(invoices.size())) {

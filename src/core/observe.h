@@ -23,6 +23,13 @@ struct ProvenanceTotals {
 };
 
 // Prices every attempt of `result` under `billing` (via BillableRecord with
+// the config's allocation), in attempt order, so every report of one run sums
+// the same doubles; appends each invoice to `invoices` if non-null.
+ProvenanceTotals PricePlatformRun(const PlatformSimResult& result,
+                                  const PlatformSimConfig& config, const BillingModel& billing,
+                                  std::vector<Invoice>* invoices = nullptr);
+
+// Prices every attempt of `result` under `billing` (PricePlatformRun, with
 // the config's allocation) and writes each invoice onto the attempt's
 // terminal span — the span with `terminal` set, found through `Span::ref`.
 // Returns the run's invoice totals; by construction the USD tags across

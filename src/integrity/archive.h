@@ -15,8 +15,9 @@
 //
 // and instantiates it with Saver (JsonWriter-backed), Loader
 // (JsonValue-backed), or Digester (StateDigest-backed). A component with
-// state of its own (Rng, CircuitBreaker, WindowedAutoscaler) walks its own
-// members in a template of the same shape, which the engine's walk calls.
+// state of its own (Rng, CircuitBreaker, WindowedAutoscaler, IdleHistogram)
+// walks its own members in a template of the same shape, which the engine's
+// walk calls.
 // Adding a field to a walker updates all three at once; forgetting one is
 // impossible.
 //

@@ -1,7 +1,6 @@
 #include "src/platform/keepalive.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace faascost {
 
@@ -19,171 +18,114 @@ const char* KaResourceBehaviorName(KaResourceBehavior b) {
   return "unknown";
 }
 
-namespace {
-
-class AwsKeepAlive final : public KeepAlivePolicy {
- public:
-  MicroSecs SampleDuration(Rng& rng, int /*active_instances*/) const override {
-    return rng.UniformInt(300LL * kMicrosPerSec, 360LL * kMicrosPerSec);
-  }
-  KaResourceBehavior resource_behavior() const override {
-    return KaResourceBehavior::kFreezeDeallocate;
-  }
-  double KaCpuShare(double /*alloc_vcpus*/) const override { return 0.0; }
-  bool graceful_shutdown() const override { return true; }
-  std::string name() const override { return "AWS Lambda (freeze, 300-360s)"; }
-};
-
-class GcpKeepAlive final : public KeepAlivePolicy {
- public:
-  MicroSecs SampleDuration(Rng& rng, int /*active_instances*/) const override {
-    return rng.UniformInt(850LL * kMicrosPerSec, 900LL * kMicrosPerSec);
-  }
-  KaResourceBehavior resource_behavior() const override {
-    return KaResourceBehavior::kScaleDownCpu;
-  }
-  double KaCpuShare(double alloc_vcpus) const override {
-    return alloc_vcpus > 0.0 ? 0.01 / alloc_vcpus : 0.0;
-  }
-  bool graceful_shutdown() const override { return false; }
-  std::string name() const override { return "GCP (scale-down CPU, ~900s)"; }
-};
-
-class AzureKeepAlive final : public KeepAlivePolicy {
- public:
-  MicroSecs SampleDuration(Rng& rng, int active_instances) const override {
-    // Opportunistic: 120-360 s at one instance; functions scaled to 3+
-    // instances observe up to ~740 s.
-    if (active_instances >= 3) {
-      return rng.UniformInt(360LL * kMicrosPerSec, 740LL * kMicrosPerSec);
-    }
-    return rng.UniformInt(120LL * kMicrosPerSec, 360LL * kMicrosPerSec);
-  }
-  KaResourceBehavior resource_behavior() const override {
-    return KaResourceBehavior::kRunAsUsual;
-  }
-  double KaCpuShare(double /*alloc_vcpus*/) const override { return 1.0; }
-  bool graceful_shutdown() const override { return false; }
-  std::string name() const override { return "Azure (opportunistic, 120-360s)"; }
-};
-
-class CloudflareKeepAlive final : public KeepAlivePolicy {
- public:
-  MicroSecs SampleDuration(Rng& /*rng*/, int /*active_instances*/) const override {
-    // The code cache persists far beyond the measurement horizon; the ~5 ms
-    // re-JIT on a miss is masked by the TLS-handshake pre-warm.
-    return 86'400LL * kMicrosPerSec;
-  }
-  KaResourceBehavior resource_behavior() const override {
-    return KaResourceBehavior::kCodeCache;
-  }
-  double KaCpuShare(double /*alloc_vcpus*/) const override { return 0.0; }
-  bool graceful_shutdown() const override { return false; }
-  std::string name() const override { return "Cloudflare (code cache)"; }
-};
-
-class FixedKeepAlive final : public KeepAlivePolicy {
- public:
-  FixedKeepAlive(MicroSecs duration, KaResourceBehavior behavior)
-      : duration_(duration), behavior_(behavior) {}
-  MicroSecs SampleDuration(Rng& /*rng*/, int /*active_instances*/) const override {
-    return duration_;
-  }
-  KaResourceBehavior resource_behavior() const override { return behavior_; }
-  double KaCpuShare(double /*alloc_vcpus*/) const override {
-    return behavior_ == KaResourceBehavior::kRunAsUsual ? 1.0 : 0.0;
-  }
-  bool graceful_shutdown() const override { return false; }
-  std::string name() const override { return "fixed"; }
-
- private:
-  MicroSecs duration_;
-  KaResourceBehavior behavior_;
-};
-
-}  // namespace
-
-std::unique_ptr<KeepAlivePolicy> MakeAwsKeepAlive() {
-  return std::make_unique<AwsKeepAlive>();
-}
-std::unique_ptr<KeepAlivePolicy> MakeGcpKeepAlive() {
-  return std::make_unique<GcpKeepAlive>();
-}
-std::unique_ptr<KeepAlivePolicy> MakeAzureKeepAlive() {
-  return std::make_unique<AzureKeepAlive>();
-}
-std::unique_ptr<KeepAlivePolicy> MakeCloudflareKeepAlive() {
-  return std::make_unique<CloudflareKeepAlive>();
-}
-std::unique_ptr<KeepAlivePolicy> MakeFixedKeepAlive(MicroSecs duration,
-                                                    KaResourceBehavior behavior) {
-  return std::make_unique<FixedKeepAlive>(duration, behavior);
-}
-
-HistogramPrewarmPolicy::HistogramPrewarmPolicy(HistogramPrewarmConfig config)
+IdleHistogram::IdleHistogram(const std::optional<HistogramPrewarmConfig>& config)
     : config_(config) {
-  const size_t bins = static_cast<size_t>(config_.max_tracked / config_.bin_width) + 1;
-  bins_.assign(bins, 0);
-}
-
-void HistogramPrewarmPolicy::ObserveIdleInterval(MicroSecs idle) {
-  if (idle < 0) {
-    return;
+  if (config_.has_value()) {
+    counts_.assign(static_cast<size_t>(config_->max_tracked / config_->bin_width) + 2, 0);
   }
-  size_t bin = static_cast<size_t>(idle / config_.bin_width);
-  bin = std::min(bin, bins_.size() - 1);
-  ++bins_[bin];
-  ++observations_;
 }
 
-MicroSecs HistogramPrewarmPolicy::LearnedWindow() const {
-  if (observations_ < config_.min_observations) {
+void IdleHistogram::Observe(MicroSecs idle) {
+  if (config_.has_value() && idle >= 0) {
+    ++counts_[std::min(1 + static_cast<size_t>(idle / config_->bin_width), counts_.size() - 1)];
+    ++counts_[0];
+  }
+}
+
+MicroSecs IdleHistogram::LearnedWindow() const {
+  if (!config_.has_value() || counts_[0] < config_->min_observations) {
     return 0;
   }
-  const int64_t target = static_cast<int64_t>(
-      config_.coverage_quantile * static_cast<double>(observations_));
+  const int64_t target =
+      static_cast<int64_t>(config_->coverage_quantile * static_cast<double>(counts_[0]));
   int64_t seen = 0;
-  for (size_t i = 0; i < bins_.size(); ++i) {
-    seen += bins_[i];
+  for (size_t i = 1; i < counts_.size(); ++i) {
+    seen += counts_[i];
     if (seen > target) {
       // Upper edge of the covering bin, scaled by the safety margin.
-      const double edge = static_cast<double>((i + 1)) *
-                          static_cast<double>(config_.bin_width) * config_.margin;
-      return std::min(static_cast<MicroSecs>(edge), config_.max_keepalive);
+      const double edge =
+          static_cast<double>(i) * static_cast<double>(config_->bin_width) * config_->margin;
+      return std::min(static_cast<MicroSecs>(edge), config_->max_keepalive);
     }
   }
-  return config_.max_keepalive;
+  return config_->max_keepalive;
 }
 
-MicroSecs HistogramPrewarmPolicy::SampleDuration(Rng& rng,
-                                                 int /*active_instances*/) const {
-  const MicroSecs learned = LearnedWindow();
+MicroSecs KeepAlivePolicy::SampleDuration(Rng& rng, int active_instances,
+                                          const IdleHistogram& history) const {
+  const MicroSecs learned = prewarm_.has_value() ? history.LearnedWindow() : 0;
   if (learned > 0) {
     return learned;
   }
-  return rng.UniformInt(config_.fallback_min, config_.fallback_max);
+  const Window& w = scaled_out_.has_value() && active_instances >= 3 ? *scaled_out_ : window_;
+  return w.drawn ? rng.UniformInt(w.min, w.max) : w.min;
 }
 
-void HistogramPrewarmPolicy::SaveState(std::vector<int64_t>* out) const {
-  out->clear();
-  out->reserve(bins_.size() + 1);
-  out->push_back(observations_);
-  out->insert(out->end(), bins_.begin(), bins_.end());
-}
-
-void HistogramPrewarmPolicy::LoadState(const std::vector<int64_t>& state) {
-  if (state.empty() || state.size() != bins_.size() + 1) {
-    throw std::invalid_argument(
-        "HistogramPrewarmPolicy::LoadState: expected " +
-        std::to_string(bins_.size() + 1) + " values, got " +
-        std::to_string(state.size()));
+double KeepAlivePolicy::KaCpuShare(double alloc_vcpus) const {
+  if (behavior_ == KaResourceBehavior::kScaleDownCpu) {
+    return alloc_vcpus > 0.0 ? 0.01 / alloc_vcpus : 0.0;
   }
-  observations_ = state[0];
-  std::copy(state.begin() + 1, state.end(), bins_.begin());
+  return behavior_ == KaResourceBehavior::kRunAsUsual ? 1.0 : 0.0;
 }
 
-std::unique_ptr<KeepAlivePolicy> MakeHistogramPrewarm(HistogramPrewarmConfig config) {
-  return std::make_unique<HistogramPrewarmPolicy>(config);
+// An absent window or pre-warm config mixes as its default after its flag.
+void KeepAlivePolicy::MixInto(StateDigest& d) const {
+  d.MixStr(name_);
+  d.MixI64(static_cast<int64_t>(behavior_));
+  d.MixBool(graceful_shutdown_);
+  d.MixBool(scaled_out_.has_value());
+  for (const Window& w : {window_, scaled_out_.value_or(Window{})}) {
+    d.MixI64(w.min);
+    d.MixI64(w.max);
+    d.MixBool(w.drawn);
+  }
+  d.MixBool(prewarm_.has_value());
+  const HistogramPrewarmConfig p = prewarm_.value_or(HistogramPrewarmConfig{});
+  d.MixI64(p.bin_width);
+  d.MixI64(p.max_tracked);
+  d.MixI64(p.min_observations);
+  d.MixDouble(p.coverage_quantile);
+  d.MixDouble(p.margin);
+  d.MixI64(p.max_keepalive);
+  d.MixI64(p.fallback_min);
+  d.MixI64(p.fallback_max);
+}
+
+KeepAlivePolicy MakeAwsKeepAlive() {
+  KeepAlivePolicy p("AWS Lambda (freeze, 300-360s)", KaResourceBehavior::kFreezeDeallocate,
+                    {300LL * kMicrosPerSec, 360LL * kMicrosPerSec, /*drawn=*/true});
+  p.graceful_shutdown_ = true;
+  return p;
+}
+
+KeepAlivePolicy MakeGcpKeepAlive() {
+  return {"GCP (scale-down CPU, ~900s)", KaResourceBehavior::kScaleDownCpu,
+          {850LL * kMicrosPerSec, 900LL * kMicrosPerSec, /*drawn=*/true}};
+}
+
+KeepAlivePolicy MakeAzureKeepAlive() {
+  KeepAlivePolicy p("Azure (opportunistic, 120-360s)", KaResourceBehavior::kRunAsUsual,
+                    {120LL * kMicrosPerSec, 360LL * kMicrosPerSec, /*drawn=*/true});
+  p.scaled_out_ = {360LL * kMicrosPerSec, 740LL * kMicrosPerSec, /*drawn=*/true};
+  return p;
+}
+
+KeepAlivePolicy MakeCloudflareKeepAlive() {
+  // The code cache persists far beyond the measurement horizon; the ~5 ms
+  // re-JIT on a miss is masked by the TLS-handshake pre-warm.
+  return {"Cloudflare (code cache)", KaResourceBehavior::kCodeCache,
+          {86'400LL * kMicrosPerSec, 86'400LL * kMicrosPerSec, /*drawn=*/false}};
+}
+
+KeepAlivePolicy MakeFixedKeepAlive(MicroSecs duration, KaResourceBehavior behavior) {
+  return {"fixed", behavior, {duration, duration, /*drawn=*/false}};
+}
+
+KeepAlivePolicy MakeHistogramPrewarm(HistogramPrewarmConfig config) {
+  KeepAlivePolicy p("histogram pre-warm", KaResourceBehavior::kRunAsUsual,
+                    {config.fallback_min, config.fallback_max, /*drawn=*/true});
+  p.prewarm_ = config;
+  return p;
 }
 
 }  // namespace faascost

@@ -1,17 +1,22 @@
 // Keep-alive policies and KA-phase resource behaviour (paper §3.3, Fig. 9 and
 // Table 2). Policies decide how long an idle sandbox survives before
 // reclamation; the resource behaviour describes what the sandbox can do (and
-// what the provider pays) while kept alive.
+// what the provider pays) while kept alive. A policy is a value: what
+// histogram pre-warming learns lives in the engine's IdleHistogram.
 
 #ifndef FAASCOST_PLATFORM_KEEPALIVE_H_
 #define FAASCOST_PLATFORM_KEEPALIVE_H_
 
-#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
+#include "src/integrity/archive.h"
+#include "src/integrity/digest.h"
 
 namespace faascost {
 
@@ -24,64 +29,6 @@ enum class KaResourceBehavior {
 };
 
 const char* KaResourceBehaviorName(KaResourceBehavior b);
-
-class KeepAlivePolicy {
- public:
-  virtual ~KeepAlivePolicy() = default;
-
-  // Samples the keep-alive duration granted to a sandbox that just became
-  // idle. `active_instances` lets opportunistic policies extend KA for
-  // functions scaled to multiple instances (the paper observes ~740 s for an
-  // Azure function scaled to 3 instances).
-  virtual MicroSecs SampleDuration(Rng& rng, int active_instances) const = 0;
-
-  // Feedback hook: the platform reports the observed idle interval between
-  // the end of one invocation and the arrival of the next (whether or not
-  // the sandbox survived it). Predictive policies (idle-time histograms,
-  // paper §3.3 / Serverless-in-the-Wild) learn from this; the default
-  // ignores it.
-  virtual void ObserveIdleInterval(MicroSecs /*idle*/) {}
-
-  virtual KaResourceBehavior resource_behavior() const = 0;
-
-  // CPU share available to the (frozen/throttled) sandbox during KA, as a
-  // fraction of `alloc_vcpus`.
-  virtual double KaCpuShare(double alloc_vcpus) const = 0;
-
-  // Whether the platform delivers SIGTERM and waits for handling when the
-  // sandbox leaves KA (Table 2: only AWS via Lambda Extensions).
-  virtual bool graceful_shutdown() const = 0;
-
-  virtual std::string name() const = 0;
-
-  // Checkpoint support: policies with learned state (idle-time histograms)
-  // serialize it into a flat int64 vector; stateless policies keep the
-  // defaults (empty save, no-op load).
-  virtual void SaveState(std::vector<int64_t>* out) const { out->clear(); }
-  virtual void LoadState(const std::vector<int64_t>& /*state*/) {}
-};
-
-// AWS Lambda: freeze/resume with a fixed KA window of 300-360 s; graceful
-// shutdown supported with Lambda Extensions.
-std::unique_ptr<KeepAlivePolicy> MakeAwsKeepAlive();
-
-// GCP: scale-down-delay style KA of ~900 s with CPU scaled to ~0.01 vCPUs;
-// instances are killed without SIGTERM.
-std::unique_ptr<KeepAlivePolicy> MakeGcpKeepAlive();
-
-// Azure Consumption: opportunistic KA between 120 s and 360 s at one
-// instance, extended (up to ~740 s) when scaled to 3+ instances; full
-// resource allocation retained; killed right after SIGTERM.
-std::unique_ptr<KeepAlivePolicy> MakeAzureKeepAlive();
-
-// Cloudflare Workers: code/bytecode cache with TLS-handshake pre-warm; the
-// ~5 ms load+JIT on a miss is masked, so cold starts are effectively
-// invisible. Modeled as a very long KA with near-zero re-init cost.
-std::unique_ptr<KeepAlivePolicy> MakeCloudflareKeepAlive();
-
-// A fixed-duration policy for experiments and tests.
-std::unique_ptr<KeepAlivePolicy> MakeFixedKeepAlive(MicroSecs duration,
-                                                    KaResourceBehavior behavior);
 
 // Histogram-based predictive keep-alive (the mechanism the paper's §3.3
 // attributes to Azure, after Shahrad et al.'s "Serverless in the Wild"):
@@ -103,34 +50,107 @@ struct HistogramPrewarmConfig {
   MicroSecs fallback_max = 360LL * kMicrosPerSec;
 };
 
-class HistogramPrewarmPolicy final : public KeepAlivePolicy {
+// The idle gaps a run has observed (end of one invocation to the next
+// arrival), binned for histogram pre-warming. The platform engine owns one
+// per run; without a config it learns nothing.
+class IdleHistogram {
  public:
-  explicit HistogramPrewarmPolicy(HistogramPrewarmConfig config);
+  explicit IdleHistogram(const std::optional<HistogramPrewarmConfig>& config = std::nullopt);
 
-  MicroSecs SampleDuration(Rng& rng, int active_instances) const override;
-  void ObserveIdleInterval(MicroSecs idle) override;
-  KaResourceBehavior resource_behavior() const override {
-    return KaResourceBehavior::kRunAsUsual;
-  }
-  double KaCpuShare(double /*alloc_vcpus*/) const override { return 1.0; }
-  bool graceful_shutdown() const override { return false; }
-  std::string name() const override { return "histogram pre-warm"; }
-
-  int64_t observations() const { return observations_; }
-  // The idle duration covered at the configured quantile; 0 until trained.
+  void Observe(MicroSecs idle);  // Negative intervals are ignored.
+  int64_t observations() const { return counts_.empty() ? 0 : counts_[0]; }
+  // The idle duration covered at the configured quantile, scaled by the
+  // margin and capped at max_keepalive; 0 until trusted.
   MicroSecs LearnedWindow() const;
 
-  // Flat layout: [observations, bin0, bin1, ...].
-  void SaveState(std::vector<int64_t>* out) const override;
-  void LoadState(const std::vector<int64_t>& state) override;
+  // Walks the counts as the int64 array `key` (src/integrity/archive.h). A
+  // loaded array of another length is a malformed checkpoint.
+  template <typename Ar>
+  void Archive(Ar& ar, std::string_view key) {
+    const size_t want = counts_.size();
+    ar.I64Vec(key, counts_);
+    if (counts_.size() != want) {
+      throw CheckpointError("checkpoint state: " + std::string(key) + " must hold " +
+                            std::to_string(want) + " values under this keep-alive policy");
+    }
+  }
 
  private:
-  HistogramPrewarmConfig config_;
-  std::vector<int64_t> bins_;
-  int64_t observations_ = 0;
+  std::optional<HistogramPrewarmConfig> config_;
+  std::vector<int64_t> counts_;  // [observations, bin0, bin1, ...]; empty without a config.
 };
 
-std::unique_ptr<KeepAlivePolicy> MakeHistogramPrewarm(HistogramPrewarmConfig config = {});
+// One keep-alive policy. Only the Make* functions below build one.
+class KeepAlivePolicy {
+ public:
+  // Samples the keep-alive duration granted to a sandbox that just became
+  // idle. `active_instances` lets opportunistic policies extend KA for
+  // functions scaled to multiple instances (the paper observes ~740 s for an
+  // Azure function scaled to 3 instances). A pre-warm policy returns
+  // `history`'s learned window, drawing nothing, once it is trusted.
+  MicroSecs SampleDuration(Rng& rng, int active_instances,
+                           const IdleHistogram& history = IdleHistogram()) const;
+
+  KaResourceBehavior resource_behavior() const { return behavior_; }
+  // CPU share available to the (frozen/throttled) sandbox during KA, as a
+  // fraction of `alloc_vcpus`. It follows the resource behaviour.
+  double KaCpuShare(double alloc_vcpus) const;
+  // Whether the platform delivers SIGTERM and waits for handling when the
+  // sandbox leaves KA (Table 2: only AWS via Lambda Extensions).
+  bool graceful_shutdown() const { return graceful_shutdown_; }
+  const std::optional<HistogramPrewarmConfig>& prewarm() const { return prewarm_; }
+  void MixInto(StateDigest& d) const;  // Every field, for the config hash.
+
+ private:
+  // Uniform over [min, max], drawn with one UniformInt, or exactly `min`
+  // with no draw: UniformInt(lo, lo) still consumes a draw.
+  struct Window {
+    MicroSecs min = 0, max = 0;
+    bool drawn = false;
+  };
+
+  KeepAlivePolicy(std::string name, KaResourceBehavior behavior, Window window)
+      : name_(std::move(name)), behavior_(behavior), window_(window) {}
+
+  friend KeepAlivePolicy MakeAwsKeepAlive();
+  friend KeepAlivePolicy MakeGcpKeepAlive();
+  friend KeepAlivePolicy MakeAzureKeepAlive();
+  friend KeepAlivePolicy MakeCloudflareKeepAlive();
+  friend KeepAlivePolicy MakeFixedKeepAlive(MicroSecs, KaResourceBehavior);
+  friend KeepAlivePolicy MakeHistogramPrewarm(HistogramPrewarmConfig);
+
+  std::string name_;
+  KaResourceBehavior behavior_;
+  Window window_;
+  std::optional<Window> scaled_out_;  // Replaces window_ at 3+ instances.
+  bool graceful_shutdown_ = false;
+  std::optional<HistogramPrewarmConfig> prewarm_;
+};
+
+// AWS Lambda: freeze/resume with a fixed KA window of 300-360 s; graceful
+// shutdown supported with Lambda Extensions.
+KeepAlivePolicy MakeAwsKeepAlive();
+
+// GCP: scale-down-delay style KA of ~900 s with CPU scaled to ~0.01 vCPUs;
+// instances are killed without SIGTERM.
+KeepAlivePolicy MakeGcpKeepAlive();
+
+// Azure Consumption: opportunistic KA between 120 s and 360 s at one
+// instance, extended (up to ~740 s) when scaled to 3+ instances; full
+// resource allocation retained; killed right after SIGTERM.
+KeepAlivePolicy MakeAzureKeepAlive();
+
+// Cloudflare Workers: code/bytecode cache with TLS-handshake pre-warm; the
+// ~5 ms load+JIT on a miss is masked, so cold starts are effectively
+// invisible. Modeled as a very long KA with near-zero re-init cost.
+KeepAlivePolicy MakeCloudflareKeepAlive();
+
+// A fixed-duration policy for experiments and tests.
+KeepAlivePolicy MakeFixedKeepAlive(MicroSecs duration, KaResourceBehavior behavior);
+
+// Histogram pre-warming with Azure's resource behaviour: the fallback window
+// until the engine's IdleHistogram is trusted, then the learned window.
+KeepAlivePolicy MakeHistogramPrewarm(HistogramPrewarmConfig config = {});
 
 }  // namespace faascost
 

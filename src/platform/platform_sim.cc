@@ -105,16 +105,6 @@ void ArchiveInts(Ar& ar, std::string_view key, Ints& ints) {
   }
 }
 
-template <typename Ar>
-void ArchiveKeepAlive(Ar& ar, std::string_view key, KeepAlivePolicy& policy) {
-  std::vector<int64_t> st;
-  policy.SaveState(&st);
-  ar.I64Vec(key, st);
-  if constexpr (Ar::kLoading) {
-    policy.LoadState(st);
-  }
-}
-
 uint64_t HashPlatformConfig(const PlatformSimConfig& c, uint64_t seed) {
   StateDigest d;
   d.MixLabel("platform-config-v1");
@@ -125,9 +115,21 @@ uint64_t HashPlatformConfig(const PlatformSimConfig& c, uint64_t seed) {
   d.MixI64(static_cast<int64_t>(c.routing));
   d.MixDouble(c.vcpus);
   d.MixDouble(c.mem_mb);
+  d.MixI64(static_cast<int64_t>(c.serving.arch));
+  d.MixI64(c.serving.base);
+  d.MixI64(c.serving.cpu_work);
+  d.MixI64(c.serving.low_alloc_penalty);
+  d.MixDouble(c.serving.jitter);
   d.MixI64(c.init_mean);
   d.MixDouble(c.init_jitter);
-  d.MixBool(c.coldstart != nullptr);
+  d.MixBool(c.coldstart.has_value());
+  const ColdStartModel m = c.coldstart.value_or(ColdStartModel{});
+  d.MixStr(m.runtime_name);
+  for (const InitPhase& phase : {m.sandbox_provision, m.runtime_boot, m.code_fetch,
+                                 m.dependency_import, m.user_init}) {
+    d.MixI64(phase.median);
+    d.MixDouble(phase.sigma);
+  }
   d.MixDouble(c.contention_coeff);
   d.MixDouble(c.contention_excess_cap);
   d.MixBool(c.autoscaler_enabled);
@@ -158,7 +160,7 @@ uint64_t HashPlatformConfig(const PlatformSimConfig& c, uint64_t seed) {
   d.MixI64(static_cast<int64_t>(c.admission.shed));
   d.MixBool(c.scaledown_drains_busy);
   d.MixI64(c.drain_deadline);
-  d.MixStr(c.keepalive != nullptr ? c.keepalive->name() : "");
+  c.keepalive->MixInto(d);  // Set: the engine validated the config.
   return d.value();
 }
 
@@ -179,13 +181,13 @@ std::vector<std::string> PlatformSimConfig::Validate() const {
   CheckAbove(&errors, "mem_mb", mem_mb, 0.0);
   CheckAtLeast(&errors, "concurrency_limit", concurrency_limit, 1);
   CheckAtLeast(&errors, "max_instances", max_instances, 1);
-  if (coldstart == nullptr) {
+  if (!coldstart.has_value()) {
     CheckAbove(&errors, "init_mean", init_mean, 0, "no cold-start model is set");
   }
   CheckWithin(&errors, "init_jitter", init_jitter, 0.0, 1.0, Ends::kOpenHigh);
   CheckAtLeast(&errors, "contention_coeff", contention_coeff, 0.0);
   CheckAtLeast(&errors, "contention_excess_cap", contention_excess_cap, 0.0);
-  if (keepalive == nullptr) {
+  if (!keepalive.has_value()) {
     errors.push_back("a keepalive policy is required");
   }
   // kSample re-arms every sample_interval whether or not scaling is on.
@@ -223,6 +225,7 @@ struct PlatformEngine::Impl {
   CircuitBreaker breaker;
   AutoscalerConfig scaler_config;
   WindowedAutoscaler scaler;
+  IdleHistogram idle_history;  // What a pre-warm keep-alive policy learns.
 
   EventQueue queue;
   std::vector<SandboxState> sandboxes;
@@ -240,7 +243,7 @@ struct PlatformEngine::Impl {
   MicroSecs now = 0;
   MicroSecs last_scale_action = std::numeric_limits<MicroSecs>::min() / 2;
   int64_t arrivals_since_sample = 0;
-  MicroSecs last_completion = -1;  // For idle-interval feedback to the KA policy.
+  MicroSecs last_completion = -1;  // For the idle intervals in idle_history.
   int64_t events_processed = 0;
   bool multi = false;
   bool started = false;
@@ -260,6 +263,7 @@ struct PlatformEngine::Impl {
         breaker(config.retry.breaker_threshold, config.retry.breaker_cooldown),
         scaler_config(MakeScalerConfig(config)),
         scaler(scaler_config),
+        idle_history(config.keepalive->prewarm()),
         multi(config.concurrency == ConcurrencyModel::kMultiConcurrency),
         trace(config.trace),
         ts(config.timeseries),
@@ -442,7 +446,7 @@ struct PlatformEngine::Impl {
     s.last_advance = now;
     s.init_failed = faults.SampleInitFailure();
     MicroSecs init = 0;
-    if (config.coldstart != nullptr) {
+    if (config.coldstart.has_value()) {
       init = config.coldstart->Sample(rng).total;
     } else {
       const double jitter = rng.Uniform(-config.init_jitter, config.init_jitter);
@@ -618,7 +622,7 @@ struct PlatformEngine::Impl {
   }
 
   void EnterIdle(SandboxState& s) {
-    s.ka_deadline = now + config.keepalive->SampleDuration(rng, ReadyCount());
+    s.ka_deadline = now + config.keepalive->SampleDuration(rng, ReadyCount(), idle_history);
     ++s.gen;
     queue.push({s.ka_deadline, EventType::kKaExpire, s.id, s.gen});
   }
@@ -1067,7 +1071,7 @@ struct PlatformEngine::Impl {
         // Idle-time feedback for predictive keep-alive (paper §3.3); retry
         // re-arrivals are arrivals from the platform's point of view too.
         if (last_completion >= 0 && now > last_completion) {
-          config.keepalive->ObserveIdleInterval(now - last_completion);
+          idle_history.Observe(now - last_completion);
         }
         Dispatch(ev.req_idx);
         break;
@@ -1385,7 +1389,7 @@ struct PlatformEngine::Impl {
     breaker.Archive(ar);
     ar.End();
     scaler.Archive(ar, "scaler_samples");
-    ArchiveKeepAlive(ar, "keepalive", *config.keepalive);
+    idle_history.Archive(ar, "keepalive");
 
     {
       std::vector<Event>& events = queue.raw();
@@ -1564,9 +1568,9 @@ void PlatformEngine::Start(const std::vector<MicroSecs>& arrivals,
   // Every arrival plus the first sample and scaler events: one allocation.
   im.queue.raw().reserve(arrivals.size() + 2);
   for (size_t i = 0; i < arrivals.size(); ++i) {
-    if (arrivals[i] < (i == 0 ? 0 : arrivals[i - 1])) {
+    if (arrivals[i] < (i == 0 ? 0 : arrivals[i - 1]) || arrivals[i] > kMaxDuration) {
       throw std::invalid_argument(
-          "PlatformEngine: arrivals must be non-negative and sorted; arrival " +
+          "PlatformEngine: arrivals must be sorted in [0, kMaxDuration]; arrival " +
           std::to_string(i) + " is at " + std::to_string(arrivals[i]) + "us");
     }
     im.queue.push({arrivals[i], EventType::kArrival, -1, 0, static_cast<int>(i)});
@@ -1735,14 +1739,12 @@ double ColdStartProbability(const PlatformSimConfig& config, const WorkloadSpec&
   int cold = 0;
   for (int i = 0; i < samples; ++i) {
     const uint64_t run_seed = seed + static_cast<uint64_t>(i) * 7919;
-    // First pass: find the warm-up request's completion time.
-    PlatformSim warmup(config, run_seed);
-    const PlatformSimResult first = warmup.Run({0}, workload);
-    const MicroSecs probe_at = first.requests.front().completion + idle;
-    // Replay with the same seed so the warm-up behaves identically, then
-    // probe after the idle interval.
-    PlatformSim probe(config, run_seed);
-    const PlatformSimResult both = probe.Run({0, probe_at}, workload);
+    // First pass: find the warm-up request's completion time. A run is a
+    // function of (config, seed), so the replay's warm-up behaves
+    // identically and the probe follows it after the idle interval.
+    PlatformSim sim(config, run_seed);
+    const MicroSecs probe_at = sim.Run({0}, workload).requests.front().completion + idle;
+    const PlatformSimResult both = sim.Run({0, probe_at}, workload);
     if (both.requests.back().cold_start) {
       ++cold;
     }

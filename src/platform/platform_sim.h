@@ -20,6 +20,7 @@
 #define FAASCOST_PLATFORM_PLATFORM_SIM_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,12 +61,12 @@ struct PlatformSimConfig {
   double vcpus = 1.0;
   MegaBytes mem_mb = 1024.0;
   ServingOverheadModel serving;
-  std::shared_ptr<KeepAlivePolicy> keepalive;
+  std::optional<KeepAlivePolicy> keepalive;  // Required.
   // Sandbox initialization (cold start) duration: mean with uniform jitter,
   // or a phase-decomposed per-runtime model when `coldstart` is set.
   MicroSecs init_mean = 600 * kMicrosPerMilli;
   double init_jitter = 0.25;
-  std::shared_ptr<const ColdStartModel> coldstart;
+  std::optional<ColdStartModel> coldstart;
   // Relative slowdown per excess concurrent CPU-bound request (context
   // switching and cache pressure; paper §3.1 notes contention slowdowns are
   // "often worse" than pure sharing). The excess is capped: past a point the
@@ -215,8 +216,8 @@ class PlatformEngine {
 
   // Seeds the event queue from the arrival trace (sorted ascending). Call
   // exactly once on a fresh engine; resumed engines LoadState instead.
-  // Throws std::invalid_argument on a negative or decreasing arrival, which
-  // leaves the engine unusable.
+  // Throws std::invalid_argument on a negative or decreasing arrival, or one
+  // past kMaxDuration, which leaves the engine unusable.
   void Start(const std::vector<MicroSecs>& arrivals, const WorkloadSpec& workload);
 
   // Processes every event with time <= t (deterministic boundary: event

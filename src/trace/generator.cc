@@ -224,7 +224,8 @@ std::vector<SandboxLifecycle> TraceGenerator::GenerateLifecycles(int64_t count) 
     lc.alloc_mem_mb = fn.mem_mb;
     lc.init_duration = DrawnMicros(rng.LogNormal(config_.init_ln_mu, config_.init_ln_sigma));
     const double n_extra = rng.LogNormal(config_.lifecycle_ln_mu, config_.lifecycle_ln_sigma);
-    const int64_t n = 1 + static_cast<int64_t>(n_extra);
+    constexpr auto kMaxExtra = static_cast<double>(kMaxLifecycleRequests - 1);
+    const int64_t n = 1 + static_cast<int64_t>(n_extra < kMaxExtra ? n_extra : kMaxExtra);
     lc.request_durations.reserve(static_cast<size_t>(n));
     for (int64_t k = 0; k < n; ++k) {
       const double exec_us =

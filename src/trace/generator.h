@@ -110,6 +110,9 @@ struct TraceGenConfig {
   std::vector<std::string> Validate() const;
 };
 
+// Cap on one generated lifecycle's request count (Fig. 4's largest: ~57k).
+inline constexpr int64_t kMaxLifecycleRequests = 1'000'000;
+
 // Static per-function characteristics drawn once.
 struct FunctionProfile {
   int64_t function_id = 0;

@@ -67,7 +67,10 @@ bool ParseLine(std::string_view line, RequestRecord& r) {
     return false;
   }
   r.cold_start = cold != 0;
-  return true;
+  // Times past the ceiling would overflow the engines' sums of them.
+  const auto in_range = [](MicroSecs us) { return us >= 0 && us <= kMaxDuration; };
+  return in_range(r.arrival) && in_range(r.exec_duration) && in_range(r.cpu_time) &&
+         in_range(r.init_duration);
 }
 
 }  // namespace

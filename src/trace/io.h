@@ -23,8 +23,9 @@ namespace faascost {
 size_t WriteTraceCsv(std::ostream& out, const std::vector<RequestRecord>& records);
 size_t WriteTraceCsvFile(const std::string& path, const std::vector<RequestRecord>& records);
 
-// Parses a CSV trace. Lines that fail to parse are skipped and counted in
-// `*skipped` (if non-null); a missing header is tolerated.
+// Parses a CSV trace. Lines that fail to parse, or hold an arrival or
+// duration outside [0, kMaxDuration], are skipped and counted in `*skipped`
+// (if non-null); a missing header is tolerated.
 std::vector<RequestRecord> ReadTraceCsv(std::istream& in, size_t* skipped = nullptr);
 std::vector<RequestRecord> ReadTraceCsvFile(const std::string& path,
                                             size_t* skipped = nullptr);

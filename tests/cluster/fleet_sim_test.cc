@@ -185,6 +185,33 @@ TEST(FleetEngineInput, StartRejectsUnsortedTrace) {
   EXPECT_EQ(SimulateFleet(ties, billing, QuickConfig()).successes, 3);
 }
 
+// Record times past the duration ceiling would overflow the engine's sums of
+// them: two records whose exec_duration sits 10 us below INT64_MAX overflow
+// `body_start + effective` in StepOne (9223372036854775797 + 400000) unless
+// rejected. Each of a record's four times must lie in [0, kMaxDuration].
+TEST(FleetEngineInput, RecordTimesPastTheCeilingAreRejected) {
+  const auto billing = MakeBillingModel(Platform::kAwsLambda);
+  std::vector<RequestRecord> huge = {Req(1, 0), Req(2, kSec)};
+  for (RequestRecord& r : huge) {
+    r.exec_duration = 9'223'372'036'854'775'797;
+  }
+  EXPECT_THROW(SimulateFleet(huge, billing, QuickConfig()), std::invalid_argument);
+  for (MicroSecs RequestRecord::*field :
+       {&RequestRecord::arrival, &RequestRecord::exec_duration, &RequestRecord::cpu_time,
+        &RequestRecord::init_duration}) {
+    for (const MicroSecs bad : {MicroSecs{-1}, kMaxDuration + 1}) {
+      std::vector<RequestRecord> trace = {Req(1, 0)};
+      trace[0].*field = bad;
+      FleetEngine engine(QuickConfig());
+      EXPECT_THROW(engine.Start(trace, billing), std::invalid_argument) << bad;
+    }
+    std::vector<RequestRecord> ceiling = {Req(1, 0)};
+    ceiling[0].*field = kMaxDuration;
+    FleetEngine engine(QuickConfig());
+    EXPECT_NO_THROW(engine.Start(ceiling, billing));
+  }
+}
+
 // The engine's queue holds only retries and attempts parked in admission
 // queues, never the trace itself: memory follows live state, not trace
 // length.

@@ -612,6 +612,77 @@ TEST_F(PlatformStateIndices, AttemptRowSandboxPastTheSandboxesThrows) {
   ExpectBoundary({"attempts", "0", "sandbox_id"}, Int(sandboxes_ - 1), Int(sandboxes_));
 }
 
+// The AWS policy learns nothing, so its idle history walks as an empty
+// array, and any entry in it is a malformed checkpoint.
+TEST_F(PlatformStateIndices, IdleHistoryUnderANonLearningPolicyThrows) {
+  ExpectBoundary({"keepalive"}, JsonValue::MakeArray(std::vector<JsonValue>{}),
+                 JsonValue::MakeArray({Int(0)}));
+}
+
+// Histogram pre-warming on Azure, one request every 430 s: the idle history
+// is trusted from its 10th gap on, so T1 stops mid-training and T2 after it.
+PlatformSimConfig PrewarmPlatformConfig() {
+  PlatformSimConfig cfg = AzurePlatform();
+  cfg.keepalive = MakeHistogramPrewarm();
+  return cfg;
+}
+
+std::vector<MicroSecs> RegularArrivals() {
+  std::vector<MicroSecs> arrivals;
+  for (int i = 0; i < 30; ++i) {
+    arrivals.push_back(static_cast<MicroSecs>(i) * 430 * kSec);
+  }
+  return arrivals;
+}
+
+constexpr MicroSecs kPrewarmT1 = (6 * 430 + 200) * kSec;
+constexpr MicroSecs kPrewarmT2 = (20 * 430 + 200) * kSec;
+
+JsonValue PrewarmStateAtT1() {
+  PlatformEngine engine(PrewarmPlatformConfig(), 4);
+  engine.Start(RegularArrivals(), MinimalWorkload());
+  engine.AdvanceUntil(kPrewarmT1);
+  return ParseJson(SavePlatformState(engine));
+}
+
+// The learned idle history is state: resumed mid-training, a run learns on
+// from where it stopped and reaches the straight run's state.
+TEST(CheckpointResume, PrewarmHistoryResumesMidTraining) {
+  PlatformEngine straight(PrewarmPlatformConfig(), 4);
+  straight.Start(RegularArrivals(), MinimalWorkload());
+  straight.AdvanceUntil(kPrewarmT2);
+
+  const JsonValue state = PrewarmStateAtT1();
+  const std::vector<JsonValue>& history = state.At("keepalive").GetArray();
+  ASSERT_FALSE(history.empty());
+  EXPECT_EQ(history[0].GetInt64(), 6);  // Six gaps observed, not yet trusted.
+  PlatformEngine resumed(PrewarmPlatformConfig(), 4);
+  resumed.LoadState(state);
+  resumed.AdvanceUntil(kPrewarmT2);
+  EXPECT_EQ(resumed.Digest(), straight.Digest());
+  EXPECT_FALSE(straight.done());
+}
+
+// Under a learning policy the history is [observations, bins...]: an array
+// one value short or long is a malformed checkpoint.
+TEST(CheckpointState, PrewarmHistoryOfTheWrongLengthThrowsCheckpointError) {
+  const JsonValue state = PrewarmStateAtT1();
+  std::vector<JsonValue> longer = state.At("keepalive").GetArray();
+  std::vector<JsonValue> shorter = longer;
+  longer.push_back(Int(0));
+  shorter.pop_back();
+  PlatformEngine same(PrewarmPlatformConfig(), 4);
+  EXPECT_NO_THROW(same.LoadState(state));
+  PlatformEngine too_long(PrewarmPlatformConfig(), 4);
+  EXPECT_THROW(
+      too_long.LoadState(ReplaceAt(state, {"keepalive"}, JsonValue::MakeArray(longer))),
+      CheckpointError);
+  PlatformEngine too_short(PrewarmPlatformConfig(), 4);
+  EXPECT_THROW(
+      too_short.LoadState(ReplaceAt(state, {"keepalive"}, JsonValue::MakeArray(shorter))),
+      CheckpointError);
+}
+
 // The in-run USD conservation check names both sums exactly: a resumed
 // state whose fee revenue exceeds its revenue fails the first scan, and
 // the detail's two numbers parse back to the engine's two doubles, bit for

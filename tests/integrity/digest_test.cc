@@ -143,6 +143,21 @@ TEST(EngineDigest, ConfigHashSeparatesConfigs) {
   EXPECT_NE(PlatformEngine(base, 1).ConfigHash(), PlatformEngine(other, 1).ConfigHash());
   // Seed is part of the hash: a resume under another seed is a different run.
   EXPECT_NE(PlatformEngine(base, 1).ConfigHash(), PlatformEngine(base, 2).ConfigHash());
+
+  // So is every field of the keep-alive, serving and cold-start models.
+  PlatformSimConfig short_ka = base;
+  short_ka.keepalive = MakeFixedKeepAlive(5 * kSec, KaResourceBehavior::kFreezeDeallocate);
+  PlatformSimConfig long_ka = base;
+  long_ka.keepalive = MakeFixedKeepAlive(600 * kSec, KaResourceBehavior::kFreezeDeallocate);
+  EXPECT_NE(PlatformEngine(short_ka, 1).ConfigHash(), PlatformEngine(long_ka, 1).ConfigHash());
+  PlatformSimConfig serving = base;
+  serving.serving.cpu_work += 1;
+  EXPECT_NE(PlatformEngine(base, 1).ConfigHash(), PlatformEngine(serving, 1).ConfigHash());
+  PlatformSimConfig python = base;
+  python.coldstart = PythonColdStart();
+  PlatformSimConfig slower = python;
+  slower.coldstart->dependency_import.sigma += 0.01;
+  EXPECT_NE(PlatformEngine(python, 1).ConfigHash(), PlatformEngine(slower, 1).ConfigHash());
 }
 
 // Golden digests. These pin simulator behavior bit-for-bit; see the file

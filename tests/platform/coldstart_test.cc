@@ -68,7 +68,7 @@ TEST(ColdStart, JavaDominatedByRuntimeAndDependencies) {
 
 TEST(ColdStartPlatform, ModelDrivesInitDuration) {
   PlatformSimConfig cfg = AwsLambdaPlatform(1.0, 1'769.0);
-  cfg.coldstart = std::make_shared<ColdStartModel>(JavaColdStart());
+  cfg.coldstart = JavaColdStart();
   PlatformSim sim(cfg, 5);
   const auto result = sim.Run({0}, PyAesWorkload());
   ASSERT_TRUE(result.requests[0].cold_start);
@@ -78,7 +78,7 @@ TEST(ColdStartPlatform, ModelDrivesInitDuration) {
 
 TEST(ColdStartPlatform, WasmModelNearInstant) {
   PlatformSimConfig cfg = CloudflarePlatform();
-  cfg.coldstart = std::make_shared<ColdStartModel>(WasmIsolateColdStart());
+  cfg.coldstart = WasmIsolateColdStart();
   PlatformSim sim(cfg, 6);
   const auto result = sim.Run({0}, MinimalWorkload());
   EXPECT_LT(result.requests[0].init_duration, 20 * kMs);
@@ -86,7 +86,7 @@ TEST(ColdStartPlatform, WasmModelNearInstant) {
 
 TEST(ColdStartPlatform, DefaultPathUnchangedWithoutModel) {
   PlatformSimConfig cfg = AwsLambdaPlatform(1.0, 1'769.0);
-  ASSERT_EQ(cfg.coldstart, nullptr);
+  ASSERT_FALSE(cfg.coldstart.has_value());
   PlatformSim sim(cfg, 7);
   const auto result = sim.Run({0}, PyAesWorkload());
   EXPECT_NEAR(static_cast<double>(result.requests[0].init_duration), 400'000.0,

@@ -20,6 +20,19 @@ TEST(PlatformEdge, EmptyArrivalsProduceEmptyResult) {
   EXPECT_EQ(result.cold_starts, 0);
 }
 
+// Arrivals are bounded like every other time: negative, decreasing or past
+// the duration ceiling, they are an input error.
+TEST(PlatformEdge, StartRejectsArrivalsOutsideTheCeiling) {
+  const PlatformSimConfig cfg = AwsLambdaPlatform(1.0, 1'769.0);
+  for (const std::vector<MicroSecs>& bad : std::vector<std::vector<MicroSecs>>{
+           {-1}, {5 * kSec, kSec}, {0, kMaxDuration + 1}}) {
+    PlatformEngine engine(cfg, 1);
+    EXPECT_THROW(engine.Start(bad, PyAesWorkload()), std::invalid_argument);
+  }
+  PlatformEngine engine(cfg, 1);
+  EXPECT_NO_THROW(engine.Start({0, kMaxDuration}, PyAesWorkload()));
+}
+
 TEST(PlatformEdge, SimultaneousBurstAllComplete) {
   PlatformSim sim(AwsLambdaPlatform(1.0, 1'769.0), 2);
   const std::vector<MicroSecs> arrivals(100, 0);  // 100 requests at t=0.

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/platform/keepalive.h"
 #include "src/platform/platform_sim.h"
 #include "src/platform/presets.h"
@@ -15,55 +17,62 @@ namespace {
 constexpr MicroSecs kSec = kMicrosPerSec;
 
 TEST(HistogramPrewarm, FallbackWindowBeforeTraining) {
-  HistogramPrewarmPolicy policy(HistogramPrewarmConfig{});
+  const KeepAlivePolicy policy = MakeHistogramPrewarm();
+  const IdleHistogram history(policy.prewarm());
   Rng rng(1);
-  EXPECT_EQ(policy.LearnedWindow(), 0);
+  EXPECT_EQ(history.LearnedWindow(), 0);
   for (int i = 0; i < 200; ++i) {
-    const MicroSecs d = policy.SampleDuration(rng, 1);
+    const MicroSecs d = policy.SampleDuration(rng, 1, history);
     EXPECT_GE(d, 120 * kSec);
     EXPECT_LE(d, 360 * kSec);
   }
 }
 
 TEST(HistogramPrewarm, LearnsRegularInterval) {
-  HistogramPrewarmPolicy policy(HistogramPrewarmConfig{});
+  const KeepAlivePolicy policy = MakeHistogramPrewarm();
+  IdleHistogram history(policy.prewarm());
   for (int i = 0; i < 20; ++i) {
-    policy.ObserveIdleInterval(400 * kSec);
+    history.Observe(400 * kSec);
   }
-  EXPECT_EQ(policy.observations(), 20);
-  const MicroSecs learned = policy.LearnedWindow();
+  EXPECT_EQ(history.observations(), 20);
+  const MicroSecs learned = history.LearnedWindow();
   // Must cover the 400 s interval (bin edge x margin).
   EXPECT_GE(learned, 400 * kSec);
   EXPECT_LE(learned, 600 * kSec);
   Rng rng(2);
-  EXPECT_EQ(policy.SampleDuration(rng, 1), learned);
+  EXPECT_EQ(policy.SampleDuration(rng, 1, history), learned);
+  // A policy without pre-warming ignores what the history learned.
+  Rng fixed_rng(2);
+  EXPECT_EQ(MakeFixedKeepAlive(5 * kSec, KaResourceBehavior::kRunAsUsual)
+                .SampleDuration(fixed_rng, 1, history),
+            5 * kSec);
 }
 
 TEST(HistogramPrewarm, NotTrustedBelowMinObservations) {
   HistogramPrewarmConfig cfg;
   cfg.min_observations = 10;
-  HistogramPrewarmPolicy policy(cfg);
+  IdleHistogram history(cfg);
   for (int i = 0; i < 9; ++i) {
-    policy.ObserveIdleInterval(400 * kSec);
+    history.Observe(400 * kSec);
   }
-  EXPECT_EQ(policy.LearnedWindow(), 0);
-  policy.ObserveIdleInterval(400 * kSec);
-  EXPECT_GT(policy.LearnedWindow(), 0);
+  EXPECT_EQ(history.LearnedWindow(), 0);
+  history.Observe(400 * kSec);
+  EXPECT_GT(history.LearnedWindow(), 0);
 }
 
 TEST(HistogramPrewarm, CoversTheConfiguredQuantile) {
   HistogramPrewarmConfig cfg;
   cfg.coverage_quantile = 0.5;
   cfg.margin = 1.0;
-  HistogramPrewarmPolicy policy(cfg);
+  IdleHistogram history(cfg);
   // 50 short intervals and 10 long ones: the median covers only the short.
   for (int i = 0; i < 50; ++i) {
-    policy.ObserveIdleInterval(60 * kSec);
+    history.Observe(60 * kSec);
   }
   for (int i = 0; i < 10; ++i) {
-    policy.ObserveIdleInterval(1'800 * kSec);
+    history.Observe(1'800 * kSec);
   }
-  const MicroSecs learned = policy.LearnedWindow();
+  const MicroSecs learned = history.LearnedWindow();
   EXPECT_GE(learned, 60 * kSec);
   EXPECT_LT(learned, 300 * kSec);
 }
@@ -71,17 +80,26 @@ TEST(HistogramPrewarm, CoversTheConfiguredQuantile) {
 TEST(HistogramPrewarm, CappedAtMaxKeepalive) {
   HistogramPrewarmConfig cfg;
   cfg.max_keepalive = 600 * kSec;
-  HistogramPrewarmPolicy policy(cfg);
+  IdleHistogram history(cfg);
   for (int i = 0; i < 20; ++i) {
-    policy.ObserveIdleInterval(5'000 * kSec);
+    history.Observe(5'000 * kSec);
   }
-  EXPECT_LE(policy.LearnedWindow(), 600 * kSec);
+  EXPECT_LE(history.LearnedWindow(), 600 * kSec);
 }
 
 TEST(HistogramPrewarm, NegativeIntervalsIgnored) {
-  HistogramPrewarmPolicy policy(HistogramPrewarmConfig{});
-  policy.ObserveIdleInterval(-5);
-  EXPECT_EQ(policy.observations(), 0);
+  IdleHistogram history(HistogramPrewarmConfig{});
+  history.Observe(-5);
+  EXPECT_EQ(history.observations(), 0);
+}
+
+TEST(HistogramPrewarm, NoConfigLearnsNothing) {
+  IdleHistogram history;
+  for (int i = 0; i < 20; ++i) {
+    history.Observe(400 * kSec);
+  }
+  EXPECT_EQ(history.observations(), 0);
+  EXPECT_EQ(history.LearnedWindow(), 0);
 }
 
 // --- Platform-level behaviour ---
@@ -128,6 +146,60 @@ TEST(HistogramPrewarmPlatform, LongTrainingEliminatesColdStarts) {
     early_cold += result.requests[i].cold_start ? 1 : 0;
   }
   EXPECT_GE(early_cold, 5);
+}
+
+void ExpectSameResults(const PlatformSimResult& a, const PlatformSimResult& b) {
+  ASSERT_EQ(a.requests.size(), b.requests.size());
+  for (size_t i = 0; i < a.requests.size(); ++i) {
+    const RequestOutcome& x = a.requests[i];
+    const RequestOutcome& y = b.requests[i];
+    EXPECT_EQ(x.arrival, y.arrival) << i;
+    EXPECT_EQ(x.start_exec, y.start_exec) << i;
+    EXPECT_EQ(x.completion, y.completion) << i;
+    EXPECT_EQ(x.reported_duration, y.reported_duration) << i;
+    EXPECT_EQ(x.e2e_latency, y.e2e_latency) << i;
+    EXPECT_EQ(x.cold_start, y.cold_start) << i;
+    EXPECT_EQ(x.init_duration, y.init_duration) << i;
+    EXPECT_EQ(x.sandbox_id, y.sandbox_id) << i;
+    EXPECT_EQ(x.outcome, y.outcome) << i;
+    EXPECT_EQ(x.attempts, y.attempts) << i;
+  }
+  ASSERT_EQ(a.attempts.size(), b.attempts.size());
+  for (size_t i = 0; i < a.attempts.size(); ++i) {
+    const AttemptOutcome& x = a.attempts[i];
+    const AttemptOutcome& y = b.attempts[i];
+    EXPECT_EQ(x.outcome, y.outcome) << i;
+    EXPECT_EQ(x.dispatched, y.dispatched) << i;
+    EXPECT_EQ(x.start_exec, y.start_exec) << i;
+    EXPECT_EQ(x.end, y.end) << i;
+    EXPECT_EQ(x.exec_duration, y.exec_duration) << i;
+    EXPECT_EQ(x.cold_start, y.cold_start) << i;
+    EXPECT_EQ(x.sandbox_id, y.sandbox_id) << i;
+  }
+  ASSERT_EQ(a.sandboxes.size(), b.sandboxes.size());
+  for (size_t i = 0; i < a.sandboxes.size(); ++i) {
+    EXPECT_EQ(a.sandboxes[i].created_at, b.sandboxes[i].created_at) << i;
+    EXPECT_EQ(a.sandboxes[i].destroyed_at, b.sandboxes[i].destroyed_at) << i;
+    EXPECT_EQ(a.sandboxes[i].idle_time, b.sandboxes[i].idle_time) << i;
+  }
+  EXPECT_EQ(a.timeline.size(), b.timeline.size());
+  EXPECT_EQ(a.cold_starts, b.cold_starts);
+  EXPECT_DOUBLE_EQ(a.total_instance_seconds, b.total_instance_seconds);
+}
+
+// What a run learns stays in its engine: runs from one config, on one sim or
+// two, are the same run, not a first run that trains the next.
+TEST(HistogramPrewarmPlatform, RunsFromOneConfigAreEqual) {
+  const PlatformSimConfig cfg = PrewarmPlatform();
+  std::vector<MicroSecs> arrivals;
+  for (int i = 0; i < 30; ++i) {
+    arrivals.push_back(static_cast<MicroSecs>(i) * 430 * kSec);
+  }
+  PlatformSim sim(cfg, 4);
+  const PlatformSimResult first = sim.Run(arrivals, MinimalWorkload());
+  EXPECT_GE(first.cold_starts, 5);  // The untrained phase is cold.
+  ExpectSameResults(first, sim.Run(arrivals, MinimalWorkload()));
+  ExpectSameResults(first, PlatformSim(cfg, 4).Run(arrivals, MinimalWorkload()));
 }
 
 TEST(HistogramPrewarmPlatform, IrregularTrafficKeepsFallback) {

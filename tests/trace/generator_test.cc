@@ -183,6 +183,19 @@ TEST(TraceGenerator, LifecyclesHaveAtLeastOneRequest) {
   }
 }
 
+// The request count per lifecycle is lognormal too: a location no draw fits
+// in int64 caps each lifecycle at kMaxLifecycleRequests instead of casting
+// infinity to int64.
+TEST(TraceGenerator, LifecycleRequestCountsClampToTheCap) {
+  TraceGenConfig cfg;
+  cfg.num_functions = 5;
+  cfg.lifecycle_ln_mu = 1000.0;
+  TraceGenerator gen(cfg, 3);
+  for (const auto& lc : gen.GenerateLifecycles(2)) {
+    EXPECT_EQ(static_cast<int64_t>(lc.request_durations.size()), kMaxLifecycleRequests);
+  }
+}
+
 TEST(Kumaraswamy, QuantileCdfRoundTrip) {
   const KumaraswamyParams k{1.6, 1.448};
   for (double u = 0.05; u < 1.0; u += 0.05) {

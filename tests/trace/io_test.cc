@@ -109,6 +109,23 @@ TEST(TraceIo, MalformedLinesSkippedAndCounted) {
   EXPECT_EQ(skipped, 2u);
 }
 
+// A negative time, or one past the duration ceiling, would overflow the
+// engines' sums of times: such rows are skipped and counted like malformed
+// ones. A time at the ceiling loads.
+TEST(TraceIo, OutOfRangeTimesSkippedAndCounted) {
+  std::stringstream ss;
+  ss << "1,-1,100,50,1,128,64,0,0\n"
+     << "2,5,9223372036854775797,50,1,128,64,0,0\n"
+     << "3,5,100,-50,1,128,64,0,0\n"
+     << "4,5,100,50,1,128,64,1," << kMaxDuration + 1 << "\n"
+     << "5," << kMaxDuration << ",100,50,1,128,64,1," << kMaxDuration << "\n";
+  size_t skipped = 0;
+  const auto back = ReadTraceCsv(ss, &skipped);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].function_id, 5);
+  EXPECT_EQ(skipped, 4u);
+}
+
 TEST(TraceIo, EmptyInput) {
   std::stringstream ss;
   size_t skipped = 7;

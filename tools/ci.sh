@@ -236,19 +236,22 @@ for seed in 1 2 3; do
   digest_of "$obs_tmp/p_resumed.json" > "$obs_tmp/p_b"
   cmp "$obs_tmp/p_a" "$obs_tmp/p_b"
 
-  # The multi-concurrency engine: the last checkpoint holds dead sandboxes
+  # The multi-concurrency presets: the last checkpoint holds dead sandboxes
   # and resumes through the queue pull, random routing and scale-down, with
   # an in-run scan (live-sandbox list, CPU-phase counts) every 64 events.
-  gcp=(--sim platform --platform gcp --audit-level full --scan-cadence 64
-    --seconds 20 --seed "$seed")
-  "$repo/build/tools/faascost" audit "${gcp[@]}" --json > "$obs_tmp/g_straight.json"
-  "$repo/build/tools/faascost" audit "${gcp[@]}" \
-    --checkpoint "$obs_tmp/g_cp.json" --checkpoint-every 7 --json > /dev/null
-  "$repo/build/tools/faascost" audit "${gcp[@]}" \
-    --resume "$obs_tmp/g_cp.json" --json > "$obs_tmp/g_resumed.json"
-  digest_of "$obs_tmp/g_straight.json" > "$obs_tmp/g_a"
-  digest_of "$obs_tmp/g_resumed.json" > "$obs_tmp/g_b"
-  cmp "$obs_tmp/g_a" "$obs_tmp/g_b"
+  # Azure's keep-alive window also depends on the ready instance count.
+  for plat in gcp azure; do
+    multi=(--sim platform --platform "$plat" --audit-level full --scan-cadence 64
+      --seconds 20 --seed "$seed")
+    "$repo/build/tools/faascost" audit "${multi[@]}" --json > "$obs_tmp/g_straight.json"
+    "$repo/build/tools/faascost" audit "${multi[@]}" \
+      --checkpoint "$obs_tmp/g_cp.json" --checkpoint-every 7 --json > /dev/null
+    "$repo/build/tools/faascost" audit "${multi[@]}" \
+      --resume "$obs_tmp/g_cp.json" --json > "$obs_tmp/g_resumed.json"
+    digest_of "$obs_tmp/g_straight.json" > "$obs_tmp/g_a"
+    digest_of "$obs_tmp/g_resumed.json" > "$obs_tmp/g_b"
+    cmp "$obs_tmp/g_a" "$obs_tmp/g_b"
+  done
 
   "$repo/build/tools/faascost" audit --sim fleet --audit-level full \
     --requests 3000 --functions 50 --seconds 300 --seed "$seed" --json \
@@ -279,7 +282,7 @@ for seed in 1 2 3; do
   digest_of "$obs_tmp/b_resumed.json" > "$obs_tmp/b_b"
   cmp "$obs_tmp/b_a" "$obs_tmp/b_b"
 done
-echo "platform (aws, gcp) and fleet (breaker off, on) digests identical across seeds 1-3."
+echo "platform (aws, gcp, azure) and fleet (breaker off, on) digests identical across seeds 1-3."
 
 # A malformed checkpoint must be the dedicated artifact-error exit (3), not a
 # crash or a silent fresh run.

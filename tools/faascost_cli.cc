@@ -507,16 +507,9 @@ int CmdFailures(Flags& flags) {
   const PlatformSimResult res = sim.Run(UniformArrivals(rps, sc.duration), PyAesWorkload());
 
   const BillingModel billing = MakeBillingModel(platform);
-  Usd total = 0.0;
-  Usd failed_cost = 0.0;
-  for (const auto& att : res.attempts) {
-    const Invoice inv =
-        ComputeInvoice(billing, BillableRecord(att, sim_config.vcpus, sim_config.mem_mb));
-    total += inv.total;
-    if (att.outcome != Outcome::kOk) {
-      failed_cost += inv.total;
-    }
-  }
+  const ProvenanceTotals priced = PricePlatformRun(res, sim_config, billing);
+  const Usd total = priced.billed_usd;
+  const Usd failed_cost = priced.failed_usd;
 
   if (json) {
     JsonWriter w;
@@ -1144,12 +1137,7 @@ int AuditPlatformSim(Flags& flags, AuditLevel level) {
   const PlatformSimResult res = engine.Finish();
 
   const BillingModel billing = MakeBillingModel(platform);
-  Usd total = 0.0;
-  for (const auto& att : res.attempts) {
-    total += ComputeInvoice(billing,
-                            BillableRecord(att, sim_config.vcpus, sim_config.mem_mb))
-                 .total;
-  }
+  const Usd total = PricePlatformRun(res, sim_config, billing).billed_usd;
   if (level == AuditLevel::kFull) {
     AuditPlatformRun(res, sim_config, seed, auditor, &billing, total);
   } else if (level == AuditLevel::kBasic) {

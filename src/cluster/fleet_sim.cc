@@ -164,6 +164,15 @@ std::vector<std::string> FleetSimConfig::Validate() const {
     CheckAbove(&errors, "max_sandboxes_per_function", max_sandboxes_per_function, 0,
                "admission control needs a capacity limit to queue against");
   }
+  // Client settings the fleet does not model: it has no client timeout, and
+  // it sheds only the newest arrival.
+  if (retry.attempt_timeout > 0) {
+    errors.push_back("retry: attempt_timeout must be 0: the fleet models no client timeout");
+  }
+  if (admission.shed == ShedPolicy::kRejectOldest) {
+    errors.push_back(
+        "admission: shed must be reject-newest: reject-oldest needs PlatformSim's queue");
+  }
   return errors;
 }
 
@@ -341,26 +350,14 @@ struct FleetEngine::Impl {
     return sp;
   }
 
-  // Concludes every failed attempt: counts it under its failure type, bills
-  // it if it never `ran` (an executed attempt was billed where it ran),
-  // feeds the breaker (a circuit-open fast-fail is the breaker's own
-  // verdict), then schedules the retry or resolves the request. The breaker
+  // Concludes every failed attempt: counts it under its cause, bills it if
+  // it never `ran` (an executed attempt was billed where it ran), feeds the
+  // breaker, then schedules the retry or resolves the request. The breaker
   // sees the failure at `end`; the client, which also waits on the network,
   // at `client_end`.
   void FailAttempt(const PendingAttempt& at, Outcome oc, bool ran, MicroSecs end,
                    MicroSecs client_end) {
-    ++result.failed_attempts;
-    if (oc == Outcome::kCircuitOpen) {
-      ++result.circuit_open_attempts;
-    } else if (oc == Outcome::kRejected) {
-      ++result.rejected_attempts;
-    } else if (oc == Outcome::kTimeout) {
-      ++(ran ? result.timeout_attempts : result.queue_timeout_attempts);
-    } else if (oc == Outcome::kCrash) {
-      ++result.crash_attempts;
-    } else {
-      ++result.init_failure_attempts;
-    }
+    result.Count(oc);
     if (!ran) {
       // No resources ran: only per-invocation fee rules apply (kCircuitOpen
       // is $0 by construction). The series' billed entry matches the
@@ -391,11 +388,10 @@ struct FleetEngine::Impl {
         sink->Record(sp);
       }
     }
-    if (breaker_on && oc != Outcome::kCircuitOpen) {
-      BreakerFor((*trace)[at.trace_idx].function_id).RecordFailure(end);
+    if (breaker_on) {
+      BreakerFor((*trace)[at.trace_idx].function_id).Record(oc, end);
     }
-    if ((oc != Outcome::kRejected || config.retry.retry_rejected) &&
-        at.attempt < config.retry.max_attempts) {
+    if (config.retry.Retries(oc, at.attempt)) {
       const MicroSecs delay = config.retry.BackoffDelay(at.attempt, fault_rng);
       if (sink != nullptr) {
         sink->Record(FunctionSpan(SpanKind::kBackoff, at, client_end, delay));
@@ -466,18 +462,10 @@ struct FleetEngine::Impl {
           return "cold_starts=" + std::to_string(result.cold_starts) +
                  " spans=" + std::to_string(result.spans.size());
         });
-    // Failure taxonomy partitions the failed-attempt count.
-    const int64_t taxonomy = result.crash_attempts + result.timeout_attempts +
-                             result.init_failure_attempts + result.rejected_attempts +
-                             result.queue_timeout_attempts +
-                             result.circuit_open_attempts;
-    auditor->CheckLazy(taxonomy == result.failed_attempts,
-                       "fleet.failure_taxonomy", now, config.fault_seed,
-                       [] { return "counters"; },
-                       [&] {
-                         return "taxonomy=" + std::to_string(taxonomy) +
-                                " failed=" + std::to_string(result.failed_attempts);
-                       });
+    // The failure taxonomy holds (AttemptFailures::Partitioned).
+    auditor->CheckLazy(result.Partitioned(), "fleet.failure_taxonomy", now,
+                       config.fault_seed, [] { return "counters"; },
+                       [&] { return result.PartitionText(); });
     // Billed-time conservation: no span accrues negative busy or idle time.
     for (const SandboxSpan& span : result.spans) {
       auditor->CheckLazy(span.busy >= 0 && span.idle >= 0,
@@ -570,6 +558,7 @@ struct FleetEngine::Impl {
           --waiting;
           --waiting_now;
           result.queue_wait_seconds += MicrosToSecs(deadline - at.queued_since);
+          ++result.queue_timeout_attempts;
           FailAttempt(at, Outcome::kTimeout, /*ran=*/false, deadline, deadline);
           return;
         }
@@ -762,7 +751,7 @@ struct FleetEngine::Impl {
 
     if (oc == Outcome::kOk) {
       if (breaker_on) {
-        BreakerFor(r.function_id).RecordSuccess();
+        BreakerFor(r.function_id).Record(oc, end);
       }
       ResolveTerminal(at, client_end, true);
     } else {

@@ -56,7 +56,8 @@ struct FleetSimConfig {
   // (and billed) at the limit. The sandbox survives a timeout. 0 disables.
   MicroSecs max_exec_duration = 0;
   // Client retries of failed attempts; retries re-enter the arrival stream
-  // after backoff and are billed like any other attempt.
+  // after backoff and are billed like any other attempt. The fleet models
+  // no client timeout: Validate refuses an attempt_timeout.
   RetryPolicy retry;
   uint64_t fault_seed = 1234;  // Seed of the fault RNG stream.
   // --- Fleet-level chaos (host failures, admission control) ---
@@ -72,8 +73,8 @@ struct FleetSimConfig {
   // Bounded per-function admission queue, active only with a sandbox cap:
   // arrivals beyond the cap wait for a warm sandbox instead of fanning out,
   // shed at kRejected past queue_depth, and fail kTimeout past
-  // queue_timeout. The fleet model sheds newest-only (reject-oldest needs
-  // the event-driven PlatformSim queue).
+  // queue_timeout. The fleet model sheds newest-only: Validate refuses
+  // reject-oldest, which needs the event-driven PlatformSim queue.
   AdmissionControlConfig admission;
   // Observability hooks (non-owning; the caller keeps them alive through the
   // simulation). Null by default: instrumentation is then one pointer test
@@ -126,23 +127,18 @@ struct SandboxSpan {
   int host = -1;  // Fault domain (only set when host faults are enabled).
 };
 
-struct FleetResult {
+// The failed attempts by cause come from AttemptFailures. In the fleet an
+// init failure is a host that died before init completed, and a rejection
+// a 429 at the sandbox cap or a shed from a full admission queue.
+struct FleetResult : AttemptFailures {
   int64_t requests = 0;
   int64_t attempts = 0;  // Dispatched attempts (== requests with no faults).
   int64_t cold_starts = 0;
   int64_t sandboxes = 0;
-  // Failure taxonomy over attempts (all zero in a fault-free run).
-  int64_t failed_attempts = 0;
-  int64_t crash_attempts = 0;
-  int64_t timeout_attempts = 0;       // Execution timeouts (not queue waits).
-  int64_t init_failure_attempts = 0;  // Host died before init completed.
   int64_t retries = 0;
   int64_t retries_exhausted = 0;  // Requests that terminally failed.
   int64_t successes = 0;          // Requests whose final attempt succeeded.
-  // --- Chaos taxonomy (all zero without host faults / admission control) ---
-  int64_t rejected_attempts = 0;       // Shed by a full admission queue.
-  int64_t queue_timeout_attempts = 0;  // Waited past admission queue_timeout.
-  int64_t circuit_open_attempts = 0;   // Fast-failed by the client breaker.
+  // --- Chaos accounting (all zero without host faults / admission control) ---
   int64_t breaker_trips = 0;           // Closed->open transitions, all functions.
   int64_t queued_attempts = 0;         // Attempts that waited in a queue at all.
   double queue_wait_seconds = 0.0;     // Total admission-queue wait.

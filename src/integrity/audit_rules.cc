@@ -45,24 +45,15 @@ void AuditPlatformRun(const PlatformSimResult& result, const PlatformSimConfig& 
                       Usd expected_total_usd) {
   const MicroSecs end = result.timeline.empty() ? 0 : result.timeline.back().time;
 
-  // Failure taxonomy partitions the failed-attempt count (queue timeouts are
-  // a sub-category of timeouts, not a sibling).
-  const int64_t taxonomy = result.init_failure_attempts + result.crash_attempts +
-                           result.timeout_attempts + result.rejected_attempts +
-                           result.circuit_open_attempts;
-  auditor.CheckLazy(taxonomy == result.failed_attempts, "platform.failure_taxonomy",
-                    end, seed, [] { return "counters"; }, [&] {
-                      return "taxonomy=" + std::to_string(taxonomy) +
-                             " failed=" + std::to_string(result.failed_attempts);
-                    });
+  // The failure taxonomy holds (AttemptFailures::Partitioned), checked
+  // clause by clause: the causes partition the failed-attempt count, and
+  // queue timeouts are a subset of timeouts.
+  const auto taxonomy = [&] { return result.PartitionText(); };
+  auditor.CheckLazy(result.CauseSum() == result.failed_attempts, "platform.failure_taxonomy",
+                    end, seed, [] { return "counters"; }, taxonomy);
   auditor.CheckLazy(result.queue_timeout_attempts <= result.timeout_attempts,
                     "platform.failure_taxonomy", end, seed, [] { return "counters"; },
-                    [&] {
-                      return "queue_timeouts=" +
-                             std::to_string(result.queue_timeout_attempts) +
-                             " exceed timeouts=" +
-                             std::to_string(result.timeout_attempts);
-                    });
+                    taxonomy);
 
   // Attempt conservation: every attempt beyond the first per request is a
   // retry.
@@ -178,15 +169,9 @@ void AuditFleetRun(const FleetResult& result, const FleetSimConfig& config,
     end = std::max(end, span.destroyed_at);
   }
 
-  // Failure taxonomy partitions the failed-attempt count.
-  const int64_t taxonomy = result.crash_attempts + result.timeout_attempts +
-                           result.init_failure_attempts + result.rejected_attempts +
-                           result.queue_timeout_attempts + result.circuit_open_attempts;
-  auditor.CheckLazy(taxonomy == result.failed_attempts, "fleet.failure_taxonomy", end,
-                    seed, [] { return "counters"; }, [&] {
-                      return "taxonomy=" + std::to_string(taxonomy) +
-                             " failed=" + std::to_string(result.failed_attempts);
-                    });
+  // The failure taxonomy holds (AttemptFailures::Partitioned).
+  auditor.CheckLazy(result.Partitioned(), "fleet.failure_taxonomy", end, seed,
+                    [] { return "counters"; }, [&] { return result.PartitionText(); });
 
   // Attempt and request conservation.
   auditor.CheckLazy(result.attempts == result.requests + result.retries,

@@ -1,6 +1,7 @@
 #include "src/platform/faults.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "src/common/validate.h"
 
@@ -17,6 +18,37 @@ std::vector<std::string> FaultModelConfig::Validate() const {
   CheckWithin(&errors, "crash_prob", crash_prob, 0.0, 1.0);
   CheckAtLeast(&errors, "max_exec_duration", max_exec_duration, 0, "0 disables");
   return errors;
+}
+
+void AttemptFailures::Count(Outcome outcome) {
+  switch (outcome) {
+    case Outcome::kOk:
+      return;
+    case Outcome::kCrash:
+      ++crash_attempts;
+      break;
+    case Outcome::kTimeout:
+      ++timeout_attempts;
+      break;
+    case Outcome::kInitFailure:
+      ++init_failure_attempts;
+      break;
+    case Outcome::kRejected:
+      ++rejected_attempts;
+      break;
+    case Outcome::kCircuitOpen:
+      ++circuit_open_attempts;
+      break;
+    default:
+      throw std::logic_error(std::string("no attempt concludes with ") + OutcomeName(outcome));
+  }
+  ++failed_attempts;
+}
+
+std::string AttemptFailures::PartitionText() const {
+  return "causes=" + std::to_string(CauseSum()) + " failed=" + std::to_string(failed_attempts) +
+         " queue_timeouts=" + std::to_string(queue_timeout_attempts) +
+         " timeouts=" + std::to_string(timeout_attempts);
 }
 
 MicroSecs RetryPolicy::BackoffDelay(int failed_attempt, Rng& rng) const {
@@ -80,17 +112,14 @@ bool CircuitBreaker::AllowDispatch(MicroSecs now) {
   return true;
 }
 
-void CircuitBreaker::RecordSuccess() {
-  if (threshold_ <= 0) {
+void CircuitBreaker::Record(Outcome outcome, MicroSecs now) {
+  if (threshold_ <= 0 || outcome == Outcome::kCircuitOpen) {
     return;
   }
-  consecutive_failures_ = 0;
-  state_ = State::kClosed;
-  probe_inflight_ = false;
-}
-
-void CircuitBreaker::RecordFailure(MicroSecs now) {
-  if (threshold_ <= 0) {
+  if (outcome == Outcome::kOk) {
+    consecutive_failures_ = 0;
+    state_ = State::kClosed;
+    probe_inflight_ = false;
     return;
   }
   if (state_ == State::kHalfOpen) {

@@ -13,6 +13,10 @@
 //   - RetryPolicy: client-side retries with exponential backoff and full
 //     jitter plus an optional per-attempt client timeout, so failed or
 //     abandoned attempts re-arrive at the platform as new load.
+//   - The client side of an attempt, stated once for every engine:
+//     AttemptFailures counts failed attempts by cause, RetryPolicy::Retries
+//     decides whether a failure is retried, and CircuitBreaker::Record feeds
+//     each outcome to the breaker.
 //
 // The fault stream draws from its own RNG (forked off the simulation seed),
 // so a zero-fault configuration leaves the simulator's random stream — and
@@ -57,6 +61,37 @@ struct FaultModelConfig {
   std::vector<std::string> Validate() const;
 };
 
+// Failed attempts by cause, one taxonomy for the fleet and platform results
+// (both derive from it; all zero in a fault-free run). Count files each
+// failed attempt under exactly one of five causes, so the causes partition
+// `failed_attempts`. Queue timeouts refine timeouts: an engine counts one
+// where an admission-queue wait ends, besides Count's timeout.
+struct AttemptFailures {
+  int64_t failed_attempts = 0;
+  int64_t crash_attempts = 0;
+  int64_t timeout_attempts = 0;        // Execution, client and queue timeouts.
+  int64_t init_failure_attempts = 0;   // The sandbox never finished init.
+  int64_t rejected_attempts = 0;       // 429s: refused at capacity or shed.
+  int64_t circuit_open_attempts = 0;   // Breaker fast-fails (never billed).
+  int64_t queue_timeout_attempts = 0;  // Timed out waiting in an admission queue.
+
+  // Files one concluded attempt under its outcome; kOk counts nowhere. An
+  // outcome no attempt concludes with (request-level or workflow-only)
+  // throws std::logic_error.
+  void Count(Outcome outcome);
+  int64_t CauseSum() const {
+    return crash_attempts + timeout_attempts + init_failure_attempts + rejected_attempts +
+           circuit_open_attempts;
+  }
+  // The taxonomy rule: the causes sum to failed_attempts, and queue timeouts
+  // are a subset of timeouts.
+  bool Partitioned() const {
+    return CauseSum() == failed_attempts && queue_timeout_attempts <= timeout_attempts;
+  }
+  // The counters the rule relates, as an audit violation's detail.
+  std::string PartitionText() const;
+};
+
 // Client-side retry policy: serial attempts with exponential backoff, plus an
 // optional circuit breaker that fast-fails dispatches while the service is
 // known-bad (capping retry storms at the source).
@@ -87,6 +122,12 @@ struct RetryPolicy {
 
   bool enabled() const {
     return max_attempts > 1 || attempt_timeout > 0 || breaker_threshold > 0;
+  }
+  // Whether the client retries after attempt number `attempt` failed with
+  // `failed`: a 429 only under `retry_rejected`, and only while attempts
+  // remain.
+  bool Retries(Outcome failed, int attempt) const {
+    return (failed != Outcome::kRejected || retry_rejected) && attempt < max_attempts;
   }
   // Backoff delay before attempt number `failed_attempt + 1`.
   MicroSecs BackoffDelay(int failed_attempt, Rng& rng) const;
@@ -124,9 +165,11 @@ class CircuitBreaker {
   // until the cooldown elapses, then admits exactly one half-open probe
   // (subsequent calls return false until that probe's outcome is recorded).
   bool AllowDispatch(MicroSecs now);
-  // Client-observed outcome of a dispatched (admitted) attempt.
-  void RecordSuccess();
-  void RecordFailure(MicroSecs now);
+  // Feeds the client-observed outcome of an attempt at `now`: kOk closes the
+  // breaker, kCircuitOpen is the breaker's own verdict and is ignored (or
+  // one trip would loop forever), and any other outcome is a failure. A
+  // disabled breaker records nothing.
+  void Record(Outcome outcome, MicroSecs now);
 
   bool enabled() const { return threshold_ > 0; }
   int64_t trips() const { return trips_; }

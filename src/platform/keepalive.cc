@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/validate.h"
+
 namespace faascost {
 
 const char* KaResourceBehaviorName(KaResourceBehavior b) {
@@ -21,7 +23,7 @@ const char* KaResourceBehaviorName(KaResourceBehavior b) {
 IdleHistogram::IdleHistogram(const std::optional<HistogramPrewarmConfig>& config)
     : config_(config) {
   if (config_.has_value()) {
-    counts_.assign(static_cast<size_t>(config_->max_tracked / config_->bin_width) + 2, 0);
+    counts_.assign(static_cast<size_t>(config_->HistogramSize()), 0);
   }
 }
 
@@ -42,10 +44,11 @@ MicroSecs IdleHistogram::LearnedWindow() const {
   for (size_t i = 1; i < counts_.size(); ++i) {
     seen += counts_[i];
     if (seen > target) {
-      // Upper edge of the covering bin, scaled by the safety margin.
+      // Upper edge of the covering bin, scaled by the safety margin, capped
+      // before the cast so that any finite margin casts safely.
       const double edge =
           static_cast<double>(i) * static_cast<double>(config_->bin_width) * config_->margin;
-      return std::min(static_cast<MicroSecs>(edge), config_->max_keepalive);
+      return static_cast<MicroSecs>(std::min(edge, static_cast<double>(config_->max_keepalive)));
     }
   }
   return config_->max_keepalive;
@@ -89,6 +92,40 @@ void KeepAlivePolicy::MixInto(StateDigest& d) const {
   d.MixI64(p.max_keepalive);
   d.MixI64(p.fallback_min);
   d.MixI64(p.fallback_max);
+}
+
+std::vector<std::string> KeepAlivePolicy::Validate() const {
+  std::vector<std::string> errors;
+  const auto check_window = [&errors](const Window& w, std::string_view min_name,
+                                      std::string_view max_name) {
+    if (CheckWithin(&errors, min_name, w.min, 0, kMaxDuration, Ends::kClosed, "a century")) {
+      CheckWithin(&errors, max_name, w.max, w.min, kMaxDuration, Ends::kClosed, min_name);
+    }
+  };
+  if (prewarm_.has_value()) {
+    check_window(window_, "prewarm.fallback_min", "prewarm.fallback_max");
+  } else {
+    check_window(window_, "window.min", "window.max");
+  }
+  if (scaled_out_.has_value()) {
+    check_window(*scaled_out_, "scaled_out.min", "scaled_out.max");
+  }
+  if (!prewarm_.has_value()) {
+    return errors;
+  }
+  const HistogramPrewarmConfig& p = *prewarm_;
+  if (CheckAbove(&errors, "prewarm.bin_width", p.bin_width, 0) &&
+      CheckWithin(&errors, "prewarm.max_tracked", p.max_tracked, 0, kMaxDuration,
+                  Ends::kClosed, "a century")) {
+    CheckWithin(&errors, "prewarm histogram size (max_tracked / bin_width + 2)",
+                p.HistogramSize(), 2, kMaxIdleHistogramSize);
+  }
+  CheckAtLeast(&errors, "prewarm.min_observations", p.min_observations, 0);
+  CheckWithin(&errors, "prewarm.coverage_quantile", p.coverage_quantile, 0.0, 1.0);
+  CheckWithin(&errors, "prewarm.margin", p.margin, 0.0, kInf, Ends::kOpen);
+  CheckWithin(&errors, "prewarm.max_keepalive", p.max_keepalive, 0, kMaxDuration,
+              Ends::kClosed, "a century");
+  return errors;
 }
 
 KeepAlivePolicy MakeAwsKeepAlive() {

@@ -48,7 +48,15 @@ struct HistogramPrewarmConfig {
   // 120-360 s).
   MicroSecs fallback_min = 120LL * kMicrosPerSec;
   MicroSecs fallback_max = 360LL * kMicrosPerSec;
+
+  // Length of the IdleHistogram's counts: the observation count, one bin per
+  // bin_width up to max_tracked, and the overflow bin.
+  int64_t HistogramSize() const { return max_tracked / bin_width + 2; }
 };
+
+// Most counts an IdleHistogram may hold (800 KB). The default config needs
+// 242; one-second bins over a day need 86,402.
+inline constexpr int64_t kMaxIdleHistogramSize = 100'000;
 
 // The idle gaps a run has observed (end of one invocation to the next
 // arrival), binned for histogram pre-warming. The platform engine owns one
@@ -100,6 +108,10 @@ class KeepAlivePolicy {
   bool graceful_shutdown() const { return graceful_shutdown_; }
   const std::optional<HistogramPrewarmConfig>& prewarm() const { return prewarm_; }
   void MixInto(StateDigest& d) const;  // Every field, for the config hash.
+  // Human-readable config errors; empty when valid. Every window holds
+  // 0 <= min <= max <= kMaxDuration, and a pre-warm config has positive
+  // bins, at most kMaxIdleHistogramSize counts and in-range learning knobs.
+  std::vector<std::string> Validate() const;
 
  private:
   // Uniform over [min, max], drawn with one UniformInt, or exactly `min`

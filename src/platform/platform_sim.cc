@@ -189,6 +189,8 @@ std::vector<std::string> PlatformSimConfig::Validate() const {
   CheckAtLeast(&errors, "contention_excess_cap", contention_excess_cap, 0.0);
   if (!keepalive.has_value()) {
     errors.push_back("a keepalive policy is required");
+  } else {
+    AppendErrors(&errors, keepalive->Validate(), "keepalive: ");
   }
   // kSample re-arms every sample_interval whether or not scaling is on.
   CheckAbove(&errors, "autoscaler.sample_interval", autoscaler.sample_interval, 0);
@@ -512,42 +514,14 @@ struct PlatformEngine::Impl {
     }
   }
 
-  void CountFailure(Outcome oc) {
-    ++result.failed_attempts;
-    switch (oc) {
-      case Outcome::kInitFailure:
-        ++result.init_failure_attempts;
-        break;
-      case Outcome::kCrash:
-        ++result.crash_attempts;
-        break;
-      case Outcome::kTimeout:
-        ++result.timeout_attempts;
-        break;
-      case Outcome::kRejected:
-        ++result.rejected_attempts;
-        break;
-      case Outcome::kCircuitOpen:
-        ++result.circuit_open_attempts;
-        break;
-      default:
-        break;
-    }
-  }
-
   // Client-side resolution of a failed (or abandoned) attempt: schedule a
   // retry, or conclude the request.
   void ResolveClient(int attempt_idx, Outcome oc) {
     const AttemptOutcome& att = result.attempts[static_cast<size_t>(attempt_idx)];
     RequestOutcome& out = result.requests[static_cast<size_t>(att.req_idx)];
     out.last_error = oc;
-    if (breaker.enabled() && oc != Outcome::kCircuitOpen) {
-      // Real client-observed failures feed the breaker; its own
-      // short-circuits must not, or one trip would loop forever.
-      breaker.RecordFailure(now);
-    }
-    const bool retryable = oc != Outcome::kRejected || config.retry.retry_rejected;
-    if (retryable && att.attempt < config.retry.max_attempts) {
+    breaker.Record(oc, now);
+    if (config.retry.Retries(oc, att.attempt)) {
       const MicroSecs delay = config.retry.BackoffDelay(att.attempt, faults.rng());
       if (trace != nullptr) {
         EmitClientSpan(SpanKind::kBackoff, now, delay, attempt_idx, "", /*term=*/false);
@@ -574,9 +548,9 @@ struct PlatformEngine::Impl {
 
   // Concludes an attempt server-side at `now`: a completion, a failure, or a
   // client-timeout withdrawal. The caller has already taken it out of its
-  // sandbox or queue. A started attempt is billed up to now. Then, unless
-  // the client gave up on it, a success is delivered and a failure goes to
-  // ResolveClient.
+  // sandbox or queue. A started attempt is billed up to now, and a failed
+  // one is counted under its cause. Then, unless the client gave up on it,
+  // a success is delivered and a failure goes to ResolveClient.
   void Conclude(int attempt_idx, Outcome oc) {
     AttemptOutcome& att = result.attempts[static_cast<size_t>(attempt_idx)];
     const bool started = attempt_started[static_cast<size_t>(attempt_idx)] != 0;
@@ -587,10 +561,9 @@ struct PlatformEngine::Impl {
     }
     attempt_open[static_cast<size_t>(attempt_idx)] = 0;
     --open_attempts;
+    result.Count(oc);
     if (oc == Outcome::kOk) {
       last_completion = std::max(last_completion, now);
-    } else {
-      CountFailure(oc);
     }
     // Started attempts get an exec span; never-admitted ones a terminal wait
     // span from dispatch to the rejection/withdrawal.
@@ -607,9 +580,7 @@ struct PlatformEngine::Impl {
       ResolveClient(attempt_idx, oc);
       return;
     }
-    if (breaker.enabled()) {
-      breaker.RecordSuccess();
-    }
+    breaker.Record(oc, now);
     RequestOutcome& out = result.requests[static_cast<size_t>(att.req_idx)];
     out.outcome = Outcome::kOk;
     out.completion = now;

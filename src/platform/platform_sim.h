@@ -175,24 +175,19 @@ struct SandboxAccounting {
   MicroSecs idle_time = 0;  // Keep-alive time.
 };
 
-struct PlatformSimResult {
+// The failed attempts by cause come from AttemptFailures. A client-timeout
+// withdrawal counts as a timeout; an abandoned attempt counts under the
+// outcome it concludes with server-side, if it fails.
+struct PlatformSimResult : AttemptFailures {
   std::vector<RequestOutcome> requests;
   std::vector<AttemptOutcome> attempts;  // One per dispatched attempt.
   std::vector<TimelineSample> timeline;
   std::vector<SandboxAccounting> sandboxes;
   int cold_starts = 0;  // Attempts that triggered a sandbox initialization.
   double total_instance_seconds = 0.0;
-  // Failure taxonomy over attempts (all zero in a fault-free run).
   int64_t successes = 0;  // Requests with terminal Outcome::kOk.
-  int64_t failed_attempts = 0;
-  int64_t init_failure_attempts = 0;
-  int64_t crash_attempts = 0;
-  int64_t timeout_attempts = 0;
-  int64_t rejected_attempts = 0;
   int64_t retries = 0;  // attempts.size() - requests.size().
   // --- Chaos accounting (all zero with admission/breaker/drains off) ---
-  int64_t circuit_open_attempts = 0;  // Breaker fast-fails (never billed).
-  int64_t queue_timeout_attempts = 0; // Admission-queue waits past timeout.
   int64_t shed_attempts = 0;          // Rejected by a full admission queue.
   int64_t breaker_trips = 0;          // Closed->open transitions.
   int64_t drained_sandboxes = 0;      // Busy sandboxes put into draining.

@@ -33,6 +33,12 @@ std::vector<std::string> WorkflowPolicy::Validate() const {
   AppendErrors(&errors, deadline.Validate(), "deadline.");
   AppendErrors(&errors, hedge.Validate(), "hedge.");
   AppendErrors(&errors, redrive.Validate(), "redrive.");
+  // A hop's timeout and the deadline budget bound an attempt; the engine
+  // models no client timeout.
+  if (retry.attempt_timeout > 0) {
+    errors.push_back("retry.attempt_timeout must be 0: the workflow engine models no client "
+                     "timeout");
+  }
   // Worst case per hop: every client attempt plus one hedge each, or the
   // initial async delivery plus every redrive. Keep both well inside the
   // per-hop RNG stream window.

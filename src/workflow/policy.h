@@ -5,7 +5,7 @@
 //
 //   - RetryPolicy (reused from src/platform): per-hop client retries with
 //     backoff and a circuit breaker. Every real attempt bills; kCircuitOpen
-//     short-circuits never do.
+//     short-circuits never do. No client timeout: Validate refuses one.
 //   - DeadlineBudgetPolicy: an end-to-end workflow deadline. In `propagate`
 //     mode the remaining budget travels with the workflow, shrinking each
 //     hop's effective timeout and fast-failing (unbilled) hops that cannot

@@ -385,18 +385,14 @@ class Engine {
   // Closes a dispatched row that ended, drops it from its hop's open set
   // and feeds its outcome to the client breaker, which guards sync hops
   // only.
-  void SettleRow(int64_t wf, int hop, int64_t idx, bool ok) {
+  void SettleRow(int64_t wf, int hop, int64_t idx) {
     WfState& ws = wfs_[static_cast<size_t>(wf)];
     std::vector<int64_t>& open = ws.hops[static_cast<size_t>(hop)].open;
     CloseRow(idx);
     open.erase(std::remove(open.begin(), open.end(), idx), open.end());
-    FunctionState& fs = Function(ws.dag, hop);
-    if (!Spec(ws.dag, hop).async && fs.breaker.enabled()) {
-      if (ok) {
-        fs.breaker.RecordSuccess();
-      } else {
-        fs.breaker.RecordFailure(now_);
-      }
+    if (!Spec(ws.dag, hop).async) {
+      const Outcome outcome = res_.attempts[static_cast<size_t>(idx)].attempt.outcome;
+      Function(ws.dag, hop).breaker.Record(outcome, now_);
       NoteBreaker(ws.dag, hop);
     }
   }
@@ -604,7 +600,7 @@ class Engine {
     if (dead_letter) {
       res_.attempts[static_cast<size_t>(idx)].attempt.outcome = Outcome::kDeadLettered;
     }
-    SettleRow(wf, hop, idx, /*ok=*/false);
+    SettleRow(wf, hop, idx);
     const HopAttempt& row = res_.attempts[static_cast<size_t>(idx)];
     if (hs.resolved) {
       return;
@@ -639,7 +635,7 @@ class Engine {
   void FailClientAttempt(int64_t wf, int hop, Outcome last, MicroSecs backoff) {
     WfState& ws = wfs_[static_cast<size_t>(wf)];
     HopState& hs = ws.hops[static_cast<size_t>(hop)];
-    if (!hs.straggler && hs.client_attempts < cfg_.policy.retry.max_attempts) {
+    if (!hs.straggler && cfg_.policy.retry.Retries(last, hs.client_attempts)) {
       ++res_.counters.client_retries;
       if (cfg_.timeseries != nullptr) {
         cfg_.timeseries->RecordRetry(now_);
@@ -671,7 +667,7 @@ class Engine {
       OnAttemptFailed(wf, hop, idx);
       return;
     }
-    SettleRow(wf, hop, idx, /*ok=*/true);
+    SettleRow(wf, hop, idx);
     if (wfs_[static_cast<size_t>(wf)].hops[static_cast<size_t>(hop)].resolved) {
       return;
     }

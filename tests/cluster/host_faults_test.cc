@@ -524,12 +524,15 @@ TEST(FleetAdmission, FullQueueShedsNewestAndTimeoutBoundsWaits) {
   EXPECT_EQ(res.rejected_attempts, 6);
 
   // A 150 ms wait budget admits only the first queued attempt (100 ms wait);
-  // the other two time out in the queue.
+  // the other two time out in the queue. A queue timeout is a timeout, as
+  // PlatformSim counts it.
   cfg.admission.queue_timeout = 150 * kMs;
   const auto timed = SimulateFleet(trace, MakeBillingModel(Platform::kAwsLambda), cfg);
   EXPECT_EQ(timed.successes, 2);
   EXPECT_EQ(timed.queue_timeout_attempts, 2);
+  EXPECT_EQ(timed.timeout_attempts, 2);
   EXPECT_EQ(timed.rejected_attempts, 6);
+  EXPECT_TRUE(timed.Partitioned()) << timed.PartitionText();
 }
 
 TEST(FleetBreaker, TripsOnConsecutiveFailuresAndFastFails) {

@@ -214,6 +214,14 @@ TEST(ValidationTest, EveryRealConfigFieldRejectsNan) {
   const auto cpu_util = [](auto& c) -> auto& { return c.cpu_util; };
   const auto mem_util = [](auto& c) -> auto& { return c.mem_util; };
   const auto combo = [](TraceGenConfig& c) -> auto& { return c.combos[1]; };
+  // A pre-warm config reaches Validate() through the keep-alive policy.
+  const auto prewarm_nan = [](double HistogramPrewarmConfig::*field) {
+    HistogramPrewarmConfig prewarm;
+    prewarm.*field = std::nan("");
+    PlatformSimConfig config = AzurePlatform();
+    config.keepalive = MakeHistogramPrewarm(prewarm);
+    return config.Validate();
+  };
   // (the field name the error must carry, the errors)
   const std::vector<std::pair<std::string, std::vector<std::string>>> rows = {
       {"vcpus", WithNan(platform, self, &PlatformSimConfig::vcpus)},
@@ -222,6 +230,8 @@ TEST(ValidationTest, EveryRealConfigFieldRejectsNan) {
       {"contention_coeff", WithNan(platform, self, &PlatformSimConfig::contention_coeff)},
       {"contention_excess_cap",
        WithNan(platform, self, &PlatformSimConfig::contention_excess_cap)},
+      {"coverage_quantile", prewarm_nan(&HistogramPrewarmConfig::coverage_quantile)},
+      {"margin", prewarm_nan(&HistogramPrewarmConfig::margin)},
       {"init_failure_prob", WithNan(platform, faults, &FaultModelConfig::init_failure_prob)},
       {"crash_prob", WithNan(platform, faults, &FaultModelConfig::crash_prob)},
       {"backoff_multiplier", WithNan(platform, retry, &RetryPolicy::backoff_multiplier)},
@@ -346,6 +356,89 @@ TEST(ValidationTest, KeepAliveAndInitDurationsStayUnderTheCeiling) {
     bad.*field = kMax;
     EXPECT_EQ(bad.Validate().size(), 1U);
   }
+}
+
+// PlatformSimConfig::Validate() used to check no keep-alive policy: a zero
+// bin width divided by zero mid-run (SIGFPE), a fallback_max below
+// fallback_min threw from Rng::UniformInt mid-run, and a negative fixed
+// window scheduled events at negative times. One-microsecond bins asked for
+// 7.2e9 histogram counts.
+TEST(ValidationTest, KeepAlivePoliciesAreValidated) {
+  const auto prewarm = [](auto edit) {
+    HistogramPrewarmConfig p;
+    edit(p);
+    PlatformSimConfig config = AzurePlatform();
+    config.keepalive = MakeHistogramPrewarm(p);
+    return config;
+  };
+  const auto fixed = [](MicroSecs window) {
+    PlatformSimConfig config = AwsLambdaPlatform(1.0, 1769.0);
+    config.keepalive = MakeFixedKeepAlive(window, KaResourceBehavior::kFreezeDeallocate);
+    return config;
+  };
+  // (the field the error must name, the config)
+  const std::vector<std::pair<std::string, PlatformSimConfig>> rows = {
+      {"prewarm.bin_width", prewarm([](auto& p) { p.bin_width = 0; })},
+      {"prewarm histogram size", prewarm([](auto& p) { p.bin_width = 1; })},
+      {"prewarm.fallback_max", prewarm([](auto& p) {
+         p.fallback_min = 360 * kMicrosPerSec;
+         p.fallback_max = 120 * kMicrosPerSec;
+       })},
+      {"prewarm.fallback_min", prewarm([](auto& p) { p.fallback_min = -1; })},
+      {"prewarm.max_tracked", prewarm([](auto& p) { p.max_tracked = -1; })},
+      {"prewarm.min_observations", prewarm([](auto& p) { p.min_observations = -1; })},
+      {"prewarm.coverage_quantile", prewarm([](auto& p) { p.coverage_quantile = 1.5; })},
+      {"prewarm.margin", prewarm([](auto& p) { p.margin = 0.0; })},
+      {"prewarm.margin",
+       prewarm([](auto& p) { p.margin = std::numeric_limits<double>::infinity(); })},
+      {"prewarm.max_keepalive", prewarm([](auto& p) { p.max_keepalive = -1; })},
+      {"window.min", fixed(-5 * kMicrosPerSec)},
+      {"window.min", fixed(kMaxDuration + 1)},
+  };
+  for (const auto& [field, config] : rows) {
+    const std::vector<std::string> errors = config.Validate();
+    EXPECT_EQ(errors.size(), 1U) << field;
+    EXPECT_NE(errors.empty() ? std::string::npos : errors.front().find("keepalive: " + field),
+              std::string::npos)
+        << field;
+    EXPECT_THROW(PlatformSim(config, 4), std::invalid_argument) << field;
+  }
+  // No preset's policy is refused, nor the bounds themselves.
+  for (const PlatformSimConfig& config :
+       {AwsLambdaPlatform(1.0, 1769.0), GcpPlatform(1.0, 1024.0), AzurePlatform(),
+        CloudflarePlatform(), IbmPlatform(1.0, 1024.0), prewarm([](auto&) {}), fixed(0),
+        fixed(kMaxDuration)}) {
+    EXPECT_TRUE(config.Validate().empty()) << config.keepalive->prewarm().has_value();
+  }
+}
+
+// Each setting was accepted, hashed and then ignored: the fleet models no
+// client timeout and sheds only the newest arrival, and the workflow engine
+// models no client timeout.
+TEST(ValidationTest, EnginesRefuseClientSettingsTheyDoNotModel) {
+  FleetSimConfig fleet_timeout;
+  fleet_timeout.retry.attempt_timeout = 1;
+  FleetSimConfig fleet_oldest;
+  fleet_oldest.max_sandboxes_per_function = 1;
+  fleet_oldest.admission.enabled = true;
+  fleet_oldest.admission.queue_depth = 1;
+  fleet_oldest.admission.shed = ShedPolicy::kRejectOldest;
+  WorkflowSimConfig workflow_timeout;
+  workflow_timeout.policy.retry.attempt_timeout = 1;
+  // (the setting the error must name, the errors)
+  const std::vector<std::pair<std::string, std::vector<std::string>>> rows = {
+      {"attempt_timeout", fleet_timeout.Validate()},
+      {"shed", fleet_oldest.Validate()},
+      {"attempt_timeout", workflow_timeout.Validate()},
+  };
+  for (const auto& [setting, errors] : rows) {
+    EXPECT_EQ(errors.size(), 1U) << setting;
+    EXPECT_NE(errors.empty() ? std::string::npos : errors.front().find(setting),
+              std::string::npos)
+        << setting;
+  }
+  fleet_oldest.admission.shed = ShedPolicy::kRejectNewest;
+  EXPECT_TRUE(fleet_oldest.Validate().empty());
 }
 
 // kSample re-arms every sample_interval, enabled autoscaler or not: at 0 a

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "src/billing/catalog.h"
+#include "src/integrity/archive.h"
+#include "src/integrity/digest.h"
 #include "src/platform/faults.h"
 #include "src/platform/platform_sim.h"
 #include "src/platform/presets.h"
@@ -19,44 +21,78 @@ constexpr MicroSecs kMs = kMicrosPerMilli;
 
 // --- Circuit breaker state machine (unit level) ---
 
+// The breaker's archived state, as one digest.
+uint64_t BreakerState(CircuitBreaker cb) {
+  StateDigest d;
+  Digester ar(&d);
+  cb.Archive(ar);
+  return d.value();
+}
+
 TEST(CircuitBreakerUnit, DisabledNeverGates) {
   CircuitBreaker cb(0, 30 * kSec);
   EXPECT_FALSE(cb.enabled());
+  const uint64_t fresh = BreakerState(cb);
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(cb.AllowDispatch(i * kSec));
-    cb.RecordFailure(i * kSec);
+    for (const Outcome oc : kAllOutcomes) {
+      cb.Record(oc, i * kSec);
+    }
   }
+  EXPECT_EQ(BreakerState(cb), fresh);
   EXPECT_EQ(cb.trips(), 0);
+}
+
+// A circuit-open outcome is the breaker's own verdict: closed, open or
+// half-open, recording one changes nothing.
+TEST(CircuitBreakerUnit, CircuitOpenOutcomesAreIgnored) {
+  CircuitBreaker cb(2, 10 * kSec);
+  const auto ignored = [&cb](MicroSecs t) {
+    const uint64_t before = BreakerState(cb);
+    cb.Record(Outcome::kCircuitOpen, t);
+    EXPECT_EQ(BreakerState(cb), before) << t;
+  };
+  cb.Record(Outcome::kTimeout, 0);  // Closed, one failure into the run.
+  ignored(1 * kSec);
+  cb.Record(Outcome::kRejected, 2 * kSec);  // Any other failure counts: open.
+  EXPECT_EQ(cb.trips(), 1);
+  ignored(3 * kSec);
+  ASSERT_TRUE(cb.AllowDispatch(12 * kSec));  // The half-open probe.
+  ignored(12 * kSec);
+  EXPECT_FALSE(cb.AllowDispatch(12 * kSec + 1));  // The probe is still out.
+  cb.Record(Outcome::kOk, 13 * kSec);
+  EXPECT_FALSE(cb.open());
+  EXPECT_EQ(cb.trips(), 1);
 }
 
 TEST(CircuitBreakerUnit, TripsAfterConsecutiveFailuresOnly) {
   CircuitBreaker cb(3, 30 * kSec);
-  cb.RecordFailure(1 * kSec);
-  cb.RecordFailure(2 * kSec);
-  cb.RecordSuccess();  // Breaks the run: the counter resets.
-  cb.RecordFailure(3 * kSec);
-  cb.RecordFailure(4 * kSec);
+  cb.Record(Outcome::kCrash, 1 * kSec);
+  cb.Record(Outcome::kCrash, 2 * kSec);
+  cb.Record(Outcome::kOk, 2 * kSec);  // Breaks the run: the counter resets.
+  cb.Record(Outcome::kCrash, 3 * kSec);
+  cb.Record(Outcome::kCrash, 4 * kSec);
   EXPECT_TRUE(cb.AllowDispatch(5 * kSec));
-  cb.RecordFailure(5 * kSec);  // Third consecutive: trips.
+  cb.Record(Outcome::kCrash, 5 * kSec);  // Third consecutive: trips.
   EXPECT_EQ(cb.trips(), 1);
   EXPECT_FALSE(cb.AllowDispatch(6 * kSec));
 }
 
 TEST(CircuitBreakerUnit, HalfOpenProbeRecoversOrReopens) {
   CircuitBreaker cb(2, 10 * kSec);
-  cb.RecordFailure(0);
-  cb.RecordFailure(1 * kSec);  // Open until 11 s.
+  cb.Record(Outcome::kCrash, 0);
+  cb.Record(Outcome::kCrash, 1 * kSec);  // Open until 11 s.
   EXPECT_FALSE(cb.AllowDispatch(5 * kSec));
   // Cooldown elapsed: exactly one half-open probe gets through.
   EXPECT_TRUE(cb.AllowDispatch(12 * kSec));
   EXPECT_FALSE(cb.AllowDispatch(12 * kSec + 1));
   // Probe fails: re-open (second trip), another cooldown.
-  cb.RecordFailure(13 * kSec);
+  cb.Record(Outcome::kCrash, 13 * kSec);
   EXPECT_EQ(cb.trips(), 2);
   EXPECT_FALSE(cb.AllowDispatch(14 * kSec));
   // Next probe succeeds: closed, dispatches flow again.
   EXPECT_TRUE(cb.AllowDispatch(24 * kSec));
-  cb.RecordSuccess();
+  cb.Record(Outcome::kOk, 24 * kSec);
   EXPECT_TRUE(cb.AllowDispatch(24 * kSec + 1));
   EXPECT_TRUE(cb.AllowDispatch(24 * kSec + 2));
   EXPECT_EQ(cb.trips(), 2);
@@ -118,6 +154,8 @@ TEST(PlatformAdmission, QueueTimeoutFailsWaitersBeforeCapacityFrees) {
   const auto res = sim.Run({0, 1 * kMs, 2 * kMs}, PyAesWorkload());
   EXPECT_EQ(res.successes, 1);
   EXPECT_EQ(res.queue_timeout_attempts, 2);
+  EXPECT_EQ(res.timeout_attempts, 2);  // A queue timeout is a timeout.
+  EXPECT_TRUE(res.Partitioned()) << res.PartitionText();
   EXPECT_EQ(res.requests[1].outcome, Outcome::kTimeout);
   EXPECT_EQ(res.requests[2].outcome, Outcome::kTimeout);
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "src/platform/platform_sim.h"
 #include "src/platform/presets.h"
@@ -52,6 +55,81 @@ TEST(PlatformSimConfigValidation, ConstructorThrowsOnBadConfig) {
   cfg = AwsLambdaPlatform(1.0, 1'769.0);
   cfg.retry.backoff_base = -1;
   EXPECT_THROW(PlatformSim(cfg, 1), std::invalid_argument);
+}
+
+// --- The client side of an attempt ---
+
+TEST(AttemptFailures, CountFilesEachFailureUnderExactlyOneCause) {
+  using Field = int64_t AttemptFailures::*;
+  const std::vector<Field> causes = {
+      &AttemptFailures::crash_attempts,        &AttemptFailures::timeout_attempts,
+      &AttemptFailures::init_failure_attempts, &AttemptFailures::rejected_attempts,
+      &AttemptFailures::circuit_open_attempts, &AttemptFailures::queue_timeout_attempts};
+  // (every outcome an attempt concludes with, the cause it files under)
+  const std::vector<std::pair<Outcome, Field>> rows = {
+      {Outcome::kOk, nullptr},
+      {Outcome::kInitFailure, &AttemptFailures::init_failure_attempts},
+      {Outcome::kCrash, &AttemptFailures::crash_attempts},
+      {Outcome::kTimeout, &AttemptFailures::timeout_attempts},
+      {Outcome::kRejected, &AttemptFailures::rejected_attempts},
+      {Outcome::kCircuitOpen, &AttemptFailures::circuit_open_attempts},
+  };
+  AttemptFailures total;
+  for (const auto& [oc, cause] : rows) {
+    AttemptFailures one;
+    one.Count(oc);
+    total.Count(oc);
+    EXPECT_EQ(one.failed_attempts, cause == nullptr ? 0 : 1) << OutcomeName(oc);
+    for (const Field field : causes) {
+      EXPECT_EQ(one.*field, field == cause ? 1 : 0) << OutcomeName(oc);
+    }
+    EXPECT_TRUE(one.Partitioned()) << OutcomeName(oc);
+  }
+  EXPECT_EQ(total.failed_attempts, 5);
+  EXPECT_TRUE(total.Partitioned());
+  // The rest are request-level or workflow-only: no attempt concludes with one.
+  const Outcome others[] = {Outcome::kRetriesExhausted, Outcome::kUpstreamFailed,
+                            Outcome::kHedgeLoser, Outcome::kDeadLettered};
+  EXPECT_EQ(rows.size() + std::size(others), std::size(kAllOutcomes));
+  for (const Outcome oc : others) {
+    AttemptFailures none;
+    EXPECT_THROW(none.Count(oc), std::logic_error) << OutcomeName(oc);
+    EXPECT_EQ(none.failed_attempts, 0) << OutcomeName(oc);
+  }
+}
+
+TEST(AttemptFailures, QueueTimeoutsRefineTimeouts) {
+  AttemptFailures f;
+  f.Count(Outcome::kTimeout);
+  ++f.queue_timeout_attempts;  // The engine's count where the wait ended.
+  EXPECT_TRUE(f.Partitioned());
+  ++f.queue_timeout_attempts;  // A queue timeout that is no timeout.
+  EXPECT_FALSE(f.Partitioned());
+  EXPECT_EQ(f.PartitionText(), "causes=1 failed=1 queue_timeouts=2 timeouts=1");
+  AttemptFailures unfiled;
+  ++unfiled.failed_attempts;  // A failure under no cause.
+  EXPECT_FALSE(unfiled.Partitioned());
+}
+
+TEST(RetryPolicyRetries, RetriesWhileAttemptsRemainAndRejectionsOnlyWhenAllowed) {
+  for (const bool retry_rejected : {true, false}) {
+    RetryPolicy retry;
+    retry.max_attempts = 3;
+    retry.retry_rejected = retry_rejected;
+    for (const Outcome oc : kAllOutcomes) {
+      if (oc == Outcome::kOk) {
+        continue;
+      }
+      for (int attempt = 1; attempt <= 4; ++attempt) {
+        const bool want = attempt < 3 && (oc != Outcome::kRejected || retry_rejected);
+        EXPECT_EQ(retry.Retries(oc, attempt), want)
+            << OutcomeName(oc) << " attempt " << attempt << " retry_rejected "
+            << retry_rejected;
+      }
+    }
+  }
+  // One attempt in total: nothing is ever retried.
+  EXPECT_FALSE(RetryPolicy{}.Retries(Outcome::kCrash, 1));
 }
 
 // --- Backoff ---

@@ -88,6 +88,19 @@ echo "== Failure benches: --json smoke =="
 "$repo/build/tools/faascost" failures --json | python3 -m json.tool > /dev/null
 "$repo/build/tools/faascost" chaos --json | python3 -m json.tool > /dev/null
 echo "all six emitted valid JSON."
+# `failures` runs no audit, so check here that its failure taxonomy closes.
+# It runs no breaker and no client timeout, so these four causes are every
+# failed attempt, and each attempt that is not a success failed.
+for platform in aws gcp; do
+  "$repo/build/tools/faascost" failures --platform "$platform" --rate 0.1 --json |
+    python3 -c '
+import json, sys
+d = json.load(sys.stdin)
+causes = d["crashes"] + d["init_failures"] + d["timeouts"] + d["rejections"]
+assert causes == d["attempts"] - d["successes"], f"taxonomy does not close: {d}"
+'
+done
+echo "faascost failures: the failure taxonomy closes on aws and gcp."
 
 echo
 echo "== Workflow engine: determinism smoke + JSON schema sanity =="

@@ -1,7 +1,6 @@
 #include "src/cluster/fleet_sim.h"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -30,18 +29,13 @@ struct LiveSandbox {
 // One dispatch (initial or retry) waiting to be processed at `time`, in
 // (time, seq) order. Initial attempts stream from the arrival-sorted trace
 // with seq = trace index, which reproduces the fault-free per-record
-// iteration order exactly; retries and parked attempts take seqs from
-// `next_seq`, which starts at the trace size, so the trace cursor wins every
-// arrival tie. An attempt parked in an admission queue keeps its `ticket` as
-// the re-queue seq so queue order stays FIFO across wake-ups.
+// iteration order exactly; retries take seqs from `next_seq`, which starts at
+// the trace size, so the trace cursor wins every arrival tie.
 struct PendingAttempt {
   MicroSecs time = 0;
   int64_t seq = 0;
   size_t trace_idx = 0;
   int attempt = 1;
-  bool queued = false;  // Waiting in a function's admission queue.
-  MicroSecs queued_since = 0;
-  int64_t ticket = -1;
 };
 
 // The trace as the attempt queue's input: record i is request i's first
@@ -122,7 +116,6 @@ uint64_t HashFleetConfig(const FleetSimConfig& c) {
   d.MixI64(c.retry.backoff_cap);
   d.MixBool(c.retry.full_jitter);
   d.MixI64(c.retry.attempt_timeout);
-  d.MixBool(c.retry.retry_rejected);
   d.MixI64(c.retry.breaker_threshold);
   d.MixI64(c.retry.breaker_cooldown);
   d.MixU64(c.fault_seed);
@@ -133,11 +126,6 @@ uint64_t HashFleetConfig(const FleetSimConfig& c) {
   d.MixDouble(c.host_faults.zone_outage_mtbf_seconds);
   d.MixDouble(c.host_faults.graceful_fraction);
   d.MixI64(c.host_faults.drain_deadline);
-  d.MixI64(c.max_sandboxes_per_function);
-  d.MixBool(c.admission.enabled);
-  d.MixI64(c.admission.queue_depth);
-  d.MixI64(c.admission.queue_timeout);
-  d.MixI64(static_cast<int64_t>(c.admission.shed));
   return d.value();
 }
 
@@ -157,21 +145,12 @@ std::vector<std::string> FleetSimConfig::Validate() const {
   CheckAbove(&errors, "server.mem_mb", server.mem_mb, 0.0);
   AppendErrors(&errors, retry.Validate(), "retry: ");
   AppendErrors(&errors, host_faults.Validate(), "host_faults: ");
-  AppendErrors(&errors, admission.Validate(), "admission: ");
-  CheckAtLeast(&errors, "max_sandboxes_per_function", max_sandboxes_per_function, 0,
-               "0 = unbounded");
-  if (admission.enabled) {
-    CheckAbove(&errors, "max_sandboxes_per_function", max_sandboxes_per_function, 0,
-               "admission control needs a capacity limit to queue against");
-  }
-  // Client settings the fleet does not model: it has no client timeout, and
-  // it sheds only the newest arrival.
+  // Client settings the fleet does not model.
   if (retry.attempt_timeout > 0) {
     errors.push_back("retry: attempt_timeout must be 0: the fleet models no client timeout");
   }
-  if (admission.shed == ShedPolicy::kRejectOldest) {
-    errors.push_back(
-        "admission: shed must be reject-newest: reject-oldest needs PlatformSim's queue");
+  if (!retry.retry_rejected) {
+    errors.push_back("retry: retry_rejected must be true: the fleet rejects no attempt");
   }
   return errors;
 }
@@ -194,16 +173,13 @@ struct FleetEngine::Impl {
   bool hosts_on = false;
   MicroSecs drain = 0;
   bool breaker_on = false;
-  int cap = 0;
 
-  // Initial attempts stream from the trace; the heap holds only retries and
-  // attempts parked in admission queues.
+  // Initial attempts stream from the trace; the heap holds only retries.
   StreamedEventQueue<PendingAttempt, TraceArrivals> queue;
   int64_t next_seq = 0;
   // Per-function live sandbox pools, fed in global (arrival, seq) order.
   std::unordered_map<int64_t, std::vector<LiveSandbox>> pools;
-  // Per-function admission queue occupancy and client circuit breakers.
-  std::unordered_map<int64_t, int> queue_waiting;
+  // Per-function client circuit breakers.
   std::unordered_map<int64_t, CircuitBreaker> breakers;
 
   // --- Observability and integrity hooks (no-ops when null) ---
@@ -213,7 +189,6 @@ struct FleetEngine::Impl {
   Auditor* auditor = nullptr;
   NetworkModel* net = nullptr;
   NetworkTotals net_totals;  // Copied into the result's network fields at Finish.
-  int64_t waiting_now = 0;  // Attempts currently parked in admission queues.
 
   MicroSecs now = 0;  // Arrival time of the last processed attempt.
   int64_t attempts_processed = 0;
@@ -227,7 +202,6 @@ struct FleetEngine::Impl {
         hosts_on(config.host_faults.enabled()),
         drain(config.host_faults.drain_deadline),
         breaker_on(config.retry.breaker_threshold > 0),
-        cap(config.max_sandboxes_per_function),
         sink(config.trace_sink),
         ts(config.timeseries),
         prof(config.profiler),
@@ -350,41 +324,20 @@ struct FleetEngine::Impl {
     return sp;
   }
 
-  // Concludes every failed attempt: counts it under its cause, bills it if
-  // it never `ran` (an executed attempt was billed where it ran), feeds the
+  // Concludes every failed attempt: counts it under its cause, feeds the
   // breaker, then schedules the retry or resolves the request. The breaker
   // sees the failure at `end`; the client, which also waits on the network,
-  // at `client_end`.
-  void FailAttempt(const PendingAttempt& at, Outcome oc, bool ran, MicroSecs end,
-                   MicroSecs client_end) {
+  // at `client_end`. An executed attempt was billed where it ran; a breaker
+  // fast-fail ran nothing and costs $0 (ComputeInvoice), so it adds only
+  // the attempt and its zero-length terminal span.
+  void FailAttempt(const PendingAttempt& at, Outcome oc, MicroSecs end, MicroSecs client_end) {
     result.Count(oc);
-    if (!ran) {
-      // No resources ran: only per-invocation fee rules apply (kCircuitOpen
-      // is $0 by construction). The series' billed entry matches the
-      // terminal kQueueWait span's price, end time and order, so
-      // ReconcileBilledUsd is bitwise.
+    if (oc == Outcome::kCircuitOpen) {
       ++result.attempts;
-      RequestRecord billed = (*trace)[at.trace_idx];
-      billed.cold_start = false;
-      billed.init_duration = 0;
-      billed.exec_duration = 0;
-      billed.cpu_time = 0;
-      billed.outcome = oc;
-      billed.attempt = at.attempt;
-      const Invoice inv = ComputeInvoice(billing, billed);
-      result.revenue += inv.total;
-      result.fee_revenue += inv.invocation_cost;
-      if (ts != nullptr) {
-        ts->RecordBilled(end, inv.total);
-        ts->RecordWaste(end, WasteKind::kFailedAttempt, inv.total);
-      }
       if (sink != nullptr) {
-        const MicroSecs start = at.queued ? at.queued_since : at.time;
-        Span sp = FunctionSpan(SpanKind::kQueueWait, at, start, end - start);
+        Span sp = FunctionSpan(SpanKind::kQueueWait, at, at.time, end - at.time);
         sp.status = OutcomeName(oc);
         sp.terminal = true;
-        sp.billed_micros = inv.billable_time;
-        sp.billed_usd = inv.total;
         sink->Record(sp);
       }
     }
@@ -428,31 +381,6 @@ struct FleetEngine::Impl {
                  std::to_string(result.successes) + " exhausted=" +
                  std::to_string(result.retries_exhausted);
         });
-    // Admission-queue accounting: the global waiting counter, the sum of
-    // per-function occupancies, and the queued flags in the heap (parked
-    // attempts only ever live there) all agree.
-    int64_t per_fn = 0;
-    for (const auto& [fid, n] : queue_waiting) {
-      auditor->CheckLazy(n >= 0, "fleet.queue_occupancy_nonnegative", now,
-                         config.fault_seed,
-                         [&] { return "function " + std::to_string(fid); },
-                         [&] { return std::to_string(n); });
-      per_fn += n;
-    }
-    int64_t flagged = 0;
-    for (const PendingAttempt& at : queue.heap()) {
-      if (at.queued) {
-        ++flagged;
-      }
-    }
-    auditor->CheckLazy(per_fn == waiting_now && flagged == waiting_now,
-                       "fleet.queue_accounting", now, config.fault_seed,
-                       [] { return "admission queues"; },
-                       [&] {
-                         return "per_fn=" + std::to_string(per_fn) + " flagged=" +
-                                std::to_string(flagged) + " counter=" +
-                                std::to_string(waiting_now);
-                       });
     // Capacity accounting: one sandbox span per cold start, ever.
     auditor->CheckLazy(
         result.cold_starts == static_cast<int64_t>(result.spans.size()),
@@ -505,15 +433,13 @@ struct FleetEngine::Impl {
       prof->CountEvent(0, at.time, queue.heap().size());
     }
     if (ts != nullptr) {
-      ts->RecordArrivalQueued(at.time, waiting_now);
+      ts->RecordArrival(at.time);
     }
     const RequestRecord& r = (*trace)[at.trace_idx];
 
-    // Client circuit breaker: fast-fail without reaching the platform. Only
-    // fresh dispatches are gated; an attempt already parked in an admission
-    // queue is a continuation, not a new dispatch.
-    if (breaker_on && !at.queued && !BreakerFor(r.function_id).AllowDispatch(at.time)) {
-      FailAttempt(at, Outcome::kCircuitOpen, /*ran=*/false, at.time, at.time);
+    // Client circuit breaker: fast-fail without reaching the platform.
+    if (breaker_on && !BreakerFor(r.function_id).AllowDispatch(at.time)) {
+      FailAttempt(at, Outcome::kCircuitOpen, at.time, at.time);
       return;
     }
 
@@ -521,67 +447,6 @@ struct FleetEngine::Impl {
     // Reuse the most recently freed idle sandbox whose host survived.
     const size_t warm = PickWarm(pool, at.time);
 
-    // Per-function sandbox cap: no warm sandbox and no room to scale out
-    // means queueing (admission control), shedding, or plain rejection.
-    if (warm == kNoWarm && cap > 0) {
-      int busy = 0;
-      MicroSecs next_free = std::numeric_limits<MicroSecs>::max();
-      for (const auto& sb : pool) {
-        if (sb.free_at > at.time) {
-          ++busy;
-          next_free = std::min(next_free, sb.free_at);
-        }
-      }
-      if (busy >= cap) {
-        // A cap without a queue is the classic 429 at capacity; a full queue
-        // sheds the newcomer. The fleet model is tail-drop only;
-        // reject-oldest lives in the event-driven PlatformSim.
-        if (!config.admission.enabled ||
-            (!at.queued && queue_waiting[r.function_id] >= config.admission.queue_depth)) {
-          FailAttempt(at, Outcome::kRejected, /*ran=*/false, at.time, at.time);
-          return;
-        }
-        int& waiting = queue_waiting[r.function_id];
-        if (!at.queued) {
-          ++waiting;
-          ++waiting_now;
-          ++result.queued_attempts;
-          at.queued = true;
-          at.queued_since = at.time;
-          at.ticket = next_seq++;
-        }
-        const MicroSecs deadline = config.admission.queue_timeout > 0
-                                       ? at.queued_since + config.admission.queue_timeout
-                                       : std::numeric_limits<MicroSecs>::max();
-        if (next_free > deadline) {
-          // No sandbox frees before the queue timeout: fail at the deadline.
-          --waiting;
-          --waiting_now;
-          result.queue_wait_seconds += MicrosToSecs(deadline - at.queued_since);
-          ++result.queue_timeout_attempts;
-          FailAttempt(at, Outcome::kTimeout, /*ran=*/false, deadline, deadline);
-          return;
-        }
-        // Wait for the earliest sandbox to free. Re-queuing under the
-        // original ticket keeps the queue FIFO across wake-ups.
-        PendingAttempt parked = at;
-        parked.time = next_free;
-        parked.seq = at.ticket;
-        queue.Push(parked);
-        return;
-      }
-    }
-
-    // Dispatching now; leave the admission queue if we were parked in it.
-    if (at.queued) {
-      --queue_waiting[r.function_id];
-      --waiting_now;
-      result.queue_wait_seconds += MicrosToSecs(at.time - at.queued_since);
-      if (sink != nullptr) {
-        sink->Record(
-            FunctionSpan(SpanKind::kQueueWait, at, at.queued_since, at.time - at.queued_since));
-      }
-    }
     ++result.attempts;
 
     // Sample this attempt's fate. Crashes abort at a uniform point of the
@@ -755,7 +620,7 @@ struct FleetEngine::Impl {
       }
       ResolveTerminal(at, client_end, true);
     } else {
-      FailAttempt(at, oc, /*ran=*/true, end, client_end);
+      FailAttempt(at, oc, end, client_end);
     }
 
     if (auditor != nullptr && auditor->ScanDue(attempts_processed)) {
@@ -797,7 +662,6 @@ struct FleetEngine::Impl {
       queue.set_cursor(static_cast<size_t>(cursor));
     }
     ar.Field("next_seq", next_seq);
-    ar.Field("waiting_now", waiting_now);
     ar.Field("attempts_processed", attempts_processed);
     int next_host = host_faults.next_host();
     ar.Field("next_host", next_host);
@@ -815,9 +679,6 @@ struct FleetEngine::Impl {
         at.trace_idx = static_cast<size_t>(idx);
       }
       a.Field("attempt", at.attempt);
-      a.Field("queued", at.queued);
-      a.Field("queued_since", at.queued_since);
-      a.Field("ticket", at.ticket);
     });
 
     // Live pools only: an emptied pool is indistinguishable from none.
@@ -838,8 +699,6 @@ struct FleetEngine::Impl {
       }
       ar.EndArray();
     });
-    ArchiveByFid(ar, "queue_waiting", queue_waiting, kEveryEntry,
-                 [&](int64_t fid) { ar.Field("n", queue_waiting[fid]); });
     ArchiveByFid(ar, "breakers", breakers, kEveryEntry,
                  [&](int64_t fid) { BreakerFor(fid).Archive(ar); });
 
@@ -857,8 +716,6 @@ struct FleetEngine::Impl {
     ar.Field("rejected_attempts", result.rejected_attempts);
     ar.Field("queue_timeout_attempts", result.queue_timeout_attempts);
     ar.Field("circuit_open_attempts", result.circuit_open_attempts);
-    ar.Field("queued_attempts", result.queued_attempts);
-    ar.Field("queue_wait_seconds", result.queue_wait_seconds);
     ar.Field("host_fault_attempt_kills", result.host_fault_attempt_kills);
     ar.Field("host_fault_sandbox_kills", result.host_fault_sandbox_kills);
     ar.Field("drain_survivals", result.drain_survivals);

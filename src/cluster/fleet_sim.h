@@ -57,25 +57,18 @@ struct FleetSimConfig {
   MicroSecs max_exec_duration = 0;
   // Client retries of failed attempts; retries re-enter the arrival stream
   // after backoff and are billed like any other attempt. The fleet models
-  // no client timeout: Validate refuses an attempt_timeout.
+  // no client timeout and rejects no attempt: Validate refuses an
+  // attempt_timeout and retry_rejected = false.
   RetryPolicy retry;
   uint64_t fault_seed = 1234;  // Seed of the fault RNG stream.
-  // --- Fleet-level chaos (host failures, admission control) ---
+  // --- Fleet-level chaos (host failures) ---
   // Seeded host fault domains: sandboxes are pinned to logical hosts and a
   // host loss destroys every resident sandbox (in-flight work crashes, the
   // survivors stampede into cold starts). Disabled by default; a disabled
   // model consumes no randomness, so zero-chaos runs stay bit-identical.
+  // Every concurrent arrival gets a sandbox: overload, admission queues and
+  // 429s at capacity are PlatformSim's (AdmissionControlConfig).
   HostFaultModelConfig host_faults;
-  // Per-function sandbox cap. 0 = unbounded (every concurrent arrival gets
-  // a sandbox, as in the fault-free model). Must be > 0 for admission
-  // control to have anything to queue against.
-  int max_sandboxes_per_function = 0;
-  // Bounded per-function admission queue, active only with a sandbox cap:
-  // arrivals beyond the cap wait for a warm sandbox instead of fanning out,
-  // shed at kRejected past queue_depth, and fail kTimeout past
-  // queue_timeout. The fleet model sheds newest-only: Validate refuses
-  // reject-oldest, which needs the event-driven PlatformSim queue.
-  AdmissionControlConfig admission;
   // Observability hooks (non-owning; the caller keeps them alive through the
   // simulation). Null by default: instrumentation is then one pointer test
   // per attempt, draws no randomness, and results stay bit-identical.
@@ -89,9 +82,8 @@ struct FleetSimConfig {
   // (ReconcileBilledUsd in src/obs/timeseries.h).
   TimeSeries* timeseries = nullptr;
   // Engine flight recorder: per-attempt event counts, queue depth samples
-  // (retries and parked admission-queue attempts; initial attempts stream
-  // from the trace and are never queued), and fault-RNG draw totals
-  // (src/obs/engine_profiler.h).
+  // (retries only; initial attempts stream from the trace and are never
+  // queued), and fault-RNG draw totals (src/obs/engine_profiler.h).
   EngineProfiler* profiler = nullptr;
   // Runtime invariant auditor (non-owning; null = detached, zero overhead
   // beyond one pointer test per attempt). See src/integrity/integrity.h.
@@ -103,8 +95,8 @@ struct FleetSimConfig {
   // scheduling), not sandbox occupancy — the sandbox is released when the
   // function returns; bytes move through the platform's edge, not the
   // sandbox. The zone is the sandbox's host when host faults are on,
-  // ZoneOf(function_id) otherwise. Unexecuted attempts (shed, queue
-  // timeout, breaker fast-fail) never reach the edge and move nothing.
+  // ZoneOf(function_id) otherwise. Breaker fast-fails never reach the edge
+  // and move nothing.
   // Like TraceSink, the model is caller-owned run state and is NOT archived:
   // checkpoint/resume of a network-attached run is unsupported.
   NetworkModel* network = nullptr;
@@ -128,8 +120,8 @@ struct SandboxSpan {
 };
 
 // The failed attempts by cause come from AttemptFailures. In the fleet an
-// init failure is a host that died before init completed, and a rejection
-// a 429 at the sandbox cap or a shed from a full admission queue.
+// init failure is a host that died before init completed. The fleet admits
+// every attempt, so its rejected_attempts and queue_timeout_attempts stay 0.
 struct FleetResult : AttemptFailures {
   int64_t requests = 0;
   int64_t attempts = 0;  // Dispatched attempts (== requests with no faults).
@@ -138,15 +130,13 @@ struct FleetResult : AttemptFailures {
   int64_t retries = 0;
   int64_t retries_exhausted = 0;  // Requests that terminally failed.
   int64_t successes = 0;          // Requests whose final attempt succeeded.
-  // --- Chaos accounting (all zero without host faults / admission control) ---
+  // --- Chaos accounting (all zero without host faults or the breaker) ---
   int64_t breaker_trips = 0;           // Closed->open transitions, all functions.
-  int64_t queued_attempts = 0;         // Attempts that waited in a queue at all.
-  double queue_wait_seconds = 0.0;     // Total admission-queue wait.
   int64_t host_fault_attempt_kills = 0;   // In-flight attempts killed by host loss.
   int64_t host_fault_sandbox_kills = 0;   // Sandboxes destroyed by host loss.
   int64_t drain_survivals = 0;  // Attempts finished inside a graceful drain window.
   // Per original request: terminal resolution time minus trace arrival
-  // (queueing delay, retries and backoff included). Indexed like the trace.
+  // (retries and backoff included). Indexed like the trace.
   std::vector<MicroSecs> e2e_latency;
   double sandbox_seconds = 0.0;  // Sum of sandbox lifetimes.
   double busy_seconds = 0.0;

@@ -31,7 +31,8 @@ std::vector<std::string> HostFaultModelConfig::Validate() const {
   CheckAtLeast(&errors, "zone_outage_mtbf_seconds", zone_outage_mtbf_seconds, 0.0,
                "0 = no outages");
   CheckWithin(&errors, "graceful_fraction", graceful_fraction, 0.0, 1.0);
-  CheckAtLeast(&errors, "drain_deadline", drain_deadline, 0, "0 = drains kill immediately");
+  CheckWithin(&errors, "drain_deadline", drain_deadline, 0, kMaxDuration, Ends::kClosed,
+              "0 = drains kill immediately, at most a century");
   if (enabled() && mtbf_seconds > 0.0 && mtbf_seconds <= mttr_seconds) {
     errors.push_back(
         "mtbf_seconds must exceed mttr_seconds (a host cannot spend more time "
@@ -61,8 +62,8 @@ void HostFaultModel::ExtendHostSchedule(int host, MicroSecs t) {
       1.0 / (config_.mtbf_seconds * static_cast<double>(kMicrosPerSec));
   const MicroSecs mttr = SecsToMicrosClamped(config_.mttr_seconds);
   while (hs.generated_until <= t) {
-    const MicroSecs gap =
-        std::max<MicroSecs>(1, static_cast<MicroSecs>(hs.rng.Exponential(rate_per_us)));
+    const MicroSecs gap = std::max<MicroSecs>(
+        1, static_cast<MicroSecs>(CapDuration(hs.rng.Exponential(rate_per_us))));
     const MicroSecs when = hs.generated_until + gap;
     HostFailureEvent ev;
     ev.time = when;
@@ -85,7 +86,7 @@ void HostFaultModel::ExtendZoneSchedule(MicroSecs t) {
       1.0 / (config_.zone_outage_mtbf_seconds * static_cast<double>(kMicrosPerSec));
   while (zones_generated_until_ <= t) {
     const MicroSecs gap = std::max<MicroSecs>(
-        1, static_cast<MicroSecs>(zone_rng_.Exponential(rate_per_us)));
+        1, static_cast<MicroSecs>(CapDuration(zone_rng_.Exponential(rate_per_us))));
     const MicroSecs when = zones_generated_until_ + gap;
     ZoneOutage outage;
     outage.time = when;

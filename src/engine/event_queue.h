@@ -1,9 +1,9 @@
 // The event order of the fleet and workflow engines: a cursor over a
 // time-sorted input merged with a min-heap of scheduled events, popped in
-// (time, seq) order. Each engine assigns its own seqs (the fleet re-queues a
-// parked attempt under its original ticket), so equal-time events pop in
-// seq order whatever the heap's layout. Input events are built from their
-// index when the cursor reaches them: only scheduled events take memory.
+// (time, seq) order. Each engine assigns its own seqs, so equal-time events
+// pop in seq order whatever the heap's layout. Input events are built from
+// their index when the cursor reaches them: only scheduled events take
+// memory.
 //
 // PlatformSim keeps its own time-only queue: its pinned results depend on
 // equal-time events popping in heap-layout order.

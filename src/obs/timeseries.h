@@ -176,14 +176,6 @@ class TimeSeries {
   // event, so the per-call budget is a few ns — a cached-window hit plus one
   // counter update, no out-of-line call.
   void RecordArrival(MicroSecs t) { ++WindowFor(t).arrivals; }
-  // Arrival-side hook: the arrival count and the queue-depth high-water
-  // mark share one window lookup (they always fire together in the
-  // simulator hot loops).
-  void RecordArrivalQueued(MicroSecs t, int64_t depth) {
-    WindowStats& w = WindowFor(t);
-    ++w.arrivals;
-    w.queue_depth_max = std::max(w.queue_depth_max, depth);
-  }
   void RecordDispatch(MicroSecs t, bool cold) {
     WindowStats& w = WindowFor(t);
     ++w.dispatches;

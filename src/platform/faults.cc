@@ -16,7 +16,8 @@ std::vector<std::string> FaultModelConfig::Validate() const {
   std::vector<std::string> errors;
   CheckWithin(&errors, "init_failure_prob", init_failure_prob, 0.0, 1.0);
   CheckWithin(&errors, "crash_prob", crash_prob, 0.0, 1.0);
-  CheckAtLeast(&errors, "max_exec_duration", max_exec_duration, 0, "0 disables");
+  CheckWithin(&errors, "max_exec_duration", max_exec_duration, 0, kMaxDuration, Ends::kClosed,
+              "0 disables, at most a century");
   return errors;
 }
 
@@ -54,8 +55,9 @@ std::string AttemptFailures::PartitionText() const {
 MicroSecs RetryPolicy::BackoffDelay(int failed_attempt, Rng& rng) const {
   double bound = static_cast<double>(backoff_base);
   // The exponent is clamped so a runaway attempt counter cannot push the
-  // bound to infinity, and the bound itself is clamped below the MicroSecs
-  // range so the final cast is always well-defined even for absurd caps.
+  // bound to infinity. Validate keeps the cap within a century; the bound is
+  // still clamped below the MicroSecs range so the final cast is defined for
+  // a caller that never validated its policy.
   const int exponent = std::min(failed_attempt - 1, kBackoffExponentCap);
   for (int i = 0; i < exponent; ++i) {
     bound *= backoff_multiplier;
@@ -74,13 +76,20 @@ MicroSecs RetryPolicy::BackoffDelay(int failed_attempt, Rng& rng) const {
 std::vector<std::string> RetryPolicy::Validate() const {
   std::vector<std::string> errors;
   CheckAtLeast(&errors, "max_attempts", max_attempts, 1, "1 = no retries");
-  CheckAbove(&errors, "backoff_base", backoff_base, 0);
+  // 0 < base <= cap <= a century: every delay is at most the cap, so a
+  // retry adds at most a century to an engine's clock. A base past the
+  // ceiling is its own error, not also the cap's.
+  CheckWithin(&errors, "backoff_base", backoff_base, 0, kMaxDuration, Ends::kOpenLow,
+              "at most a century");
   CheckAtLeast(&errors, "backoff_multiplier", backoff_multiplier, 1.0);
-  CheckAtLeast(&errors, "backoff_cap", backoff_cap, backoff_base, "backoff_base");
-  CheckAtLeast(&errors, "attempt_timeout", attempt_timeout, 0, "0 disables");
+  CheckWithin(&errors, "backoff_cap", backoff_cap, std::min(backoff_base, kMaxDuration),
+              kMaxDuration, Ends::kClosed, "from backoff_base to a century");
+  CheckWithin(&errors, "attempt_timeout", attempt_timeout, 0, kMaxDuration, Ends::kClosed,
+              "0 disables, at most a century");
   CheckAtLeast(&errors, "breaker_threshold", breaker_threshold, 0, "0 disables");
   if (breaker_threshold > 0) {
-    CheckAbove(&errors, "breaker_cooldown", breaker_cooldown, 0, "the breaker is enabled");
+    CheckWithin(&errors, "breaker_cooldown", breaker_cooldown, 0, kMaxDuration, Ends::kOpenLow,
+                "the breaker is enabled, at most a century");
   }
   return errors;
 }
@@ -143,7 +152,8 @@ std::vector<std::string> AdmissionControlConfig::Validate() const {
   if (enabled) {
     CheckAbove(&errors, "queue_depth", queue_depth, 0, "a zero-depth queue admits nothing");
   }
-  CheckAtLeast(&errors, "queue_timeout", queue_timeout, 0, "0 = wait forever");
+  CheckWithin(&errors, "queue_timeout", queue_timeout, 0, kMaxDuration, Ends::kClosed,
+              "0 = wait forever, at most a century");
   return errors;
 }
 

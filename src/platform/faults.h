@@ -64,8 +64,9 @@ struct FaultModelConfig {
 // Failed attempts by cause, one taxonomy for the fleet and platform results
 // (both derive from it; all zero in a fault-free run). Count files each
 // failed attempt under exactly one of five causes, so the causes partition
-// `failed_attempts`. Queue timeouts refine timeouts: an engine counts one
-// where an admission-queue wait ends, besides Count's timeout.
+// `failed_attempts`. Queue timeouts refine timeouts: PlatformSim, the one
+// engine with an admission queue, counts one where a wait ends, besides
+// Count's timeout.
 struct AttemptFailures {
   int64_t failed_attempts = 0;
   int64_t crash_attempts = 0;
@@ -101,6 +102,7 @@ struct RetryPolicy {
   // jitter (uniform in [0, that bound]) when `full_jitter` is set. The
   // exponent is clamped (kBackoffExponentCap) so absurd attempt counts can
   // never overflow the computation; the cap is the max_backoff clamp.
+  // Validate keeps 0 < backoff_base <= backoff_cap <= kMaxDuration.
   MicroSecs backoff_base = 100 * kMicrosPerMilli;
   double backoff_multiplier = 2.0;
   MicroSecs backoff_cap = 10LL * kMicrosPerSec;

@@ -193,8 +193,10 @@ std::vector<std::string> PlatformSimConfig::Validate() const {
     AppendErrors(&errors, keepalive->Validate(), "keepalive: ");
   }
   // kSample re-arms every sample_interval whether or not scaling is on.
-  CheckAbove(&errors, "autoscaler.sample_interval", autoscaler.sample_interval, 0);
-  CheckAbove(&errors, "autoscaler.eval_interval", autoscaler.eval_interval, 0);
+  CheckWithin(&errors, "autoscaler.sample_interval", autoscaler.sample_interval, 0, kMaxDuration,
+              Ends::kOpenLow, "a century");
+  CheckWithin(&errors, "autoscaler.eval_interval", autoscaler.eval_interval, 0, kMaxDuration,
+              Ends::kOpenLow, "a century");
   CheckAbove(&errors, "autoscaler.metric_window", autoscaler.metric_window, 0);
   CheckAtLeast(&errors, "autoscaler.action_cooldown", autoscaler.action_cooldown, 0);
   CheckWithin(&errors, "autoscaler.target_utilization", autoscaler.target_utilization, 0.0,
@@ -203,7 +205,8 @@ std::vector<std::string> PlatformSimConfig::Validate() const {
   AppendErrors(&errors, faults.Validate(), "faults: ");
   AppendErrors(&errors, retry.Validate(), "retry: ");
   AppendErrors(&errors, admission.Validate(), "admission: ");
-  CheckAtLeast(&errors, "drain_deadline", drain_deadline, 0, "0 = drains kill at once");
+  CheckWithin(&errors, "drain_deadline", drain_deadline, 0, kMaxDuration, Ends::kClosed,
+              "0 = drains kill at once, at most a century");
   return errors;
 }
 

@@ -9,21 +9,25 @@ namespace faascost {
 
 std::vector<std::string> DeadlineBudgetPolicy::Validate() const {
   std::vector<std::string> errors;
-  CheckAtLeast(&errors, "deadline", deadline, 0, "0 disables");
+  CheckWithin(&errors, "deadline", deadline, 0, kMaxDuration, Ends::kClosed,
+              "0 disables, at most a century");
   return errors;
 }
 
 std::vector<std::string> HedgePolicy::Validate() const {
   std::vector<std::string> errors;
-  CheckAtLeast(&errors, "hedge_after", hedge_after, 0, "0 disables");
-  CheckAtLeast(&errors, "cancel_latency", cancel_latency, 0);
+  CheckWithin(&errors, "hedge_after", hedge_after, 0, kMaxDuration, Ends::kClosed,
+              "0 disables, at most a century");
+  CheckWithin(&errors, "cancel_latency", cancel_latency, 0, kMaxDuration, Ends::kClosed,
+              "a century");
   return errors;
 }
 
 std::vector<std::string> AsyncRedrivePolicy::Validate() const {
   std::vector<std::string> errors;
   CheckAtLeast(&errors, "max_redrives", max_redrives, 0);
-  CheckAtLeast(&errors, "redrive_delay", redrive_delay, 0);
+  CheckWithin(&errors, "redrive_delay", redrive_delay, 0, kMaxDuration, Ends::kClosed,
+              "a century");
   return errors;
 }
 

@@ -129,6 +129,10 @@ ACCEPTED = [
      "--seconds", "20", "--timeout-ms", "1000", "--json"] + SEED,
     ["chaos", "--platform", "aws", "--breaker-threshold", "2", "--zones", "2",
      "--zone-outage-mtbf-s", "600", "--json"] + FLEET + SEED,
+    # Failure gaps drawn with these means lie past int64's range; each stops
+    # at the duration ceiling before its cast.
+    ["chaos", "--requests", "200", "--functions", "10", "--seconds", "60", "--mtbf-s", "1e13",
+     "--zones", "2", "--zone-outage-mtbf-s", "1e14"] + SEED,
     ["monitor", "--out", "{out}/mf", "--sim", "fleet", "--platform", "aws"] + SLO + FLEET
     + SEED,
     ["monitor", "--out", "{out}/mp", "--sim", "platform", "--platform", "aws", "--rate",

@@ -212,10 +212,9 @@ TEST(FleetEngineInput, RecordTimesPastTheCeilingAreRejected) {
   }
 }
 
-// The engine's queue holds only retries and attempts parked in admission
-// queues, never the trace itself: memory follows live state, not trace
-// length.
-TEST(FleetEngineMemory, QueueHoldsOnlyRetriesAndParkedAttempts) {
+// The engine's queue holds only retries, never the trace itself: memory
+// follows live state, not trace length.
+TEST(FleetEngineMemory, QueueHoldsOnlyRetries) {
   TraceGenConfig gen_cfg;
   gen_cfg.num_requests = 20'000;
   gen_cfg.num_functions = 100;
@@ -239,15 +238,10 @@ TEST(FleetEngineMemory, QueueHoldsOnlyRetriesAndParkedAttempts) {
   chaos.host_faults.hosts = 8;
   chaos.host_faults.mtbf_seconds = 300.0;
   chaos.host_faults.mttr_seconds = 30.0;
-  chaos.max_sandboxes_per_function = 2;
-  chaos.admission.enabled = true;
-  chaos.admission.queue_depth = 4;
-  chaos.admission.queue_timeout = 1 * kSec;
   const FleetResult c = SimulateFleet(trace, billing, chaos);
   EXPECT_GT(c.retries, 0);
-  EXPECT_GT(c.queued_attempts, 0);
   EXPECT_GT(chaos_prof.queue_depth_peak(), 0);
-  EXPECT_LE(chaos_prof.queue_depth_peak(), c.retries + c.queued_attempts);
+  EXPECT_LE(chaos_prof.queue_depth_peak(), c.retries);
 }
 
 TEST(BucketEconomics, BucketsPartitionFunctionsAndOrderColdStarts) {

@@ -1,7 +1,7 @@
 // Fleet-level chaos: the host fault model's deterministic schedule, zonal
-// outages and graceful drains; admission control and the client circuit
-// breaker in the fleet simulator; and — the non-negotiable — zero-chaos
-// configurations reproducing the pre-chaos goldens bit-identically.
+// outages and graceful drains; the client circuit breaker in the fleet
+// simulator; and — the non-negotiable — zero-chaos configurations
+// reproducing the pre-chaos goldens bit-identically.
 
 #include "src/cluster/host_faults.h"
 
@@ -84,32 +84,6 @@ TEST(FleetChaosConfig, HostFaultErrorsSurfaceThroughFleetValidate) {
   EXPECT_NE(errors[0].find("host_faults:"), std::string::npos);
   EXPECT_THROW(SimulateFleet({}, MakeBillingModel(Platform::kAwsLambda), cfg),
                std::invalid_argument);
-}
-
-TEST(FleetChaosConfig, AdmissionNeedsQueueDepthAndSandboxCap) {
-  FleetSimConfig cfg;
-  cfg.max_sandboxes_per_function = 2;
-  cfg.admission.enabled = true;
-  cfg.admission.queue_depth = 0;  // Zero-depth queue is a config error.
-  EXPECT_FALSE(cfg.Validate().empty());
-
-  cfg.admission.queue_depth = 8;
-  EXPECT_TRUE(cfg.Validate().empty());
-
-  // Admission control without a sandbox cap has nothing to queue against.
-  cfg.max_sandboxes_per_function = 0;
-  EXPECT_FALSE(cfg.Validate().empty());
-
-  FleetSimConfig negative_cap;
-  negative_cap.max_sandboxes_per_function = -1;
-  EXPECT_FALSE(negative_cap.Validate().empty());
-
-  FleetSimConfig negative_timeout;
-  negative_timeout.max_sandboxes_per_function = 1;
-  negative_timeout.admission.enabled = true;
-  negative_timeout.admission.queue_depth = 8;
-  negative_timeout.admission.queue_timeout = -1;
-  EXPECT_FALSE(negative_timeout.Validate().empty());
 }
 
 // --- Deterministic failure schedules ---
@@ -347,17 +321,43 @@ TEST(HostFaultSchedule, FirstFailureInMatchesBruteForceOverRandomWindows) {
   }
 }
 
+// Validation accepts any finite MTBF, and a gap drawn with a mean of 1e14 s
+// (1e20 us) lies past int64's range, so both schedules stop each gap at
+// kMaxDuration before its int64 cast: a run's hosts and zones then fail a
+// century apart.
+TEST(HostFaultSchedule, HugeMtbfGapsStopAtTheDurationCeiling) {
+  HostFaultModelConfig cfg;
+  cfg.hosts = 2;
+  cfg.zones = 2;
+  cfg.mtbf_seconds = 1e14;
+  cfg.zone_outage_mtbf_seconds = 1e14;
+  ASSERT_TRUE(cfg.Validate().empty());
+  HostFaultModel model(cfg, 7);
+  for (int host = 0; host < cfg.hosts; ++host) {
+    EXPECT_FALSE(model.FirstFailureIn(host, 0, kMaxDuration - 1).has_value()) << host;
+    const auto ev = model.FirstFailureIn(host, 0, 2 * kMaxDuration);
+    ASSERT_TRUE(ev.has_value()) << host;
+    EXPECT_EQ(ev->time, kMaxDuration) << host;
+  }
+
+  FleetSimConfig fleet;
+  fleet.host_faults = cfg;
+  const FleetResult res =
+      SimulateFleet(SmallTrace(), MakeBillingModel(Platform::kAwsLambda), fleet);
+  EXPECT_EQ(res.host_fault_sandbox_kills, 0);
+  EXPECT_EQ(res.successes, res.requests);
+}
+
 // --- Fleet integration: zero-chaos bit-identical goldens ---
 
 // The same goldens as FleetZeroFaultBaseline.ReproducesPreFaultGoldens, but
 // with chaos knobs present-and-disabled: hosts assigned yet no failure
-// source, a sandbox cap high enough to never bind, and a breaker threshold
-// of 0. None of it may consume randomness or perturb a single event.
+// source, and a breaker threshold of 0. None of it may consume randomness or
+// perturb a single event.
 TEST(FleetChaosBaseline, DisabledChaosKnobsAreBitIdentical) {
   const auto trace = SmallTrace();
   FleetSimConfig cfg;
   cfg.host_faults.hosts = 16;  // No mtbf / zone outages: model disabled.
-  cfg.max_sandboxes_per_function = 1'000'000;  // Never binds.
   cfg.retry.breaker_threshold = 0;
   const FleetResult res =
       SimulateFleet(trace, MakeBillingModel(Platform::kAwsLambda), cfg);
@@ -378,7 +378,6 @@ TEST(FleetChaosBaseline, DisabledChaosKnobsAreBitIdentical) {
   EXPECT_EQ(res.queue_timeout_attempts, 0);
   EXPECT_EQ(res.circuit_open_attempts, 0);
   EXPECT_EQ(res.breaker_trips, 0);
-  EXPECT_EQ(res.queued_attempts, 0);
   EXPECT_EQ(res.host_fault_attempt_kills, 0);
   EXPECT_EQ(res.host_fault_sandbox_kills, 0);
   EXPECT_EQ(res.drain_survivals, 0);
@@ -460,10 +459,10 @@ TEST(FleetHostFaults, GracefulDrainsLetShortWorkFinish) {
   EXPECT_GT(abrupt.host_fault_attempt_kills, 0);
 }
 
-// --- Fleet integration: admission control and the circuit breaker ---
+// --- Fleet integration: the circuit breaker ---
 
-// A hand-built trace gives precise control: one function, fixed 100 ms
-// executions, arrivals chosen to exceed a one-sandbox capacity.
+// A hand-built trace gives precise control: one function, `n` arrivals
+// `spacing` apart, each executing for `exec`.
 std::vector<RequestRecord> BurstTrace(int n, MicroSecs spacing, MicroSecs exec) {
   std::vector<RequestRecord> trace(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -477,62 +476,6 @@ std::vector<RequestRecord> BurstTrace(int n, MicroSecs spacing, MicroSecs exec) 
     r.used_mem_mb = 256.0;
   }
   return trace;
-}
-
-TEST(FleetAdmission, CapWithoutQueueRejectsConcurrentOverflow) {
-  // 10 simultaneous arrivals, 1 sandbox, no queue: 1 runs, 9 get 429s.
-  const auto trace = BurstTrace(10, 0, 100 * kMs);
-  FleetSimConfig cfg;
-  cfg.init_duration = 0;  // Keep the hand-computed timings exact.
-  cfg.max_sandboxes_per_function = 1;
-  cfg.retry.retry_rejected = false;
-  const auto res = SimulateFleet(trace, MakeBillingModel(Platform::kAwsLambda), cfg);
-  EXPECT_EQ(res.successes, 1);
-  EXPECT_EQ(res.rejected_attempts, 9);
-  EXPECT_EQ(res.queued_attempts, 0);
-}
-
-TEST(FleetAdmission, QueueAbsorbsBurstWithinDepthAndTimeout) {
-  const auto trace = BurstTrace(10, 0, 100 * kMs);
-  FleetSimConfig cfg;
-  cfg.init_duration = 0;  // Keep the hand-computed timings exact.
-  cfg.max_sandboxes_per_function = 1;
-  cfg.admission.enabled = true;
-  cfg.admission.queue_depth = 16;
-  cfg.admission.queue_timeout = 0;  // Wait forever.
-  const auto res = SimulateFleet(trace, MakeBillingModel(Platform::kAwsLambda), cfg);
-  // Everything eventually runs, serialized through the single sandbox.
-  EXPECT_EQ(res.successes, 10);
-  EXPECT_EQ(res.rejected_attempts, 0);
-  EXPECT_EQ(res.queued_attempts, 9);
-  EXPECT_GT(res.queue_wait_seconds, 0.0);
-  // Serialized executions: the last request waited ~9 executions.
-  EXPECT_GE(res.e2e_latency[9], 9 * 100 * kMs);
-}
-
-TEST(FleetAdmission, FullQueueShedsNewestAndTimeoutBoundsWaits) {
-  // Depth 3: of 10 simultaneous arrivals, 1 runs, 3 queue, 6 shed.
-  const auto trace = BurstTrace(10, 0, 100 * kMs);
-  FleetSimConfig cfg;
-  cfg.init_duration = 0;  // Keep the hand-computed timings exact.
-  cfg.max_sandboxes_per_function = 1;
-  cfg.admission.enabled = true;
-  cfg.admission.queue_depth = 3;
-  cfg.retry.retry_rejected = false;
-  const auto res = SimulateFleet(trace, MakeBillingModel(Platform::kAwsLambda), cfg);
-  EXPECT_EQ(res.successes, 4);
-  EXPECT_EQ(res.rejected_attempts, 6);
-
-  // A 150 ms wait budget admits only the first queued attempt (100 ms wait);
-  // the other two time out in the queue. A queue timeout is a timeout, as
-  // PlatformSim counts it.
-  cfg.admission.queue_timeout = 150 * kMs;
-  const auto timed = SimulateFleet(trace, MakeBillingModel(Platform::kAwsLambda), cfg);
-  EXPECT_EQ(timed.successes, 2);
-  EXPECT_EQ(timed.queue_timeout_attempts, 2);
-  EXPECT_EQ(timed.timeout_attempts, 2);
-  EXPECT_EQ(timed.rejected_attempts, 6);
-  EXPECT_TRUE(timed.Partitioned()) << timed.PartitionText();
 }
 
 TEST(FleetBreaker, TripsOnConsecutiveFailuresAndFastFails) {

@@ -4,6 +4,7 @@
 // (assert-only validation of external input) applied to src/common by hand.
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -160,6 +161,15 @@ TEST(ValidationTest, HostSimConfigChecksEveryTenantField) {
 template <typename Config, typename At, typename Part>
 std::vector<std::string> WithNan(Config config, At at, double Part::*field) {
   at(config).*field = std::nan("");
+  return config.Validate();
+}
+
+// Validate() errors of a copy of `config` whose `field`, in the struct that
+// `at` selects, is `us`.
+template <typename Config, typename At, typename Part>
+std::vector<std::string> WithDuration(Config config, At at, MicroSecs Part::*field,
+                                      MicroSecs us) {
+  at(config).*field = us;
   return config.Validate();
 }
 
@@ -333,28 +343,69 @@ TEST(ValidationTest, OutageWindowMustEndInsideInt64) {
   EXPECT_TRUE(NetOutage({0, std::numeric_limits<MicroSecs>::max() - 100, 100}).Validate().empty());
 }
 
-// A keep-alive past the duration ceiling overflowed the fleet's retirement
-// time (`free_at + keepalive`) and made the workflow engine's expiry test
-// wrap, so every warm sandbox read as expired. The ceiling itself is valid.
+// Every duration an engine adds to its clock stays under the ceiling. A
+// keep-alive past it overflowed the fleet's retirement time (`free_at +
+// keepalive`) and made the workflow engine's expiry test wrap, so every warm
+// sandbox read as expired; an execution limit of INT64_MAX - 10 overflowed
+// PlatformSim's timeout event (`now + max_exec_duration`), and a backoff cap
+// of INT64_MAX let a second retry overflow the fleet's `client_end + delay`.
+// The ceiling itself is valid.
 TEST(ValidationTest, KeepAliveAndInitDurationsStayUnderTheCeiling) {
   constexpr MicroSecs kMax = std::numeric_limits<MicroSecs>::max();
-  FleetSimConfig fleet;
-  WorkflowSimConfig workflow;
-  fleet.keepalive = workflow.keepalive = kMaxDuration;
-  fleet.init_duration = workflow.init_mean = kMaxDuration;
-  EXPECT_TRUE(fleet.Validate().empty());
-  EXPECT_TRUE(workflow.Validate().empty());
-  for (MicroSecs FleetSimConfig::*field : {&FleetSimConfig::keepalive,
-                                           &FleetSimConfig::init_duration}) {
-    FleetSimConfig bad;
-    bad.*field = kMax;
-    EXPECT_EQ(bad.Validate().size(), 1U);
-  }
-  for (MicroSecs WorkflowSimConfig::*field : {&WorkflowSimConfig::keepalive,
-                                              &WorkflowSimConfig::init_mean}) {
-    WorkflowSimConfig bad;
-    bad.*field = kMax;
-    EXPECT_EQ(bad.Validate().size(), 1U);
+  const FleetSimConfig fleet;
+  const WorkflowSimConfig workflow;
+  const PlatformSimConfig platform = AwsLambdaPlatform(1.0, 1769.0);
+  PlatformSimConfig breaker = platform;
+  breaker.retry.breaker_threshold = 3;  // The cooldown is checked only when enabled.
+  // The backoff base may not pass the cap, so its row sets the cap at the
+  // ceiling.
+  PlatformSimConfig wide_backoff = platform;
+  wide_backoff.retry.backoff_cap = kMaxDuration;
+  const auto self = [](auto& c) -> auto& { return c; };
+  const auto host_faults = [](auto& c) -> auto& { return c.host_faults; };
+  const auto deadline = [](auto& c) -> auto& { return c.policy.deadline; };
+  const auto hedge = [](auto& c) -> auto& { return c.policy.hedge; };
+  const auto redrive = [](auto& c) -> auto& { return c.policy.redrive; };
+  const auto faults = [](auto& c) -> auto& { return c.faults; };
+  const auto retry = [](auto& c) -> auto& { return c.retry; };
+  const auto admission = [](auto& c) -> auto& { return c.admission; };
+  const auto autoscaler = [](auto& c) -> auto& { return c.autoscaler; };
+  using Errors = std::function<std::vector<std::string>(MicroSecs)>;
+  const auto row = [](const auto& config, auto at, auto field) -> Errors {
+    return [=](MicroSecs us) { return WithDuration(config, at, field, us); };
+  };
+  // (the field name the error must carry, the errors at a given value)
+  const std::vector<std::pair<std::string, Errors>> rows = {
+      {"keepalive", row(fleet, self, &FleetSimConfig::keepalive)},
+      {"init_duration", row(fleet, self, &FleetSimConfig::init_duration)},
+      {"host_faults: drain_deadline",
+       row(fleet, host_faults, &HostFaultModelConfig::drain_deadline)},
+      {"keepalive", row(workflow, self, &WorkflowSimConfig::keepalive)},
+      {"init_mean", row(workflow, self, &WorkflowSimConfig::init_mean)},
+      {"deadline.deadline", row(workflow, deadline, &DeadlineBudgetPolicy::deadline)},
+      {"hedge.hedge_after", row(workflow, hedge, &HedgePolicy::hedge_after)},
+      {"hedge.cancel_latency", row(workflow, hedge, &HedgePolicy::cancel_latency)},
+      {"redrive.redrive_delay", row(workflow, redrive, &AsyncRedrivePolicy::redrive_delay)},
+      {"faults: max_exec_duration",
+       row(platform, faults, &FaultModelConfig::max_exec_duration)},
+      {"retry: attempt_timeout", row(platform, retry, &RetryPolicy::attempt_timeout)},
+      {"retry: breaker_cooldown", row(breaker, retry, &RetryPolicy::breaker_cooldown)},
+      {"retry: backoff_cap", row(platform, retry, &RetryPolicy::backoff_cap)},
+      {"retry: backoff_base", row(wide_backoff, retry, &RetryPolicy::backoff_base)},
+      {"admission: queue_timeout",
+       row(platform, admission, &AdmissionControlConfig::queue_timeout)},
+      {"drain_deadline", row(platform, self, &PlatformSimConfig::drain_deadline)},
+      {"autoscaler.sample_interval",
+       row(platform, autoscaler, &AutoscalerConfig::sample_interval)},
+      {"autoscaler.eval_interval", row(platform, autoscaler, &AutoscalerConfig::eval_interval)},
+  };
+  for (const auto& [field, errors] : rows) {
+    EXPECT_TRUE(errors(kMaxDuration).empty()) << field;
+    const std::vector<std::string> refused = errors(kMax);
+    EXPECT_EQ(refused.size(), 1U) << field;
+    EXPECT_NE(refused.empty() ? std::string::npos : refused.front().find(field),
+              std::string::npos)
+        << field;
   }
 }
 
@@ -412,23 +463,20 @@ TEST(ValidationTest, KeepAlivePoliciesAreValidated) {
   }
 }
 
-// Each setting was accepted, hashed and then ignored: the fleet models no
-// client timeout and sheds only the newest arrival, and the workflow engine
-// models no client timeout.
+// Each setting was accepted, hashed and then ignored: neither the fleet nor
+// the workflow engine models a client timeout, and the fleet rejects no
+// attempt, so whether it would retry a 429 means nothing.
 TEST(ValidationTest, EnginesRefuseClientSettingsTheyDoNotModel) {
   FleetSimConfig fleet_timeout;
   fleet_timeout.retry.attempt_timeout = 1;
-  FleetSimConfig fleet_oldest;
-  fleet_oldest.max_sandboxes_per_function = 1;
-  fleet_oldest.admission.enabled = true;
-  fleet_oldest.admission.queue_depth = 1;
-  fleet_oldest.admission.shed = ShedPolicy::kRejectOldest;
+  FleetSimConfig fleet_no_429_retry;
+  fleet_no_429_retry.retry.retry_rejected = false;
   WorkflowSimConfig workflow_timeout;
   workflow_timeout.policy.retry.attempt_timeout = 1;
   // (the setting the error must name, the errors)
   const std::vector<std::pair<std::string, std::vector<std::string>>> rows = {
       {"attempt_timeout", fleet_timeout.Validate()},
-      {"shed", fleet_oldest.Validate()},
+      {"retry_rejected", fleet_no_429_retry.Validate()},
       {"attempt_timeout", workflow_timeout.Validate()},
   };
   for (const auto& [setting, errors] : rows) {
@@ -437,8 +485,6 @@ TEST(ValidationTest, EnginesRefuseClientSettingsTheyDoNotModel) {
               std::string::npos)
         << setting;
   }
-  fleet_oldest.admission.shed = ShedPolicy::kRejectNewest;
-  EXPECT_TRUE(fleet_oldest.Validate().empty());
 }
 
 // kSample re-arms every sample_interval, enabled autoscaler or not: at 0 a

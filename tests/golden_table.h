@@ -93,7 +93,7 @@ inline uint64_t WindowDigest(const TimeSeries& series) {
   return d.value();
 }
 
-// The golden-table row for `label` (e.g. "Shape::kCap429, 8") holding `got`.
+// The golden-table row for `label` (e.g. "Shape::kBreaker, 8") holding `got`.
 inline std::string Pasteable(const std::string& label, const Fields& got) {
   std::ostringstream out;
   out << "    {" << label << ",\n     \"";

@@ -4,6 +4,7 @@
 
 #include <iterator>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,33 @@ TEST(RetryPolicyConfig, RejectsNonsense) {
   retry.backoff_multiplier = 0.5;
   retry.attempt_timeout = -1;
   EXPECT_GE(retry.Validate().size(), 4u);
+}
+
+// PlatformSim's admission queue: on, it needs a depth (a zero-depth queue
+// admits nothing); on or off, its timeout is a wait, never negative.
+TEST(AdmissionConfig, EnabledQueueNeedsDepthAndTimeoutIsNeverNegative) {
+  const auto errors = [](bool enabled, int depth, MicroSecs timeout) {
+    PlatformSimConfig cfg = AwsLambdaPlatform(1.0, 1'769.0);
+    cfg.admission.enabled = enabled;
+    cfg.admission.queue_depth = depth;
+    cfg.admission.queue_timeout = timeout;
+    return cfg.Validate();
+  };
+  EXPECT_TRUE(errors(true, 8, 0).empty());
+  EXPECT_TRUE(errors(false, 0, 0).empty());  // Off, the depth is never read.
+  // (the field the one error must name, the errors)
+  const std::vector<std::pair<std::string, std::vector<std::string>>> rows = {
+      {"admission: queue_depth", errors(true, 0, 0)},
+      {"admission: queue_timeout", errors(true, 8, -1)},
+      {"admission: queue_timeout", errors(false, 0, -1)},
+  };
+  for (const auto& [field, refused] : rows) {
+    ASSERT_EQ(refused.size(), 1u) << field;
+    EXPECT_EQ(refused.front().rfind(field, 0), 0u) << refused.front();
+  }
+  PlatformSimConfig zero_depth = AwsLambdaPlatform(1.0, 1'769.0);
+  zero_depth.admission.enabled = true;
+  EXPECT_THROW(PlatformSim(zero_depth, 1), std::invalid_argument);
 }
 
 TEST(PlatformSimConfigValidation, ConstructorThrowsOnBadConfig) {

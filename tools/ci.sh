@@ -176,6 +176,27 @@ rm -rf "$net_tmp"
 echo "same-seed network runs byte-identical; decomposition closes; detours seen."
 
 echo
+echo "== Fleet chaos: determinism smoke with zone outages and the breaker =="
+# Two seeds, each run twice: host crashes, zone outages and tripped breakers
+# must replay byte for byte, and the breaker must trip at least once.
+chaos_tmp="$(mktemp -d)"
+for seed in 1 2; do
+  chaos_args=(chaos --json --requests 3000 --functions 50 --seconds 300
+              --breaker-threshold 2 --hosts 2 --mtbf-s 20 --mttr-s 10 --graceful 0
+              --zones 2 --zone-outage-mtbf-s 60 --seed "$seed")
+  "$repo/build/tools/faascost" "${chaos_args[@]}" > "$chaos_tmp/chaos_a$seed.json"
+  "$repo/build/tools/faascost" "${chaos_args[@]}" > "$chaos_tmp/chaos_b$seed.json"
+  cmp "$chaos_tmp/chaos_a$seed.json" "$chaos_tmp/chaos_b$seed.json"
+  python3 - "$chaos_tmp/chaos_a$seed.json" <<'PYEOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+assert d["chaos"]["breaker_trips"] > 0, f"no breaker trips: {d['chaos']}"
+PYEOF
+done
+rm -rf "$chaos_tmp"
+echo "same-seed chaos runs byte-identical; breakers trip."
+
+echo
 echo "== Platform monitor smoke: span trace + co-tenant host, determinism =="
 # Two seeds and two host sizes, each run twice: the span trace (platform
 # requests and sandboxes plus the co-tenant sched.tenants tracks) and both

@@ -17,8 +17,11 @@ namespace faascost {
 // complete event per span plus "M" metadata naming each track group).
 // Events are stably sorted by (group, track, start, longer-first) so `ts` is
 // monotone within every track and enclosing spans precede their children.
-// The spans are not copied: a compact key per span is sorted and each event
-// is written once into one pre-reserved string.
+// The spans are neither copied nor keyed: a 4-byte index per span is
+// bucketed by (group, track) with a radix sort, each track's run is sorted
+// by start, and each event is written once into one pre-reserved string.
+// Beyond the document, the export holds one index per span. Throws
+// std::length_error for a log of 2^32 or more spans.
 std::string ChromeTraceJson(const SpanLog& spans);
 
 // Renders the tumbling-window time series as JSONL: one JSON object per

@@ -75,7 +75,8 @@ MicroSecs RetryPolicy::BackoffDelay(int failed_attempt, Rng& rng) const {
 
 std::vector<std::string> RetryPolicy::Validate() const {
   std::vector<std::string> errors;
-  CheckAtLeast(&errors, "max_attempts", max_attempts, 1, "1 = no retries");
+  CheckWithin(&errors, "max_attempts", max_attempts, 1, kMaxRetryAttempts, Ends::kClosed,
+              "1 = no retries");
   // 0 < base <= cap <= a century: every delay is at most the cap, so a
   // retry adds at most a century to an engine's clock. A base past the
   // ceiling is its own error, not also the cap's.

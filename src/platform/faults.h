@@ -93,11 +93,19 @@ struct AttemptFailures {
   std::string PartitionText() const;
 };
 
+// Most attempts a RetryPolicy makes for one request. Each attempt adds at
+// most a few durations of up to kMaxDuration (a century) to an engine's
+// clock, and INT64_MAX microseconds is ~2,900 centuries, so a chain of this
+// many century-long attempts stays inside int64 with room to spare.
+inline constexpr int kMaxRetryAttempts = 100;
+
 // Client-side retry policy: serial attempts with exponential backoff, plus an
 // optional circuit breaker that fast-fails dispatches while the service is
 // known-bad (capping retry storms at the source).
 struct RetryPolicy {
-  int max_attempts = 1;  // Total attempts including the first; 1 = no retry.
+  // Total attempts including the first; 1 = no retry, at most
+  // kMaxRetryAttempts.
+  int max_attempts = 1;
   // Backoff before attempt k+1: min(cap, base * multiplier^(k-1)), with full
   // jitter (uniform in [0, that bound]) when `full_jitter` is set. The
   // exponent is clamped (kBackoffExponentCap) so absurd attempt counts can

@@ -1,5 +1,6 @@
 #include "src/workflow/policy.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,16 +38,20 @@ std::vector<std::string> WorkflowPolicy::Validate() const {
   AppendErrors(&errors, deadline.Validate(), "deadline.");
   AppendErrors(&errors, hedge.Validate(), "hedge.");
   AppendErrors(&errors, redrive.Validate(), "redrive.");
-  // A hop's timeout and the deadline budget bound an attempt; the engine
-  // models no client timeout.
+  // Client settings the engine does not model: a hop's timeout and the
+  // deadline budget bound an attempt, and no attempt is ever rejected.
   if (retry.attempt_timeout > 0) {
     errors.push_back("retry.attempt_timeout must be 0: the workflow engine models no client "
                      "timeout");
   }
+  if (!retry.retry_rejected) {
+    errors.push_back("retry.retry_rejected must be true: the workflow engine rejects no "
+                     "attempt");
+  }
   // Worst case per hop: every client attempt plus one hedge each, or the
   // initial async delivery plus every redrive. Keep both well inside the
   // per-hop RNG stream window.
-  const int sync_worst = retry.max_attempts * (hedge.enabled() ? 2 : 1);
+  const int64_t sync_worst = int64_t{retry.max_attempts} * (hedge.enabled() ? 2 : 1);
   const int async_worst = 1 + redrive.max_redrives;
   if (sync_worst > kMaxAttemptsPerHop / 2) {
     errors.push_back("policy: max_attempts x hedging exceeds " +

@@ -74,6 +74,8 @@ struct AsyncRedrivePolicy {
 // The full per-workflow resilience configuration. One policy applies to every
 // hop of every DAG in a run (per-hop heterogeneity comes from HopSpec).
 struct WorkflowPolicy {
+  // The engine models no client timeout and rejects no attempt: Validate
+  // refuses an attempt_timeout and retry_rejected = false.
   RetryPolicy retry;
   DeadlineBudgetPolicy deadline;
   HedgePolicy hedge;

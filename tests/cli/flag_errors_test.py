@@ -55,6 +55,9 @@ REJECTED = [
     (["observe", "--out", "{out}"], "unknown command 'observe'"),
     # Int-valued flags reject values past int's range instead of wrapping.
     (["failures", "--retries", PAST_INT], "failures: --retries"),
+    # Past kMaxRetryAttempts, where a chain of century-long retries would
+    # run an engine's clock past int64.
+    (["failures", "--retries", "101"], "failures: --retries"),
     (["chaos", "--hosts", PAST_INT], "chaos: --hosts"),
     (["chaos", "--zones", "-" + PAST_INT], "chaos: --zones"),
     (["monitor", "--out", "{out}", "--fast-windows", PAST_INT], "monitor: --fast-windows"),

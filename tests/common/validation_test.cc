@@ -409,6 +409,75 @@ TEST(ValidationTest, KeepAliveAndInitDurationsStayUnderTheCeiling) {
   }
 }
 
+// Every retry's delay stays under the duration ceiling, but a chain of them
+// did not: one fleet record failing every attempt, with a century-long
+// backoff and 5,000 attempts allowed, ran `client_end + delay` past
+// INT64_MAX after ~2,900 retries. At kMaxRetryAttempts both engines run that
+// chain to its end; one attempt more is refused, with one error naming the
+// field.
+TEST(ValidationTest, RetryChainsAtTheAttemptCeilingStayInsideTheClock) {
+  RetryPolicy retry;
+  retry.max_attempts = kMaxRetryAttempts;
+  retry.backoff_base = kMaxDuration;
+  retry.backoff_cap = kMaxDuration;
+  retry.full_jitter = false;
+
+  FleetSimConfig fleet;
+  fleet.failure_rate = 1.0;
+  fleet.retry = retry;
+  RequestRecord record;
+  record.function_id = 1;
+  record.exec_duration = 100 * kMicrosPerMilli;
+  record.cpu_time = 50 * kMicrosPerMilli;
+  record.alloc_vcpus = 1.0;
+  record.alloc_mem_mb = 2'048.0;
+  record.used_mem_mb = 500.0;
+  const FleetResult fleet_run =
+      SimulateFleet({record}, MakeBillingModel(Platform::kAwsLambda), fleet);
+  EXPECT_EQ(fleet_run.attempts, kMaxRetryAttempts);
+  EXPECT_EQ(fleet_run.retries_exhausted, 1);
+  EXPECT_GT(fleet_run.e2e_latency.front(), (kMaxRetryAttempts - 1) * kMaxDuration);
+
+  PlatformSimConfig platform = AwsLambdaPlatform(1.0, 1769.0);
+  platform.faults.crash_prob = 1.0;
+  platform.retry = retry;
+  // Samples and scaling rounds re-arm until the run ends: once a century,
+  // not once a second, over a chain of centuries.
+  platform.autoscaler.sample_interval = kMaxDuration;
+  platform.autoscaler.eval_interval = kMaxDuration;
+  ASSERT_TRUE(platform.Validate().empty());
+  const PlatformSimResult platform_run = PlatformSim(platform, 1).Run({0}, PyAesWorkload());
+  EXPECT_EQ(platform_run.attempts.size(), static_cast<size_t>(kMaxRetryAttempts));
+  EXPECT_EQ(platform_run.successes, 0);
+
+  for (std::vector<std::string> errors :
+       {fleet.Validate(), platform.Validate(), retry.Validate()}) {
+    EXPECT_TRUE(errors.empty());
+  }
+  fleet.retry.max_attempts = kMaxRetryAttempts + 1;
+  platform.retry.max_attempts = kMaxRetryAttempts + 1;
+  retry.max_attempts = kMaxRetryAttempts + 1;
+  for (std::vector<std::string> errors :
+       {fleet.Validate(), platform.Validate(), retry.Validate()}) {
+    EXPECT_EQ(errors.size(), 1U);
+    EXPECT_NE(errors.empty() ? std::string::npos : errors.front().find("max_attempts"),
+              std::string::npos);
+  }
+}
+
+// The workflow policy's per-hop bound multiplied max_attempts by the two
+// copies hedging makes in int, which overflowed at INT_MAX before any
+// error could be returned.
+TEST(ValidationTest, WorkflowPerHopBoundSurvivesAnyAttemptCount) {
+  WorkflowSimConfig workflow;
+  workflow.policy.retry.max_attempts = std::numeric_limits<int>::max();
+  workflow.policy.hedge.hedge_after = kMicrosPerSec;
+  const std::vector<std::string> errors = workflow.Validate();
+  ASSERT_EQ(errors.size(), 2U);
+  EXPECT_NE(errors[0].find("max_attempts"), std::string::npos) << errors[0];
+  EXPECT_NE(errors[1].find("attempts per hop"), std::string::npos) << errors[1];
+}
+
 // PlatformSimConfig::Validate() used to check no keep-alive policy: a zero
 // bin width divided by zero mid-run (SIGFPE), a fallback_max below
 // fallback_min threw from Rng::UniformInt mid-run, and a negative fixed
@@ -463,9 +532,9 @@ TEST(ValidationTest, KeepAlivePoliciesAreValidated) {
   }
 }
 
-// Each setting was accepted, hashed and then ignored: neither the fleet nor
-// the workflow engine models a client timeout, and the fleet rejects no
-// attempt, so whether it would retry a 429 means nothing.
+// Each setting was accepted and then ignored: neither the fleet nor the
+// workflow engine models a client timeout, and neither rejects an attempt,
+// so whether it would retry a 429 means nothing.
 TEST(ValidationTest, EnginesRefuseClientSettingsTheyDoNotModel) {
   FleetSimConfig fleet_timeout;
   fleet_timeout.retry.attempt_timeout = 1;
@@ -473,11 +542,14 @@ TEST(ValidationTest, EnginesRefuseClientSettingsTheyDoNotModel) {
   fleet_no_429_retry.retry.retry_rejected = false;
   WorkflowSimConfig workflow_timeout;
   workflow_timeout.policy.retry.attempt_timeout = 1;
+  WorkflowSimConfig workflow_no_429_retry;
+  workflow_no_429_retry.policy.retry.retry_rejected = false;
   // (the setting the error must name, the errors)
   const std::vector<std::pair<std::string, std::vector<std::string>>> rows = {
       {"attempt_timeout", fleet_timeout.Validate()},
       {"retry_rejected", fleet_no_429_retry.Validate()},
       {"attempt_timeout", workflow_timeout.Validate()},
+      {"retry_rejected", workflow_no_429_retry.Validate()},
   };
   for (const auto& [setting, errors] : rows) {
     EXPECT_EQ(errors.size(), 1U) << setting;

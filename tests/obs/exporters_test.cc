@@ -9,10 +9,19 @@
 #include <string>
 #include <vector>
 
+#include "src/billing/catalog.h"
+#include "src/cluster/fleet_sim.h"
 #include "src/common/json_writer.h"
 #include "src/common/rng.h"
+#include "src/core/observe.h"
+#include "src/integrity/digest.h"
 #include "src/obs/span.h"
 #include "src/obs/timeseries.h"
+#include "src/platform/platform_sim.h"
+#include "src/platform/presets.h"
+#include "src/platform/workload.h"
+#include "src/sched/host_sim.h"
+#include "src/trace/generator.h"
 
 namespace faascost {
 namespace {
@@ -167,7 +176,9 @@ std::string ReferenceChromeTraceJson(const SpanLog& spans) {
 
 // Spans drawn from small ranges, so exact (group, track, start, duration)
 // ties and same-start nestings are common, plus the edge values of every
-// field the exporter formats.
+// field the exporter formats. Negative groups, groups wider than one byte,
+// and tracks that differ only in their high bytes put every byte of the
+// (group, track) key, and both sign bits, in play.
 SpanLog RandomSpans(uint64_t seed, size_t count) {
   static const char* const kStatuses[] = {
       nullptr, "", "ok", "crash", "quote\"inside", "back\\slash",
@@ -189,10 +200,21 @@ SpanLog RandomSpans(uint64_t seed, size_t count) {
     Span& s = spans.emplace_back();
     // Kinds past kTransfer, and negative ones, render as "unknown".
     s.kind = static_cast<SpanKind>(rng.UniformInt(-1, 17));
-    // Groups 1-6 are the named track groups; 0 and 7 render as "unknown".
-    s.group = static_cast<int>(rng.UniformInt(0, 7));
-    s.track = rng.Bernoulli(0.02) ? (rng.Bernoulli(0.5) ? kMin : kMax)
-                                  : rng.UniformInt(-2, 4);
+    // Groups 1-6 are the named track groups; the rest render as "unknown".
+    // Each group byte orders some pair that its lower bytes misorder (1 and
+    // 256, 256 and 65,536, -1 and 0).
+    static const int kWideGroups[] = {-300, -1, 256, 65'536, 70'000};
+    s.group = rng.Bernoulli(0.15) ? kWideGroups[rng.UniformInt(0, 4)]
+                                  : static_cast<int>(rng.UniformInt(0, 7));
+    if (rng.Bernoulli(0.02)) {
+      s.track = rng.Bernoulli(0.5) ? kMin : kMax;
+    } else {
+      s.track = rng.UniformInt(-2, 4);
+      // An offset of 2^8 to 2^56: tracks that differ only in one high byte.
+      if (rng.Bernoulli(0.2)) {
+        s.track += int64_t{1} << (8 * rng.UniformInt(1, 7));
+      }
+    }
     s.start = rng.Bernoulli(0.02) ? kMax : rng.UniformInt(0, 6);
     s.duration = rng.UniformInt(-1, 4);
     s.req_idx = static_cast<int32_t>(rng.UniformInt(-3, 3));
@@ -222,9 +244,25 @@ SpanLog ExactTies() {
   return spans;
 }
 
+// One track of 20,000 spans emitted in reverse start order, each start
+// repeated with several durations, some of them equal: the most a track's
+// spans can be out of order.
+SpanLog ReversedTrack() {
+  SpanLog spans;
+  for (int64_t i = 20'000; i-- > 0;) {
+    Span& s = spans.emplace_back();
+    s.group = kTrackGroupTenant;
+    s.track = 3;
+    s.start = i / 4;
+    s.duration = i % 3;
+    s.req_idx = static_cast<int32_t>(i);
+  }
+  return spans;
+}
+
 TEST(ChromeTraceJson, MatchesReferenceBytes) {
-  std::vector<SpanLog> inputs = {{}, SampleSpans(), ExactTies(), ExactTies()};
-  std::reverse(inputs.back().begin(), inputs.back().end());
+  std::vector<SpanLog> inputs = {{}, SampleSpans(), ExactTies(), ExactTies(), ReversedTrack()};
+  std::reverse(inputs[3].begin(), inputs[3].end());
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     inputs.push_back(RandomSpans(seed, seed * 7));
   }
@@ -232,6 +270,56 @@ TEST(ChromeTraceJson, MatchesReferenceBytes) {
     ASSERT_EQ(ChromeTraceJson(inputs[i]), ReferenceChromeTraceJson(inputs[i]))
         << "input " << i;
   }
+}
+
+uint64_t DocumentDigest(const std::string& document) {
+  StateDigest digest;
+  digest.MixStr(document);
+  return digest.value();
+}
+
+// The trace bytes of two small real runs, pinned: the reference exporter
+// above shares ChromeTraceJson's sort rule and layout, so only a golden sees
+// both drift between commits. The platform run's sink also takes a host's
+// spans, two co-tenants sharing its cores.
+TEST(ChromeTraceJson, GoldenPlatformAndFleetTraces) {
+  SpanCollector platform_sink;
+  PlatformSimConfig platform = GcpPlatform(1.0, 1'024.0);
+  platform.faults.crash_prob = 0.02;
+  platform.retry.max_attempts = 3;
+  platform.trace = &platform_sink;
+  Rng rng(1);
+  const PlatformSimResult run = PlatformSim(platform, 1).Run(
+      PoissonArrivals(5.0, 60 * kMicrosPerSec, rng), PyAesWorkload());
+  TagPlatformSpanBilling(platform_sink.mutable_spans(), run, platform,
+                         MakeBillingModel(Platform::kGcpCloudRunFunctions));
+  HostSimConfig host;
+  host.duration = 60 * kMicrosPerSec;
+  host.trace = &platform_sink;
+  std::vector<TenantSpec> tenants(2);
+  for (TenantSpec& tenant : tenants) {
+    tenant.quota_fraction = 0.5;
+    tenant.demand_fraction = 0.7;
+  }
+  SimulateHost(host, tenants, 1);
+  const std::string platform_trace = ChromeTraceJson(platform_sink.spans());
+  EXPECT_EQ(platform_trace.size(), 394'192U);
+  EXPECT_EQ(DocumentDigest(platform_trace), 0x789d7f0aca2d3771U);
+
+  TraceGenConfig gen;
+  gen.num_requests = 2'000;
+  gen.num_functions = 40;
+  gen.window = 600 * kMicrosPerSec;
+  SpanCollector fleet_sink;
+  FleetSimConfig fleet;
+  fleet.failure_rate = 0.05;
+  fleet.retry.max_attempts = 3;
+  fleet.trace_sink = &fleet_sink;
+  SimulateFleet(TraceGenerator(gen, 7).Generate(), MakeBillingModel(Platform::kAwsLambda),
+                fleet);
+  const std::string fleet_trace = ChromeTraceJson(fleet_sink.spans());
+  EXPECT_EQ(fleet_trace.size(), 477'943U);
+  EXPECT_EQ(DocumentDigest(fleet_trace), 0xda1cedc558e98620U);
 }
 
 TEST(TimeSeriesJsonl, ObjectiveColumnsNameEachObjective) {

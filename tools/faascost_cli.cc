@@ -282,7 +282,7 @@ std::vector<NetOutage> ReadOutages(Flags& flags) {
 FleetSimConfig ReadHostFaultFlags(Flags& flags, uint64_t seed) {
   FleetSimConfig cfg;
   cfg.fault_seed = seed;
-  cfg.retry.max_attempts = flags.Int("retries", 3, 1);
+  cfg.retry.max_attempts = flags.Int("retries", 3, 1, kMaxRetryAttempts);
   cfg.host_faults.hosts = flags.Int("hosts", 16, 0);
   cfg.host_faults.mtbf_seconds = flags.Real("mtbf-s", 3'600.0, 0.0);
   cfg.host_faults.mttr_seconds = flags.Real("mttr-s", 120.0, 0.0);
@@ -332,7 +332,7 @@ PlatformScenario ReadPlatformScenario(Flags& flags, Platform platform,
   const double rate = flags.Real("rate", defaults.rate, 0.0, 1.0);
   sc.config.faults.crash_prob = rate;
   sc.config.faults.init_failure_prob = rate / 4.0;
-  sc.config.retry.max_attempts = flags.Int("retries", 3, 1);
+  sc.config.retry.max_attempts = flags.Int("retries", 3, 1, kMaxRetryAttempts);
   sc.rps = flags.Real("rps", defaults.rps, 0.0, kInf, kOpen);
   sc.duration = flags.Seconds("seconds", defaults.seconds);
   return sc;
@@ -1241,7 +1241,7 @@ int CmdWorkflows(Flags& flags) {
   }
   const std::string archetype_name = cfg.dags.front().name;
 
-  cfg.policy.retry.max_attempts = flags.Int("retries", 3, 1);
+  cfg.policy.retry.max_attempts = flags.Int("retries", 3, 1, kMaxRetryAttempts);
   cfg.policy.retry.breaker_threshold = flags.Int("breaker-threshold", 0, 0);
   cfg.policy.deadline.deadline = flags.Duration("deadline-ms", 0.0, kMicrosPerMilli);
   cfg.policy.deadline.propagate = !flags.Bool("no-propagate");
@@ -1393,7 +1393,7 @@ int CmdNetwork(Flags& flags) {
 
   FleetSimConfig fcfg;
   fcfg.fault_seed = seed;
-  fcfg.retry.max_attempts = flags.Int("retries", 3, 1);
+  fcfg.retry.max_attempts = flags.Int("retries", 3, 1, kMaxRetryAttempts);
   const bool json = flags.Bool("json");
   flags.RejectUnread();
 

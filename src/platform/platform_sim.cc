@@ -1535,6 +1535,12 @@ void PlatformEngine::Start(const std::vector<MicroSecs>& arrivals,
     throw std::logic_error("PlatformEngine::Start called twice");
   }
   im.started = true;
+  // StartAttempt adds io_wait to the clock.
+  if (workload.io_wait < 0 || workload.io_wait > kMaxDuration) {
+    throw std::invalid_argument(
+        "PlatformEngine: workload io_wait must be in [0, kMaxDuration], got " +
+        std::to_string(workload.io_wait) + "us");
+  }
   im.workload = workload;
   im.result.requests.resize(arrivals.size());
   im.result.attempts.reserve(arrivals.size());

@@ -143,20 +143,23 @@ struct RequestOutcome {
 struct AttemptOutcome {
   int req_idx = -1;   // Index into PlatformSimResult::requests.
   int attempt = 1;    // 1-based client attempt number.
-  Outcome outcome = Outcome::kOk;
   MicroSecs dispatched = 0;  // Client send time (arrival or retry re-arrival).
   MicroSecs start_exec = 0;  // When the sandbox began processing; 0 if never.
   MicroSecs end = 0;         // Completion, failure, or withdrawal time.
   // Provider-reported duration up to completion or abort (timeouts run
   // through the full max_exec_duration; crashes stop at the crash point).
   MicroSecs exec_duration = 0;
-  bool cold_start = false;
   MicroSecs init_duration = 0;
   int sandbox_id = -1;
+  Outcome outcome = Outcome::kOk;
+  bool cold_start = false;
   // The client stopped waiting (attempt_timeout) before this attempt ended;
   // the platform kept executing — and billing — it.
   bool client_abandoned = false;
 };
+// The three one-byte fields share sandbox_id's word; a run keeps one per
+// attempt, and every workflow attempt row embeds one.
+static_assert(sizeof(AttemptOutcome) == 56);
 
 struct TimelineSample {
   MicroSecs time = 0;
@@ -211,8 +214,9 @@ class PlatformEngine {
 
   // Seeds the event queue from the arrival trace (sorted ascending). Call
   // exactly once on a fresh engine; resumed engines LoadState instead.
-  // Throws std::invalid_argument on a negative or decreasing arrival, or one
-  // past kMaxDuration, which leaves the engine unusable.
+  // Throws std::invalid_argument on a negative or decreasing arrival, one
+  // past kMaxDuration, or a workload io_wait outside [0, kMaxDuration],
+  // which leaves the engine unusable.
   void Start(const std::vector<MicroSecs>& arrivals, const WorkloadSpec& workload);
 
   // Processes every event with time <= t (deterministic boundary: event

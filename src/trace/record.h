@@ -19,7 +19,7 @@ namespace faascost {
 // the whole retry sequence). Platforms bill failed attempts too: AWS bills
 // duration up to the timeout, fees are charged regardless of outcome, and
 // client retries multiply both (see BillingModel::failure).
-enum class Outcome {
+enum class Outcome : uint8_t {
   kOk = 0,
   kInitFailure,       // The sandbox failed to initialize (cold-start error).
   kCrash,             // The function crashed mid-execution.
@@ -93,8 +93,8 @@ struct RequestRecord {
   double alloc_vcpus = 0.0;      // Configured vCPU allocation.
   MegaBytes alloc_mem_mb = 0.0;  // Configured memory allocation.
   MegaBytes used_mem_mb = 0.0;   // Average memory actually used.
-  bool cold_start = false;
   MicroSecs init_duration = 0;  // Sandbox initialization time; 0 if warm.
+  bool cold_start = false;
   // Failure semantics. For failed attempts, exec_duration is the duration up
   // to the crash/abort point (timeouts run through the full limit), which is
   // what failure-billing rules act on.
@@ -125,6 +125,9 @@ struct RequestRecord {
     return used_mem_mb / alloc_mem_mb;
   }
 };
+// cold_start, outcome and attempt share one word; a day's trace holds a
+// million records.
+static_assert(sizeof(RequestRecord) == 96);
 
 // A sandbox lifecycle for the cold-start study (paper Fig. 4): one cold start
 // (initialization) followed by the requests served before the sandbox is

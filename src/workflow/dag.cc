@@ -109,7 +109,7 @@ std::vector<std::string> WorkflowDag::Validate() const {
   for (int h = 0; h < n; ++h) {
     const HopSpec& hop = hops[static_cast<size_t>(h)];
     std::vector<std::string> bad;
-    CheckAbove(&bad, "exec_mean", hop.exec_mean, 0);
+    CheckWithin(&bad, "exec_mean", hop.exec_mean, 0, kMaxDuration, Ends::kOpenLow, "a century");
     CheckAtLeast(&bad, "exec_cv", hop.exec_cv, 0.0);
     CheckWithin(&bad, "cpu_fraction", hop.cpu_fraction, 0.0, 1.0);
     CheckAbove(&bad, "vcpus", hop.vcpus, 0.0);

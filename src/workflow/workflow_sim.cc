@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +13,14 @@
 #include "src/engine/warm_pool.h"
 
 namespace faascost {
+namespace {
+
+// When instance `wf` arrives, in us: uniform spacing from t = 0.
+double ArrivalMicros(int64_t wf, double wps) {
+  return static_cast<double>(wf) * static_cast<double>(kMicrosPerSec) / wps;
+}
+
+}  // namespace
 
 std::vector<std::string> WorkflowSimConfig::Validate() const {
   std::vector<std::string> errors;
@@ -22,7 +31,11 @@ std::vector<std::string> WorkflowSimConfig::Validate() const {
   for (const WorkflowDag& dag : dags) {
     AppendErrors(&errors, dag.Validate());
   }
-  CheckAbove(&errors, "wps", wps, 0.0);
+  if (CheckAbove(&errors, "wps", wps, 0.0) && workflows > 1) {
+    CheckWithin(&errors, "(workflows - 1) / wps", ArrivalMicros(workflows - 1, wps), 0.0,
+                static_cast<double>(kMaxDuration), Ends::kClosed,
+                "the last arrival in us, a century");
+  }
   CheckWithin(&errors, "keepalive", keepalive, 0, kMaxDuration, Ends::kClosed, "a century");
   CheckWithin(&errors, "init_mean", init_mean, 0, kMaxDuration, Ends::kOpenLow, "a century");
   CheckWithin(&errors, "init_jitter", init_jitter, 0.0, 1.0);
@@ -68,8 +81,7 @@ struct WorkflowArrivals {
   size_t size() const { return static_cast<size_t>(workflows); }
   Event At(size_t i) const {
     const int64_t wf = static_cast<int64_t>(i);
-    const MicroSecs t = static_cast<MicroSecs>(std::llround(
-        static_cast<double>(wf) * static_cast<double>(kMicrosPerSec) / wps));
+    const MicroSecs t = static_cast<MicroSecs>(std::llround(ArrivalMicros(wf, wps)));
     return {t, first_seq + wf, EvKind::kArrival, wf, -1, -1, kFlavorClient};
   }
 };
@@ -107,9 +119,13 @@ struct HopState {
 struct WfState {
   MicroSecs arrival = 0;
   int dag = 0;
+  // Freed once the instance is done and no event of its own is pending,
+  // since nothing can reach it after that.
   std::vector<HopState> hops;
   int pending_sinks = 0;
   int failed_sinks = 0;
+  // Events of this instance not yet handled, its streamed arrival included.
+  int pending_events = 1;
   bool done = false;
   bool degraded = false;
   // Outcome of the first non-straggler hop that failed terminally.
@@ -126,7 +142,8 @@ struct WfState {
   MicroSecs net_end = 0;
 };
 
-// Engine-private per-attempt bookkeeping, parallel to result.attempts.
+// Engine-private per-attempt bookkeeping, kept for the rows from the
+// low-water mark of open rows on.
 struct AttemptExtra {
   bool closed = false;
   int zone = 0;
@@ -169,8 +186,16 @@ class Engine {
 
   void Schedule(Event e) {
     e.seq = next_seq_++;
+    if (e.wf >= 0) {
+      ++wfs_[static_cast<size_t>(e.wf)].pending_events;
+    }
     events_.Push(e);
   }
+
+  // Row `idx`'s bookkeeping; the row must be at or past first_open_.
+  AttemptExtra& Extra(int64_t idx) { return extras_[static_cast<size_t>(idx - first_open_)]; }
+  // A row below the low-water mark is closed.
+  bool Closed(int64_t idx) { return idx < first_open_ || Extra(idx).closed; }
 
   bool InOutage(int zone, MicroSecs t) const {
     for (const ZonalOutageSpec& o : outages_) {
@@ -329,11 +354,11 @@ class Engine {
   // Bills the row, books its USD, returns the sandbox, emits spans. Every
   // attempt row passes through here exactly once.
   void CloseRow(int64_t idx) {
-    AttemptExtra& ex = extras_[static_cast<size_t>(idx)];
-    if (ex.closed) {
+    if (Closed(idx)) {
       throw IntegrityViolation("workflow.double_close", now_, seed_,
                                "attempt " + std::to_string(idx), "row closed twice");
     }
+    AttemptExtra& ex = Extra(idx);
     ex.closed = true;
     HopAttempt& row = res_.attempts[static_cast<size_t>(idx)];
     WfState& ws = wfs_[static_cast<size_t>(row.wf)];
@@ -470,7 +495,7 @@ class Engine {
     const int ordinal = hs.total_attempts;
     const int64_t idx = NewRow(wf, hop, Outcome::kOk, hedge, redrive);
     HopAttempt& row = res_.attempts[static_cast<size_t>(idx)];
-    AttemptExtra& ex = extras_[static_cast<size_t>(idx)];
+    AttemptExtra& ex = Extra(idx);
     row.platform_dispatched = true;
     ++res_.counters.dispatched_attempts;
     ++ws.transitions;
@@ -628,7 +653,7 @@ class Engine {
     if (!hs.open.empty()) {
       return;  // A hedge twin is still in flight; it may yet win.
     }
-    FailClientAttempt(wf, hop, row.attempt.outcome, extras_[static_cast<size_t>(idx)].backoff);
+    FailClientAttempt(wf, hop, row.attempt.outcome, Extra(idx).backoff);
   }
 
   // All sync attempts for this client try have failed: retry or give up.
@@ -653,7 +678,7 @@ class Engine {
   }
 
   void OnComplete(int64_t wf, int hop, int64_t idx) {
-    if (extras_[static_cast<size_t>(idx)].closed) {
+    if (Closed(idx)) {
       return;  // Truncated earlier (hedge cancel / outage kill).
     }
     HopAttempt& row = res_.attempts[static_cast<size_t>(idx)];
@@ -695,7 +720,7 @@ class Engine {
         ++res_.counters.hedge_losers;
         if (loser.attempt.end > cancel_t) {
           TruncateRow(loser, cancel_t);
-          extras_[static_cast<size_t>(o)].survives = false;
+          Extra(o).survives = false;
           CloseRow(o);
         }
         // else: it finishes first and bills in full at its own completion.
@@ -814,7 +839,7 @@ class Engine {
   }
 
   void OnHedgeFire(int64_t wf, int hop, int64_t idx) {
-    if (extras_[static_cast<size_t>(idx)].closed) {
+    if (Closed(idx)) {
       return;  // The primary already resolved.
     }
     WfState& ws = wfs_[static_cast<size_t>(wf)];
@@ -858,8 +883,8 @@ class Engine {
     // In-flight attempts in the zone crash at the outage boundary, billed to
     // the crash point.
     const int64_t n = static_cast<int64_t>(res_.attempts.size());
-    for (int64_t i = FirstOpenRow(); i < n; ++i) {
-      AttemptExtra& ex = extras_[static_cast<size_t>(i)];
+    for (int64_t i = first_open_; i < n; ++i) {
+      AttemptExtra& ex = Extra(i);
       if (ex.closed || ex.zone != zone) {
         continue;
       }
@@ -880,14 +905,13 @@ class Engine {
     }
   }
 
-  // Low-water mark of open rows: every row below it is closed. Advanced
-  // lazily, so each row is stepped over once per run.
-  int64_t FirstOpenRow() {
-    const int64_t n = static_cast<int64_t>(extras_.size());
-    while (first_open_ < n && extras_[static_cast<size_t>(first_open_)].closed) {
+  // Advances the low-water mark of open rows past every closed row at the
+  // window's front, dropping their bookkeeping.
+  void DropClosedRows() {
+    while (!extras_.empty() && extras_.front().closed) {
+      extras_.pop_front();
       ++first_open_;
     }
-    return first_open_;
   }
 
   const WorkflowSimConfig& cfg_;
@@ -902,11 +926,13 @@ class Engine {
   int64_t next_seq_ = 0;
   MicroSecs now_ = 0;
   int64_t events_processed_ = 0;
+  // Low-water mark of open rows: every row below it is closed.
   int64_t first_open_ = 0;
 
   std::vector<std::vector<FunctionState>> functions_;  // [dag][hop].
   std::vector<WfState> wfs_;
-  AppendLog<AttemptExtra> extras_;
+  // Bookkeeping of rows first_open_ .. attempts.size() - 1, in row order.
+  std::deque<AttemptExtra> extras_;
   NetworkTotals net_totals_;  // Copied into the result's transfer counts at the end.
   WorkflowSimResult res_;
 };
@@ -941,13 +967,14 @@ WorkflowSimResult Engine::Run() {
     }
     now_ = ev.time;
     ++events_processed_;
+    DropClosedRows();
     if (aud != nullptr && aud->ScanDue(events_processed_)) {
       aud->NoteScan();
       // Rows below the low-water mark are closed and pass trivially.
-      for (size_t i = static_cast<size_t>(FirstOpenRow()); i < extras_.size(); ++i) {
-        const HopAttempt& row = res_.attempts[i];
+      for (int64_t i = first_open_; i < static_cast<int64_t>(res_.attempts.size()); ++i) {
+        const HopAttempt& row = res_.attempts[static_cast<size_t>(i)];
         aud->CheckLazy(
-            extras_[i].closed || row.attempt.end >= now_, "workflow.open_attempt_in_past",
+            Extra(i).closed || row.attempt.end >= now_, "workflow.open_attempt_in_past",
             now_, seed_, [&] { return "attempt " + std::to_string(i); },
             [&] { return "open row ends at " + std::to_string(row.attempt.end); });
       }
@@ -968,6 +995,14 @@ WorkflowSimResult Engine::Run() {
       case EvKind::kHedgeFire:
         OnHedgeFire(ev.wf, ev.hop, ev.idx);
         break;
+    }
+    // Handlers keep using an instance's hop state after the call that
+    // finishes it, so it is freed only here, at an event boundary.
+    if (ev.wf >= 0) {
+      WfState& ws = wfs_[static_cast<size_t>(ev.wf)];
+      if (--ws.pending_events == 0 && ws.done) {
+        std::vector<HopState>().swap(ws.hops);
+      }
     }
     res_.makespan = std::max(res_.makespan, now_);
   }

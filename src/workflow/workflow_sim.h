@@ -124,6 +124,8 @@ struct HopAttempt {
   // workflow-level line items).
   Usd usd = 0.0;
 };
+// The six flags share one word; a run keeps one row per attempt.
+static_assert(sizeof(HopAttempt) == 88);
 
 // Terminal summary of one workflow instance.
 struct WorkflowRow {
@@ -145,6 +147,8 @@ struct WorkflowRow {
   // storage ops its attempts metered. 0 when no NetworkModel is attached.
   Usd usd_network = 0.0;
 };
+// dag, outcome and degraded share one word.
+static_assert(sizeof(WorkflowRow) == 48);
 
 struct WorkflowCounters {
   int64_t workflows_started = 0;
@@ -178,7 +182,7 @@ struct BreakerTransition {
 };
 
 struct WorkflowSimResult {
-  // One row per attempt in creation order (104 bytes each); growing never
+  // One row per attempt in creation order (88 bytes each); growing never
   // copies the rows already held.
   AppendLog<HopAttempt> attempts;
   std::vector<WorkflowRow> workflows;

@@ -95,6 +95,8 @@ REJECTED = [
     # Fractional durations past a century, whose microseconds overflow int64.
     (["bill", "--platform", "aws", "--exec-ms", "1e300"], "bill: --exec-ms"),
     (["workflows", "--deadline-ms", "1e300"], "workflows: --deadline-ms"),
+    # Arrivals spaced so far apart that the last one lands past a century.
+    (["workflows", "--workflows", "3", "--wps", "1e-14"], "workflows: invalid WorkflowSimConfig"),
     (["network", "--outage-zone", "0", "--outage-start-s", "1e300"],
      "network: --outage-start-s"),
     (["failures", "--timeout-ms", "1e300"], "failures: --timeout-ms"),

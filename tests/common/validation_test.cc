@@ -347,13 +347,16 @@ TEST(ValidationTest, OutageWindowMustEndInsideInt64) {
 // keep-alive past it overflowed the fleet's retirement time (`free_at +
 // keepalive`) and made the workflow engine's expiry test wrap, so every warm
 // sandbox read as expired; an execution limit of INT64_MAX - 10 overflowed
-// PlatformSim's timeout event (`now + max_exec_duration`), and a backoff cap
-// of INT64_MAX let a second retry overflow the fleet's `client_end + delay`.
-// The ceiling itself is valid.
+// PlatformSim's timeout event (`now + max_exec_duration`), a backoff cap of
+// INT64_MAX let a second retry overflow the fleet's `client_end + delay`, and
+// a hop's exec_mean of INT64_MAX - 1000 at exec_cv = 0 (executed undrawn)
+// overflowed the workflow engine's `now_ + init_run + cut`. The ceiling
+// itself is valid.
 TEST(ValidationTest, KeepAliveAndInitDurationsStayUnderTheCeiling) {
   constexpr MicroSecs kMax = std::numeric_limits<MicroSecs>::max();
   const FleetSimConfig fleet;
   const WorkflowSimConfig workflow;
+  const WorkflowDag chain = MakeChainDag("chain", 1, HopSpec{});
   const PlatformSimConfig platform = AwsLambdaPlatform(1.0, 1769.0);
   PlatformSimConfig breaker = platform;
   breaker.retry.breaker_threshold = 3;  // The cooldown is checked only when enabled.
@@ -370,6 +373,7 @@ TEST(ValidationTest, KeepAliveAndInitDurationsStayUnderTheCeiling) {
   const auto retry = [](auto& c) -> auto& { return c.retry; };
   const auto admission = [](auto& c) -> auto& { return c.admission; };
   const auto autoscaler = [](auto& c) -> auto& { return c.autoscaler; };
+  const auto first_hop = [](WorkflowDag& d) -> auto& { return d.hops[0]; };
   using Errors = std::function<std::vector<std::string>(MicroSecs)>;
   const auto row = [](const auto& config, auto at, auto field) -> Errors {
     return [=](MicroSecs us) { return WithDuration(config, at, field, us); };
@@ -386,6 +390,7 @@ TEST(ValidationTest, KeepAliveAndInitDurationsStayUnderTheCeiling) {
       {"hedge.hedge_after", row(workflow, hedge, &HedgePolicy::hedge_after)},
       {"hedge.cancel_latency", row(workflow, hedge, &HedgePolicy::cancel_latency)},
       {"redrive.redrive_delay", row(workflow, redrive, &AsyncRedrivePolicy::redrive_delay)},
+      {"exec_mean", row(chain, first_hop, &HopSpec::exec_mean)},
       {"faults: max_exec_duration",
        row(platform, faults, &FaultModelConfig::max_exec_duration)},
       {"retry: attempt_timeout", row(platform, retry, &RetryPolicy::attempt_timeout)},
@@ -463,6 +468,44 @@ TEST(ValidationTest, RetryChainsAtTheAttemptCeilingStayInsideTheClock) {
     EXPECT_NE(errors.empty() ? std::string::npos : errors.front().find("max_attempts"),
               std::string::npos);
   }
+}
+
+// Workflow arrivals are uniform, instance i at i / wps seconds. At wps =
+// 1e-14, instances 1 and 2 of three arrived at llround(1e20) and
+// llround(2e20) us, out of llround's range, and read INT64_MIN; a last
+// arrival just under INT64_MAX overflowed `now_ + init_run`. The last
+// arrival may sit at the ceiling, not past it, with one error naming wps.
+// Near the ceiling a run stays inside the clock: the second instance
+// arrives ~68 years in and executes for a century.
+TEST(ValidationTest, WorkflowArrivalsStayUnderTheCeiling) {
+  WorkflowSimConfig workflow;
+  workflow.dags.push_back(MakeChainDag("chain", 1, HopSpec{}));
+  workflow.wps = 1.0;
+  workflow.workflows = kMaxDuration / kMicrosPerSec + 1;
+  EXPECT_TRUE(workflow.Validate().empty());
+  const std::pair<int64_t, double> past[] = {{kMaxDuration / kMicrosPerSec + 2, 1.0},
+                                             {3, 1e-14}};
+  for (const auto& [workflows, wps] : past) {
+    WorkflowSimConfig refused = workflow;
+    refused.workflows = workflows;
+    refused.wps = wps;
+    const std::vector<std::string> errors = refused.Validate();
+    ASSERT_EQ(errors.size(), 1U) << workflows;
+    EXPECT_NE(errors.front().find("wps"), std::string::npos) << errors.front();
+  }
+
+  HopSpec century;
+  century.exec_mean = kMaxDuration;
+  century.exec_cv = 0.0;
+  WorkflowSimConfig far;
+  far.dags.push_back(MakeChainDag("chain", 1, century));
+  far.workflows = 2;
+  far.wps = std::ldexp(1.0, -31);  // Exact: the second arrival is 2^31 s in.
+  ASSERT_TRUE(far.Validate().empty());
+  const WorkflowSimResult run =
+      SimulateWorkflows(far, MakeBillingModel(Platform::kAwsLambda), 1);
+  EXPECT_EQ(run.counters.workflows_succeeded, 2);
+  EXPECT_GT(run.makespan, (int64_t{1} << 31) * kMicrosPerSec + kMaxDuration);
 }
 
 // The workflow policy's per-hop bound multiplied max_attempts by the two
@@ -578,6 +621,29 @@ TEST(ValidationTest, PlatformEngineRejectsUnsortedOrNegativeArrivals) {
     PlatformEngine engine(config, 1);
     EXPECT_THROW(engine.Start(arrivals, PyAesWorkload()), std::invalid_argument);
   }
+}
+
+// StartAttempt adds the workload's io_wait to the clock: at INT64_MAX - 10
+// the sanitized build overflowed `now + overhead + workload.io_wait`. At the
+// ceiling a request runs to its end; samples and scaling rounds re-arm once
+// a century, not once a second.
+TEST(ValidationTest, PlatformEngineRejectsIoWaitOutsideTheCeiling) {
+  PlatformSimConfig config = AwsLambdaPlatform(1.0, 1769.0);
+  config.autoscaler.sample_interval = kMaxDuration;
+  config.autoscaler.eval_interval = kMaxDuration;
+  WorkloadSpec workload = PyAesWorkload();
+  for (const MicroSecs io_wait : {kMaxDuration + 1, MicroSecs{-1}}) {
+    workload.io_wait = io_wait;
+    PlatformEngine engine(config, 1);
+    EXPECT_THROW(engine.Start({0}, workload), std::invalid_argument) << io_wait;
+  }
+  workload.io_wait = kMaxDuration;
+  PlatformEngine engine(config, 1);
+  engine.Start({0}, workload);
+  engine.RunToEnd();
+  const PlatformSimResult run = engine.Finish();
+  EXPECT_EQ(run.successes, 1);
+  EXPECT_GT(run.requests.front().completion, kMaxDuration);
 }
 
 TEST(ValidationTest, ColdStartProbabilityRejectsZeroSamples) {

@@ -4,15 +4,17 @@
 // as one FNV digest over every field.
 //
 // The values were computed by the engine that pushed every workflow arrival
-// into its event heap at start and swept every attempt row ever created at
-// each audit scan and zonal outage. The engine that streams arrivals from a
-// cursor and scans only from its low-water mark of open rows must reproduce
-// them exactly. The tie-break shape makes arrival instants coincide with
-// completions and with an outage start, so the cursor/heap merge order is
-// pinned where it matters. kFanOut, the one shape with network transfers,
-// also pins digests over every emitted span and every time-series window. A
-// failure prints the actual table, ready to paste if a change is meant to
-// move it.
+// into its event heap at start, swept every attempt row ever created at each
+// audit scan and zonal outage, and kept every instance's hop state to the
+// end of the run. The engine that streams arrivals from a cursor, keeps row
+// bookkeeping only from its low-water mark of open rows on, scans only from
+// that mark, and frees each instance's hop state after its last event must
+// reproduce them exactly. The tie-break shape makes arrival instants
+// coincide with completions and with an outage start, so the cursor/heap
+// merge order is pinned where it matters. kFanOut, the one shape with
+// network transfers, also pins digests over every emitted span and every
+// time-series window. A failure prints the actual table, ready to paste if a
+// change is meant to move it.
 
 #include <gtest/gtest.h>
 
@@ -364,6 +366,13 @@ TEST(WorkflowGolden, ShapesExerciseTheirMechanisms) {
   EXPECT_GT(fan.counters.outage_killed, 0);
   EXPECT_GT(fan.net_transfers, 0);
   EXPECT_GT(fan.usd_network_detour, 0.0);
+  // Rows that end after their instance did: their events are handled once
+  // the instance is done, the path that must not touch freed hop state.
+  int64_t after_instance = 0;
+  for (const HopAttempt& h : fan.attempts) {
+    after_instance += h.attempt.end > fan.workflows[static_cast<size_t>(h.wf)].end ? 1 : 0;
+  }
+  EXPECT_GT(after_instance, 0);
   const WorkflowSimResult chain = RunShape(Shape::kChainAsync, 7);
   EXPECT_GT(chain.counters.provider_redrives, 0);
   EXPECT_GT(chain.counters.dead_letters, 0);

@@ -9,6 +9,20 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
+# peak_rss_gate LABEL CEILING_MIB COMMAND...: runs COMMAND once, stdout
+# discarded, and fails when the child's peak RSS (ru_maxrss) passes the
+# ceiling.
+peak_rss_gate() {
+  python3 - "$@" <<'PYEOF'
+import resource, subprocess, sys
+label, ceiling_mib, argv = sys.argv[1], float(sys.argv[2]), sys.argv[3:]
+subprocess.run(argv, check=True, stdout=subprocess.DEVNULL)
+peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"{label} peak RSS {peak_mib:.1f} MiB (ceiling {ceiling_mib} MiB)")
+assert peak_mib <= ceiling_mib, f"{label}: peak RSS {peak_mib:.1f} MiB is past {ceiling_mib} MiB"
+PYEOF
+}
+
 echo "== Tier 1: plain build (-Werror, -Wshadow -Wconversion on src/common) =="
 cmake -B "$repo/build" -S "$repo" -DFAASCOST_WERROR=ON
 cmake --build "$repo/build" -j "$jobs"
@@ -140,6 +154,18 @@ rm -rf "$wf_tmp"
 echo "same-seed runs byte-identical; zero-DAG runs seed-independent and \$0."
 
 echo
+echo "== Workflow memory: peak RSS of a 60,000-instance fan-out =="
+# A run holds its result plus its live state: each instance's hop state is
+# freed after its last event and row bookkeeping is kept for open rows only.
+# This run (621,189 attempt rows of 88 B) peaked at 65.0-65.2 MiB over 8
+# measured runs, median 65.1 (140.9-141.2 MiB when every instance's hop state
+# and every row's bookkeeping lived to the end of the run, with 104-byte
+# rows); the ceiling is 65.1 MiB plus 5%.
+peak_rss_gate "workflow fan-out" 68.4 "$repo/build/tools/faascost" workflows \
+  --archetype fanout --hops 8 --quorum 6 --workflows 60000 --wps 20 --rate 0.05 \
+  --retries 3 --zones 3 --hedge-ms 600 --seed 7 --json
+
+echo
 echo "== Network: determinism smoke + cost-decomposition schema sanity =="
 # Two seeds, each run twice through the zonal-outage scenario: the JSON
 # (which only prints after the bit-for-bit telemetry reconciliation gate)
@@ -225,16 +251,8 @@ echo "== Export memory: peak RSS of a half-hour platform monitor =="
 # run (GCP, 20 rps for 1,800 s, 4 co-tenants, seed 7) peaked at 96.1-96.3
 # MiB over 8 measured runs, median 96.2 (114.4-114.5 MiB when the export
 # also kept a 40-byte sort key per span); the ceiling is 96.2 MiB plus 5%.
-python3 - "$repo/build/tools/faascost" "$obs_tmp/pmon_rss" <<'PYEOF'
-import resource, subprocess, sys
-subprocess.run([sys.argv[1], "monitor", "--sim", "platform", "--platform", "gcp",
-                "--rps", "20", "--seconds", "1800", "--cotenants", "4", "--seed", "7",
-                "--out", sys.argv[2]], check=True, stdout=subprocess.DEVNULL)
-ceiling_mib = 101.0
-peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-print(f"platform monitor peak RSS {peak_mib:.1f} MiB (ceiling {ceiling_mib} MiB)")
-assert peak_mib <= ceiling_mib, f"peak RSS {peak_mib:.1f} MiB is past {ceiling_mib} MiB"
-PYEOF
+peak_rss_gate "platform monitor" 101.0 "$repo/build/tools/faascost" monitor --sim platform \
+  --platform gcp --rps 20 --seconds 1800 --cotenants 4 --seed 7 --out "$obs_tmp/pmon_rss"
 
 echo
 echo "== Fleet monitor smoke: windowed telemetry determinism + schema sanity =="
